@@ -2,47 +2,34 @@
 
 Exit codes: 0 success, 1 runtime failure (fit did not converge, oracle
 tolerance breach, truncation), 2 usage or validation errors.  All file
-writes go through a temp-file-plus-rename so outputs are never left half
-written.
+writes go through :func:`tsui.metrology.write_atomic` (temp file plus
+rename) so outputs are never left half written.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
-from . import fitting, fock, metrology, simulate
+from . import fitting, fock, gaussian, metrology, simulate
 from .gaussian import InterferometerParams, apply_loss, photon_moments, seeded_tmss
 from .metrology import SqlKind
 
 __all__ = ["main"]
 
-
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tsui-tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+# Largest grid a 'start:stop:step' flag may expand to.
+MAX_GRID_POINTS = 100_000
 
 
 def parse_span(text: str) -> np.ndarray:
     """Parse a grid flag: 'start:stop:step' (inclusive), 'a,b,c', or 'x'.
 
     The stop endpoint is included whenever it lies within 1e-12 of a grid
-    point.
+    point.  Ranges with non-finite parts or more than ``MAX_GRID_POINTS``
+    points are rejected before anything is allocated.
     """
     text = text.strip()
     if not text:
@@ -55,9 +42,14 @@ def parse_span(text: str) -> np.ndarray:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ValueError(f"could not parse grid {text!r}") from None
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"grid values must be finite, got {text!r}")
         if step <= 0.0 or stop < start:
             raise ValueError(f"grid needs stop >= start and step > 0, got {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-12)) + 1
+        span = (stop - start) / step
+        if not span < MAX_GRID_POINTS:
+            raise ValueError(f"grid {text!r} exceeds {MAX_GRID_POINTS} points")
+        count = int(math.floor(span + 1e-12)) + 1
         values = start + step * np.arange(count)
         if values[-1] > stop + 1e-12:
             values = values[:-1]
@@ -82,10 +74,6 @@ def _single(values: np.ndarray, name: str) -> float:
     if values.size != 1:
         raise ValueError(f"{name} expects a single value, got {values.size}")
     return float(values[0])
-
-
-def _format_table(table: metrology.CurveTable, fmt: str) -> str:
-    return table.csv_text() if fmt == "csv" else table.json_text()
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
@@ -125,7 +113,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         table = metrology.curve_snri_vs_lambda(params_list, lam_grid)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown figure {figure!r}")
-    _write_atomic(out, _format_table(table, fmt))
+    (table.to_csv if fmt == "csv" else table.to_json)(out)
     print(f"wrote {out} ({table.rows.shape[0]} rows, {len(table.columns)} columns)")
     if args.verbose:
         for key in sorted(table.meta):
@@ -136,13 +124,12 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def cmd_lambda_opt(args: argparse.Namespace) -> int:
     params = InterferometerParams(gain=args.gain, eta_p=args.eta_p, eta_c=args.eta_c)
     value = metrology.lambda_opt(params)
-    print(np.format_float_positional(value, unique=True, trim="0"))
+    print(metrology.format_float(value))
     if args.numeric:
         check = metrology.lambda_opt_numeric(params)
         print(
-            "numeric check: "
-            + np.format_float_positional(check, unique=True, trim="0")
-            + f" (difference {abs(check - value):.3e})"
+            f"numeric check: {metrology.format_float(check)}"
+            f" (difference {abs(check - value):.3e})"
         )
     return 0
 
@@ -157,16 +144,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         center_freq=args.center_freq,
         rbw=args.rbw,
     )
-    # NoiseDataset.to_csv is a plain writer; route through the atomic helper.
-    tmp_lines = [f"# source = {dataset.source}"]
-    for key in sorted(dataset.meta):
-        tmp_lines.append(f"# {key} = {dataset.meta[key]}")
-    tmp_lines.append("lambda,noise_db,sigma_db")
-    for row in zip(dataset.lam, dataset.noise_db, dataset.sigma_db):
-        tmp_lines.append(
-            ",".join(np.format_float_positional(v, unique=True, trim="0") for v in row)
-        )
-    _write_atomic(args.out, "\n".join(tmp_lines) + "\n")
+    dataset.to_csv(args.out)
     print(f"wrote {args.out} ({len(dataset)} rows)")
     return 0
 
@@ -186,7 +164,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     options = fitting.FitOptions(loss_offset=offset, initial=initial)
     fit = fitting.fit_noise_curve(dataset, options)
     est = fitting.extract_lambda_opt(dataset, fit)
-    _write_atomic(args.out, fit.json_text())
+    metrology.write_atomic(args.out, fit.json_text())
     print(fit.summary())
     print(
         f"  lambda_opt estimate = {est.value:.4f} +/- {est.sigma:.4f} ({est.method})"
@@ -198,7 +176,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         for kind in (SqlKind.SQL2, SqlKind.SQL1):
             table = fitting.overlay_theory(fit, kind, grid)
             path = f"{args.overlay}_{kind.value}.csv"
-            _write_atomic(path, table.csv_text())
+            table.to_csv(path)
             print(f"wrote {path}")
     print(f"wrote {args.out}")
     return 0
@@ -241,12 +219,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         mean_err = 0.0
         var_err = 0.0
         for lam, fm, fv in bundle["joint"]:
-            gm = gauss_state.mean[1] + lam * gauss_state.mean[3]
-            gv = (
-                gauss_state.cov[1, 1]
-                + lam * lam * gauss_state.cov[3, 3]
-                + 2.0 * lam * gauss_state.cov[1, 3]
-            )
+            gm, gv = gaussian.joint_quadrature_stats(gauss_state, lam)
             mean_err = max(mean_err, abs(fm - gm))
             var_err = max(var_err, abs(fv - gv))
         all_ok = _check(f"{tag}: joint quadrature means", mean_err, 1e-7, lines)

@@ -112,17 +112,13 @@ class NoiseDataset:
     def n_distinct(self) -> int:
         return int(np.unique(self.lam).size)
 
+    def csv_text(self) -> str:
+        comments = [("source", self.source)] + sorted(self.meta.items())
+        rows = zip(self.lam, self.noise_db, self.sigma_db)
+        return metrology.format_csv(comments, ("lambda", "noise_db", "sigma_db"), rows)
+
     def to_csv(self, path: str) -> None:
-        lines = [f"# source = {self.source}"]
-        for key in sorted(self.meta):
-            lines.append(f"# {key} = {self.meta[key]}")
-        lines.append("lambda,noise_db,sigma_db")
-        for row in zip(self.lam, self.noise_db, self.sigma_db):
-            lines.append(
-                ",".join(np.format_float_positional(v, unique=True, trim="0") for v in row)
-            )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        metrology.write_atomic(path, self.csv_text())
 
 
 def load_noise_csv(path: str) -> NoiseDataset:
@@ -334,21 +330,21 @@ def _unpack(x: np.ndarray, offset: float | None) -> tuple[float, float, float, f
 
 def _model_db(lam: np.ndarray, x: np.ndarray, offset: float | None) -> np.ndarray:
     gain, eta_p, eta_c, scale = _unpack(x, offset)
-    v_p, v_c, cross = metrology.joint_variance_quadratic(gain, eta_p, eta_c)
-    var = v_p + lam * lam * v_c + 2.0 * lam * cross
-    return 10.0 * np.log10(var) + scale
+    return 10.0 * np.log10(metrology.joint_variance(gain, eta_p, eta_c, lam)) + scale
 
 
-def _three_lowest_distinct(dataset: NoiseDataset) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(dataset.noise_db, kind="stable")
+def _three_lowest_distinct(
+    lam: np.ndarray, noise_db: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(noise_db, kind="stable")
     lams: list[float] = []
     ys: list[float] = []
     for idx in order:
-        lam = float(dataset.lam[idx])
-        if any(abs(lam - l) < 1e-12 for l in lams):
+        value = float(lam[idx])
+        if any(abs(value - l) < 1e-12 for l in lams):
             continue
-        lams.append(lam)
-        ys.append(float(dataset.noise_db[idx]))
+        lams.append(value)
+        ys.append(float(noise_db[idx]))
         if len(lams) == 3:
             break
     if len(lams) < 3:
@@ -367,9 +363,8 @@ def _parabola_vertex(lams: np.ndarray, ys: np.ndarray) -> float:
     return float(min(max(-b / (2.0 * a), 0.0), 1.0))
 
 
-def _direct_lambda_opt(dataset: NoiseDataset) -> float:
-    lams, ys = _three_lowest_distinct(dataset)
-    return _parabola_vertex(lams, ys)
+def _direct_lambda_opt(lam: np.ndarray, noise_db: np.ndarray) -> float:
+    return _parabola_vertex(*_three_lowest_distinct(lam, noise_db))
 
 
 def _start_points(dataset: NoiseDataset) -> list[tuple[float, float]]:
@@ -380,7 +375,7 @@ def _start_points(dataset: NoiseDataset) -> list[tuple[float, float]]:
         for g0 in (1.05, 1.3, 1.8, 2.6, 3.6)
         for e0 in (0.6, 0.9)
     ]
-    lam_min = min(max(_direct_lambda_opt(dataset), 0.05), 0.95)
+    lam_min = min(max(_direct_lambda_opt(dataset.lam, dataset.noise_db), 0.05), 0.95)
     r_hat = 0.5 * math.atanh(lam_min)
     g_hat = math.cosh(r_hat) ** 2
     starts.append((g_hat, 0.85))
@@ -421,6 +416,10 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
             f"need at least 5 distinct weights to fit, got {dataset.n_distinct()}"
         )
     offset = options.loss_offset
+    if offset is None:
+        names = ("gain", "eta_p", "eta_c", "scale_db")
+    else:
+        names = ("gain", "eta_c", "scale_db")
     lam = dataset.lam
     y = dataset.noise_db
     sigma = dataset.sigma_db
@@ -488,27 +487,17 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         cov = np.linalg.pinv(jtj)
     else:
         cov = np.linalg.inv(jtj)
-    sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    # In constrained mode eta_p = eta_c - offset shares the eta_c sigma.
+    diag = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    sigmas = {name: float(s) for name, s in zip(names, diag)}
+    sigmas.setdefault("eta_p", sigmas["eta_c"])
 
     x_hat = best.x
     for i, (lo, hi) in enumerate(zip(lower, upper)):
         if x_hat[i] - lo < 1e-8 * (hi - lo) or hi - x_hat[i] < 1e-8 * (hi - lo):
-            name = ("gain", "eta_c", "scale_db") if offset is not None else (
-                "gain",
-                "eta_p",
-                "eta_c",
-                "scale_db",
-            )
-            warnings.append(f"parameter {name[i]} sits at a fit bound")
+            warnings.append(f"parameter {names[i]} sits at a fit bound")
 
     gain, eta_p, eta_c, scale = _unpack(x_hat, offset)
-    if offset is None:
-        names = ("gain", "eta_p", "eta_c", "scale_db")
-        sigma_gain, sigma_ep, sigma_ec, sigma_scale = (float(s) for s in sigmas)
-    else:
-        names = ("gain", "eta_c", "scale_db")
-        sigma_gain, sigma_ec, sigma_scale = (float(s) for s in sigmas)
-        sigma_ep = sigma_ec
 
     fitted = InterferometerParams(
         gain=gain, eta_p=min(max(eta_p, 0.0), 1.0), eta_c=min(max(eta_c, 0.0), 1.0)
@@ -518,14 +507,14 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         eta_p=fitted.eta_p,
         eta_c=fitted.eta_c,
         scale_db=scale,
-        sigma_gain=sigma_gain,
-        sigma_eta_p=sigma_ep,
-        sigma_eta_c=sigma_ec,
-        sigma_scale_db=sigma_scale,
+        sigma_gain=sigmas["gain"],
+        sigma_eta_p=sigmas["eta_p"],
+        sigma_eta_c=sigmas["eta_c"],
+        sigma_scale_db=sigmas["scale_db"],
         chi_square=float(np.sum(best.fun**2)),
         n_points=len(dataset),
         lambda_opt_fit=metrology.lambda_opt(fitted),
-        lambda_opt_direct=_direct_lambda_opt(dataset),
+        lambda_opt_direct=_direct_lambda_opt(lam, y),
         condition_number=condition,
         loss_offset=offset,
         warnings=warnings,
@@ -565,17 +554,12 @@ def extract_lambda_opt(
     """
     if n_bootstrap < 2:
         raise ValueError("n_bootstrap must be >= 2")
-    direct_value = _direct_lambda_opt(dataset)
+    lam, noise_db = dataset.lam, dataset.noise_db
+    direct_value = _direct_lambda_opt(lam, noise_db)
     rng = np.random.default_rng(rng_seed)
     draws = np.empty(n_bootstrap)
     for k in range(n_bootstrap):
-        resampled = NoiseDataset(
-            lam=dataset.lam,
-            noise_db=dataset.noise_db + rng.normal(0.0, dataset.sigma_db),
-            sigma_db=dataset.sigma_db,
-            source=dataset.source,
-        )
-        draws[k] = _direct_lambda_opt(resampled)
+        draws[k] = _direct_lambda_opt(lam, noise_db + rng.normal(0.0, dataset.sigma_db))
     direct_sigma = float(draws.std(ddof=1))
     min_idx = int(np.argmin(dataset.noise_db))
     boundary = min_idx in (0, len(dataset) - 1)
@@ -632,10 +616,7 @@ def overlay_theory(fit: FitResult, kind: SqlKind, lambda_grid) -> CurveTable:
         Table with columns (lambda, snri_db).
     """
     grid = metrology._validate_grid("lambda_grid", lambda_grid, 0.0, 1.0)
-    params = fit.params()
-    rows = np.empty((grid.size, 2))
-    for i, lam in enumerate(grid):
-        rows[i] = (lam, metrology.snri(params, float(lam), kind))
+    rows = np.column_stack([grid, metrology.snri(fit.params(), grid, kind)])
     meta = {
         "gain": fit.gain,
         "eta_p": fit.eta_p,

@@ -32,10 +32,7 @@ __all__ = [
     "build_seeded_tmss_fock",
     "oracle_mode_quadrature",
     "oracle_moment_bundle",
-    "oracle_photon_moments",
-    "oracle_photon_variance",
     "oracle_quadrature_stats",
-    "oracle_quadrature_variance",
 ]
 
 # Extra Fock levels used while exponentiating the squeezer so that
@@ -362,13 +359,6 @@ def oracle_quadrature_stats(
     return _ensemble_stats(branches, apply_op)
 
 
-def oracle_quadrature_variance(
-    state: "FockState | FockEnsemble", lam: float
-) -> float:
-    """Variance of the joint readout; see :func:`oracle_quadrature_stats`."""
-    return oracle_quadrature_stats(state, lam)[1]
-
-
 def oracle_mode_quadrature(
     state: "FockState | FockEnsemble", mode: str, quadrature: str
 ) -> tuple[float, float]:
@@ -396,33 +386,3 @@ def oracle_mode_quadrature(
     else:
         apply_op = lambda b: np.einsum("bij,cj->bic", b, op)
     return _ensemble_stats(branches, apply_op)
-
-
-def oracle_photon_moments(
-    state: "FockState | FockEnsemble", mode: str
-) -> tuple[float, float]:
-    """Photon-number mean and variance of one mode, Fock-basis route.
-
-    Args:
-        state: pure state or loss ensemble.
-        mode: "probe" or "conjugate".
-
-    Returns:
-        ``(mean_n, var_n)`` for the requested mode.
-    """
-    if mode not in ("probe", "conjugate"):
-        raise ValueError(f"unknown mode {mode!r}")
-    branches = _as_branches(state)
-    dim = branches.shape[1]
-    n = np.arange(dim, dtype=float)
-
-    if mode == "probe":
-        apply_op = lambda b: n[np.newaxis, :, np.newaxis] * b
-    else:
-        apply_op = lambda b: n[np.newaxis, np.newaxis, :] * b
-    return _ensemble_stats(branches, apply_op)
-
-
-def oracle_photon_variance(state: "FockState | FockEnsemble", mode: str) -> float:
-    """Photon-number variance; see :func:`oracle_photon_moments`."""
-    return oracle_photon_moments(state, mode)[1]

@@ -14,9 +14,11 @@ produce the tables behind the standard figures of the project.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -42,7 +44,10 @@ __all__ = [
     "curve_noise_vs_lambda",
     "curve_sensitivity_vs_gain",
     "curve_snri_vs_lambda",
+    "format_csv",
+    "format_float",
     "joint_noise_power",
+    "joint_variance",
     "joint_variance_quadratic",
     "lambda_opt",
     "lambda_opt_numeric",
@@ -50,6 +55,7 @@ __all__ = [
     "qcrb",
     "snri",
     "sql_sensitivity",
+    "write_atomic",
 ]
 
 # dB gap between the two shot-noise conventions, 10*log10(2).
@@ -122,19 +128,9 @@ class CurveTable:
             raise ValueError(f"abscissa {self.columns[0]!r} must be strictly increasing")
         self.rows = rows
 
-    @staticmethod
-    def _fmt(value: float) -> str:
-        # Shortest decimal string that round-trips the float exactly.
-        return np.format_float_positional(value, unique=True, trim="0")
-
     def csv_text(self) -> str:
-        lines = [f"# label = {self.label}"]
-        for key in sorted(self.meta):
-            lines.append(f"# {key} = {self.meta[key]}")
-        lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(self._fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+        comments = [("label", self.label)] + sorted(self.meta.items())
+        return format_csv(comments, self.columns, self.rows)
 
     def json_text(self) -> str:
         payload = {
@@ -149,12 +145,43 @@ class CurveTable:
         return json.dumps(payload, indent=2) + "\n"
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
+        write_atomic(path, self.csv_text())
 
     def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.json_text())
+        write_atomic(path, self.json_text())
+
+
+def format_csv(comments, columns: Sequence[str], rows) -> str:
+    """CSV text: a ``# key = value`` line per ``(key, value)`` pair in
+    ``comments``, the header, then the float rows via :func:`format_float`."""
+    lines = [f"# {key} = {value}" for key, value in comments]
+    lines.append(",".join(columns))
+    lines += [",".join(format_float(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def format_float(value: float) -> str:
+    """Shortest decimal string that round-trips the float exactly."""
+    return np.format_float_positional(value, unique=True, trim="0")
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename.
+
+    A failed write leaves neither ``path`` nor the temp file behind.  The
+    mode is 0o666 & ~umask, as ``open(path, "w")`` gives a new file.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tsui-tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def joint_variance_quadratic(gain, eta_p, eta_c):
@@ -173,6 +200,17 @@ def joint_variance_quadratic(gain, eta_p, eta_c):
     v_c = eta_c * cosh2r + (1.0 - np.asarray(eta_c, dtype=float))
     cross = -np.sqrt(np.asarray(eta_p, dtype=float) * eta_c) * sinh2r
     return v_p, v_c, cross
+
+
+def joint_variance(gain, eta_p, eta_c, lam):
+    """Var(M) = V_p + lam^2 V_c + 2 lam C, broadcast over all arguments.
+
+    The one evaluation of the quadratic from parameters, shared by the
+    theory curves and the curve fitter; weights are not range-checked.
+    """
+    v_p, v_c, cross = joint_variance_quadratic(gain, eta_p, eta_c)
+    lam = np.asarray(lam, dtype=float)
+    return v_p + lam * lam * v_c + 2.0 * lam * cross
 
 
 def lambda_opt(params: InterferometerParams) -> float:
@@ -264,8 +302,7 @@ def joint_noise_power(
         dB (0 dB is the single-beam shot-noise level).
     """
     lam = m.lam if isinstance(m, WeightedMeasurement) else WeightedMeasurement(float(m)).lam
-    v_p, v_c, cross = joint_variance_quadratic(params.gain, params.eta_p, params.eta_c)
-    var = float(v_p + lam * lam * v_c + 2.0 * lam * cross)
+    var = float(joint_variance(params.gain, params.eta_p, params.eta_c, lam))
     return NoiseResult(variance=var, variance_db=10.0 * math.log10(var), lam=lam)
 
 
@@ -355,9 +392,9 @@ def qcrb(params: InterferometerParams) -> SensitivityResult:
 
 def snri(
     params: InterferometerParams,
-    m: "WeightedMeasurement | float",
+    m: "WeightedMeasurement | float | np.ndarray",
     kind: SqlKind,
-) -> float:
+) -> "float | np.ndarray":
     """Squeezing-noise-reduction improvement over a shot-noise reference.
 
     Signal slopes cancel between the joint readout and the reference, so
@@ -370,18 +407,22 @@ def snri(
 
     Args:
         params: amplifier and transmission settings.
-        m: measurement weight.
+        m: measurement weight, or an array of weights in [0, 1].
         kind: shot-noise convention.
 
     Returns:
-        Improvement in dB (positive means better than the reference).
+        Improvement in dB (positive means better than the reference): a
+        float for a single weight, an array for an array of weights.
     """
     if not isinstance(kind, SqlKind):
         raise ValueError(f"kind must be a SqlKind, got {kind!r}")
-    base = -joint_noise_power(params, m).variance_db
+    lam = m.lam if isinstance(m, WeightedMeasurement) else np.asarray(m, dtype=float)
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
+        raise ValueError(f"lam must lie in [0, 1], got {m!r}")
+    base = -10.0 * np.log10(joint_variance(params.gain, params.eta_p, params.eta_c, lam))
     if kind is SqlKind.SQL1:
-        return base + LOG2_DB
-    return base
+        base = base + LOG2_DB
+    return float(base) if np.ndim(base) == 0 else base
 
 
 def _validate_grid(name: str, grid, lower: float, upper: float) -> np.ndarray:
@@ -410,10 +451,8 @@ def curve_noise_vs_lambda(
         Table with columns (lambda, variance, noise_db).
     """
     grid = _validate_grid("lambda_grid", lambda_grid, 0.0, 1.0)
-    rows = np.empty((grid.size, 3))
-    for i, lam in enumerate(grid):
-        res = joint_noise_power(params, float(lam))
-        rows[i] = (lam, res.variance, res.variance_db)
+    var = joint_variance(params.gain, params.eta_p, params.eta_c, grid)
+    rows = np.column_stack([grid, var, 10.0 * np.log10(var)])
     meta = {
         "gain": params.gain,
         "eta_p": params.eta_p,
@@ -520,12 +559,11 @@ def curve_snri_vs_lambda(
     columns = ["lambda"]
     columns += [f"snri_sql2_{t}" for t in tags]
     columns += [f"snri_sql1_{t}" for t in tags]
-    rows = np.empty((grid.size, len(columns)))
-    rows[:, 0] = grid
-    for i, lam in enumerate(grid):
-        for k, p in enumerate(params_list):
-            rows[i, 1 + k] = snri(p, float(lam), SqlKind.SQL2)
-            rows[i, 1 + len(params_list) + k] = snri(p, float(lam), SqlKind.SQL1)
+    rows = np.column_stack(
+        [grid]
+        + [snri(p, grid, SqlKind.SQL2) for p in params_list]
+        + [snri(p, grid, SqlKind.SQL1) for p in params_list]
+    )
     meta = {
         "settings": "; ".join(
             f"(G={p.gain:g}, ep={p.eta_p:g}, ec={p.eta_c:g})" for p in params_list

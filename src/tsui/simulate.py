@@ -117,20 +117,6 @@ class MeasurementRecord:
     config: SimConfig
     trial: int = 0
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.probe.size) / self.config.sample_rate
-
-    def to_csv(self, path: str) -> None:
-        p = self.config.params
-        header = (
-            f"# gain = {p.gain}\n# eta_p = {p.eta_p}\n# eta_c = {p.eta_c}\n"
-            f"# alpha = {p.alpha}\n# sample_rate = {self.config.sample_rate}\n"
-            f"# rng_seed = {self.config.rng_seed}\n# trial = {self.trial}\n"
-            "time,probe,conjugate"
-        )
-        data = np.column_stack([self.times(), self.probe, self.conjugate])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
 
 @dataclass(frozen=True)
 class SpectrumResult:

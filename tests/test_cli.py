@@ -1,9 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from tsui import cli
 from tsui.cli import main, parse_span
 from tsui.fitting import NoiseDataset, load_noise_csv
 from tsui.metrology import joint_variance_quadratic
@@ -43,6 +45,30 @@ class TestParseSpan:
         for text in ("5:1:0.1", "1:2:0", "1:2:-0.5", "a:b:c", "1:2:0.1:9", ""):
             with pytest.raises(ValueError):
                 parse_span(text)
+
+    def test_unbounded_spans_rejected_before_allocating(self, monkeypatch):
+        # Each of these would overflow or ask for a huge grid; fail the
+        # test instead of allocating if the guard ever lets one through.
+        real_arange = np.arange
+
+        def guarded_arange(n, *args, **kwargs):
+            assert n <= cli.MAX_GRID_POINTS + 1
+            return real_arange(n, *args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", guarded_arange)
+        for text in ("0:1e300:1e-300", "0:1:1e-9", "0:inf:1", "nan:1:0.1", "-1e308:1e308:1"):
+            with pytest.raises(ValueError):
+                parse_span(text)
+        assert parse_span("0:1:0.01").size == 101
+
+    def test_unbounded_spans_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(np, "arange", None)  # nothing may be allocated
+        out = tmp_path / "x.csv"
+        for text in ("0:1e300:1e-300", "0:1:1e-9"):
+            assert main(["curves", "fig4a", "--lambdas", text, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestCurves:
@@ -127,6 +153,21 @@ class TestCurves:
         assert main(["curves", "fig4b", "--out", str(out)]) == 2
         assert not out.exists()
         assert not out.parent.exists()
+
+    def test_output_mode_follows_umask(self, tmp_path):
+        data = tmp_path / "scan.csv"
+        write_scan_csv(data, 1.67, 0.76, 0.79)
+        old = os.umask(0o027)
+        try:
+            assert main(["curves", "fig4b", "--out", str(tmp_path / "w.csv")]) == 0
+            assert main(["curves", "fig4a", "--format", "json",
+                         "--out", str(tmp_path / "n.json")]) == 0
+            assert main(["fit", "--data", str(data), "--out", str(tmp_path / "f.json"),
+                         "--overlay", str(tmp_path / "ov")]) == 0
+        finally:
+            os.umask(old)
+        for name in ("w.csv", "n.json", "f.json", "ov_sql1.csv", "ov_sql2.csv"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o640, name
 
 
 class TestLambdaOpt:

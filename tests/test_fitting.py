@@ -82,6 +82,13 @@ class TestNoiseDataset:
         assert np.array_equal(back.sigma_db, ds.sigma_db)
         assert back.source == ds.source
         assert float(back.meta["center_freq"]) == 1e6
+        assert path.read_text() == ds.csv_text()
+
+    def test_to_csv_into_missing_directory(self, tmp_path):
+        ds = synthetic(1.67, 0.76, 0.79)
+        with pytest.raises(OSError):
+            ds.to_csv(str(tmp_path / "missing" / "scan.csv"))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLoadNoiseCsv:

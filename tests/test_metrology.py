@@ -1,10 +1,11 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from tsui.fock import apply_loss_fock, build_seeded_tmss_fock, oracle_quadrature_variance
+from tsui.fock import apply_loss_fock, build_seeded_tmss_fock, oracle_quadrature_stats
 from tsui.gaussian import InterferometerParams, WeightedMeasurement
 from tsui.metrology import (
     LOG2_DB,
@@ -123,7 +124,7 @@ class TestJointNoisePower:
         ens = apply_loss_fock(apply_loss_fock(state, p.eta_p, "probe"), p.eta_c, "conjugate")
         for lam in (0.0, 0.5, lambda_opt(p), 1.0):
             assert abs(
-                joint_noise_power(p, lam).variance - oracle_quadrature_variance(ens, lam)
+                joint_noise_power(p, lam).variance - oracle_quadrature_stats(ens, lam)[1]
             ) < 1e-6
 
     def test_weight_validation(self):
@@ -215,6 +216,14 @@ class TestSnri:
             lam = rng.random()
             diff = snri(p, lam, SqlKind.SQL1) - snri(p, lam, SqlKind.SQL2)
             assert abs(diff - LOG2_DB) <= 1e-12
+            # An array of weights gives one value per weight, matching
+            # the scalar calls, with the same constant offset.
+            lams = np.linspace(0.0, 1.0, 11)
+            sql1, sql2 = snri(p, lams, SqlKind.SQL1), snri(p, lams, SqlKind.SQL2)
+            assert sql2.shape == lams.shape
+            assert np.all(np.abs(sql1 - sql2 - LOG2_DB) <= 1e-12)
+            for w, value in zip(lams, sql2):
+                assert abs(value - snri(p, float(w), SqlKind.SQL2)) <= 1e-12
 
     def test_low_gain_crossover(self):
         # At G = 1.1 the balanced readout is noisier than one coherent
@@ -229,6 +238,12 @@ class TestSnri:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             snri(InterferometerParams(gain=1.5), 0.5, "sql1")
+
+    def test_weight_validation(self):
+        p = InterferometerParams(gain=1.5)
+        for bad in (1.2, -0.1, math.nan, np.array([0.5, 1.2])):
+            with pytest.raises(ValueError):
+                snri(p, bad, SqlKind.SQL2)
 
 
 class TestCurveTable:
@@ -255,6 +270,34 @@ class TestCurveTable:
         assert data["columns"] == ["x", "y"]
         assert data["rows"][1] == {"x": 0.5, "y": 2.0}
         assert data["meta"]["gain"] == 2.0
+
+    def test_failed_writes_leave_nothing(self, tmp_path):
+        table = self.make()
+        missing = tmp_path / "missing" / "t.csv"
+        for write in (table.to_csv, table.to_json):
+            with pytest.raises(OSError):
+                write(str(missing))
+            assert not missing.parent.exists()
+            # A directory in the way fails after the temp file exists;
+            # the temp file must be removed.
+            blocked = tmp_path / "blocked"
+            blocked.mkdir(exist_ok=True)
+            with pytest.raises(OSError):
+                write(str(blocked))
+            assert list(tmp_path.iterdir()) == [blocked]
+            assert list(blocked.iterdir()) == []
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        table = self.make()
+        old = os.umask(0o027)
+        try:
+            table.to_csv(str(tmp_path / "t.csv"))
+            table.to_json(str(tmp_path / "t.json"))
+            assert os.umask(0o027) == 0o027  # the writer left the umask alone
+        finally:
+            os.umask(old)
+        for name in ("t.csv", "t.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
 
     def test_full_precision_serialization(self):
         value = 0.7962950314799236

@@ -221,23 +221,6 @@ class TestMeasuredScan:
             measure_noise_vs_lambda(cfg, [0.0, 1.0], trials=1)
 
 
-class TestRecordIo:
-    def test_times_and_csv(self, tmp_path):
-        cfg = config(rng_seed=10)
-        rec = simulate_records(cfg, trial=1)
-        t = rec.times()
-        assert t.size == rec.probe.size
-        assert math.isclose(t[1] - t[0], 1.0 / FS, rel_tol=1e-12)
-        path = tmp_path / "rec.csv"
-        rec.to_csv(str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# gain = 2.0"
-        assert "time,probe,conjugate" in lines[:9]
-        body = [l for l in lines if not l.startswith("#")]
-        first = body[1].split(",")
-        assert float(first[1]) == pytest.approx(rec.probe[0], rel=1e-12)
-
-
 class TestLoadSimConfig:
     def write(self, tmp_path, text):
         path = tmp_path / "sim.cfg"
