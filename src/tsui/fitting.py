@@ -56,6 +56,9 @@ __all__ = [
 _GAIN_BOUNDS = (1.0, 50.0)
 _SCALE_BOUNDS = (-80.0, 80.0)
 _CONDITION_LIMIT = 1e12
+# Residual-evaluation budget per start, and ftol/xtol/gtol of the solver.
+_MAX_NFEV = 400
+_TOL = 1e-10
 
 
 class FitFailure(RuntimeError):
@@ -190,14 +193,10 @@ class FitOptions:
             mode.  Must lie in [-0.2, 0.2].
         initial: optional user start (gain, eta_p, eta_c, scale_db),
             tried in addition to the built-in deterministic starts.
-        max_nfev: residual-evaluation budget per start.
-        tol: ftol/xtol/gtol passed to the least-squares solver.
     """
 
     loss_offset: float | None = 0.03
     initial: tuple[float, float, float, float] | None = None
-    max_nfev: int = 400
-    tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.loss_offset is not None and not -0.2 <= self.loss_offset <= 0.2:
@@ -211,10 +210,6 @@ class FitOptions:
                 raise ValueError(
                     "initial must be 4 finite numbers (gain, eta_p, eta_c, scale_db)"
                 )
-        if self.max_nfev < 10:
-            raise ValueError("max_nfev must be >= 10")
-        if not 1e-15 <= self.tol <= 1e-4:
-            raise ValueError("tol must lie in [1e-15, 1e-4]")
 
 
 @dataclass
@@ -463,17 +458,15 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
             x0,
             bounds=(lower, upper),
             method="trf",
-            ftol=options.tol,
-            xtol=options.tol,
-            gtol=options.tol,
-            max_nfev=options.max_nfev,
+            ftol=_TOL,
+            xtol=_TOL,
+            gtol=_TOL,
+            max_nfev=_MAX_NFEV,
         )
         if res.status > 0 and (best is None or res.cost < best.cost):
             best = res
     if best is None:
-        raise FitFailure(
-            f"no fit start converged within {options.max_nfev} evaluations"
-        )
+        raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations")
 
     jac = best.jac
     jtj = jac.T @ jac
@@ -561,8 +554,7 @@ def extract_lambda_opt(
     for k in range(n_bootstrap):
         draws[k] = _direct_lambda_opt(lam, noise_db + rng.normal(0.0, dataset.sigma_db))
     direct_sigma = float(draws.std(ddof=1))
-    min_idx = int(np.argmin(dataset.noise_db))
-    boundary = min_idx in (0, len(dataset) - 1)
+    boundary = lam[int(np.argmin(noise_db))] in (lam[0], lam[-1])
 
     fit_value = fit_sigma = None
     if fit is not None:

@@ -45,6 +45,10 @@ DEFAULT_PAD = 16
 # the retained (cutoff + 1)^2 block.
 NORM_DEFICIT_LIMIT = 1e-4
 
+# Largest accepted cutoff: a two-arm lossy ensemble holds (cutoff + 1)^4
+# doubles, 111 MB at 60.
+MAX_CUTOFF = 60
+
 
 class TruncationError(RuntimeError):
     """Raised when the retained Fock block misses too much probability."""
@@ -127,7 +131,7 @@ def build_seeded_tmss_fock(
     Args:
         gain: amplifier intensity gain G >= 1.
         alpha: coherent seed amplitude on the probe mode.
-        cutoff: highest retained photon number per mode.
+        cutoff: highest retained photon number per mode, 1 to ``MAX_CUTOFF``.
         pad: extra working levels per mode during the exponentiation.
 
     Returns:
@@ -141,8 +145,8 @@ def build_seeded_tmss_fock(
         raise ValueError(f"gain must be >= 1, got {gain!r}")
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")
-    if cutoff < 1 or pad < 0:
-        raise ValueError("cutoff must be >= 1 and pad >= 0")
+    if not 1 <= cutoff <= MAX_CUTOFF or pad < 0:
+        raise ValueError(f"cutoff must lie in [1, {MAX_CUTOFF}] and pad >= 0, got {cutoff!r}")
     r = math.acosh(math.sqrt(gain))
     dim = cutoff + 1 + pad
     seed = np.zeros((dim, dim))

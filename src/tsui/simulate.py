@@ -16,7 +16,7 @@ identical inputs give bit-identical records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,7 +39,11 @@ __all__ = [
 # while leaving hundreds of segments in a default-length record.
 _BINS_PER_RBW = 8
 
+# Input caps: the longest record is 8x the default length (about
+# 320 MiB while generating), and a scan takes at most 1000 records.
 _MIN_SAMPLES = 2**14
+_MAX_SAMPLES = 2**23
+_MAX_TRIALS = 1000
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class SimConfig:
     Attributes:
         params: amplifier and transmission settings.
         sample_rate: detector sampling rate in Hz.
-        duration: record length in seconds.
+        duration: record length in seconds (2^14 to 2^23 samples).
         tone_freq: frequency of the phase calibration tone, Hz.  For
             exact band capture keep it on the analysis-bin grid
             (multiples of rbw / 8 for the default estimator).
@@ -86,6 +90,8 @@ class SimConfig:
                 f"record too short for spectral estimates: {self.n_samples} "
                 f"samples, need >= {_MIN_SAMPLES}"
             )
+        if self.n_samples > _MAX_SAMPLES:
+            raise ValueError(f"record too long: {self.n_samples} samples > {_MAX_SAMPLES}")
         if not 0.0 < self.tone_freq < self.sample_rate / 2.0:
             raise ValueError("tone_freq must lie in (0, sample_rate / 2)")
         if not 0.0 <= self.tone_depth <= 1.0:
@@ -94,8 +100,8 @@ class SimConfig:
             raise ValueError(
                 f"lock_jitter_rms must lie in [0, 1] rad, got {self.lock_jitter_rms!r}"
             )
-        if self.electronic_noise_var < 0.0:
-            raise ValueError("electronic_noise_var must be >= 0")
+        if not 0.0 <= self.electronic_noise_var < math.inf:
+            raise ValueError("electronic_noise_var must be finite and >= 0")
         if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
             raise ValueError(f"rng_seed must be a nonnegative int, got {self.rng_seed!r}")
         if not (math.isfinite(self.jitter_block) and self.jitter_block > 0.0):
@@ -156,37 +162,33 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     n = config.n_samples
     rng = np.random.default_rng([config.rng_seed, trial])
 
+    block = int(round(config.jitter_block * config.sample_rate))
+    n_blocks = -(-n // block)
+    if config.lock_jitter_rms > 0.0:
+        phases = rng.normal(0.0, config.lock_jitter_rms, size=(n_blocks, 2))
+    else:
+        # Zero phase is exact (sin 0 = 0, cos 0 = 1) and draws nothing.
+        phases = np.zeros((n_blocks, 2))
+    normals = rng.standard_normal((n, 2))
     probe = np.empty(n)
     conj = np.empty(n)
-    if config.lock_jitter_rms == 0.0:
-        cov2 = cov4[np.ix_([1, 3], [1, 3])]
-        chol = np.linalg.cholesky(cov2)
-        noise = rng.standard_normal((n, 2)) @ chol.T
-        probe[:] = noise[:, 0]
-        conj[:] = noise[:, 1]
-        tone_scale = np.ones(n)
-    else:
-        block = int(round(config.jitter_block * config.sample_rate))
-        n_blocks = -(-n // block)
-        phases = rng.normal(0.0, config.lock_jitter_rms, size=(n_blocks, 2))
-        normals = rng.standard_normal((n, 2))
-        tone_scale = np.empty(n)
-        for b in range(n_blocks):
-            sl = slice(b * block, min((b + 1) * block, n))
-            e_p, e_c = phases[b]
-            # Rows pick out the rotated measurement direction per arm.
-            u = np.array(
-                [
-                    [math.sin(e_p), math.cos(e_p), 0.0, 0.0],
-                    [0.0, 0.0, math.sin(e_c), math.cos(e_c)],
-                ]
-            )
-            chol = np.linalg.cholesky(u @ cov4 @ u.T)
-            seg = normals[sl] @ chol.T
-            offset = u @ mean4
-            probe[sl] = seg[:, 0] + offset[0]
-            conj[sl] = seg[:, 1] + offset[1]
-            tone_scale[sl] = math.cos(e_p)
+    tone_scale = np.empty(n)
+    for b in range(n_blocks):
+        sl = slice(b * block, min((b + 1) * block, n))
+        e_p, e_c = phases[b]
+        # Rows pick out the rotated measurement direction per arm.
+        u = np.array(
+            [
+                [math.sin(e_p), math.cos(e_p), 0.0, 0.0],
+                [0.0, 0.0, math.sin(e_c), math.cos(e_c)],
+            ]
+        )
+        chol = np.linalg.cholesky(u @ cov4 @ u.T)
+        seg = normals[sl] @ chol.T
+        offset = u @ mean4
+        probe[sl] = seg[:, 0] + offset[0]
+        conj[sl] = seg[:, 1] + offset[1]
+        tone_scale[sl] = math.cos(e_p)
     if config.tone_depth > 0.0:
         slope = 2.0 * math.sqrt(p.eta_p * p.gain) * p.alpha
         t = np.arange(n) / config.sample_rate
@@ -220,13 +222,14 @@ def combine_weighted(record: MeasurementRecord, lam: float) -> np.ndarray:
     return record.probe + lam * record.conjugate
 
 
-def _segment_band_powers(
+def _band_spectra(
     series: np.ndarray, sample_rate: float, center_freq: float, rbw: float
 ) -> np.ndarray:
-    """Normalized band power of each independent Welch segment.
+    """In-band rfft bins of each independent Welch segment.
 
     Hann-windowed, zero-overlap segments with bin spacing rbw / 8; the
-    band collects bins within rbw / 2 of the center and is normalized so
+    band collects bins within rbw / 2 of the center.  The bins are scaled
+    so that the sum of |S|^2 over a segment is its normalized band power:
     unit-variance white noise averages to 1.
     """
     series = np.asarray(series, dtype=float)
@@ -245,22 +248,22 @@ def _segment_band_powers(
             "for the requested resolution bandwidth"
         )
     n_seg = series.size // nperseg
-    window = np.hanning(nperseg)
-    win_power = float(window @ window)
-    segs = series[: n_seg * nperseg].reshape(n_seg, nperseg) * window
-    spec = np.fft.rfft(segs, axis=1)
     freqs = np.fft.rfftfreq(nperseg, 1.0 / sample_rate)
     band = np.abs(freqs - center_freq) <= rbw / 2.0
-    if not np.any(band):
+    n_bins = int(band.sum())
+    if n_bins == 0:
         raise ValueError("no analysis bins fall inside the requested band")
-    # One-sided PSD per segment, integrated over the band.  For white
-    # noise of variance v each band integrates to v * (2 n_bins df / fs),
-    # so dividing by that reference makes the output variance-calibrated.
-    df = sample_rate / nperseg
-    psd = 2.0 * np.abs(spec[:, band]) ** 2 / (sample_rate * win_power)
-    band_power = psd.sum(axis=1) * df
-    reference = 2.0 * int(band.sum()) * df / sample_rate
-    return band_power / reference
+    window = np.hanning(nperseg)
+    segs = series[: n_seg * nperseg].reshape(n_seg, nperseg) * window
+    # One-sided PSD 2|X|^2 / (fs W) integrated over the band (times df),
+    # over the white-noise reference 2 n_bins df / fs: |X|^2 / (W n_bins).
+    scale = 1.0 / math.sqrt(float(window @ window) * n_bins)
+    return np.fft.rfft(segs, axis=1)[:, band] * scale
+
+
+def _cross_power(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-segment sum of Re(a b*) over the band bins."""
+    return (a.real * b.real + a.imag * b.imag).sum(axis=1)
 
 
 def spectrum_power(
@@ -284,8 +287,8 @@ def spectrum_power(
         :class:`SpectrumResult`; ``power_db`` is 0 dB for unit-variance
         white noise.
     """
-    powers = _segment_band_powers(series, sample_rate, center_freq, rbw)
-    mean_power = float(powers.mean())
+    spectra = _band_spectra(series, sample_rate, center_freq, rbw)
+    mean_power = float(_cross_power(spectra, spectra).mean())
     is_peak = tone_freq is not None and abs(tone_freq - center_freq) <= rbw / 2.0
     return SpectrumResult(
         center_freq=center_freq,
@@ -293,6 +296,19 @@ def spectrum_power(
         power_db=10.0 * math.log10(mean_power),
         is_peak=is_peak,
     )
+
+
+def _segment_sums(
+    config: SimConfig, trial: int, center_freq: float, rbw: float
+) -> np.ndarray:
+    """Per-segment (|P|^2, Re(P C*), |C|^2) band sums of one record.
+
+    The record is released on return, so a scan never holds two at once.
+    """
+    record = simulate_records(config, trial=trial)
+    p = _band_spectra(record.probe, config.sample_rate, center_freq, rbw)
+    c = _band_spectra(record.conjugate, config.sample_rate, center_freq, rbw)
+    return np.stack([_cross_power(p, p), _cross_power(p, c), _cross_power(c, c)])
 
 
 def measure_noise_vs_lambda(
@@ -304,9 +320,11 @@ def measure_noise_vs_lambda(
 ) -> NoiseDataset:
     """Simulated noise-versus-weight scan, as the experiment records it.
 
-    Generates ``trials`` independent records at the given settings, then
-    for each weight combines the detector signals and reads the band
-    power at the analysis frequency.  Per-segment band powers from all
+    Generates ``trials`` independent records at the given settings and
+    reads the band power of probe + lam * conjugate at the analysis
+    frequency.  Each segment's band power is the quadratic |P|^2 +
+    2 lam Re(P C*) + lam^2 |C|^2 in the arms' band spectra, so one
+    spectral pass per record serves every weight.  Segments from all
     trials are pooled; the quoted uncertainty is the standard error of
     their mean, mapped to dB.
 
@@ -318,7 +336,7 @@ def measure_noise_vs_lambda(
     Args:
         config: acquisition settings (the tone is normally off here).
         lambda_grid: strictly increasing weights in [0, 1].
-        trials: number of independent records, >= 1.
+        trials: number of independent records, 1 to 1000.
         center_freq: analysis frequency in Hz.
         rbw: resolution bandwidth in Hz.
 
@@ -326,27 +344,17 @@ def measure_noise_vs_lambda(
         A :class:`~tsui.fitting.NoiseDataset` tagged ``source="simulated"``.
     """
     grid = _validate_grid("lambda_grid", lambda_grid, 0.0, 1.0)
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be a positive int, got {trials!r}")
-    records = [simulate_records(config, trial=i) for i in range(trials)]
-    noise_db = np.empty(grid.size)
-    sigma_db = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        powers = np.concatenate(
-            [
-                _segment_band_powers(
-                    combine_weighted(rec, float(lam)),
-                    config.sample_rate,
-                    center_freq,
-                    rbw,
-                )
-                for rec in records
-            ]
-        )
-        mean_power = float(powers.mean())
-        stderr = float(powers.std(ddof=1)) / math.sqrt(powers.size)
-        noise_db[i] = 10.0 * math.log10(mean_power)
-        sigma_db[i] = (10.0 / math.log(10.0)) * stderr / mean_power
+    if not isinstance(trials, int) or not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must be an int in [1, {_MAX_TRIALS}], got {trials!r}")
+    sums = np.concatenate(
+        [_segment_sums(config, i, center_freq, rbw) for i in range(trials)], axis=1
+    )
+    coef = np.stack([np.ones_like(grid), 2.0 * grid, grid * grid])
+    mean_power = sums.mean(axis=1) @ coef
+    variance = np.einsum("il,ij,jl->l", coef, np.cov(sums), coef)
+    stderr = np.sqrt(variance / sums.shape[1])
+    noise_db = 10.0 * np.log10(mean_power)
+    sigma_db = (10.0 / math.log(10.0)) * stderr / mean_power
     p = config.params
     meta = {
         "gain": p.gain,
@@ -363,17 +371,8 @@ def measure_noise_vs_lambda(
     )
 
 
-_PARAM_KEYS = ("gain", "eta_p", "eta_c", "alpha")
-_CONFIG_KEYS = (
-    "sample_rate",
-    "duration",
-    "tone_freq",
-    "tone_depth",
-    "lock_jitter_rms",
-    "electronic_noise_var",
-    "rng_seed",
-    "jitter_block",
-)
+_PARAM_KEYS = tuple(f.name for f in fields(InterferometerParams))
+_CONFIG_KEYS = tuple(f.name for f in fields(SimConfig) if f.name != "params")
 
 
 def load_sim_config(path: str) -> SimConfig:
@@ -413,15 +412,10 @@ def load_sim_config(path: str) -> SimConfig:
                 ) from None
     if "gain" not in values:
         raise ValueError(f"{path}: missing required key 'gain'")
-    params = InterferometerParams(
-        gain=values.pop("gain"),
-        eta_p=values.pop("eta_p", 1.0),
-        eta_c=values.pop("eta_c", 1.0),
-        alpha=values.pop("alpha", 0.0),
-    )
+    params = InterferometerParams(**{k: values.pop(k) for k in _PARAM_KEYS if k in values})
     if "rng_seed" in values:
         seed = values["rng_seed"]
-        if seed != int(seed):
+        if not math.isfinite(seed) or seed != int(seed):
             raise ValueError(f"{path}: rng_seed must be an integer, got {seed!r}")
         values["rng_seed"] = int(seed)
     return SimConfig(params=params, **values)

@@ -232,6 +232,44 @@ class TestSimulate:
         assert code == 2
         assert not out.exists()
 
+    def test_non_finite_config_values_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        out = tmp_path / "scan.csv"
+        for line in ("rng_seed = inf", "rng_seed = nan", "electronic_noise_var = nan",
+                     "electronic_noise_var = inf"):
+            cfg.write_text(f"gain = 1.67\nduration = 0.004\n{line}\n")
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+            assert line.split()[0] in err
+            if line.startswith("rng_seed"):
+                assert str(cfg) in err
+        assert not out.exists()
+
+    def test_oversized_inputs_exit_2_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # Fail the test instead of allocating if a cap ever lets one through.
+        def guarded(real):
+            def alloc(shape, *args, **kwargs):
+                assert np.prod(shape) <= 2**16
+                return real(shape, *args, **kwargs)
+
+            return alloc
+
+        monkeypatch.setattr(np, "empty", guarded(np.empty))
+        monkeypatch.setattr(np, "zeros", guarded(np.zeros))
+        cfg = tmp_path / "sim.cfg"
+        out = tmp_path / "scan.csv"
+        for duration, trials, word in (("1.5", "1", "too long"), ("0.004", "1001", "trials")):
+            cfg.write_text(f"gain = 1.67\nduration = {duration}\n")
+            argv = ["simulate", "--config", str(cfg), "--trials", trials, "--out", str(out)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and word in err and "Traceback" not in err
+        assert not out.exists()
+        assert main(["verify", "--cutoff", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cutoff" in err
+
 
 class TestFit:
     def test_fit_with_overlays(self, tmp_path, capsys):

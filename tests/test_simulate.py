@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tsui.gaussian import InterferometerParams
+from tsui.gaussian import InterferometerParams, apply_loss, seeded_tmss
 from tsui.metrology import joint_noise_power, joint_variance_quadratic, lambda_opt
 from tsui.simulate import (
     MeasurementRecord,
@@ -39,8 +40,12 @@ class TestSimConfig:
             config(tone_depth=1.5)
         with pytest.raises(ValueError, match="lock_jitter_rms"):
             config(lock_jitter_rms=-0.1)
-        with pytest.raises(ValueError, match="electronic_noise_var"):
-            config(electronic_noise_var=-1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="electronic_noise_var"):
+                config(electronic_noise_var=bad)
+        with pytest.raises(ValueError, match="too long"):
+            config(duration=(2**23 + 1) / FS)
+        assert config(duration=2**23 / FS).n_samples == 2**23
         with pytest.raises(ValueError, match="rng_seed"):
             config(rng_seed=1.5)
         with pytest.raises(ValueError, match="jitter_block"):
@@ -95,6 +100,19 @@ class TestSimulateRecords:
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_records(config(), trial=-1)
+
+    def test_no_jitter_keeps_the_random_stream(self):
+        # Without jitter the records are the quadrature normals through
+        # the Cholesky factor of the phase-quadrature covariance, drawn
+        # first from the stream, with no jitter phases drawn before them.
+        cfg = config(gain=1.67, eta_p=0.76, eta_c=0.79, rng_seed=7)
+        rec = simulate_records(cfg, trial=2)
+        state = apply_loss(seeded_tmss(cfg.params), 0.76, 0.79)
+        chol = np.linalg.cholesky(state.cov[np.ix_([1, 3], [1, 3])])
+        normals = np.random.default_rng([7, 2]).standard_normal((cfg.n_samples, 2))
+        expected = normals @ chol.T
+        assert np.allclose(rec.probe, expected[:, 0], rtol=0.0, atol=1e-12)
+        assert np.allclose(rec.conjugate, expected[:, 1], rtol=0.0, atol=1e-12)
 
 
 class TestCombineWeighted:
@@ -219,6 +237,59 @@ class TestMeasuredScan:
             measure_noise_vs_lambda(cfg, full, trials=0)
         with pytest.raises(ValueError):
             measure_noise_vs_lambda(cfg, [0.0, 1.0], trials=1)
+        with pytest.raises(ValueError, match="trials"):
+            measure_noise_vs_lambda(cfg, full, trials=1001)
+
+    def test_quadratic_readout_matches_direct_combination(self):
+        # One trial: every point equals the band power of the combined
+        # record, and sigma_db the standard error of its segment powers.
+        cfg = config(gain=1.67, eta_p=0.76, eta_c=0.79, duration=MEDIUM, rng_seed=10)
+        grid = np.linspace(0.0, 1.0, 11)
+        data = measure_noise_vs_lambda(cfg, grid, trials=1, center_freq=1.5e6, rbw=2e5)
+        rec = simulate_records(cfg, trial=0)
+        nperseg = int(round(8 * FS / 2e5))
+        band = np.abs(np.fft.rfftfreq(nperseg, 1.0 / FS) - 1.5e6) <= 1e5
+        for lam, db, sigma in zip(grid, data.noise_db, data.sigma_db):
+            series = combine_weighted(rec, float(lam))
+            direct = spectrum_power(series, 1.5e6, 2e5, FS).power_db
+            assert abs(db - direct) <= 1e-12
+            n_seg = series.size // nperseg
+            segs = series[: n_seg * nperseg].reshape(n_seg, nperseg) * np.hanning(nperseg)
+            powers = (np.abs(np.fft.rfft(segs, axis=1)[:, band]) ** 2).sum(axis=1)
+            stderr = powers.std(ddof=1) / math.sqrt(n_seg) / powers.mean()
+            assert math.isclose(sigma, 10.0 / math.log(10.0) * stderr, rel_tol=1e-12)
+
+    def test_one_fft_pass_per_record(self, monkeypatch):
+        calls = []
+        real_rfft = np.fft.rfft
+
+        def counting_rfft(*args, **kwargs):
+            calls.append(1)
+            return real_rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        cfg = config(rng_seed=11)
+        for n_lam in (5, 41):
+            calls.clear()
+            measure_noise_vs_lambda(cfg, np.linspace(0.0, 1.0, n_lam), trials=3)
+            assert len(calls) == 2 * 3
+
+    def test_memory_does_not_grow_with_trials(self):
+        # Only per-segment sums outlive a record, so three trials peak
+        # where one does.
+        cfg = config(duration=MEDIUM, rng_seed=12)
+        grid = np.linspace(0.0, 1.0, 21)
+        measure_noise_vs_lambda(cfg, grid, trials=1)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for trials in (1, 3):
+                tracemalloc.reset_peak()
+                measure_noise_vs_lambda(cfg, grid, trials=trials)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks[3] <= 1.1 * peaks[1]
 
 
 class TestLoadSimConfig:
