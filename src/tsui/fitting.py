@@ -59,6 +59,15 @@ _CONDITION_LIMIT = 1e12
 # Residual-evaluation budget per start, and ftol/xtol/gtol of the solver.
 _MAX_NFEV = 400
 _TOL = 1e-10
+# (gain, eta_c) starts tried only when no primary start converges.
+_GRID_STARTS = tuple((g0, e0) for g0 in (1.05, 1.3, 1.8, 2.6, 3.6) for e0 in (0.6, 0.9))
+# Distance inside the bounds G = 1 and eta = 0 at which the singular
+# Jacobian factors are evaluated.
+_JAC_FLOOR = 1e-10
+# d(10 log10 V) = _DB_PER_LN dV / V.
+_DB_PER_LN = 10.0 / math.log(10.0)
+# Bootstrap draws are generated and reduced this many at a time.
+_BOOTSTRAP_BLOCK = 1024
 
 
 class FitFailure(RuntimeError):
@@ -192,7 +201,8 @@ class FitOptions:
             ``None`` for the (degenerate) unconstrained four-parameter
             mode.  Must lie in [-0.2, 0.2].
         initial: optional user start (gain, eta_p, eta_c, scale_db),
-            tried in addition to the built-in deterministic starts.
+            run before the data-driven start.  Its scale_db is not used:
+            the fit solves for the scale in closed form at every shape.
     """
 
     loss_offset: float | None = 0.03
@@ -225,6 +235,11 @@ class FitResult:
     the parameter vectors whose chi-square exceeds ``chi_square`` by at
     most chi2_k(p), with k = len(param_names).  A sigma is not a valid
     interval for a parameter that ``warnings`` reports at a fit bound.
+
+    ``nfev`` counts residual plus Jacobian evaluations over all solver
+    starts, ``n_starts`` the starts run, ``winning_start`` names the one
+    returned ("initial", "data" or "grid:<k>") and ``status`` is its
+    solver status (> 0 converged).
     """
 
     gain: float
@@ -245,6 +260,10 @@ class FitResult:
     param_names: tuple[str, ...]
     param_values: np.ndarray
     param_cov: np.ndarray
+    nfev: int
+    n_starts: int
+    winning_start: str
+    status: int
     source: str = "measured"
 
     def params(self) -> InterferometerParams:
@@ -270,6 +289,10 @@ class FitResult:
             "param_names": list(self.param_names),
             "param_values": [float(v) for v in self.param_values],
             "param_cov": [[float(v) for v in row] for row in self.param_cov],
+            "nfev": self.nfev,
+            "n_starts": self.n_starts,
+            "winning_start": self.winning_start,
+            "status": self.status,
             "source": self.source,
         }
 
@@ -292,6 +315,8 @@ class FitResult:
             f"  lambda_opt (model) = {self.lambda_opt_fit:.4f}",
             f"  lambda_opt (data)  = {self.lambda_opt_direct:.4f}",
             f"  condition number   = {self.condition_number:.3g}",
+            f"  solver: start {self.winning_start} won (status {self.status}), "
+            f"{self.n_starts} start(s), {self.nfev} evaluations",
         ]
         for w in self.warnings:
             lines.append(f"  warning: {w}")
@@ -316,81 +341,100 @@ class LambdaOptEstimate:
     boundary_warning: bool
 
 
-def _unpack(x: np.ndarray, offset: float | None) -> tuple[float, float, float, float]:
+def _shape(x: np.ndarray, offset: float | None) -> tuple[float, float, float]:
+    # (gain, eta_p, eta_c) from the leading entries of a parameter vector:
+    # (gain, eta_c) with eta_p = eta_c - offset, or (gain, eta_p, eta_c).
     if offset is None:
-        return float(x[0]), float(x[1]), float(x[2]), float(x[3])
-    gain, eta_c, scale = float(x[0]), float(x[1]), float(x[2])
-    return gain, eta_c - offset, eta_c, scale
+        return float(x[0]), float(x[1]), float(x[2])
+    return float(x[0]), float(x[1]) - offset, float(x[1])
 
 
-def _model_db(lam: np.ndarray, x: np.ndarray, offset: float | None) -> np.ndarray:
-    gain, eta_p, eta_c, scale = _unpack(x, offset)
-    return 10.0 * np.log10(metrology.joint_variance(gain, eta_p, eta_c, lam)) + scale
-
-
-def _three_lowest_distinct(
-    lam: np.ndarray, noise_db: np.ndarray
+def _model_db(
+    lam: np.ndarray, theta: np.ndarray, offset: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(noise_db, kind="stable")
-    lams: list[float] = []
-    ys: list[float] = []
-    for idx in order:
-        value = float(lam[idx])
-        if any(abs(value - l) < 1e-12 for l in lams):
-            continue
-        lams.append(value)
-        ys.append(float(noise_db[idx]))
-        if len(lams) == 3:
-            break
-    if len(lams) < 3:
+    """10 log10 Var(M) without scale_db, and its Jacobian in the shape parameters.
+
+    With Var(M) = 1 + 2 eta_p (G - 1) + lam^2 (1 + 2 eta_c (G - 1))
+    - 4 lam sqrt(eta_p eta_c) sqrt(G (G - 1)), the dB derivative is
+    (10 / ln 10) dVar / Var.  The factors 1 / sqrt(G (G - 1)) and
+    sqrt(eta_c / eta_p) are infinite at the fit bounds G = 1 and eta = 0;
+    they are evaluated ``_JAC_FLOOR`` inside them.
+    """
+    gain, eta_p, eta_c = _shape(theta, offset)
+    var = metrology.joint_variance(gain, eta_p, eta_c, lam)
+    g = max(gain, 1.0 + _JAC_FLOOR)
+    ep = max(eta_p, _JAC_FLOOR)
+    ec = max(eta_c, _JAC_FLOOR)
+    two_lam_root_g = 2.0 * lam * math.sqrt(gain * (gain - 1.0))
+    d_gain = (
+        2.0 * eta_p
+        + 2.0 * lam * lam * eta_c
+        - 2.0 * lam * math.sqrt(eta_p * eta_c) * (2.0 * g - 1.0) / math.sqrt(g * (g - 1.0))
+    )
+    d_eta_p = 2.0 * (gain - 1.0) - two_lam_root_g * math.sqrt(ec / ep)
+    d_eta_c = 2.0 * lam * lam * (gain - 1.0) - two_lam_root_g * math.sqrt(ep / ec)
+    if offset is None:
+        columns = (d_gain, d_eta_p, d_eta_c)
+    else:
+        columns = (d_gain, d_eta_p + d_eta_c)
+    jac = np.column_stack(columns) * (_DB_PER_LN / var)[:, None]
+    return 10.0 * np.log10(var), jac
+
+
+def _direct_lambda_opt(lam: np.ndarray, noise_db: np.ndarray) -> np.ndarray | float:
+    """Vertex of the parabola through the three lowest distinct weights.
+
+    ``lam`` is sorted; ``noise_db`` is one scan (1-D, returns a float) or
+    one scan per row (2-D, returns an array).  Weights closer than 1e-12
+    count as one, at their lowest reading.  Without upward curvature the
+    lowest of the three samples is returned; the vertex is clamped to
+    [0, 1].
+    """
+    rows = np.atleast_2d(noise_db)
+    first = np.flatnonzero(np.diff(lam, prepend=-np.inf) >= 1e-12)
+    if first.size < 3:
         raise ValueError("need at least 3 distinct weights for a parabolic minimum")
-    lam_arr = np.array(lams)
-    y_arr = np.array(ys)
-    order = np.argsort(lam_arr)
-    return lam_arr[order], y_arr[order]
-
-
-def _parabola_vertex(lams: np.ndarray, ys: np.ndarray) -> float:
-    a, b, _ = np.polyfit(lams, ys, 2)
-    if a <= 0.0 or not math.isfinite(a):
-        # No upward curvature: fall back to the lowest sample.
-        return float(lams[int(np.argmin(ys))])
-    return float(min(max(-b / (2.0 * a), 0.0), 1.0))
-
-
-def _direct_lambda_opt(lam: np.ndarray, noise_db: np.ndarray) -> float:
-    return _parabola_vertex(*_three_lowest_distinct(lam, noise_db))
-
-
-def _start_points(dataset: NoiseDataset) -> list[tuple[float, float]]:
-    # Deterministic (gain, eta_c) starts: a fixed grid plus one guess
-    # inverted from the location of the measured minimum assuming no loss.
-    starts = [
-        (g0, e0)
-        for g0 in (1.05, 1.3, 1.8, 2.6, 3.6)
-        for e0 in (0.6, 0.9)
-    ]
-    lam_min = min(max(_direct_lambda_opt(dataset.lam, dataset.noise_db), 0.05), 0.95)
-    r_hat = 0.5 * math.atanh(lam_min)
-    g_hat = math.cosh(r_hat) ** 2
-    starts.append((g_hat, 0.85))
-    return starts
+    lowest = np.minimum.reduceat(rows, first, axis=1)
+    pick = np.sort(np.argsort(lowest, axis=1, kind="stable")[:, :3], axis=1)
+    x = lam[first][pick]
+    y = np.take_along_axis(lowest, pick, axis=1)
+    slope = (y[:, 1] - y[:, 0]) / (x[:, 1] - x[:, 0])
+    curv = ((y[:, 2] - y[:, 1]) / (x[:, 2] - x[:, 1]) - slope) / (x[:, 2] - x[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.clip(0.5 * (x[:, 0] + x[:, 1]) - slope / (2.0 * curv), 0.0, 1.0)
+    # No upward curvature: fall back to the lowest sample.
+    fallback = np.take_along_axis(x, np.argmin(y, axis=1)[:, None], axis=1)[:, 0]
+    out = np.where((curv > 0.0) & np.isfinite(curv), vertex, fallback)
+    return out if np.ndim(noise_db) == 2 else float(out[0])
 
 
 def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) -> FitResult:
     """Weighted least-squares fit of the noise model to a scan.
 
-    Residuals are (model_db - noise_db) / sigma_db; the solver is a
-    bounded trust-region least-squares run from several deterministic
-    starts, keeping the best converged solution.  Parameter uncertainties
-    are the square roots of the diagonal of (J^T J)^(-1) at the solution;
-    no rescaling by the residual scatter is applied, so they inherit the
-    calibration of ``sigma_db``.  They are linearized marginal errors:
-    each covers its own parameter, and the set of them is not a joint
-    region.  For a joint confidence region at level p use the returned
-    ``chi_square``: chi2(x) - chi_square <= chi2_k(p), with
+    Residuals are (model_db - noise_db) / sigma_db.  ``scale_db`` enters
+    linearly, so for each shape it is set to its weighted mean value in
+    closed form (variable projection: Golub and Pereyra, SIAM J. Numer.
+    Anal. 10, 413 (1973)), and a bounded trust-region least-squares
+    solver with the analytic Jacobian moves the shape parameters alone.
+    It runs from ``options.initial`` when given and from a start inverted
+    from the measured minimum (gain from the parabolic minimum assuming
+    no loss, eta_c = 0.85), keeping the better converged result; a fixed
+    grid of ten starts runs only if neither converges.
+
+    Parameter uncertainties are the square roots of the diagonal of
+    (J^T J)^(-1) at the solution, J holding every free parameter,
+    scale_db included; no rescaling by the residual scatter is applied,
+    so they inherit the calibration of ``sigma_db``.  They are linearized
+    marginal errors: each covers its own parameter, and the set of them
+    is not a joint region.  For a joint confidence region at level p use
+    the returned ``chi_square``: chi2(x) - chi_square <= chi2_k(p), with
     k = len(param_names).  When the "sits at a fit bound" warning fires,
     the quoted sigma of that parameter is not a valid interval.
+
+    A simulated scan (``tsui simulate``) is no test of that region: each
+    point is the same quadratic in lam of three pooled Welch sums, which
+    the model reproduces exactly, so its chi_square is round-off
+    (~1e-27) and the region says nothing about its errors.
 
     Args:
         dataset: scan with at least 5 distinct weights.
@@ -413,62 +457,79 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     offset = options.loss_offset
     if offset is None:
         names = ("gain", "eta_p", "eta_c", "scale_db")
+        lower = np.array([_GAIN_BOUNDS[0], 0.0, 0.0])
+        upper = np.array([_GAIN_BOUNDS[1], 1.0, 1.0])
     else:
         names = ("gain", "eta_c", "scale_db")
+        lower = np.array([_GAIN_BOUNDS[0], max(0.0, offset)])
+        upper = np.array([_GAIN_BOUNDS[1], min(1.0, 1.0 + offset)])
     lam = dataset.lam
     y = dataset.noise_db
     sigma = dataset.sigma_db
+    weight = 1.0 / (sigma * sigma)
+    weight_sum = float(weight.sum())
+    # The solver asks for the Jacobian at the point whose residuals it has
+    # just evaluated; both come from one evaluation.
+    last: dict[bytes, tuple[np.ndarray, np.ndarray, float]] = {}
 
-    def residuals(x: np.ndarray) -> np.ndarray:
-        return (_model_db(lam, x, offset) - y) / sigma
+    def profiled(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        # Residuals and Jacobian in the shape parameters with scale_db at
+        # its best value for this shape, clipped to its bounds.
+        key = theta.tobytes()
+        if key not in last:
+            model, jac = _model_db(lam, theta, offset)
+            best_scale = float(weight @ (y - model)) / weight_sum
+            scale = min(max(best_scale, _SCALE_BOUNDS[0]), _SCALE_BOUNDS[1])
+            if scale == best_scale:
+                jac = jac - (weight @ jac) / weight_sum
+            last.clear()
+            last[key] = ((model + scale - y) / sigma, jac / sigma[:, None], scale)
+        return last[key]
 
-    if offset is None:
-        lower = np.array([_GAIN_BOUNDS[0], 0.0, 0.0, _SCALE_BOUNDS[0]])
-        upper = np.array([_GAIN_BOUNDS[1], 1.0, 1.0, _SCALE_BOUNDS[1]])
-    else:
-        ec_lo = max(0.0, offset)
-        ec_hi = min(1.0, 1.0 + offset)
-        lower = np.array([_GAIN_BOUNDS[0], ec_lo, _SCALE_BOUNDS[0]])
-        upper = np.array([_GAIN_BOUNDS[1], ec_hi, _SCALE_BOUNDS[1]])
+    def start(g0: float, ep0: float, ec0: float) -> np.ndarray:
+        x0 = np.array([g0, ep0, ec0] if offset is None else [g0, ec0], dtype=float)
+        return np.clip(x0, lower + 1e-9, upper - 1e-9)
 
-    def pack_start(g0: float, ec0: float) -> np.ndarray:
-        if offset is None:
-            x0 = np.array([g0, max(ec0 - 0.03, 0.0), ec0, 0.0])
-        else:
-            x0 = np.array([g0, ec0, 0.0])
-        x0 = np.clip(x0, lower + 1e-9, upper - 1e-9)
-        # Center the scale on the data for this shape.
-        x0[-1] = float(np.median(y - _model_db(lam, x0, offset)))
-        x0[-1] = min(max(x0[-1], _SCALE_BOUNDS[0] + 1e-9), _SCALE_BOUNDS[1] - 1e-9)
-        return x0
-
-    start_list = [pack_start(g0, ec0) for g0, ec0 in _start_points(dataset)]
+    direct = _direct_lambda_opt(lam, y)
+    # Gain of a lossless amplifier whose optimal weight is the measured
+    # minimum: lam_opt = tanh(2r), G = cosh(r)^2.
+    g_hat = math.cosh(0.5 * math.atanh(min(max(direct, 0.05), 0.95))) ** 2
+    primary = [("data", start(g_hat, 0.82, 0.85))]
     if options.initial is not None:
-        g0, ep0, ec0, s0 = (float(v) for v in options.initial)
-        if offset is None:
-            x0 = np.array([g0, ep0, ec0, s0])
-        else:
-            x0 = np.array([g0, ec0, s0])
-        start_list.insert(0, np.clip(x0, lower + 1e-9, upper - 1e-9))
+        g0, ep0, ec0, _ = (float(v) for v in options.initial)
+        primary.insert(0, ("initial", start(g0, ep0, ec0)))
+    grid = [
+        (f"grid:{k}", start(g0, max(ec0 - 0.03, 0.0), ec0))
+        for k, (g0, ec0) in enumerate(_GRID_STARTS)
+    ]
 
-    best = None
-    for x0 in start_list:
-        res = least_squares(
-            residuals,
-            x0,
-            bounds=(lower, upper),
-            method="trf",
-            ftol=_TOL,
-            xtol=_TOL,
-            gtol=_TOL,
-            max_nfev=_MAX_NFEV,
-        )
-        if res.status > 0 and (best is None or res.cost < best.cost):
-            best = res
+    best = winner = None
+    nfev = n_starts = 0
+    for starts in (primary, grid):
+        for label, x0 in starts:
+            res = least_squares(
+                lambda t: profiled(t)[0],
+                x0,
+                jac=lambda t: profiled(t)[1],
+                bounds=(lower, upper),
+                method="trf",
+                ftol=_TOL,
+                xtol=_TOL,
+                gtol=_TOL,
+                max_nfev=_MAX_NFEV,
+            )
+            nfev += res.nfev + res.njev
+            n_starts += 1
+            if res.status > 0 and (best is None or res.cost < best.cost):
+                best, winner = res, label
+        if best is not None:
+            break
     if best is None:
         raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations")
 
-    jac = best.jac
+    scale = profiled(best.x)[2]
+    shape_jac = _model_db(lam, best.x, offset)[1]
+    jac = np.column_stack([shape_jac, np.ones_like(lam)]) / sigma[:, None]
     jtj = jac.T @ jac
     condition = float(np.linalg.cond(jtj))
     warnings: list[str] = []
@@ -485,13 +546,14 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     sigmas = {name: float(s) for name, s in zip(names, diag)}
     sigmas.setdefault("eta_p", sigmas["eta_c"])
 
-    x_hat = best.x
+    x_hat = np.append(best.x, scale)
+    lower = np.append(lower, _SCALE_BOUNDS[0])
+    upper = np.append(upper, _SCALE_BOUNDS[1])
     for i, (lo, hi) in enumerate(zip(lower, upper)):
         if x_hat[i] - lo < 1e-8 * (hi - lo) or hi - x_hat[i] < 1e-8 * (hi - lo):
             warnings.append(f"parameter {names[i]} sits at a fit bound")
 
-    gain, eta_p, eta_c, scale = _unpack(x_hat, offset)
-
+    gain, eta_p, eta_c = _shape(x_hat, offset)
     fitted = InterferometerParams(
         gain=gain, eta_p=min(max(eta_p, 0.0), 1.0), eta_c=min(max(eta_c, 0.0), 1.0)
     )
@@ -507,13 +569,17 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         chi_square=float(np.sum(best.fun**2)),
         n_points=len(dataset),
         lambda_opt_fit=metrology.lambda_opt(fitted),
-        lambda_opt_direct=_direct_lambda_opt(lam, y),
+        lambda_opt_direct=direct,
         condition_number=condition,
         loss_offset=offset,
         warnings=warnings,
         param_names=names,
-        param_values=np.array(x_hat, dtype=float),
+        param_values=x_hat,
         param_cov=np.array(cov, dtype=float),
+        nfev=nfev,
+        n_starts=n_starts,
+        winning_start=winner,
+        status=int(best.status),
         source=dataset.source,
     )
 
@@ -550,9 +616,13 @@ def extract_lambda_opt(
     lam, noise_db = dataset.lam, dataset.noise_db
     direct_value = _direct_lambda_opt(lam, noise_db)
     rng = np.random.default_rng(rng_seed)
-    draws = np.empty(n_bootstrap)
-    for k in range(n_bootstrap):
-        draws[k] = _direct_lambda_opt(lam, noise_db + rng.normal(0.0, dataset.sigma_db))
+    # Drawing (rows, n) at once takes the same stream as one draw per row.
+    blocks = []
+    for done in range(0, n_bootstrap, _BOOTSTRAP_BLOCK):
+        rows = min(_BOOTSTRAP_BLOCK, n_bootstrap - done)
+        noise = rng.normal(0.0, dataset.sigma_db, (rows, lam.size))
+        blocks.append(_direct_lambda_opt(lam, noise_db + noise))
+    draws = np.concatenate(blocks)
     direct_sigma = float(draws.std(ddof=1))
     boundary = lam[int(np.argmin(noise_db))] in (lam[0], lam[-1])
 
@@ -560,7 +630,7 @@ def extract_lambda_opt(
     if fit is not None:
 
         def lam_of(x: np.ndarray) -> float:
-            gain, eta_p, eta_c, _ = _unpack(x, fit.loss_offset)
+            gain, eta_p, eta_c = _shape(x, fit.loss_offset)
             params = InterferometerParams(
                 gain=max(gain, 1.0),
                 eta_p=min(max(eta_p, 0.0), 1.0),

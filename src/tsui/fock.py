@@ -49,6 +49,10 @@ NORM_DEFICIT_LIMIT = 1e-4
 # doubles, 111 MB at 60.
 MAX_CUTOFF = 60
 
+# Largest accepted working pad: the exponentiation holds
+# (cutoff + 1 + pad)^2 amplitudes.
+MAX_PAD = 64
+
 
 class TruncationError(RuntimeError):
     """Raised when the retained Fock block misses too much probability."""
@@ -132,7 +136,8 @@ def build_seeded_tmss_fock(
         gain: amplifier intensity gain G >= 1.
         alpha: coherent seed amplitude on the probe mode.
         cutoff: highest retained photon number per mode, 1 to ``MAX_CUTOFF``.
-        pad: extra working levels per mode during the exponentiation.
+        pad: extra working levels per mode during the exponentiation,
+            0 to ``MAX_PAD``.
 
     Returns:
         ``(state, report)`` where ``state`` holds the retained block and
@@ -143,10 +148,13 @@ def build_seeded_tmss_fock(
     """
     if gain < 1.0 or not math.isfinite(gain):
         raise ValueError(f"gain must be >= 1, got {gain!r}")
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
-    if not 1 <= cutoff <= MAX_CUTOFF or pad < 0:
-        raise ValueError(f"cutoff must lie in [1, {MAX_CUTOFF}] and pad >= 0, got {cutoff!r}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
+    if not 1 <= cutoff <= MAX_CUTOFF or not 0 <= pad <= MAX_PAD:
+        raise ValueError(
+            f"cutoff must lie in [1, {MAX_CUTOFF}] and pad in [0, {MAX_PAD}], "
+            f"got cutoff {cutoff!r}, pad {pad!r}"
+        )
     r = math.acosh(math.sqrt(gain))
     dim = cutoff + 1 + pad
     seed = np.zeros((dim, dim))

@@ -293,8 +293,12 @@ class TestFit:
         assert abs(result["gain"] - 1.67) < 1e-3
         assert abs(result["eta_c"] - 0.79) < 1e-3
         assert abs(result["lambda_opt_fit"] - 0.7962950314799236) < 1e-4
+        # Solver diagnostics: one start, the data-driven one, converged.
+        assert (result["n_starts"], result["winning_start"]) == (1, "data")
+        assert result["status"] > 0 and result["nfev"] > 0
         stdout = capsys.readouterr().out
         assert "lambda_opt estimate" in stdout
+        assert "start data won" in stdout
         for kind in ("sql2", "sql1"):
             path = tmp_path / f"overlay_{kind}.csv"
             assert path.exists()

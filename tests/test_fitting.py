@@ -3,11 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from tsui.fitting import (
     FitFailure,
     FitOptions,
     NoiseDataset,
+    _direct_lambda_opt,
+    _model_db,
     extract_lambda_opt,
     fit_noise_curve,
     lambda_opt_vs_gain_report,
@@ -15,11 +20,19 @@ from tsui.fitting import (
     overlay_theory,
 )
 from tsui.gaussian import InterferometerParams
-from tsui.metrology import SqlKind, joint_variance_quadratic, lambda_opt, snri
+from tsui.metrology import (
+    SqlKind,
+    joint_variance,
+    joint_variance_quadratic,
+    lambda_opt,
+    snri,
+)
 
 
-def synthetic(gain, eta_p, eta_c, scale_db=0.0, n=21, sigma=0.05, noise_seed=None):
-    lam = np.linspace(0.0, 1.0, n)
+def synthetic(
+    gain, eta_p, eta_c, scale_db=0.0, n=21, sigma=0.05, noise_seed=None, lam_range=(0.0, 1.0)
+):
+    lam = np.linspace(*lam_range, n)
     vp, vc, cr = joint_variance_quadratic(gain, eta_p, eta_c)
     db = 10.0 * np.log10(vp + lam**2 * vc + 2.0 * lam * cr) + scale_db
     if noise_seed is not None:
@@ -209,6 +222,19 @@ class TestFitNoiseCurve:
         assert fit.gain < 1.0 + 1e-6
         assert fit.lambda_opt_fit < 1e-3
         assert any("bound" in w for w in fit.warnings)
+        # d sqrt(G (G - 1)) / dG is infinite at the bound G = 1 (and
+        # d sqrt(eta_p eta_c) / d eta at eta = 0); the Jacobian stays finite
+        # there and the fit still reproduces the flat curve.
+        for offset, theta in ((0.0, [1.0, 0.0]), (None, [1.0, 0.0, 0.0])):
+            assert np.all(np.isfinite(_model_db(lam, np.array(theta), offset)[1]))
+        assert fit.chi_square <= 1e-9
+        assert np.all(np.isfinite(fit.param_cov))
+
+    def test_scale_clipped_at_its_bound(self):
+        # The profiled scale_db would be ~85 dB; it stops at the bound.
+        fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79, scale_db=85.0, noise_seed=1))
+        assert fit.scale_db == 80.0
+        assert "parameter scale_db sits at a fit bound" in fit.warnings
 
     def test_custom_initial_point(self):
         ds = synthetic(1.67, 0.76, 0.79)
@@ -227,6 +253,10 @@ class TestFitNoiseCurve:
         fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79))
         data = json.loads(fit.json_text())
         for key in (
+            "nfev",
+            "n_starts",
+            "winning_start",
+            "status",
             "gain",
             "eta_p",
             "eta_c",
@@ -242,6 +272,80 @@ class TestFitNoiseCurve:
         assert data["gain"] == fit.gain
         text = fit.summary()
         assert "gain" in text and "lambda_opt" in text
+        assert "start data won" in text
+
+    def test_one_start_when_it_converges(self):
+        fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79, noise_seed=6))
+        assert (fit.n_starts, fit.winning_start) == (1, "data")
+        assert fit.status > 0 and 0 < fit.nfev <= 2 * 400
+        user = fit_noise_curve(
+            synthetic(1.67, 0.76, 0.79, noise_seed=6), FitOptions(initial=(1.7, 0.75, 0.78, 0.0))
+        )
+        assert user.n_starts == 2 and user.winning_start in ("initial", "data")
+        assert user.chi_square <= fit.chi_square * (1.0 + 1e-9) + 1e-9
+
+    @pytest.mark.parametrize("offset", [0.03, None])
+    @pytest.mark.parametrize("gain", [1.05, 1.67, 3.0])
+    @pytest.mark.parametrize("eta_c", [0.79, 1.0])
+    def test_analytic_jacobian_matches_central_difference(self, offset, gain, eta_c):
+        # eta_c = 1.0 is the upper fit bound in both modes.
+        lam = np.linspace(0.0, 1.0, 21)
+        theta = np.array([gain, eta_c] if offset is not None else [gain, eta_c - 0.03, eta_c])
+        _, jac = _model_db(lam, theta, offset)
+        for i in range(theta.size):
+            h = 1e-6 * max(1.0, abs(theta[i]))
+            step = np.zeros(theta.size)
+            step[i] = h
+            numeric = (
+                _model_db(lam, theta + step, offset)[0] - _model_db(lam, theta - step, offset)[0]
+            ) / (2.0 * h)
+            assert np.max(np.abs(jac[:, i] - numeric)) <= 1e-6 * np.max(np.abs(jac[:, i]))
+
+    def test_never_worse_than_the_start_grid(self):
+        # Test-only reference: the ten-start grid over all three parameters
+        # with finite-difference Jacobians and the scale centred on the data.
+        def grid_chi_square(ds):
+            def residuals(x):
+                model = 10.0 * np.log10(joint_variance(x[0], x[1] - 0.03, x[1], ds.lam))
+                return (model + x[2] - ds.noise_db) / ds.sigma_db
+
+            lower = np.array([1.0, 0.03, -80.0])
+            upper = np.array([50.0, 1.0, 80.0])
+            best = math.inf
+            for g0 in (1.05, 1.3, 1.8, 2.6, 3.6):
+                for e0 in (0.6, 0.9):
+                    x0 = np.clip([g0, e0, 0.0], lower + 1e-9, upper - 1e-9)
+                    x0[2] = np.clip(np.median(-residuals(x0) * ds.sigma_db), -80.0, 80.0)
+                    res = least_squares(
+                        residuals, x0, bounds=(lower, upper), method="trf",
+                        ftol=1e-10, xtol=1e-10, gtol=1e-10, max_nfev=400,
+                    )
+                    if res.status > 0:
+                        best = min(best, float(np.sum(res.fun**2)))
+            return best
+
+        scans = []
+        for gain, eta_p, eta_c in ((1.67, 0.76, 0.79), (1.2, 0.73, 0.76)):
+            scans += [synthetic(gain, eta_p, eta_c, noise_seed=1000 + k) for k in range(7)]
+            scans += [
+                synthetic(gain, eta_p, eta_c, n=5, noise_seed=2000 + k, lam_range=(0.6, 1.0))
+                for k in range(3)
+            ]
+        for ds in scans:
+            reference = grid_chi_square(ds)
+            assert fit_noise_curve(ds).chi_square <= reference * (1.0 + 1e-9) + 1e-9
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        gain=st.floats(1.05, 4.0),
+        eta_c=st.floats(0.5, 1.0),
+        scale_db=st.floats(-5.0, 5.0),
+    )
+    def test_noiseless_scans_fit_exactly(self, gain, eta_c, scale_db):
+        fit = fit_noise_curve(synthetic(gain, eta_c - 0.03, eta_c, scale_db=scale_db))
+        truth = InterferometerParams(gain=gain, eta_p=eta_c - 0.03, eta_c=eta_c)
+        assert fit.chi_square < 1e-12
+        assert abs(fit.lambda_opt_fit - lambda_opt(truth)) < 1e-6
 
     def test_params_accessor(self):
         fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79))
@@ -264,6 +368,55 @@ class TestExtractLambdaOpt:
         assert est.sigma > 0.0
         assert est.fit_value is None
         assert not est.boundary_warning
+
+    @staticmethod
+    def reference_direct(lam, noise_db):
+        # The per-scan estimate as written before it was batched: walk the
+        # points from the lowest reading, skip repeated weights, fit a
+        # parabola through three with np.polyfit.
+        lams, ys = [], []
+        for idx in np.argsort(noise_db, kind="stable"):
+            if all(abs(lam[idx] - seen) >= 1e-12 for seen in lams):
+                lams.append(float(lam[idx]))
+                ys.append(float(noise_db[idx]))
+            if len(lams) == 3:
+                break
+        order = np.argsort(lams)
+        x, y = np.array(lams)[order], np.array(ys)[order]
+        a, b, _ = np.polyfit(x, y, 2)
+        if a <= 0.0 or not math.isfinite(a):
+            return float(x[int(np.argmin(y))])
+        return float(min(max(-b / (2.0 * a), 0.0), 1.0))
+
+    def test_batched_direct_matches_per_row_loop(self):
+        rng = np.random.default_rng(7)
+        plain = synthetic(1.67, 0.76, 0.79)
+        replicates = NoiseDataset(
+            lam=[0.0, 0.0, 0.25, 0.25, 0.5, 0.5, 0.5, 0.75, 1.0, 1.0],
+            noise_db=np.zeros(10),
+            sigma_db=np.full(10, 0.1),
+        )
+        for ds, spread in ((plain, 0.05), (plain, 0.5), (replicates, 0.3)):
+            rows = ds.noise_db + rng.normal(0.0, spread, (400, len(ds)))
+            # A concave row falls back to its lowest sample; a vertex past 1
+            # is clamped.
+            rows = np.vstack([rows, -((ds.lam - 0.5) ** 2), (ds.lam - 1.3) ** 2])
+            batched = _direct_lambda_opt(ds.lam, rows)
+            looped = np.array([self.reference_direct(ds.lam, row) for row in rows])
+            assert np.max(np.abs(batched - looped)) <= 1e-12
+            assert (batched[-2], batched[-1]) == (0.0, 1.0)
+            assert _direct_lambda_opt(ds.lam, rows[0]) == batched[0]
+
+    def test_bootstrap_keeps_the_per_draw_stream(self):
+        # More draws than one block, so the stream crosses a block edge.
+        ds = synthetic(1.67, 0.76, 0.79, noise_seed=8)
+        est = extract_lambda_opt(ds, n_bootstrap=1500, rng_seed=11)
+        rng = np.random.default_rng(11)
+        draws = [
+            self.reference_direct(ds.lam, ds.noise_db + rng.normal(0.0, ds.sigma_db))
+            for _ in range(1500)
+        ]
+        assert math.isclose(est.direct_sigma, float(np.std(draws, ddof=1)), rel_tol=1e-12)
 
     def test_bootstrap_deterministic(self):
         ds = synthetic(1.67, 0.76, 0.79, noise_seed=5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tsui.fock import (
+    MAX_PAD,
     FockEnsemble,
     TruncationError,
     _loss_kraus,
@@ -65,6 +66,13 @@ class TestBuild:
             build_seeded_tmss_fock(2.0, -1.0)
         with pytest.raises(ValueError):
             build_seeded_tmss_fock(2.0, 0.0, cutoff=0)
+        # Non-finite seeds and oversized pads are rejected before anything
+        # is allocated (NaN used to return a NaN state).
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                build_seeded_tmss_fock(1.5, alpha)
+        with pytest.raises(ValueError, match="pad"):
+            build_seeded_tmss_fock(1.5, 0.0, pad=MAX_PAD + 1)
 
 
 class TestLossChannel:
