@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -48,7 +47,6 @@ __all__ = [
     "NoiseDataset",
     "extract_lambda_opt",
     "fit_noise_curve",
-    "lambda_opt_vs_gain_report",
     "load_noise_csv",
     "overlay_theory",
 ]
@@ -688,58 +686,3 @@ def overlay_theory(fit: FitResult, kind: SqlKind, lambda_grid) -> CurveTable:
     }
     return CurveTable(f"snri_overlay_{kind.value}", ("lambda", "snri_db"), rows, meta)
 
-
-def lambda_opt_vs_gain_report(
-    datasets: Sequence[NoiseDataset],
-    options: FitOptions | None = None,
-    reference_etas: tuple[float, float] = (0.745, 0.775),
-) -> CurveTable:
-    """Fitted optimal weight across scans taken at different gains.
-
-    Each dataset is fitted independently; rows are sorted by fitted gain
-    and carry the extracted weight with uncertainty next to the
-    closed-form curve at fixed reference transmissions.  Scans that fail
-    to fit are skipped and recorded in the table metadata.
-
-    Args:
-        datasets: at least two scans.
-        options: fit settings shared by all scans.
-        reference_etas: (eta_p, eta_c) of the reference theory column.
-
-    Returns:
-        Table with columns (gain, sigma_gain, lambda_opt,
-        sigma_lambda_opt, lambda_opt_theory).
-
-    Raises:
-        ValueError: fewer than two scans given, fewer than two fits
-            succeed, or two scans fit to the same gain.
-    """
-    if len(datasets) < 2:
-        raise ValueError("need at least 2 datasets")
-    ref_p, ref_c = float(reference_etas[0]), float(reference_etas[1])
-    rows = []
-    failures: list[str] = []
-    for i, ds in enumerate(datasets):
-        try:
-            fit = fit_noise_curve(ds, options)
-            est = extract_lambda_opt(ds, fit)
-        except (FitFailure, ValueError) as exc:
-            failures.append(f"dataset[{i}] ({ds.source}): {exc}")
-            continue
-        theory = metrology.lambda_opt(
-            InterferometerParams(gain=fit.gain, eta_p=ref_p, eta_c=ref_c)
-        )
-        rows.append((fit.gain, fit.sigma_gain, est.value, est.sigma, theory))
-    if len(rows) < 2:
-        raise ValueError(
-            "fewer than 2 scans fitted successfully: " + "; ".join(failures)
-        )
-    rows.sort(key=lambda row: row[0])
-    gains = [row[0] for row in rows]
-    if any(g2 - g1 <= 0.0 for g1, g2 in zip(gains, gains[1:])):
-        raise ValueError("fitted gains must be distinct to tabulate against gain")
-    meta = {"eta_p_ref": ref_p, "eta_c_ref": ref_c}
-    if failures:
-        meta["failures"] = "; ".join(failures)
-    columns = ("gain", "sigma_gain", "lambda_opt", "sigma_lambda_opt", "lambda_opt_theory")
-    return CurveTable("lambda_opt_vs_gain_fitted", columns, np.array(rows), meta)

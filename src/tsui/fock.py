@@ -2,14 +2,16 @@
 
 Everything here recomputes the moments of :mod:`tsui.gaussian` by brute
 force in a truncated Fock space, without touching covariance-matrix
-algebra.  It exists to cross-check the Gaussian code path and is not
-meant to be fast or to scale to bright seeds.
+algebra.  It exists to cross-check the Gaussian code path at the small
+seeds and gains a cutoff of at most ``MAX_CUTOFF`` photons per mode holds.
 
-The pure amplifier output is built by applying exp(r (ad_p ad_c - a_p a_c))
-to |alpha, 0> with a sparse matrix exponential.  Loss is applied as an
-explicit Kraus ensemble of photon-loss branches, kept as separate pure
-states (the mixtures stay small because expectation values are linear in
-the branches).
+A state is an amplitude matrix psi[n_p, n_c]; every single-mode
+operator, loss included, is a matrix product on one of its indices.
+The pure amplifier output is exp(r (ad_p ad_c - a_p a_c)) applied to
+|alpha, 0> by a sparse matrix exponential.  Loss is an explicit Kraus
+ensemble of photon-loss branches, kept as separate pure states (the
+mixtures stay small because expectation values are linear in the
+branches).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
-from scipy.special import gammaln
+from scipy.special import gammaln, xlog1py, xlogy
 
 __all__ = [
     "DEFAULT_PAD",
@@ -46,7 +48,8 @@ DEFAULT_PAD = 16
 NORM_DEFICIT_LIMIT = 1e-4
 
 # Largest accepted cutoff: a two-arm lossy ensemble holds (cutoff + 1)^4
-# doubles, 111 MB at 60.
+# doubles, 111 MB at 60, and the moment bundle allocates two more arrays
+# of that size (211 MiB peak under tracemalloc at G=2, alpha=1, eta=0.76).
 MAX_CUTOFF = 60
 
 # Largest accepted working pad: the exponentiation holds
@@ -116,12 +119,17 @@ def _coherent_amplitudes(alpha: float, dim: int) -> np.ndarray:
     return c
 
 
+def _ladder(dim: int) -> np.ndarray:
+    # Annihilation operator a|n> = sqrt(n)|n-1>.  X = a + a^T, and
+    # k = a - a^T = iY is real and antisymmetric: for real amplitude
+    # matrices ||k psi|| = ||Y psi|| and psi . (k psi) vanishes exactly.
+    return np.diag(np.sqrt(np.arange(1, dim)), 1)
+
+
 def _two_mode_squeezer(r: float, dim: int) -> sparse.csr_matrix:
     # Generator r * (ad_p ad_c - a_p a_c) on the flattened |n_p, n_c> grid.
-    sq = np.sqrt(np.arange(1, dim))
-    a = sparse.diags(sq, 1, shape=(dim, dim))
-    ad = sparse.diags(sq, -1, shape=(dim, dim))
-    return (r * (sparse.kron(ad, ad) - sparse.kron(a, a))).tocsr()
+    a = sparse.csr_matrix(_ladder(dim))
+    return (r * (sparse.kron(a.T, a.T) - sparse.kron(a, a))).tocsr()
 
 
 def build_seeded_tmss_fock(
@@ -174,25 +182,15 @@ def build_seeded_tmss_fock(
 
 def _loss_kraus(eta: float, dim: int) -> np.ndarray:
     # K_k[n - k, n] = sqrt(binom(n, k) eta^(n-k) (1 - eta)^k); log-space
-    # binomials keep large n stable.
-    ks = np.arange(dim)
-    ns = np.arange(dim)
+    # binomials keep large n stable, and xlogy(0, 0) = 0 gives the exact
+    # identity at eta = 1 and the exact vacuum map at eta = 0.
+    k, n = np.triu_indices(dim)
+    log_w = (
+        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        + xlogy(n - k, eta) + xlog1py(k, -eta)
+    )
     kraus = np.zeros((dim, dim, dim))
-    if eta == 1.0:
-        kraus[0] = np.eye(dim)
-        return kraus
-    log_eta = math.log(eta) if eta > 0.0 else -math.inf
-    log_one_minus = math.log1p(-eta)
-    for k in ks:
-        n = ns[k:]
-        log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-        with np.errstate(invalid="ignore"):
-            log_w = log_binom + (n - k) * log_eta + k * log_one_minus
-        # eta == 0 and n == k gives 0 * -inf above; that weight is 1.
-        if eta == 0.0:
-            log_w = log_binom + k * log_one_minus
-            log_w[n != k] = -math.inf
-        kraus[k, n - k, n] = np.exp(0.5 * log_w)
+    kraus[k, n - k, n] = np.exp(0.5 * log_w)
     return kraus
 
 
@@ -200,6 +198,15 @@ def _as_branches(state: "FockState | FockEnsemble") -> np.ndarray:
     if isinstance(state, FockState):
         return state.amplitudes[np.newaxis, :, :]
     return state.branches
+
+
+def _apply(op: np.ndarray, branches: np.ndarray, mode: str) -> np.ndarray:
+    # A single-mode operator on amplitude matrices psi[n_p, n_c]: op psi on
+    # the probe, psi op^T on the conjugate.  Leading axes of both operands
+    # broadcast (branches, Kraus outcomes).
+    if mode == "probe":
+        return op @ branches
+    return branches @ np.swapaxes(op, -1, -2)
 
 
 def apply_loss_fock(
@@ -222,58 +229,21 @@ def apply_loss_fock(
         raise ValueError(f"unknown mode {mode!r}")
     branches = _as_branches(state)
     dim = branches.shape[1]
-    kraus = _loss_kraus(eta, dim)
-    if mode == "probe":
-        new = np.einsum("kij,bjc->kbic", kraus, branches)
-    else:
-        new = np.einsum("bij,kcj->kbic", branches, kraus)
-    new = new.reshape(-1, dim, dim)
+    kraus = _loss_kraus(eta, dim)[:, np.newaxis]
+    new = _apply(kraus, branches, mode).reshape(-1, dim, dim)
     weights = np.einsum("bij,bij->b", new.conj(), new).real
-    keep = weights > 0.0
-    cutoff = dim - 1
-    return FockEnsemble(branches=new[keep], cutoff=cutoff)
+    return FockEnsemble(branches=new[weights > 0.0], cutoff=dim - 1)
 
 
-def _quadrature_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    sq = np.sqrt(np.arange(1, dim))
-    x = np.zeros((dim, dim))
-    x[np.arange(dim - 1), np.arange(1, dim)] = sq
-    x = x + x.T
-    y = np.zeros((dim, dim), dtype=complex)
-    y[np.arange(dim - 1), np.arange(1, dim)] = -1j * sq
-    y = y + y.conj().T
-    return x, y
-
-
-def _antisym_phase_op(dim: int) -> np.ndarray:
-    # k = i Y = a - a^dag, real and antisymmetric; for real amplitude
-    # matrices ||k psi|| = ||Y psi|| and psi . (k psi) vanishes exactly,
-    # so Y moments can be taken entirely in real arithmetic.
-    sq = np.sqrt(np.arange(1, dim))
-    k = np.zeros((dim, dim))
-    k[np.arange(dim - 1), np.arange(1, dim)] = sq
-    return k - k.T
-
-
-def _apply_probe(op: np.ndarray, branches: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,bjc->bic", op, branches)
-
-
-def _apply_conjugate(op: np.ndarray, branches: np.ndarray) -> np.ndarray:
-    # (I x op) psi = psi op^T on the amplitude matrix.
-    return np.einsum("bij,cj->bic", branches, op)
-
-
-def oracle_moment_bundle(
-    state: "FockState | FockEnsemble", lambdas
-) -> dict:
+def oracle_moment_bundle(state: "FockState | FockEnsemble", lambdas) -> dict:
     """Every oracle moment of a (real-amplitude) state in one pass.
 
-    Shares the expensive operator applications across all requested
-    moments, which matters for large loss ensembles.  Phase-quadrature
-    moments use the real antisymmetric form of Y (see
-    :func:`_antisym_phase_op`); the corresponding means are exact zeros
-    for the real states this oracle produces.
+    Four operator applications serve every moment and weight.  Phase
+    quadratures use the real antisymmetric k = iY (see :func:`_ladder`),
+    whose means are exact zeros for the real states built here.  The
+    joint variance is the quadratic (||k_p psi||^2 + 2 lam <k_p psi,
+    k_c psi> + lam^2 ||k_c psi||^2) / norm; photon-number moments come
+    from each mode's marginal number distribution.
 
     Args:
         state: pure state or loss ensemble with real amplitudes.
@@ -295,44 +265,35 @@ def oracle_moment_bundle(
     total = float(np.vdot(branches, branches).real)
     if total <= 0.0:
         raise ValueError("state has zero norm")
-    x, _ = _quadrature_ops(dim)
-    k = _antisym_phase_op(dim)
+    a = _ladder(dim)
+    x, k = a + a.T, a - a.T
     n = np.arange(dim, dtype=float)
-
-    applied = {
-        ("probe", "x"): _apply_probe(x, branches),
-        ("probe", "k"): _apply_probe(k, branches),
-        ("conjugate", "x"): _apply_conjugate(x, branches),
-        ("conjugate", "k"): _apply_conjugate(k, branches),
-        ("probe", "n"): n[np.newaxis, :, np.newaxis] * branches,
-        ("conjugate", "n"): n[np.newaxis, np.newaxis, :] * branches,
-    }
-
-    def stats(app: np.ndarray, mean: float | None = None) -> tuple[float, float]:
-        if mean is None:
-            mean = float(np.vdot(branches, app)) / total
-        second = float(np.vdot(app, app)) / total
-        return mean, second - mean * mean
+    # Joint photon-number distribution P[n_p, n_c] of the mixture.
+    number = np.einsum("bij,bij->ij", branches, branches) / total
 
     out: dict = {}
-    for mode in ("probe", "conjugate"):
+    k_psi = {}
+    for mode, marginal in (("probe", number.sum(1)), ("conjugate", number.sum(0))):
+        x_psi = _apply(x, branches, mode)
+        mean_x = float(np.vdot(branches, x_psi)) / total
+        var_x = float(np.vdot(x_psi, x_psi)) / total - mean_x * mean_x
+        del x_psi
+        k_psi[mode] = _apply(k, branches, mode)
+        mean_n = float(marginal @ n)
         out[mode] = {
-            "x": stats(applied[(mode, "x")]),
-            "y": stats(applied[(mode, "k")], mean=0.0),
-            "n": stats(applied[(mode, "n")]),
+            "x": (mean_x, var_x),
+            "y": (0.0, float(np.vdot(k_psi[mode], k_psi[mode])) / total),
+            "n": (mean_n, float(marginal @ (n * n)) - mean_n * mean_n),
         }
-    joint = []
-    for lam in lambdas:
-        app = applied[("probe", "k")] + lam * applied[("conjugate", "k")]
-        mean, var = stats(app, mean=0.0)
-        joint.append((lam, mean, var))
-    out["joint"] = joint
+    cross = float(np.vdot(k_psi["probe"], k_psi["conjugate"])) / total
+    pp, cc = out["probe"]["y"][1], out["conjugate"]["y"][1]
+    out["joint"] = [
+        (lam, 0.0, pp + 2.0 * lam * cross + lam * lam * cc) for lam in lambdas
+    ]
     return out
 
 
-def _ensemble_stats(
-    branches: np.ndarray, apply_op
-) -> tuple[float, float]:
+def _ensemble_stats(branches: np.ndarray, apply_op) -> tuple[float, float]:
     # <M> and <M^2> over the (unnormalized) branch mixture; apply_op maps
     # the branch array to M|psi_b> for all branches at once.
     total = float(np.vdot(branches, branches).real)
@@ -349,6 +310,8 @@ def oracle_quadrature_stats(
 ) -> tuple[float, float]:
     """Mean and variance of Y_p + lam * Y_c evaluated in the Fock basis.
 
+    The complex-arithmetic reference for :func:`oracle_moment_bundle`.
+
     Args:
         state: pure state or loss ensemble.
         lam: measurement weight in [0, 1].
@@ -359,22 +322,20 @@ def oracle_quadrature_stats(
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
     branches = _as_branches(state).astype(complex)
-    dim = branches.shape[1]
-    _, y = _quadrature_ops(dim)
-
-    def apply_op(b: np.ndarray) -> np.ndarray:
-        # M psi = Y psi (probe index) + lam * psi Y^T (conjugate index).
-        return np.einsum("ij,bjc->bic", y, b) + lam * np.einsum(
-            "bij,cj->bic", b, y
-        )
-
-    return _ensemble_stats(branches, apply_op)
+    a = _ladder(branches.shape[1])
+    y = -1j * (a - a.T)
+    return _ensemble_stats(
+        branches,
+        lambda b: _apply(y, b, "probe") + lam * _apply(y, b, "conjugate"),
+    )
 
 
 def oracle_mode_quadrature(
     state: "FockState | FockEnsemble", mode: str, quadrature: str
 ) -> tuple[float, float]:
     """Mean and variance of a single-mode quadrature, Fock-basis route.
+
+    The complex-arithmetic reference for :func:`oracle_moment_bundle`.
 
     Args:
         state: pure state or loss ensemble.
@@ -389,12 +350,6 @@ def oracle_mode_quadrature(
     if quadrature not in ("x", "y"):
         raise ValueError(f"unknown quadrature {quadrature!r}")
     branches = _as_branches(state).astype(complex)
-    dim = branches.shape[1]
-    x, y = _quadrature_ops(dim)
-    op = x if quadrature == "x" else y
-
-    if mode == "probe":
-        apply_op = lambda b: np.einsum("ij,bjc->bic", op, b)
-    else:
-        apply_op = lambda b: np.einsum("bij,cj->bic", b, op)
-    return _ensemble_stats(branches, apply_op)
+    a = _ladder(branches.shape[1])
+    op = a + a.T if quadrature == "x" else -1j * (a - a.T)
+    return _ensemble_stats(branches, lambda b: _apply(op, b, mode))

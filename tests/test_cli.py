@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from tsui import cli
+from tsui import cli, fock
 from tsui.cli import main, parse_span
 from tsui.fitting import NoiseDataset, load_noise_csv
 from tsui.metrology import joint_variance_quadratic
@@ -346,6 +346,24 @@ class TestVerify:
         )
         assert code == 0
         assert "verification PASSED" in capsys.readouterr().out
+
+    def test_dense_weight_grid(self, capsys, monkeypatch):
+        # 100,000 weights.  The oracle applies two loss channels and four
+        # operators per moment bundle whatever the grid; the guard fails a
+        # per-weight regression on the count instead of letting it run for
+        # minutes.
+        apply = fock._apply
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            assert len(calls) <= 10, "operator applications grow with the grid"
+            return apply(*args)
+
+        monkeypatch.setattr(fock, "_apply", counted)
+        assert main(["verify", "--lambdas", "0:1:1e-5"]) == 0
+        assert "verification PASSED" in capsys.readouterr().out
+        assert len(calls) == 10
 
     def test_tight_cutoff_exits_1(self, capsys):
         assert main(["verify", "--cutoff", "12", "--gain", "2.0"]) == 1

@@ -15,7 +15,6 @@ from tsui.fitting import (
     _model_db,
     extract_lambda_opt,
     fit_noise_curve,
-    lambda_opt_vs_gain_report,
     load_noise_csv,
     overlay_theory,
 )
@@ -473,42 +472,3 @@ class TestOverlayTheory:
         for lam, db in table.rows:
             assert math.isclose(db, snri(fit.params(), lam, SqlKind.SQL2), rel_tol=1e-12)
         assert table.meta["sql_kind"] == SqlKind.SQL2.value
-
-
-class TestLambdaOptVsGainReport:
-    def test_three_gain_scan(self):
-        datasets = [synthetic(g, 0.745, 0.775) for g in (2.2, 1.2, 1.67)]
-        table = lambda_opt_vs_gain_report(datasets)
-        assert table.columns == (
-            "gain",
-            "sigma_gain",
-            "lambda_opt",
-            "sigma_lambda_opt",
-            "lambda_opt_theory",
-        )
-        gains = table.rows[:, 0]
-        assert np.all(np.diff(gains) > 0)
-        for g_fit, _, lam_fit, _, theory in table.rows:
-            ref = lambda_opt(InterferometerParams(gain=g_fit, eta_p=0.745, eta_c=0.775))
-            assert math.isclose(theory, ref, rel_tol=1e-12)
-            assert abs(lam_fit - theory) < 1e-3
-
-    def test_failures_recorded_in_meta(self):
-        good = [synthetic(g, 0.745, 0.775) for g in (1.3, 2.0)]
-        bad = NoiseDataset(
-            lam=[0.0, 0.0, 0.0, 1.0, 1.0],
-            noise_db=[1.0, 1.1, 0.9, 2.0, 2.1],
-            sigma_db=[0.1] * 5,
-        )
-        table = lambda_opt_vs_gain_report([good[0], bad, good[1]])
-        assert table.rows.shape[0] == 2
-        assert "dataset[1]" in table.meta["failures"]
-
-    def test_too_few_datasets(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            lambda_opt_vs_gain_report([synthetic(1.5, 0.745, 0.775)])
-
-    def test_duplicate_gains_rejected(self):
-        ds = synthetic(1.67, 0.745, 0.775)
-        with pytest.raises(ValueError, match="distinct"):
-            lambda_opt_vs_gain_report([ds, ds])

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 
+from tsui import fock
 from tsui.fock import (
     MAX_PAD,
     FockEnsemble,
+    FockState,
     TruncationError,
     _loss_kraus,
     apply_loss_fock,
@@ -81,6 +86,30 @@ class TestLossChannel:
             kraus = _loss_kraus(eta, 12)
             total = np.einsum("kij,kil->jl", kraus, kraus)
             assert np.allclose(total, np.eye(12), atol=1e-12)
+        # The end points are exact: no loss keeps K_0 = I and every other
+        # operator zero; full loss maps |n> to |0> through K_n alone.
+        kraus = _loss_kraus(1.0, 12)
+        assert np.array_equal(kraus[0], np.eye(12))
+        assert not kraus[1:].any()
+        kraus = _loss_kraus(0.0, 12)
+        expected = np.zeros((12, 12, 12))
+        expected[np.arange(12), 0, np.arange(12)] = 1.0
+        assert np.array_equal(kraus, expected)
+
+    def test_kraus_matches_per_outcome_loop(self):
+        # The vectorised build against the per-outcome loop it replaced,
+        # same arithmetic in the same order, so bit for bit.
+        for eta in (1e-300, 0.37, 0.76, 1.0 - 1e-12):
+            for dim in (12, 41):
+                expected = np.zeros((dim, dim, dim))
+                for k in range(dim):
+                    n = np.arange(k, dim)
+                    log_w = (
+                        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                        + (n - k) * math.log(eta) + k * math.log1p(-eta)
+                    )
+                    expected[k, n - k, n] = np.exp(0.5 * log_w)
+                assert np.array_equal(_loss_kraus(eta, dim), expected)
 
     def test_identity_at_full_transmission(self):
         state, _ = build_seeded_tmss_fock(1.5, 0.5, cutoff=15)
@@ -161,21 +190,35 @@ class TestOracleMoments:
                 assert abs(m - gauss.mean[base + idx]) < 1e-7
                 assert abs(v - gauss.cov[base + idx, base + idx]) < 1e-6
 
-    def test_bundle_matches_individual_calls(self):
-        state, _ = build_seeded_tmss_fock(1.5, 0.7, cutoff=30)
-        ens = apply_loss_fock(state, 0.8, "probe")
-        bundle = oracle_moment_bundle(ens, [0.0, 0.6, 1.0])
-        for lam, mean, var in bundle["joint"]:
-            im, iv = oracle_quadrature_stats(ens, lam)
-            assert abs(mean - im) < 1e-12
-            assert abs(var - iv) < 1e-10
+    @settings(derandomize=True, deadline=None)
+    @given(
+        gain=st.floats(1.0, 2.5),
+        alpha=st.floats(0.0, 1.0),
+        eta_p=st.floats(0.0, 1.0),
+        eta_c=st.floats(0.0, 1.0),
+        lam=st.floats(0.0, 1.0),
+    )
+    def test_bundle_matches_individual_calls(self, gain, alpha, eta_p, eta_c, lam):
+        # The real-arithmetic bundle against the complex reference on the
+        # cutoff-20 block of a lossy state.  The block is cut from a
+        # cutoff-30 build because bright corners of the range lose more
+        # than the build's 1e-4 gate at cutoff 20; the comparison holds
+        # for any real amplitudes.
+        state, _ = build_seeded_tmss_fock(gain, alpha, cutoff=30)
+        block = FockState(amplitudes=state.amplitudes[:21, :21], cutoff=20)
+        ens = apply_loss_fock(apply_loss_fock(block, eta_p, "probe"), eta_c, "conjugate")
+        bundle = oracle_moment_bundle(ens, [lam])
+        [(_, mean, var)] = bundle["joint"]
+        im, iv = oracle_quadrature_stats(ens, lam)
+        assert abs(mean - im) < 1e-12
+        assert abs(var - iv) < 1e-10
         for mode in ("probe", "conjugate"):
             for quad in ("x", "y"):
                 im, iv = oracle_mode_quadrature(ens, mode, quad)
                 bm, bv = bundle[mode][quad]
                 assert abs(bm - im) < 1e-12
                 assert abs(bv - iv) < 1e-10
-            # Photon numbers from the marginal number distribution instead.
+            # Photon numbers against the marginal number distribution.
             axes = (0, 2) if mode == "probe" else (0, 1)
             prob = (ens.branches**2).sum(axis=axes) / ens.total_weight()
             n = np.arange(prob.size)
@@ -183,6 +226,23 @@ class TestOracleMoments:
             invar = float(prob @ n**2) - inm * inm
             assert abs(bundle[mode]["n"][0] - inm) < 1e-12
             assert abs(bundle[mode]["n"][1] - invar) < 1e-10
+
+    def test_operator_count_independent_of_weights(self, monkeypatch):
+        # Four operator applications (x and k on each mode) serve any
+        # number of weights: the joint variance is a quadratic in lam.
+        state, _ = build_seeded_tmss_fock(1.5, 0.5, cutoff=20)
+        ens = apply_loss_fock(apply_loss_fock(state, 0.7, "probe"), 0.8, "conjugate")
+        apply = fock._apply
+        counts = []
+        for lambdas in ([0.5], np.linspace(0.0, 1.0, 101)):
+            calls = []
+            monkeypatch.setattr(
+                fock, "_apply", lambda *args: calls.append(args[2]) or apply(*args)
+            )
+            bundle = oracle_moment_bundle(ens, lambdas)
+            assert len(bundle["joint"]) == len(lambdas)
+            counts.append(len(calls))
+        assert counts == [4, 4]
 
     def test_lambda_validation(self):
         state, _ = build_seeded_tmss_fock(1.5, 0.0, cutoff=15)
