@@ -231,8 +231,11 @@ def apply_loss_fock(
     dim = branches.shape[1]
     kraus = _loss_kraus(eta, dim)[:, np.newaxis]
     new = _apply(kraus, branches, mode).reshape(-1, dim, dim)
-    weights = np.einsum("bij,bij->b", new.conj(), new).real
-    return FockEnsemble(branches=new[weights > 0.0], cutoff=dim - 1)
+    kept = np.einsum("bij,bij->b", new.conj(), new).real > 0.0
+    # A boolean mask copies every branch, so apply it only if one drops.
+    if not kept.all():
+        new = new[kept]
+    return FockEnsemble(branches=new, cutoff=dim - 1)
 
 
 def oracle_moment_bundle(state: "FockState | FockEnsemble", lambdas) -> dict:

@@ -10,12 +10,17 @@ white noise sits at 0 dB.
 Determinism: a record is a pure function of ``(config, trial)``.  Random
 draws always happen in the same order (block jitter phases, then the
 quadrature normals, then electronic noise for probe and conjugate), so
-identical inputs give bit-identical records.
+identical inputs give bit-identical records.  A scan generates its
+trials on up to one thread per usable CPU, each from its own generator,
+and pools their segment sums in trial order, so records and scans do
+not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,8 +44,14 @@ __all__ = [
 # while leaving hundreds of segments in a default-length record.
 _BINS_PER_RBW = 8
 
-# Input caps: the longest record is 8x the default length (about
-# 320 MiB while generating), and a scan takes at most 1000 records.
+# Segments windowed and transformed per rfft call, so the readout's
+# temporaries stay a few MiB whatever the record length.
+_SEGMENTS_PER_FFT = 64
+
+# Input caps: the longest record is 8x the default length (2 x 64 MiB,
+# about 130 MiB while generating and reading it), and a scan takes at
+# most 1000 records.  A scan keeps at most _MAX_SAMPLES samples per arm
+# in flight, however many workers it runs.
 _MIN_SAMPLES = 2**14
 _MAX_SAMPLES = 2**23
 _MAX_TRIALS = 1000
@@ -134,7 +145,9 @@ class SpectrumResult:
     is_peak: bool
 
 
-def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
+def simulate_records(
+    config: SimConfig, trial: int = 0, *, out: np.ndarray | None = None
+) -> MeasurementRecord:
     """Generate one pair of synchronized detector records.
 
     The two phase quadratures are drawn as a correlated Gaussian pair
@@ -149,17 +162,24 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
         config: acquisition settings.
         trial: index of the acquisition; seeds the generator together
             with ``config.rng_seed``.
+        out: optional float64 array of shape (2, n_samples) to draw into,
+            so that a caller reading many records can reuse one buffer.
+            The record's arrays are then read-only views of its rows.
 
     Returns:
         A :class:`MeasurementRecord` with ``n_samples`` points per arm.
     """
     if not isinstance(trial, int) or trial < 0:
         raise ValueError(f"trial must be a nonnegative int, got {trial!r}")
+    n = config.n_samples
+    if out is None:
+        out = np.empty((2, n))
+    elif not (isinstance(out, np.ndarray) and out.shape == (2, n) and out.dtype == float):
+        raise ValueError(f"out must be a float64 array of shape (2, {n})")
     p = config.params
     state = apply_loss(seeded_tmss(p), p.eta_p, p.eta_c)
     cov4 = state.cov
     mean4 = state.mean
-    n = config.n_samples
     rng = np.random.default_rng([config.rng_seed, trial])
 
     block = int(round(config.jitter_block * config.sample_rate))
@@ -169,13 +189,14 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     else:
         # Zero phase is exact (sin 0 = 0, cos 0 = 1) and draws nothing.
         phases = np.zeros((n_blocks, 2))
-    normals = rng.standard_normal((n, 2))
-    probe = np.empty(n)
-    conj = np.empty(n)
-    tone_scale = np.empty(n)
-    for b in range(n_blocks):
-        sl = slice(b * block, min((b + 1) * block, n))
-        e_p, e_c = phases[b]
+    blocks = [slice(b * block, min((b + 1) * block, n)) for b in range(n_blocks)]
+    tone_amp = 2.0 * math.sqrt(p.eta_p * p.gain) * p.alpha * config.tone_depth
+    omega = 2.0 * math.pi * config.tone_freq
+    probe, conj = out
+    # Block by block, the draws take the stream's numbers in the same
+    # order as one whole-record draw would, so no record-sized
+    # temporary is needed.
+    for sl, (e_p, e_c) in zip(blocks, phases):
         # Rows pick out the rotated measurement direction per arm.
         u = np.array(
             [
@@ -184,24 +205,18 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
             ]
         )
         chol = np.linalg.cholesky(u @ cov4 @ u.T)
-        seg = normals[sl] @ chol.T
+        seg = rng.standard_normal((sl.stop - sl.start, 2)) @ chol.T
         offset = u @ mean4
         probe[sl] = seg[:, 0] + offset[0]
         conj[sl] = seg[:, 1] + offset[1]
-        tone_scale[sl] = math.cos(e_p)
-    if config.tone_depth > 0.0:
-        slope = 2.0 * math.sqrt(p.eta_p * p.gain) * p.alpha
-        t = np.arange(n) / config.sample_rate
-        probe += (
-            slope
-            * config.tone_depth
-            * tone_scale
-            * np.sin(2.0 * math.pi * config.tone_freq * t)
-        )
+        if config.tone_depth > 0.0:
+            t = np.arange(sl.start, sl.stop) / config.sample_rate
+            probe[sl] += tone_amp * math.cos(e_p) * np.sin(omega * t)
     if config.electronic_noise_var > 0.0:
         sigma = math.sqrt(config.electronic_noise_var)
-        probe += rng.normal(0.0, sigma, n)
-        conj += rng.normal(0.0, sigma, n)
+        for arm in (probe, conj):
+            for sl in blocks:
+                arm[sl] += rng.normal(0.0, sigma, sl.stop - sl.start)
     probe.flags.writeable = False
     conj.flags.writeable = False
     return MeasurementRecord(probe=probe, conjugate=conj, config=config, trial=trial)
@@ -254,11 +269,17 @@ def _band_spectra(
     if n_bins == 0:
         raise ValueError("no analysis bins fall inside the requested band")
     window = np.hanning(nperseg)
-    segs = series[: n_seg * nperseg].reshape(n_seg, nperseg) * window
+    segs = series[: n_seg * nperseg].reshape(n_seg, nperseg)
     # One-sided PSD 2|X|^2 / (fs W) integrated over the band (times df),
     # over the white-noise reference 2 n_bins df / fs: |X|^2 / (W n_bins).
     scale = 1.0 / math.sqrt(float(window @ window) * n_bins)
-    return np.fft.rfft(segs, axis=1)[:, band] * scale
+    # Fortran order is the layout a whole-array rfft()[:, band] has, so
+    # later row sums reduce in the same order.
+    out = np.empty((n_seg, n_bins), dtype=complex, order="F")
+    for start in range(0, n_seg, _SEGMENTS_PER_FFT):
+        rows = slice(start, start + _SEGMENTS_PER_FFT)
+        out[rows] = np.fft.rfft(segs[rows] * window, axis=1)[:, band] * scale
+    return out
 
 
 def _cross_power(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -298,14 +319,29 @@ def spectrum_power(
     )
 
 
+def _scan_workers(config: SimConfig, trials: int) -> int:
+    """Number of worker threads, each with one record buffer, of a scan.
+
+    One per usable CPU and trial, but never more than fit in the sample
+    cap of one record, so a scan holds at most ``_MAX_SAMPLES`` samples
+    per arm however many records are in flight.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(trials, cpus, _MAX_SAMPLES // config.n_samples)
+
+
 def _segment_sums(
-    config: SimConfig, trial: int, center_freq: float, rbw: float
+    config: SimConfig, trial: int, center_freq: float, rbw: float, out: np.ndarray
 ) -> np.ndarray:
     """Per-segment (|P|^2, Re(P C*), |C|^2) band sums of one record.
 
-    The record is released on return, so a scan never holds two at once.
+    The record is drawn into ``out``, a (2, n_samples) buffer that the
+    worker reuses for each of its trials.
     """
-    record = simulate_records(config, trial=trial)
+    record = simulate_records(config, trial=trial, out=out)
     p = _band_spectra(record.probe, config.sample_rate, center_freq, rbw)
     c = _band_spectra(record.conjugate, config.sample_rate, center_freq, rbw)
     return np.stack([_cross_power(p, p), _cross_power(p, c), _cross_power(c, c)])
@@ -326,7 +362,8 @@ def measure_noise_vs_lambda(
     2 lam Re(P C*) + lam^2 |C|^2 in the arms' band spectra, so one
     spectral pass per record serves every weight.  Segments from all
     trials are pooled; the quoted uncertainty is the standard error of
-    their mean, mapped to dB.
+    their mean, mapped to dB.  Trials run on up to one thread per usable
+    CPU (fewer for long records), with the same result for any number.
 
     Because every weight reuses the same records, the scan's points are
     strongly correlated across lambda: the whole curve shifts together
@@ -346,8 +383,22 @@ def measure_noise_vs_lambda(
     grid = _validate_grid("lambda_grid", lambda_grid, 0.0, 1.0)
     if not isinstance(trials, int) or not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be an int in [1, {_MAX_TRIALS}], got {trials!r}")
+    workers = _scan_workers(config, trials)
+    # Worker k reads trials k, k + W, ... into one buffer that this thread
+    # allocates: records allocated in the workers would be freed into
+    # per-thread malloc arenas, which keep the memory (peak RSS).
+    buffers = [np.empty((2, config.n_samples)) for _ in range(workers)]
+
+    def read_trials(k: int) -> list[np.ndarray]:
+        return [
+            _segment_sums(config, i, center_freq, rbw, buffers[k])
+            for i in range(k, trials, workers)
+        ]
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_worker = list(pool.map(read_trials, range(workers)))
     sums = np.concatenate(
-        [_segment_sums(config, i, center_freq, rbw) for i in range(trials)], axis=1
+        [per_worker[i % workers][i // workers] for i in range(trials)], axis=1
     )
     coef = np.stack([np.ones_like(grid), 2.0 * grid, grid * grid])
     mean_power = sums.mean(axis=1) @ coef
@@ -405,7 +456,10 @@ def load_sim_config(path: str) -> SimConfig:
             if key in values:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                values[key] = float(text)
+                # A float holds integers exactly only up to 2^53, so a seed
+                # written as digits is read as an int.
+                exact = key == "rng_seed" and text.isdecimal()
+                values[key] = int(text) if exact else float(text)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: could not parse value {text!r} for {key!r}"
@@ -413,7 +467,7 @@ def load_sim_config(path: str) -> SimConfig:
     if "gain" not in values:
         raise ValueError(f"{path}: missing required key 'gain'")
     params = InterferometerParams(**{k: values.pop(k) for k in _PARAM_KEYS if k in values})
-    if "rng_seed" in values:
+    if isinstance(values.get("rng_seed"), float):
         seed = values["rng_seed"]
         if not math.isfinite(seed) or seed != int(seed):
             raise ValueError(f"{path}: rng_seed must be an integer, got {seed!r}")

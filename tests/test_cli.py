@@ -8,6 +8,12 @@ import pytest
 from tsui import cli, fock
 from tsui.cli import main, parse_span
 from tsui.fitting import NoiseDataset, load_noise_csv
+from tsui.gaussian import (
+    InterferometerParams,
+    apply_loss,
+    joint_quadrature_stats,
+    seeded_tmss,
+)
 from tsui.metrology import joint_variance_quadratic
 
 
@@ -364,6 +370,45 @@ class TestVerify:
         assert main(["verify", "--lambdas", "0:1:1e-5"]) == 0
         assert "verification PASSED" in capsys.readouterr().out
         assert len(calls) == 10
+
+    def test_joint_errors_match_per_weight_loop(self, capsys, monkeypatch):
+        # The reported joint errors equal the per-weight comparison
+        # through gaussian.joint_quadrature_stats, the loop the
+        # vectorized evaluation replaced.
+        reported = {}
+        check = cli._check
+
+        def recording(name, err, tol, lines):
+            reported[name] = err
+            return check(name, err, tol, lines)
+
+        monkeypatch.setattr(cli, "_check", recording)
+        lambdas = [float(v) for v in parse_span("0:1:0.001")]
+        assert len(lambdas) == 1001
+        args = ["--gain", "1.67", "--alpha", "1", "--eta", "0.76,0.79"]
+        assert main(["verify", *args, "--lambdas", "0:1:0.001"]) == 0
+        capsys.readouterr()
+
+        params = InterferometerParams(gain=1.67, eta_p=0.76, eta_c=0.79, alpha=1.0)
+        pure, _ = fock.build_seeded_tmss_fock(params.gain, params.alpha, cutoff=40)
+        pure_gauss = seeded_tmss(params)
+        cases = {
+            "lossless": (pure, pure_gauss),
+            "lossy (eta_p=0.76, eta_c=0.79)": (
+                fock.apply_loss_fock(
+                    fock.apply_loss_fock(pure, 0.76, "probe"), 0.79, "conjugate"
+                ),
+                apply_loss(pure_gauss, 0.76, 0.79),
+            ),
+        }
+        for tag, (fock_state, gauss_state) in cases.items():
+            mean_err = var_err = 0.0
+            for lam, fm, fv in fock.oracle_moment_bundle(fock_state, lambdas)["joint"]:
+                gm, gv = joint_quadrature_stats(gauss_state, lam)
+                mean_err = max(mean_err, abs(fm - gm))
+                var_err = max(var_err, abs(fv - gv))
+            assert abs(reported[f"{tag}: joint quadrature means"] - mean_err) <= 1e-12
+            assert abs(reported[f"{tag}: joint quadrature variances"] - var_err) <= 1e-12
 
     def test_tight_cutoff_exits_1(self, capsys):
         assert main(["verify", "--cutoff", "12", "--gain", "2.0"]) == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,30 @@ class TestLossChannel:
         eigs = np.linalg.eigvalsh(rho)
         assert eigs.min() > -1e-12
         assert math.isclose(np.trace(rho).real, state.norm_squared(), rel_tol=1e-12)
+
+    def test_keeping_every_branch_skips_the_copy(self):
+        # Branches and weights equal the masked result, and a two-arm loss
+        # that keeps all of its branches peaks near one ensemble, not two.
+        state, _ = build_seeded_tmss_fock(2.0, 1.0, cutoff=30)
+        dim = 31
+        tracemalloc.start()
+        try:
+            ens = apply_loss_fock(apply_loss_fock(state, 0.76, "probe"), 0.79, "conjugate")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ref = state.amplitudes[np.newaxis]
+        for eta, mode in ((0.76, "probe"), (0.79, "conjugate")):
+            ref = fock._apply(_loss_kraus(eta, dim)[:, np.newaxis], ref, mode)
+            ref = ref.reshape(-1, dim, dim)
+            weights = np.einsum("bij,bij->b", ref, ref)
+            assert (weights > 0.0).all()
+            ref = ref[weights > 0.0]
+        assert np.array_equal(ens.branches, ref)
+        assert np.array_equal(
+            np.einsum("bij,bij->b", ens.branches, ens.branches), weights
+        )
+        assert peak <= 1.25 * ens.branches.nbytes
 
     def test_validation(self):
         state, _ = build_seeded_tmss_fock(1.5, 0.0, cutoff=10)

@@ -1,14 +1,25 @@
+import dataclasses
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from tsui import simulate
 from tsui.gaussian import InterferometerParams, apply_loss, seeded_tmss
 from tsui.metrology import joint_noise_power, joint_variance_quadratic, lambda_opt
 from tsui.simulate import (
+    _MAX_SAMPLES,
+    _MAX_TRIALS,
+    _MIN_SAMPLES,
     MeasurementRecord,
     SimConfig,
+    _scan_workers,
     combine_weighted,
     load_sim_config,
     measure_noise_vs_lambda,
@@ -25,6 +36,82 @@ def config(gain=2.0, eta_p=1.0, eta_c=1.0, alpha=0.0, **kwargs):
     params = InterferometerParams(gain=gain, eta_p=eta_p, eta_c=eta_c, alpha=alpha)
     kwargs.setdefault("duration", SHORT)
     return SimConfig(params=params, **kwargs)
+
+
+def serial_records(cfg, trial):
+    """Whole-record reference generator: one normals draw for the record,
+    one matmul per jitter block, then the tone and each arm's electronic
+    noise over the whole record."""
+    p = cfg.params
+    state = apply_loss(seeded_tmss(p), p.eta_p, p.eta_c)
+    n = cfg.n_samples
+    rng = np.random.default_rng([cfg.rng_seed, trial])
+    block = int(round(cfg.jitter_block * cfg.sample_rate))
+    n_blocks = -(-n // block)
+    if cfg.lock_jitter_rms > 0.0:
+        phases = rng.normal(0.0, cfg.lock_jitter_rms, size=(n_blocks, 2))
+    else:
+        phases = np.zeros((n_blocks, 2))
+    normals = rng.standard_normal((n, 2))
+    probe = np.empty(n)
+    conj = np.empty(n)
+    tone_scale = np.empty(n)
+    for b in range(n_blocks):
+        sl = slice(b * block, min((b + 1) * block, n))
+        e_p, e_c = phases[b]
+        u = np.array(
+            [
+                [math.sin(e_p), math.cos(e_p), 0.0, 0.0],
+                [0.0, 0.0, math.sin(e_c), math.cos(e_c)],
+            ]
+        )
+        chol = np.linalg.cholesky(u @ state.cov @ u.T)
+        seg = normals[sl] @ chol.T
+        offset = u @ state.mean
+        probe[sl] = seg[:, 0] + offset[0]
+        conj[sl] = seg[:, 1] + offset[1]
+        tone_scale[sl] = math.cos(e_p)
+    if cfg.tone_depth > 0.0:
+        slope = 2.0 * math.sqrt(p.eta_p * p.gain) * p.alpha
+        t = np.arange(n) / cfg.sample_rate
+        probe += (
+            slope * cfg.tone_depth * tone_scale * np.sin(2.0 * math.pi * cfg.tone_freq * t)
+        )
+    if cfg.electronic_noise_var > 0.0:
+        sigma = math.sqrt(cfg.electronic_noise_var)
+        probe += rng.normal(0.0, sigma, n)
+        conj += rng.normal(0.0, sigma, n)
+    return probe, conj
+
+
+def serial_band_spectra(series, sample_rate, center_freq, rbw):
+    """Whole-arm reference readout: every segment in one rfft call."""
+    nperseg = int(round(8 * sample_rate / rbw))
+    n_seg = series.size // nperseg
+    band = np.abs(np.fft.rfftfreq(nperseg, 1.0 / sample_rate) - center_freq) <= rbw / 2.0
+    window = np.hanning(nperseg)
+    segs = series[: n_seg * nperseg].reshape(n_seg, nperseg) * window
+    scale = 1.0 / math.sqrt(float(window @ window) * int(band.sum()))
+    return np.fft.rfft(segs, axis=1)[:, band] * scale
+
+
+def serial_scan(records, sample_rate, grid, center_freq=1e6, rbw=1e5):
+    """(noise_db, sigma_db) of the records' pooled segments, in order."""
+
+    def cross(a, b):
+        return (a.real * b.real + a.imag * b.imag).sum(axis=1)
+
+    per_trial = []
+    for probe, conj in records:
+        p = serial_band_spectra(probe, sample_rate, center_freq, rbw)
+        c = serial_band_spectra(conj, sample_rate, center_freq, rbw)
+        per_trial.append(np.stack([cross(p, p), cross(p, c), cross(c, c)]))
+    sums = np.concatenate(per_trial, axis=1)
+    coef = np.stack([np.ones_like(grid), 2.0 * grid, grid * grid])
+    mean_power = sums.mean(axis=1) @ coef
+    variance = np.einsum("il,ij,jl->l", coef, np.cov(sums), coef)
+    stderr = np.sqrt(variance / sums.shape[1])
+    return 10.0 * np.log10(mean_power), (10.0 / math.log(10.0)) * stderr / mean_power
 
 
 class TestSimConfig:
@@ -70,8 +157,9 @@ class TestSimulateRecords:
 
     def test_outputs_read_only(self):
         rec = simulate_records(config())
-        with pytest.raises(ValueError):
-            rec.probe[0] = 0.0
+        for arm in (rec.probe, rec.conjugate):
+            with pytest.raises(ValueError):
+                arm[0] = 0.0
 
     def test_vacuum_statistics(self):
         rec = simulate_records(config(gain=1.0, rng_seed=1))
@@ -100,6 +188,21 @@ class TestSimulateRecords:
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_records(config(), trial=-1)
+        for bad in (np.empty((2, 31999)), np.empty((2, 32000), dtype=np.float32), [0.0]):
+            with pytest.raises(ValueError, match="out must be"):
+                simulate_records(config(), out=bad)
+
+    def test_out_buffer_is_reused(self):
+        # Drawing into a caller's buffer gives the same record, as
+        # read-only views of the buffer's rows.
+        cfg = config(gain=1.67, eta_p=0.76, eta_c=0.79, rng_seed=7, lock_jitter_rms=0.1)
+        out = np.full((2, cfg.n_samples), np.nan)
+        rec = simulate_records(cfg, trial=3, out=out)
+        ref = simulate_records(cfg, trial=3)
+        assert np.shares_memory(rec.probe, out) and np.shares_memory(rec.conjugate, out)
+        assert np.array_equal(out, np.stack([ref.probe, ref.conjugate]))
+        with pytest.raises(ValueError):
+            rec.probe[0] = 0.0
 
     def test_no_jitter_keeps_the_random_stream(self):
         # Without jitter the records are the quadrature normals through
@@ -275,21 +378,100 @@ class TestMeasuredScan:
             assert len(calls) == 2 * 3
 
     def test_memory_does_not_grow_with_trials(self):
-        # Only per-segment sums outlive a record, so three trials peak
-        # where one does.
-        cfg = config(duration=MEDIUM, rng_seed=12)
+        # Only per-segment sums outlive a record and each of the W workers
+        # holds one record at a time, so 2W trials peak where W do, within
+        # a quarter of W default-length records (2 n float64 samples each).
+        cfg = config(duration=2**20 / FS, rng_seed=12)
+        workers = _scan_workers(cfg, _MAX_TRIALS)
         grid = np.linspace(0.0, 1.0, 21)
         measure_noise_vs_lambda(cfg, grid, trials=1)
         peaks = {}
         tracemalloc.start()
         try:
-            for trials in (1, 3):
+            for trials in (workers, 2 * workers):
                 tracemalloc.reset_peak()
                 measure_noise_vs_lambda(cfg, grid, trials=trials)
                 peaks[trials] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peaks[3] <= 1.1 * peaks[1]
+        assert peaks[2 * workers] <= 1.1 * peaks[workers]
+        assert max(peaks.values()) <= 1.25 * workers * (2 * cfg.n_samples * 8)
+
+
+class TestParallelScan:
+    """Scans draw trials on worker threads; the serial algorithm they
+    replaced stays here as the reference, bit for bit."""
+
+    CONFIGS = {
+        "plain": {},
+        # A 5600-sample block leaves a partial last block.
+        "jitter_electronic": {
+            "lock_jitter_rms": 0.05,
+            "electronic_noise_var": 0.1,
+            "jitter_block": 0.0007,
+        },
+        "jitter_tone": {"lock_jitter_rms": 0.05, "tone_depth": 0.05},
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_matches_serial_reference(self, name):
+        cfg = config(
+            gain=1.67, eta_p=0.76, eta_c=0.79, alpha=50.0, duration=MEDIUM,
+            rng_seed=21, **self.CONFIGS[name],
+        )
+        # 200 segments per arm: the readout's 64-segment chunks end short.
+        assert cfg.n_samples // 640 == 200
+        grid = np.linspace(0.0, 1.0, 21)
+        records = [serial_records(cfg, trial) for trial in range(8)]
+        for trial, (probe, conj) in enumerate(records):
+            rec = simulate_records(cfg, trial=trial)
+            assert np.array_equal(rec.probe, probe)
+            assert np.array_equal(rec.conjugate, conj)
+        for trials in (1, 3, 8):
+            data = measure_noise_vs_lambda(cfg, grid, trials=trials)
+            noise_db, sigma_db = serial_scan(records[:trials], FS, grid)
+            assert np.array_equal(data.noise_db, noise_db)
+            assert np.array_equal(data.sigma_db, sigma_db)
+
+    def test_longest_record_runs_alone(self):
+        # The count comes from the config alone; no record is generated.
+        longest = config(duration=_MAX_SAMPLES / FS)
+        assert longest.n_samples == 2**23
+        assert _scan_workers(longest, _MAX_TRIALS) == 1
+        assert _scan_workers(config(duration=_MAX_SAMPLES / 2 / FS), _MAX_TRIALS) <= 2
+        assert _scan_workers(config(), 1) == 1
+
+    def test_records_in_flight_never_exceed_the_worker_count(self, monkeypatch):
+        cfg = config(rng_seed=22)
+        grid = np.linspace(0.0, 1.0, 5)
+        trials = 12
+        expected = measure_noise_vs_lambda(cfg, grid, trials=trials)
+        segment_sums = simulate._segment_sums
+        lock = threading.Lock()
+        in_flight = [0, 0]  # current, maximum
+
+        def counted(*args):
+            with lock:
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight)
+            try:
+                time.sleep(0.005)
+                return segment_sums(*args)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(simulate, "_segment_sums", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            data = measure_noise_vs_lambda(cfg, grid, trials=trials)
+        finally:
+            sys.setswitchinterval(interval)
+        assert in_flight[0] == 0
+        assert 1 <= in_flight[1] <= _scan_workers(cfg, trials)
+        assert np.array_equal(data.noise_db, expected.noise_db)
+        assert np.array_equal(data.sigma_db, expected.sigma_db)
 
 
 class TestLoadSimConfig:
@@ -357,3 +539,46 @@ class TestLoadSimConfig:
         path = self.write(tmp_path, "gain = 2.0\nrng_seed = 1.5\n")
         with pytest.raises(ValueError, match="rng_seed must be an integer"):
             load_sim_config(path)
+
+    def test_large_seed_read_exactly(self, tmp_path):
+        # 2^53 + 1 has no float; it used to load as 2^53.
+        cfg = load_sim_config(self.write(tmp_path, "gain = 2.0\nrng_seed = 9007199254740993\n"))
+        assert cfg.rng_seed == 2**53 + 1
+        assert load_sim_config(self.write(tmp_path, "gain = 2.0\nrng_seed = 1e3\n")).rng_seed == 1000
+
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_round_trip(self, tmp_path, data):
+        # Any valid config written as key = value lines reads back equal.
+        unit = st.floats(0.0, 1.0)
+        params = InterferometerParams(
+            gain=data.draw(st.floats(1.0, 1e6)),
+            eta_p=data.draw(unit),
+            eta_c=data.draw(unit),
+            alpha=data.draw(st.floats(0.0, 1e9)),
+        )
+        fs = data.draw(st.floats(1.0, 1e12))
+        duration = data.draw(st.integers(_MIN_SAMPLES, _MAX_SAMPLES)) / fs
+        cfg = SimConfig(
+            params=params,
+            sample_rate=fs,
+            duration=duration,
+            tone_freq=data.draw(st.floats(0.0, fs / 2.0, exclude_min=True, exclude_max=True)),
+            tone_depth=data.draw(unit),
+            lock_jitter_rms=data.draw(unit),
+            electronic_noise_var=data.draw(st.floats(0.0, 1e300)),
+            rng_seed=data.draw(st.integers(0, 2**128)),
+            jitter_block=data.draw(st.floats(1.0 / fs, duration)),
+        )
+        lines = [f"{k} = {v!r}" for k, v in dataclasses.asdict(params).items()]
+        lines += [
+            f"{f.name} = {getattr(cfg, f.name)!r}"
+            for f in dataclasses.fields(cfg)
+            if f.name != "params"
+        ]
+        assert load_sim_config(self.write(tmp_path, "\n".join(lines) + "\n")) == cfg
