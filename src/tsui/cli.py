@@ -190,7 +190,7 @@ def _check(name: str, err: float, tol: float, lines: list[str]) -> bool:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     ep, ec = _parse_eta(args.eta)
-    lambdas = [float(v) for v in parse_span(args.lambdas)]
+    lambdas = parse_span(args.lambdas)
     params = InterferometerParams(gain=args.gain, eta_p=ep, eta_c=ec, alpha=args.alpha)
     lines: list[str] = []
     ok = True
@@ -216,7 +216,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     def compare(tag: str, fock_state, gauss_state) -> bool:
         bundle = fock.oracle_moment_bundle(fock_state, lambdas)
-        lam, fm, fv = np.array(bundle["joint"]).T
+        lam, fm, fv = bundle["joint"].T
         # M = Y_p + lam Y_c: the Gaussian mean is linear and the variance
         # quadratic in lam, with coefficients read once from the state.
         d, v = gauss_state.mean, gauss_state.cov

@@ -5,13 +5,15 @@ force in a truncated Fock space, without touching covariance-matrix
 algebra.  It exists to cross-check the Gaussian code path at the small
 seeds and gains a cutoff of at most ``MAX_CUTOFF`` photons per mode holds.
 
-A state is an amplitude matrix psi[n_p, n_c]; every single-mode
-operator, loss included, is a matrix product on one of its indices.
-The pure amplifier output is exp(r (ad_p ad_c - a_p a_c)) applied to
-|alpha, 0> by a sparse matrix exponential.  Loss is an explicit Kraus
-ensemble of photon-loss branches, kept as separate pure states (the
-mixtures stay small because expectation values are linear in the
-branches).
+A state is an amplitude matrix psi[n_p, n_c].  The pure amplifier output
+is exp(r (ad_p ad_c - a_p a_c)) applied to |alpha, 0> by a sparse matrix
+exponential.  Loss is an explicit Kraus ensemble of photon-loss
+branches, kept as separate pure states (the mixtures stay small because
+expectation values are linear in the branches); each Kraus operator is a
+matrix product on one index.  :func:`oracle_moment_bundle` reads every
+moment from sums of amplitude pairs over the branches, without forming
+an operator; the complex references apply the ladder operators as
+matrices, an independent route to the same moments.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ DEFAULT_PAD = 16
 NORM_DEFICIT_LIMIT = 1e-4
 
 # Largest accepted cutoff: a two-arm lossy ensemble holds (cutoff + 1)^4
-# doubles, 111 MB at 60, and the moment bundle allocates two more arrays
-# of that size (211 MiB peak under tracemalloc at G=2, alpha=1, eta=0.76).
+# doubles, 111 MB at 60; the moment bundle adds only its (cutoff + 1)^2
+# tables (0.12 MiB peak under tracemalloc at G=2, alpha=1, eta=0.76).
 MAX_CUTOFF = 60
 
 # Largest accepted working pad: the exponentiation holds
@@ -238,61 +240,97 @@ def apply_loss_fock(
     return FockEnsemble(branches=new, cutoff=dim - 1)
 
 
+def _pair_sum(branches: np.ndarray, first, second) -> np.ndarray:
+    # T[i, c] = sum_b psi_b[(i, c) + first] psi_b[(i, c) + second], with
+    # first and second (n_p, n_c) offsets, over the block where both stay
+    # inside the cutoff: one einsum of two sliced views, no branch-sized
+    # temporary.
+    dim = branches.shape[1]
+    rows = dim - max(first[0], second[0])
+    cols = dim - max(first[1], second[1])
+    return np.einsum(
+        "bij,bij->ij",
+        branches[:, first[0] : first[0] + rows, first[1] : first[1] + cols],
+        branches[:, second[0] : second[0] + rows, second[1] : second[1] + cols],
+    )
+
+
 def oracle_moment_bundle(state: "FockState | FockEnsemble", lambdas) -> dict:
     """Every oracle moment of a (real-amplitude) state in one pass.
 
-    Four operator applications serve every moment and weight.  Phase
-    quadratures use the real antisymmetric k = iY (see :func:`_ladder`),
-    whose means are exact zeros for the real states built here.  The
-    joint variance is the quadratic (||k_p psi||^2 + 2 lam <k_p psi,
-    k_c psi> + lam^2 ||k_c psi||^2) / norm; photon-number moments come
-    from each mode's marginal number distribution.
+    Seven pair-sum tables over the branches serve every moment and
+    weight: T[i, c] = sum_b psi_b[i, c] psi_b[i + di, c + dc] for (di, dc)
+    in (0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1), and the
+    anti-diagonal sum of psi_b[i, c + 1] psi_b[i + 1, c], each at most
+    (cutoff + 1)-square; no operator is formed or applied.  Along the probe
+    index (the conjugate is the same along the other one), with p(i) the
+    marginal number distribution, T1 and T2 the tables of amplitudes one
+    and two levels apart, and [i < cutoff] the truncation of a a^T:
+
+        <X>         = 2 sum sqrt(i+1) T1
+        ||X psi||^2 = D + S,  ||k psi||^2 = D - S,
+        D = sum p(i) (i + (i+1) [i < cutoff]),
+        S = 2 sum sqrt((i+1)(i+2)) T2.
+
+    Phase quadratures use the real antisymmetric k = iY (see
+    :func:`_ladder`), whose means are exact zeros for the real states
+    built here.  The cross term <k_p psi, k_c psi> is 2 sum
+    sqrt((i+1)(c+1)) (psi[i, c+1] psi[i+1, c] - psi[i, c] psi[i+1, c+1]),
+    and the joint variance the quadratic (||k_p psi||^2 + 2 lam <k_p psi,
+    k_c psi> + lam^2 ||k_c psi||^2) / norm.  Photon-number moments come
+    from each mode's marginal.  :func:`oracle_quadrature_stats` and
+    :func:`oracle_mode_quadrature` check all of it by operator products.
 
     Args:
         state: pure state or loss ensemble with real amplitudes.
-        lambdas: iterable of joint-readout weights in [0, 1].
+        lambdas: joint-readout weights in [0, 1] (any array-like).
 
     Returns:
         Dict with ``"probe"`` and ``"conjugate"`` entries mapping
         ``{"x": (mean, var), "y": (mean, var), "n": (mean, var)}``, and a
-        ``"joint"`` list of ``(lam, mean, var)`` tuples.
+        ``"joint"`` float array of shape (n_weights, 3) whose columns are
+        lam, mean and var.
     """
     branches = _as_branches(state)
     if np.iscomplexobj(branches):
         raise ValueError("bundle path expects real amplitudes")
-    lambdas = [float(l) for l in lambdas]
-    for lam in lambdas:
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
-    dim = branches.shape[1]
-    total = float(np.vdot(branches, branches).real)
+    lam = np.asarray(lambdas, dtype=float).reshape(-1)
+    bad = ~((lam >= 0.0) & (lam <= 1.0))
+    if bad.any():
+        raise ValueError(f"lam must lie in [0, 1], got {float(lam[bad][0])!r}")
+    # Joint photon-number weights P[n_p, n_c] of the mixture.
+    number = _pair_sum(branches, (0, 0), (0, 0))
+    total = float(number.sum())
     if total <= 0.0:
         raise ValueError("state has zero norm")
-    a = _ladder(dim)
-    x, k = a + a.T, a - a.T
+    dim = branches.shape[1]
     n = np.arange(dim, dtype=float)
-    # Joint photon-number distribution P[n_p, n_c] of the mixture.
-    number = np.einsum("bij,bij->ij", branches, branches) / total
+    root = np.sqrt(n[1:])  # sqrt(i + 1) for i < cutoff
+    # i + (i + 1)[i < cutoff]: the diagonal of a^T a + a a^T when truncated.
+    diag = n + np.append(n[1:], 0.0)
 
     out: dict = {}
-    k_psi = {}
-    for mode, marginal in (("probe", number.sum(1)), ("conjugate", number.sum(0))):
-        x_psi = _apply(x, branches, mode)
-        mean_x = float(np.vdot(branches, x_psi)) / total
-        var_x = float(np.vdot(x_psi, x_psi)) / total - mean_x * mean_x
-        del x_psi
-        k_psi[mode] = _apply(k, branches, mode)
+    for mode, axis, one, two in (
+        ("probe", 1, (1, 0), (2, 0)),
+        ("conjugate", 0, (0, 1), (0, 2)),
+    ):
+        marginal = number.sum(axis) / total
+        t1 = _pair_sum(branches, (0, 0), one).sum(axis) / total
+        t2 = _pair_sum(branches, (0, 0), two).sum(axis) / total
+        mean_x = 2.0 * float(root @ t1)
+        d = float(marginal @ diag)
+        s = 2.0 * float((root[:-1] * root[1:]) @ t2)
         mean_n = float(marginal @ n)
         out[mode] = {
-            "x": (mean_x, var_x),
-            "y": (0.0, float(np.vdot(k_psi[mode], k_psi[mode])) / total),
+            "x": (mean_x, d + s - mean_x * mean_x),
+            "y": (0.0, d - s),
             "n": (mean_n, float(marginal @ (n * n)) - mean_n * mean_n),
         }
-    cross = float(np.vdot(k_psi["probe"], k_psi["conjugate"])) / total
+    anti = _pair_sum(branches, (0, 1), (1, 0)) - _pair_sum(branches, (0, 0), (1, 1))
+    cross = 2.0 * float(root @ anti @ root) / total
     pp, cc = out["probe"]["y"][1], out["conjugate"]["y"][1]
-    out["joint"] = [
-        (lam, 0.0, pp + 2.0 * lam * cross + lam * lam * cc) for lam in lambdas
-    ]
+    var = pp + 2.0 * lam * cross + lam * lam * cc
+    out["joint"] = np.column_stack((lam, np.zeros_like(lam), var))
     return out
 
 

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsui import cli, fock
 from tsui.cli import main, parse_span
@@ -75,6 +77,50 @@ class TestParseSpan:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
+
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        start=st.floats(-1e3, 1e3),
+        width=st.floats(0.0, 1e3),
+        step=st.floats(1e-3, 1e3),
+    )
+    def test_range_properties(self, start, width, step):
+        # Any valid range: evenly spaced from start, never past stop, and
+        # no grid point left out before it.
+        stop = start + width
+        values = parse_span(f"{start!r}:{stop!r}:{step!r}")
+        n = values.size
+        assert n >= 1 and values[0] == start
+        assert np.array_equal(values, start + step * np.arange(n))
+        assert values[-1] <= stop + 1e-12
+        assert start + step * n > stop - 1e-9 * max(1.0, abs(stop))
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        eighths=st.integers(-80, 80),
+        exponent=st.integers(0, 8),
+        steps=st.integers(0, 5000),
+    )
+    def test_exact_range_count(self, eighths, exponent, steps):
+        # Dyadic grids are exact, so the count and the endpoint are too.
+        start, step = eighths / 8, 2.0**-exponent
+        stop = start + steps * step
+        values = parse_span(f"{start!r}:{stop!r}:{step!r}")
+        assert values.size == steps + 1
+        assert values[-1] == stop
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20
+        ),
+        st.sampled_from([",", ", ", " ,"]),
+    )
+    def test_comma_list_round_trip(self, values, sep):
+        text = sep.join(repr(v) for v in values)
+        assert np.array_equal(parse_span(text), values)
+        assert np.array_equal(parse_span(text + ","), values)
 
 
 class TestCurves:
@@ -354,22 +400,25 @@ class TestVerify:
         assert "verification PASSED" in capsys.readouterr().out
 
     def test_dense_weight_grid(self, capsys, monkeypatch):
-        # 100,000 weights.  The oracle applies two loss channels and four
-        # operators per moment bundle whatever the grid; the guard fails a
-        # per-weight regression on the count instead of letting it run for
-        # minutes.
-        apply = fock._apply
-        calls = []
+        # 100,000 weights.  The oracle applies two loss channels and reads
+        # seven pair-sum tables per moment bundle whatever the grid; the
+        # guard fails a per-weight regression on the count instead of
+        # letting it run for minutes.
+        apply, pair_sum = fock._apply, fock._pair_sum
+        calls = {"apply": 0, "tables": 0}
 
-        def counted(*args):
-            calls.append(args[2])
-            assert len(calls) <= 10, "operator applications grow with the grid"
-            return apply(*args)
+        def counted(name, func, limit):
+            def wrapper(*args):
+                calls[name] += 1
+                assert calls[name] <= limit, f"{name} passes grow with the grid"
+                return func(*args)
+            return wrapper
 
-        monkeypatch.setattr(fock, "_apply", counted)
+        monkeypatch.setattr(fock, "_apply", counted("apply", apply, 2))
+        monkeypatch.setattr(fock, "_pair_sum", counted("tables", pair_sum, 14))
         assert main(["verify", "--lambdas", "0:1:1e-5"]) == 0
         assert "verification PASSED" in capsys.readouterr().out
-        assert len(calls) == 10
+        assert calls == {"apply": 2, "tables": 14}
 
     def test_joint_errors_match_per_weight_loop(self, capsys, monkeypatch):
         # The reported joint errors equal the per-weight comparison

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -95,6 +97,32 @@ class TestNoiseDataset:
         assert back.source == ds.source
         assert float(back.meta["center_freq"]) == 1e6
         assert path.read_text() == ds.csv_text()
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(0.0, exclude_min=True, allow_infinity=False),
+            ),
+            min_size=5,
+            max_size=30,
+        )
+    )
+    def test_csv_round_trip_is_bit_exact(self, rows):
+        # format_float writes the shortest string that parses back to the
+        # same double, so every value survives the file bit for bit.
+        lam, noise, sigma = (np.array(col) for col in zip(*rows))
+        ds = NoiseDataset(lam=lam, noise_db=noise, sigma_db=sigma, source="simulated")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scan.csv")
+            ds.to_csv(path)
+            back = load_noise_csv(path)
+        for name in ("lam", "noise_db", "sigma_db"):
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
+        assert back.source == "simulated"
+        assert back.csv_text() == ds.csv_text()
 
     def test_to_csv_into_missing_directory(self, tmp_path):
         ds = synthetic(1.67, 0.76, 0.79)

@@ -252,22 +252,60 @@ class TestOracleMoments:
             assert abs(bundle[mode]["n"][0] - inm) < 1e-12
             assert abs(bundle[mode]["n"][1] - invar) < 1e-10
 
-    def test_operator_count_independent_of_weights(self, monkeypatch):
-        # Four operator applications (x and k on each mode) serve any
-        # number of weights: the joint variance is a quadratic in lam.
+    def test_bundle_matches_references_on_random_amplitudes(self):
+        # Arbitrary real branches put most weight on the top level, where
+        # the truncated a a^T vanishes; the bundle must read the same
+        # moments there as the operator-product references.
+        rng = np.random.default_rng(8)
+        for cutoff, n_branches in ((1, 1), (3, 5), (6, 2)):
+            branches = rng.standard_normal((n_branches, cutoff + 1, cutoff + 1))
+            branches[:, -1, :] *= 10.0
+            branches[:, :, -1] *= 10.0
+            ens = FockEnsemble(branches=branches, cutoff=cutoff)
+            bundle = oracle_moment_bundle(ens, [0.0, 0.3, 1.0])
+            for lam, mean, var in bundle["joint"]:
+                im, iv = oracle_quadrature_stats(ens, lam)
+                assert abs(mean - im) < 1e-12 and abs(var - iv) < 1e-10 * iv
+            for mode in ("probe", "conjugate"):
+                for quad in ("x", "y"):
+                    im, iv = oracle_mode_quadrature(ens, mode, quad)
+                    bm, bv = bundle[mode][quad]
+                    assert abs(bm - im) < 1e-12 * max(1.0, abs(im))
+                    assert abs(bv - iv) < 1e-10 * iv
+
+    def test_table_passes_independent_of_weights(self, monkeypatch):
+        # Seven pair-sum tables serve any number of weights, the joint
+        # variance being a quadratic in lam, and no operator is applied.
         state, _ = build_seeded_tmss_fock(1.5, 0.5, cutoff=20)
         ens = apply_loss_fock(apply_loss_fock(state, 0.7, "probe"), 0.8, "conjugate")
-        apply = fock._apply
+        pair_sum = fock._pair_sum
+        monkeypatch.setattr(fock, "_apply", None)
         counts = []
-        for lambdas in ([0.5], np.linspace(0.0, 1.0, 101)):
+        for lambdas in ([], [0.5], np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 100_000)):
             calls = []
             monkeypatch.setattr(
-                fock, "_apply", lambda *args: calls.append(args[2]) or apply(*args)
+                fock, "_pair_sum", lambda *args: calls.append(args[1:]) or pair_sum(*args)
             )
-            bundle = oracle_moment_bundle(ens, lambdas)
-            assert len(bundle["joint"]) == len(lambdas)
+            joint = oracle_moment_bundle(ens, lambdas)["joint"]
+            assert joint.shape == (len(lambdas), 3) and joint.dtype == float
+            assert np.array_equal(joint[:, 0], lambdas)
+            assert not joint[:, 1].any()
             counts.append(len(calls))
-        assert counts == [4, 4]
+        assert counts == [7, 7, 7, 7]
+
+    def test_bundle_memory_is_table_sized(self):
+        # The cutoff-40 two-arm lossy ensemble holds 22 MiB of branches;
+        # the bundle reads it through views and (41 x 41) tables only.
+        state, _ = build_seeded_tmss_fock(2.0, 1.0, cutoff=40)
+        ens = apply_loss_fock(apply_loss_fock(state, 0.76, "probe"), 0.76, "conjugate")
+        assert ens.branches.nbytes > 20 * 2**20
+        tracemalloc.start()
+        try:
+            oracle_moment_bundle(ens, np.linspace(0.0, 1.0, 11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_lambda_validation(self):
         state, _ = build_seeded_tmss_fock(1.5, 0.0, cutoff=15)
@@ -275,6 +313,8 @@ class TestOracleMoments:
             oracle_quadrature_stats(state, -0.1)
         with pytest.raises(ValueError):
             oracle_moment_bundle(state, [0.5, 1.2])
+        with pytest.raises(ValueError):
+            oracle_moment_bundle(state, np.array([0.5, np.nan]))
 
     def test_zero_state_rejected(self):
         ens = FockEnsemble(branches=np.zeros((1, 5, 5)), cutoff=4)

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsui.fock import apply_loss_fock, build_seeded_tmss_fock, oracle_quadrature_stats
 from tsui.gaussian import InterferometerParams, WeightedMeasurement
@@ -55,6 +57,24 @@ class TestLambdaOpt:
             )
             worst = max(worst, abs(lambda_opt(p) - lambda_opt_numeric(p)))
         assert worst <= 1e-8
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        gain=st.floats(1.01, 10.0),
+        eta_p=st.floats(0.01, 1.0),
+        eta_c=st.floats(0.01, 1.0),
+        ratio=st.one_of(st.none(), st.floats(1e-3, 0.1)),
+    )
+    def test_in_unit_interval_and_minimizes_variance(self, gain, eta_p, eta_c, ratio):
+        # A ratio sets eta_c = ratio * eta_p << eta_p, where the raw
+        # quadratic minimum can exceed 1 and the weight is clamped (11 of
+        # the 100 derandomized examples).
+        if ratio is not None:
+            eta_c = ratio * eta_p
+        p = InterferometerParams(gain=gain, eta_p=eta_p, eta_c=eta_c)
+        lo = lambda_opt(p)
+        assert 0.0 <= lo <= 1.0
+        assert abs(lo - lambda_opt_numeric(p)) <= 1e-8
 
     def test_clamped_when_conjugate_much_lossier(self):
         # Strong asymmetry pushes the raw quadratic minimum above 1; the
