@@ -417,7 +417,8 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     It runs from ``options.initial`` when given and from a start inverted
     from the measured minimum (gain from the parabolic minimum assuming
     no loss, eta_c = 0.85), keeping the better converged result; a fixed
-    grid of ten starts runs only if neither converges.
+    grid of ten starts runs only if neither converges or if the winner's
+    ``scale_db`` sits at its bound, and the lowest cost of all wins.
 
     Parameter uncertainties are the square roots of the diagonal of
     (J^T J)^(-1) at the solution, J holding every free parameter,
@@ -520,7 +521,10 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
             n_starts += 1
             if res.status > 0 and (best is None or res.cost < best.cost):
                 best, winner = res, label
-        if best is not None:
+        # With scale_db clipped the shape must absorb the rest of the
+        # offset, which can pull a converged start into the eta_p = 0
+        # cusp; the grid is run then too.
+        if best is not None and profiled(best.x)[2] not in _SCALE_BOUNDS:
             break
     if best is None:
         raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations")

@@ -6,14 +6,16 @@ algebra.  It exists to cross-check the Gaussian code path at the small
 seeds and gains a cutoff of at most ``MAX_CUTOFF`` photons per mode holds.
 
 A state is an amplitude matrix psi[n_p, n_c].  The pure amplifier output
-is exp(r (ad_p ad_c - a_p a_c)) applied to |alpha, 0> by a sparse matrix
-exponential.  Loss is an explicit Kraus ensemble of photon-loss
-branches, kept as separate pure states (the mixtures stay small because
-expectation values are linear in the branches); each Kraus operator is a
-matrix product on one index.  :func:`oracle_moment_bundle` reads every
-moment from sums of amplitude pairs over the branches, without forming
-an operator; the complex references apply the ladder operators as
-matrices, an independent route to the same moments.
+exp(r (ad_p ad_c - a_p a_c)) |alpha, 0> is written down amplitude by
+amplitude from the closed form of the two-mode squeezer on a number
+state (see :func:`build_seeded_tmss_fock`).  Loss is an explicit Kraus
+ensemble of photon-loss branches, kept as separate pure states (the
+mixtures stay small because expectation values are linear in the
+branches); each Kraus operator is a matrix product on one index.
+:func:`oracle_moment_bundle` reads every moment from sums of amplitude
+pairs over the branches, without forming an operator; the complex
+references apply the ladder operators as matrices, an independent
+route to the same moments.
 """
 
 from __future__ import annotations
@@ -22,12 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln, xlog1py, xlogy
 
 __all__ = [
-    "DEFAULT_PAD",
     "FockEnsemble",
     "FockState",
     "TruncationError",
@@ -39,12 +38,6 @@ __all__ = [
     "oracle_quadrature_stats",
 ]
 
-# Extra Fock levels used while exponentiating the squeezer so that
-# population pushed past the requested cutoff is represented rather than
-# reflected.  16 levels keep the boundary error of retained amplitudes
-# below ~1e-12 for the gains this oracle is used at.
-DEFAULT_PAD = 16
-
 # A state is rejected when more than this much probability lies outside
 # the retained (cutoff + 1)^2 block.
 NORM_DEFICIT_LIMIT = 1e-4
@@ -53,10 +46,6 @@ NORM_DEFICIT_LIMIT = 1e-4
 # doubles, 111 MB at 60; the moment bundle adds only its (cutoff + 1)^2
 # tables (0.12 MiB peak under tracemalloc at G=2, alpha=1, eta=0.76).
 MAX_CUTOFF = 60
-
-# Largest accepted working pad: the exponentiation holds
-# (cutoff + 1 + pad)^2 amplitudes.
-MAX_PAD = 64
 
 
 class TruncationError(RuntimeError):
@@ -76,7 +65,6 @@ class TruncationReport:
     """Probability mass lost to truncation when building a state."""
 
     cutoff: int
-    pad: int
     norm_deficit: float
 
 
@@ -111,16 +99,6 @@ class FockEnsemble:
         return float(np.vdot(self.branches, self.branches).real)
 
 
-def _coherent_amplitudes(alpha: float, dim: int) -> np.ndarray:
-    # c_n = exp(-|a|^2/2) a^n / sqrt(n!), built by the stable recurrence
-    # c_n = c_{n-1} * a / sqrt(n).
-    c = np.empty(dim)
-    c[0] = math.exp(-0.5 * alpha * alpha)
-    for n in range(1, dim):
-        c[n] = c[n - 1] * alpha / math.sqrt(n)
-    return c
-
-
 def _ladder(dim: int) -> np.ndarray:
     # Annihilation operator a|n> = sqrt(n)|n-1>.  X = a + a^T, and
     # k = a - a^T = iY is real and antisymmetric: for real amplitude
@@ -128,26 +106,27 @@ def _ladder(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), 1)
 
 
-def _two_mode_squeezer(r: float, dim: int) -> sparse.csr_matrix:
-    # Generator r * (ad_p ad_c - a_p a_c) on the flattened |n_p, n_c> grid.
-    a = sparse.csr_matrix(_ladder(dim))
-    return (r * (sparse.kron(a.T, a.T) - sparse.kron(a, a))).tocsr()
-
-
 def build_seeded_tmss_fock(
     gain: float,
     alpha: float = 0.0,
     cutoff: int = 40,
-    pad: int = DEFAULT_PAD,
 ) -> tuple[FockState, TruncationReport]:
-    """Seeded two-mode squeezed state by direct matrix exponentiation.
+    """Seeded two-mode squeezed state from its closed-form amplitudes.
+
+    The squeezer maps |n, 0> to cosh(r)^-(n+1) sum_k tanh(r)^k
+    sqrt(binom(n + k, k)) |n + k, k> (the SU(1,1) disentangling theorem;
+    Schumaker & Caves, PRA 31, 3093 (1985)), so with the coherent seed
+    c_n = exp(-alpha^2/2) alpha^n / sqrt(n!) every amplitude is
+
+        psi[n + k, k] = c_n tanh(r)^k sqrt(binom(n + k, k)) / cosh(r)^(n+1),
+
+    evaluated in log space.  The full state has unit norm, so the
+    probability outside the retained block is 1 - ||psi||^2.
 
     Args:
         gain: amplifier intensity gain G >= 1.
         alpha: coherent seed amplitude on the probe mode.
         cutoff: highest retained photon number per mode, 1 to ``MAX_CUTOFF``.
-        pad: extra working levels per mode during the exponentiation,
-            0 to ``MAX_PAD``.
 
     Returns:
         ``(state, report)`` where ``state`` holds the retained block and
@@ -160,26 +139,26 @@ def build_seeded_tmss_fock(
         raise ValueError(f"gain must be >= 1, got {gain!r}")
     if not 0.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
-    if not 1 <= cutoff <= MAX_CUTOFF or not 0 <= pad <= MAX_PAD:
-        raise ValueError(
-            f"cutoff must lie in [1, {MAX_CUTOFF}] and pad in [0, {MAX_PAD}], "
-            f"got cutoff {cutoff!r}, pad {pad!r}"
-        )
+    if not 1 <= cutoff <= MAX_CUTOFF:
+        raise ValueError(f"cutoff must lie in [1, {MAX_CUTOFF}], got {cutoff!r}")
     r = math.acosh(math.sqrt(gain))
-    dim = cutoff + 1 + pad
-    seed = np.zeros((dim, dim))
-    seed[:, 0] = _coherent_amplitudes(alpha, dim)
-    gen = _two_mode_squeezer(r, dim)
-    out = expm_multiply(gen, seed.reshape(-1)).reshape(dim, dim)
-    kept = out[: cutoff + 1, : cutoff + 1].copy()
-    total = float(np.vdot(out, out).real)
-    deficit = max(total - float(np.vdot(kept, kept).real), 0.0)
-    # The padded box itself leaks a little; count that as deficit too.
-    deficit += max(1.0 - total, 0.0)
-    report = TruncationReport(cutoff=cutoff, pad=pad, norm_deficit=deficit)
+    # Amplitudes sit on the block's lower triangle, psi[i, k] with i >= k
+    # and seed photon number n = i - k; xlogy(0, 0) = 0 keeps the exact
+    # coherent state at G = 1 and the exact ladder at alpha = 0.
+    k, i = np.triu_indices(cutoff + 1)
+    n = i - k
+    log_amp = (
+        -0.5 * alpha * alpha + xlogy(n, alpha) + xlogy(k, math.tanh(r))
+        + 0.5 * gammaln(i + 1) - gammaln(n + 1) - 0.5 * gammaln(k + 1)
+        - (n + 1) * math.log(math.cosh(r))
+    )
+    psi = np.zeros((cutoff + 1, cutoff + 1))
+    psi[i, k] = np.exp(log_amp)
+    deficit = max(1.0 - float(np.vdot(psi, psi)), 0.0)
+    report = TruncationReport(cutoff=cutoff, norm_deficit=deficit)
     if deficit > NORM_DEFICIT_LIMIT:
         raise TruncationError(report)
-    return FockState(amplitudes=kept, cutoff=cutoff), report
+    return FockState(amplitudes=psi, cutoff=cutoff), report
 
 
 def _loss_kraus(eta: float, dim: int) -> np.ndarray:

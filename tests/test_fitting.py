@@ -263,6 +263,15 @@ class TestFitNoiseCurve:
         assert fit.scale_db == 80.0
         assert "parameter scale_db sits at a fit bound" in fit.warnings
 
+    def test_clipped_scale_runs_the_grid(self):
+        # 200 dB up, the data start converges with the scale clipped into
+        # the eta_p = 0 cusp (eta_c 0.03, chi2 1.150e8); the grid, run
+        # because the scale sits at its bound, finds a lower cost.
+        fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79, scale_db=200.0))
+        assert fit.scale_db == 80.0
+        assert fit.n_starts == 11 and fit.winning_start.startswith("grid:")
+        assert fit.eta_c > 0.9 and fit.chi_square < 1.01e8
+
     def test_custom_initial_point(self):
         ds = synthetic(1.67, 0.76, 0.79)
         fit = fit_noise_curve(

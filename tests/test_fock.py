@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
+from scipy.stats import poisson
 
 from tsui import fock
 from tsui.fock import (
-    MAX_PAD,
     FockEnsemble,
     FockState,
     TruncationError,
@@ -72,13 +74,43 @@ class TestBuild:
             build_seeded_tmss_fock(2.0, -1.0)
         with pytest.raises(ValueError):
             build_seeded_tmss_fock(2.0, 0.0, cutoff=0)
-        # Non-finite seeds and oversized pads are rejected before anything
-        # is allocated (NaN used to return a NaN state).
+        # Non-finite seeds are rejected before anything is allocated (NaN
+        # used to return a NaN state).
         for alpha in (math.nan, math.inf):
             with pytest.raises(ValueError, match="alpha"):
                 build_seeded_tmss_fock(1.5, alpha)
-        with pytest.raises(ValueError, match="pad"):
-            build_seeded_tmss_fock(1.5, 0.0, pad=MAX_PAD + 1)
+
+    @pytest.mark.parametrize("gain", [1.0, 1.67, 2.0, 2.5])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    def test_matches_brute_force_exponentiation(self, gain, alpha):
+        # The closed form against exp(r (ad_p ad_c - a_p a_c)) |alpha, 0>
+        # integrated on a box 64 levels past the largest cutoff, where the
+        # seed and the squeezed tail are negligible.  Each cutoff's block is
+        # a slice of the same converged state, and its deficit is the mass
+        # the exponentiation puts outside that block.
+        dim = fock.MAX_CUTOFF + 1 + 64
+        n = np.arange(dim)
+        seed = np.zeros((dim, dim))
+        seed[:, 0] = np.sqrt(poisson.pmf(n, alpha**2))
+        a = sparse.csr_matrix(fock._ladder(dim))
+        r = math.acosh(math.sqrt(gain))
+        gen = r * (sparse.kron(a.T, a.T) - sparse.kron(a, a))
+        ref = expm_multiply(gen.tocsr(), seed.reshape(-1)).reshape(dim, dim)
+        total = float(np.vdot(ref, ref))
+        accepted = 0
+        for cutoff in (20, 40, 60):
+            block = ref[: cutoff + 1, : cutoff + 1]
+            tail = total - float(np.vdot(block, block))
+            try:
+                state, report = build_seeded_tmss_fock(gain, alpha, cutoff)
+            except TruncationError as err:
+                assert tail > 1e-4
+                assert abs(err.report.norm_deficit - tail) < 1e-12
+                continue
+            accepted += 1
+            assert np.abs(state.amplitudes - block).max() < 1e-13
+            assert abs(report.norm_deficit - tail) < 1e-12
+        assert accepted
 
 
 class TestLossChannel:

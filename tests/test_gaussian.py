@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from tsui.gaussian import (
+    PHYSICALITY_TOL,
     GaussianState,
     InterferometerParams,
     MomentSummary,
@@ -111,6 +113,23 @@ class TestSeededTmss:
         for _ in range(200):
             p = random_params(rng)
             apply_loss(seeded_tmss(p), p.eta_p, p.eta_c)  # must not raise
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        gain=strategies.floats(1.0, 50.0),
+        alpha=strategies.floats(0.0, 10.0),
+        eta_p=strategies.floats(0.0, 1.0),
+        eta_c=strategies.floats(0.0, 1.0),
+        dphi=strategies.floats(-2.0 * math.pi, 2.0 * math.pi),
+    )
+    def test_produced_states_obey_uncertainty(self, gain, alpha, eta_p, eta_c, dphi):
+        # cov + i Omega >= 0 for every state the pipeline produces, with
+        # Omega written out here rather than taken from the module.
+        omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+        pure = seeded_tmss(InterferometerParams(gain=gain, alpha=alpha))
+        lossy = apply_loss(pure, eta_p, eta_c)
+        for state in (pure, lossy, apply_phase_shift(lossy, dphi)):
+            assert np.linalg.eigvalsh(state.cov + 1j * omega).min() >= -PHYSICALITY_TOL
 
 
 class TestApplyLoss:

@@ -225,25 +225,25 @@ class TestSensitivity:
 
 
 class TestSnri:
-    def test_sql_offset_constant(self):
-        rng = np.random.default_rng(24)
-        for _ in range(100):
-            p = InterferometerParams(
-                gain=1.0 + 4.0 * rng.random(),
-                eta_p=0.5 + 0.5 * rng.random(),
-                eta_c=0.5 + 0.5 * rng.random(),
-            )
-            lam = rng.random()
-            diff = snri(p, lam, SqlKind.SQL1) - snri(p, lam, SqlKind.SQL2)
+    @settings(derandomize=True, deadline=None)
+    @given(
+        gain=st.floats(1.0, 50.0),
+        eta_p=st.floats(0.0, 1.0),
+        eta_c=st.floats(0.0, 1.0),
+        lams=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=21),
+    )
+    def test_sql_offset_constant(self, gain, eta_p, eta_c, lams):
+        p = InterferometerParams(gain=gain, eta_p=eta_p, eta_c=eta_c)
+        # An array of weights gives one value per weight, matching the
+        # scalar calls, with the same constant offset.
+        lams = np.array(lams)
+        sql1, sql2 = snri(p, lams, SqlKind.SQL1), snri(p, lams, SqlKind.SQL2)
+        assert sql1.shape == sql2.shape == lams.shape
+        assert np.all(np.abs(sql1 - sql2 - LOG2_DB) <= 1e-12)
+        for w, two in zip(lams, sql2):
+            diff = snri(p, float(w), SqlKind.SQL1) - snri(p, float(w), SqlKind.SQL2)
             assert abs(diff - LOG2_DB) <= 1e-12
-            # An array of weights gives one value per weight, matching
-            # the scalar calls, with the same constant offset.
-            lams = np.linspace(0.0, 1.0, 11)
-            sql1, sql2 = snri(p, lams, SqlKind.SQL1), snri(p, lams, SqlKind.SQL2)
-            assert sql2.shape == lams.shape
-            assert np.all(np.abs(sql1 - sql2 - LOG2_DB) <= 1e-12)
-            for w, value in zip(lams, sql2):
-                assert abs(value - snri(p, float(w), SqlKind.SQL2)) <= 1e-12
+            assert abs(two - snri(p, float(w), SqlKind.SQL2)) <= 1e-12
 
     def test_low_gain_crossover(self):
         # At G = 1.1 the balanced readout is noisier than one coherent
