@@ -11,7 +11,7 @@ amplitude from the closed form of the two-mode squeezer on a number
 state (see :func:`build_seeded_tmss_fock`).  Loss is an explicit Kraus
 ensemble of photon-loss branches, kept as separate pure states (the
 mixtures stay small because expectation values are linear in the
-branches); each Kraus operator is a matrix product on one index.
+branches); each Kraus operator shifts one index and scales it.
 :func:`oracle_moment_bundle` reads every moment from sums of amplitude
 pairs over the branches, without forming an operator; the complex
 references apply the ladder operators as matrices, an independent
@@ -161,8 +161,10 @@ def build_seeded_tmss_fock(
     return FockState(amplitudes=psi, cutoff=cutoff), report
 
 
-def _loss_kraus(eta: float, dim: int) -> np.ndarray:
-    # K_k[n - k, n] = sqrt(binom(n, k) eta^(n-k) (1 - eta)^k); log-space
+def _loss_weights(eta: float, dim: int) -> np.ndarray:
+    # Losing k photons maps |n> to w[k, n] |n - k>: the Kraus operator K_k
+    # has the one nonzero diagonal K_k[n - k, n] = w[k, n] =
+    # sqrt(binom(n, k) eta^(n-k) (1 - eta)^k), zero for n < k.  Log-space
     # binomials keep large n stable, and xlogy(0, 0) = 0 gives the exact
     # identity at eta = 1 and the exact vacuum map at eta = 0.
     k, n = np.triu_indices(dim)
@@ -170,9 +172,9 @@ def _loss_kraus(eta: float, dim: int) -> np.ndarray:
         gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
         + xlogy(n - k, eta) + xlog1py(k, -eta)
     )
-    kraus = np.zeros((dim, dim, dim))
-    kraus[k, n - k, n] = np.exp(0.5 * log_w)
-    return kraus
+    weights = np.zeros((dim, dim))
+    weights[k, n] = np.exp(0.5 * log_w)
+    return weights
 
 
 def _as_branches(state: "FockState | FockEnsemble") -> np.ndarray:
@@ -183,8 +185,8 @@ def _as_branches(state: "FockState | FockEnsemble") -> np.ndarray:
 
 def _apply(op: np.ndarray, branches: np.ndarray, mode: str) -> np.ndarray:
     # A single-mode operator on amplitude matrices psi[n_p, n_c]: op psi on
-    # the probe, psi op^T on the conjugate.  Leading axes of both operands
-    # broadcast (branches, Kraus outcomes).
+    # the probe, psi op^T on the conjugate.  Leading axes (branches)
+    # broadcast.
     if mode == "probe":
         return op @ branches
     return branches @ np.swapaxes(op, -1, -2)
@@ -210,8 +212,16 @@ def apply_loss_fock(
         raise ValueError(f"unknown mode {mode!r}")
     branches = _as_branches(state)
     dim = branches.shape[1]
-    kraus = _loss_kraus(eta, dim)[:, np.newaxis]
-    new = _apply(kraus, branches, mode).reshape(-1, dim, dim)
+    weights = _loss_weights(eta, dim)
+    # Outcome k shifts the mode's photon number down by k and scales it by
+    # w[k, n]: a shifted, scaled copy of every branch, in (k, branch) order.
+    new = np.zeros((dim, *branches.shape), dtype=np.result_type(weights, branches))
+    for k in range(dim):
+        if mode == "probe":
+            np.multiply(weights[k, k:, None], branches[:, k:, :], out=new[k, :, : dim - k, :])
+        else:
+            np.multiply(weights[k, k:], branches[:, :, k:], out=new[k, :, :, : dim - k])
+    new = new.reshape(-1, dim, dim)
     kept = np.einsum("bij,bij->b", new.conj(), new).real > 0.0
     # A boolean mask copies every branch, so apply it only if one drops.
     if not kept.all():

@@ -10,10 +10,16 @@ white noise sits at 0 dB.
 Determinism: a record is a pure function of ``(config, trial)``.  Random
 draws always happen in the same order (block jitter phases, then the
 quadrature normals, then electronic noise for probe and conjugate), so
-identical inputs give bit-identical records.  A scan generates its
-trials on up to one thread per usable CPU, each from its own generator,
-and pools their segment sums in trial order, so records and scans do
-not depend on the number of workers.
+identical inputs give bit-identical records.
+
+The readout never needs a whole record.  A record is drawn as a stream
+of pieces, and each piece's in-band DFT (a small GEMM against a cached
+window x cos/sin basis) is added into per-segment band spectra; the
+electronic noise, drawn after every quadrature normal, enters by the
+linearity of the DFT.  A scan keeps three sums per segment, runs its
+trials on one thread per trial and usable CPU, each from its own
+generator, and pools the sums in trial order, so a scan does not depend
+on the number of workers.
 """
 
 from __future__ import annotations
@@ -44,14 +50,18 @@ __all__ = [
 # while leaving hundreds of segments in a default-length record.
 _BINS_PER_RBW = 8
 
-# Segments windowed and transformed per rfft call, so the readout's
-# temporaries stay a few MiB whatever the record length.
-_SEGMENTS_PER_FFT = 64
+# Samples per readout GEMM and per drawn piece of a scanned record; also
+# the most basis rows cached (144 B each at 9 band bins).  A GEMM this
+# size against the (rows, 2 n_bins) basis stays below OpenBLAS's
+# threading threshold (2^18 multiply-adds) for up to 16 bins, so it runs
+# on the calling thread and concurrent scan workers do not oversubscribe
+# the cores.
+_CHUNK = 2**13
 
-# Input caps: the longest record is 8x the default length (2 x 64 MiB,
-# about 130 MiB while generating and reading it), and a scan takes at
-# most 1000 records.  A scan keeps at most _MAX_SAMPLES samples per arm
-# in flight, however many workers it runs.
+# Input caps: the longest record is 8x the default length (2 x 64 MiB
+# when simulate_records returns it; a scan reads it piece by piece and
+# holds only its per-segment band spectra), and a scan takes at most
+# 1000 records.
 _MIN_SAMPLES = 2**14
 _MAX_SAMPLES = 2**23
 _MAX_TRIALS = 1000
@@ -145,9 +155,59 @@ class SpectrumResult:
     is_peak: bool
 
 
-def simulate_records(
-    config: SimConfig, trial: int = 0, *, out: np.ndarray | None = None
-) -> MeasurementRecord:
+def _record_pieces(config: SimConfig, trial: int, chunk: int | None = None):
+    """Draw one record as a stream of ``(arm, start, values)`` pieces.
+
+    The record is the sum of the pieces at positions ``start`` onwards of
+    arm 0 (probe) or 1 (conjugate).  They come in stream order: each
+    jitter block's quadrature pair, offset and tone included, then each
+    block's electronic noise for the probe, then for the conjugate.  With
+    ``chunk`` set, no piece is longer than ``chunk`` samples; without it
+    each piece is one whole block.  Smaller draws take the stream's
+    numbers in the same order as one whole-record draw would.
+    """
+    n = config.n_samples
+    p = config.params
+    state = apply_loss(seeded_tmss(p), p.eta_p, p.eta_c)
+    rng = np.random.default_rng([config.rng_seed, trial])
+    block = int(round(config.jitter_block * config.sample_rate))
+    step = block if chunk is None else min(block, chunk)
+    n_blocks = -(-n // block)
+    if config.lock_jitter_rms > 0.0:
+        phases = rng.normal(0.0, config.lock_jitter_rms, size=(n_blocks, 2))
+    else:
+        # Zero phase is exact (sin 0 = 0, cos 0 = 1) and draws nothing.
+        phases = np.zeros((n_blocks, 2))
+    tone_amp = 2.0 * math.sqrt(p.eta_p * p.gain) * p.alpha * config.tone_depth
+    omega = 2.0 * math.pi * config.tone_freq
+    for b, (e_p, e_c) in enumerate(phases):
+        # Rows pick out the rotated measurement direction per arm.
+        u = np.array(
+            [
+                [math.sin(e_p), math.cos(e_p), 0.0, 0.0],
+                [0.0, 0.0, math.sin(e_c), math.cos(e_c)],
+            ]
+        )
+        chol = np.linalg.cholesky(u @ state.cov @ u.T)
+        offset = u @ state.mean
+        stop = min((b + 1) * block, n)
+        for lo in range(b * block, stop, step):
+            hi = min(lo + step, stop)
+            seg = rng.standard_normal((hi - lo, 2)) @ chol.T
+            probe = seg[:, 0] + offset[0]
+            if config.tone_depth > 0.0:
+                t = np.arange(lo, hi) / config.sample_rate
+                probe += tone_amp * math.cos(e_p) * np.sin(omega * t)
+            yield 0, lo, probe
+            yield 1, lo, seg[:, 1] + offset[1]
+    if config.electronic_noise_var > 0.0:
+        sigma = math.sqrt(config.electronic_noise_var)
+        for arm in (0, 1):
+            for lo in range(0, n, step):
+                yield arm, lo, rng.normal(0.0, sigma, min(step, n - lo))
+
+
+def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     """Generate one pair of synchronized detector records.
 
     The two phase quadratures are drawn as a correlated Gaussian pair
@@ -162,61 +222,16 @@ def simulate_records(
         config: acquisition settings.
         trial: index of the acquisition; seeds the generator together
             with ``config.rng_seed``.
-        out: optional float64 array of shape (2, n_samples) to draw into,
-            so that a caller reading many records can reuse one buffer.
-            The record's arrays are then read-only views of its rows.
 
     Returns:
         A :class:`MeasurementRecord` with ``n_samples`` points per arm.
     """
     if not isinstance(trial, int) or trial < 0:
         raise ValueError(f"trial must be a nonnegative int, got {trial!r}")
-    n = config.n_samples
-    if out is None:
-        out = np.empty((2, n))
-    elif not (isinstance(out, np.ndarray) and out.shape == (2, n) and out.dtype == float):
-        raise ValueError(f"out must be a float64 array of shape (2, {n})")
-    p = config.params
-    state = apply_loss(seeded_tmss(p), p.eta_p, p.eta_c)
-    cov4 = state.cov
-    mean4 = state.mean
-    rng = np.random.default_rng([config.rng_seed, trial])
-
-    block = int(round(config.jitter_block * config.sample_rate))
-    n_blocks = -(-n // block)
-    if config.lock_jitter_rms > 0.0:
-        phases = rng.normal(0.0, config.lock_jitter_rms, size=(n_blocks, 2))
-    else:
-        # Zero phase is exact (sin 0 = 0, cos 0 = 1) and draws nothing.
-        phases = np.zeros((n_blocks, 2))
-    blocks = [slice(b * block, min((b + 1) * block, n)) for b in range(n_blocks)]
-    tone_amp = 2.0 * math.sqrt(p.eta_p * p.gain) * p.alpha * config.tone_depth
-    omega = 2.0 * math.pi * config.tone_freq
+    out = np.zeros((2, config.n_samples))
+    for arm, start, values in _record_pieces(config, trial):
+        out[arm, start : start + values.size] += values
     probe, conj = out
-    # Block by block, the draws take the stream's numbers in the same
-    # order as one whole-record draw would, so no record-sized
-    # temporary is needed.
-    for sl, (e_p, e_c) in zip(blocks, phases):
-        # Rows pick out the rotated measurement direction per arm.
-        u = np.array(
-            [
-                [math.sin(e_p), math.cos(e_p), 0.0, 0.0],
-                [0.0, 0.0, math.sin(e_c), math.cos(e_c)],
-            ]
-        )
-        chol = np.linalg.cholesky(u @ cov4 @ u.T)
-        seg = rng.standard_normal((sl.stop - sl.start, 2)) @ chol.T
-        offset = u @ mean4
-        probe[sl] = seg[:, 0] + offset[0]
-        conj[sl] = seg[:, 1] + offset[1]
-        if config.tone_depth > 0.0:
-            t = np.arange(sl.start, sl.stop) / config.sample_rate
-            probe[sl] += tone_amp * math.cos(e_p) * np.sin(omega * t)
-    if config.electronic_noise_var > 0.0:
-        sigma = math.sqrt(config.electronic_noise_var)
-        for arm in (probe, conj):
-            for sl in blocks:
-                arm[sl] += rng.normal(0.0, sigma, sl.stop - sl.start)
     probe.flags.writeable = False
     conj.flags.writeable = False
     return MeasurementRecord(probe=probe, conjugate=conj, config=config, trial=trial)
@@ -237,54 +252,132 @@ def combine_weighted(record: MeasurementRecord, lam: float) -> np.ndarray:
     return record.probe + lam * record.conjugate
 
 
-def _band_spectra(
-    series: np.ndarray, sample_rate: float, center_freq: float, rbw: float
-) -> np.ndarray:
-    """In-band rfft bins of each independent Welch segment.
+def _hann(offsets: np.ndarray, nperseg: int) -> np.ndarray:
+    # np.hanning(nperseg)[offsets] by its own formula, without the
+    # segment-length array.
+    return 0.5 + 0.5 * np.cos(np.pi * (2 * offsets + 1 - nperseg) / (nperseg - 1))
 
-    Hann-windowed, zero-overlap segments with bin spacing rbw / 8; the
-    band collects bins within rbw / 2 of the center.  The bins are scaled
-    so that the sum of |S|^2 over a segment is its normalized band power:
-    unit-variance white noise averages to 1.
+
+@dataclass(frozen=True)
+class _Band:
+    """Welch readout of one analysis band in a record of known length.
+
+    Hann-windowed, zero-overlap segments of ``nperseg`` samples with bin
+    spacing rbw / 8; the band collects the ``bins`` within rbw / 2 of the
+    center.  Row t of ``basis`` holds the columns [cos | -sin] of each
+    band bin at segment position t, so that samples @ basis is their
+    in-band DFT in real layout.  Segments of at most ``_CHUNK`` samples
+    get one row per position with the window folded in; longer segments
+    get ``_CHUNK`` rows without it, reused for every block of the segment.
     """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise ValueError("series must be 1-D")
-    if not (rbw > 0.0 and sample_rate > 0.0):
-        raise ValueError("rbw and sample_rate must be > 0")
+
+    nperseg: int
+    n_seg: int
+    bins: np.ndarray
+    basis: np.ndarray
+
+
+def _band(n_samples: int, sample_rate: float, center_freq: float, rbw: float) -> _Band:
+    """Check the band against a record of ``n_samples`` and build its basis."""
+    if not (0.0 < rbw < math.inf and 0.0 < sample_rate < math.inf):
+        raise ValueError("rbw and sample_rate must be finite and > 0")
     if not rbw / 2.0 < center_freq < sample_rate / 2.0 - rbw / 2.0:
         raise ValueError(
             "analysis band must lie strictly inside (0, sample_rate / 2)"
         )
     nperseg = int(round(_BINS_PER_RBW * sample_rate / rbw))
-    if series.size < nperseg:
+    if n_samples < nperseg:
         raise ValueError(
-            f"series too short: {series.size} samples, need >= {nperseg} "
+            f"series too short: {n_samples} samples, need >= {nperseg} "
             "for the requested resolution bandwidth"
         )
-    n_seg = series.size // nperseg
-    freqs = np.fft.rfftfreq(nperseg, 1.0 / sample_rate)
-    band = np.abs(freqs - center_freq) <= rbw / 2.0
-    n_bins = int(band.sum())
-    if n_bins == 0:
+    # The band's entries of np.fft.rfftfreq(nperseg, 1 / sample_rate),
+    # by its own formula, from the few bins around the band.
+    df = 1.0 / (nperseg * (1.0 / sample_rate))
+    k = np.arange(
+        max(math.floor((center_freq - rbw / 2.0) / df) - 1, 0),
+        min(math.ceil((center_freq + rbw / 2.0) / df) + 1, nperseg // 2) + 1,
+    )
+    bins = k[np.abs(k * df - center_freq) <= rbw / 2.0]
+    if bins.size == 0:
         raise ValueError("no analysis bins fall inside the requested band")
-    window = np.hanning(nperseg)
-    segs = series[: n_seg * nperseg].reshape(n_seg, nperseg)
+    rows = min(nperseg, _CHUNK)
+    t = np.arange(rows)
+    # (t k) mod nperseg is exact, so every angle stays below 2 pi.
+    angle = (2.0 * math.pi / nperseg) * (np.outer(t, bins) % nperseg)
     # One-sided PSD 2|X|^2 / (fs W) integrated over the band (times df),
-    # over the white-noise reference 2 n_bins df / fs: |X|^2 / (W n_bins).
-    scale = 1.0 / math.sqrt(float(window @ window) * n_bins)
-    # Fortran order is the layout a whole-array rfft()[:, band] has, so
-    # later row sums reduce in the same order.
-    out = np.empty((n_seg, n_bins), dtype=complex, order="F")
-    for start in range(0, n_seg, _SEGMENTS_PER_FFT):
-        rows = slice(start, start + _SEGMENTS_PER_FFT)
-        out[rows] = np.fft.rfft(segs[rows] * window, axis=1)[:, band] * scale
-    return out
+    # over the white-noise reference 2 n_bins df / fs: |X|^2 / (W n_bins),
+    # where the squared Hann window sums to W = 3 (nperseg - 1) / 8.
+    scale = 1.0 / math.sqrt(3.0 * (nperseg - 1) / 8.0 * bins.size)
+    weight = scale * _hann(t, nperseg) if rows == nperseg else np.full(rows, scale)
+    basis = np.empty((rows, 2 * bins.size))
+    np.multiply(np.cos(angle), weight[:, np.newaxis], out=basis[:, : bins.size])
+    np.multiply(np.sin(angle), -weight[:, np.newaxis], out=basis[:, bins.size :])
+    return _Band(nperseg=nperseg, n_seg=n_samples // nperseg, bins=bins, basis=basis)
+
+
+def _band_spectra(band: _Band, pieces, arms: int) -> np.ndarray:
+    """Per-segment band spectra of each arm, read from a record's pieces.
+
+    ``pieces`` yields ``(arm, start, values)`` as :func:`_record_pieces`
+    does: the pieces of one pass tile an arm's record in order, and a
+    later pass adds to an earlier one, since the DFT is linear.  Row g of
+    an arm's spectra holds segment g's band bins as [real parts, imaginary
+    parts], scaled so that its squared norm is the segment's normalized
+    band power: unit-variance white noise averages to 1.  Samples are
+    gathered into spans of at most ``_CHUNK``, whole segments or one
+    basis block of a long segment, and each span costs one GEMM.
+    """
+    n = band.nperseg
+    used = band.n_seg * n
+    # Spans tile each period: runs of whole segments, or one long segment.
+    period = _CHUNK - _CHUNK % n if n <= _CHUNK else n
+    span = min(period, _CHUNK)
+    spectra = np.zeros((arms, band.n_seg, band.basis.shape[1]))
+    stage = np.empty((arms, span))
+    for arm, start, values in pieces:
+        stop = min(start + values.size, used)
+        pos = start
+        while pos < stop:
+            first = pos - pos % period
+            lo = pos - (pos - first) % span
+            hi = min(lo + span, first + period, used)
+            end = min(stop, hi)
+            samples = values[pos - start : end - start]
+            if pos != lo or end != hi:
+                stage[arm, pos - lo : end - lo] = samples
+                samples = stage[arm, : hi - lo]
+            if end == hi:
+                _read_span(band, spectra[arm], lo, samples)
+            pos = end
+    return spectra
+
+
+def _read_span(band: _Band, spectra: np.ndarray, lo: int, samples: np.ndarray) -> None:
+    # Add the in-band DFT of the span starting at record position lo.
+    n = band.nperseg
+    seg, offset = divmod(lo, n)
+    if n <= _CHUNK:
+        rows = samples.size // n
+        spectra[seg : seg + rows] += samples.reshape(rows, n) @ band.basis
+        return
+    # A block of a long segment: window the samples here, and move the
+    # basis's phases from position 0 to the block's offset with one
+    # twiddle exp(-2 pi i k offset / n) per bin.
+    window = _hann(np.arange(offset, offset + samples.size), n)
+    dft = (samples * window) @ band.basis[: samples.size]
+    if offset:
+        phi = (2.0 * math.pi / n) * ((band.bins * offset) % n)
+        re, im = np.split(dft, 2)
+        dft = np.concatenate(
+            [re * np.cos(phi) + im * np.sin(phi), im * np.cos(phi) - re * np.sin(phi)]
+        )
+    spectra[seg] += dft
 
 
 def _cross_power(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-segment sum of Re(a b*) over the band bins."""
-    return (a.real * b.real + a.imag * b.imag).sum(axis=1)
+    """Per-segment sum of Re(a b*) over the band bins: a row dot."""
+    return np.einsum("ij,ij->i", a, b)
 
 
 def spectrum_power(
@@ -308,7 +401,11 @@ def spectrum_power(
         :class:`SpectrumResult`; ``power_db`` is 0 dB for unit-variance
         white noise.
     """
-    spectra = _band_spectra(series, sample_rate, center_freq, rbw)
+    series = np.asarray(series, dtype=float)
+    if series.ndim != 1:
+        raise ValueError("series must be 1-D")
+    band = _band(series.size, sample_rate, center_freq, rbw)
+    (spectra,) = _band_spectra(band, [(0, 0, series)], arms=1)
     mean_power = float(_cross_power(spectra, spectra).mean())
     is_peak = tone_freq is not None and abs(tone_freq - center_freq) <= rbw / 2.0
     return SpectrumResult(
@@ -319,31 +416,26 @@ def spectrum_power(
     )
 
 
-def _scan_workers(config: SimConfig, trials: int) -> int:
-    """Number of worker threads, each with one record buffer, of a scan.
+def _scan_workers(trials: int) -> int:
+    """Number of worker threads of a scan: one per trial and usable CPU.
 
-    One per usable CPU and trial, but never more than fit in the sample
-    cap of one record, so a scan holds at most ``_MAX_SAMPLES`` samples
-    per arm however many records are in flight.
+    A worker holds a few ``_CHUNK``-sample pieces and the band spectra of
+    the record it reads, never the record itself.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has CPU affinity
         cpus = os.cpu_count() or 1
-    return min(trials, cpus, _MAX_SAMPLES // config.n_samples)
+    return min(trials, cpus)
 
 
-def _segment_sums(
-    config: SimConfig, trial: int, center_freq: float, rbw: float, out: np.ndarray
-) -> np.ndarray:
+def _segment_sums(config: SimConfig, trial: int, band: _Band) -> np.ndarray:
     """Per-segment (|P|^2, Re(P C*), |C|^2) band sums of one record.
 
-    The record is drawn into ``out``, a (2, n_samples) buffer that the
-    worker reuses for each of its trials.
+    The record is drawn piece by piece straight into the arms' band
+    spectra; no record-sized array is made.
     """
-    record = simulate_records(config, trial=trial, out=out)
-    p = _band_spectra(record.probe, config.sample_rate, center_freq, rbw)
-    c = _band_spectra(record.conjugate, config.sample_rate, center_freq, rbw)
+    p, c = _band_spectra(band, _record_pieces(config, trial, _CHUNK), arms=2)
     return np.stack([_cross_power(p, p), _cross_power(p, c), _cross_power(c, c)])
 
 
@@ -363,7 +455,7 @@ def measure_noise_vs_lambda(
     spectral pass per record serves every weight.  Segments from all
     trials are pooled; the quoted uncertainty is the standard error of
     their mean, mapped to dB.  Trials run on up to one thread per usable
-    CPU (fewer for long records), with the same result for any number.
+    CPU, with the same result for any number; no record is held whole.
 
     Because every weight reuses the same records, the scan's points are
     strongly correlated across lambda: the whole curve shifts together
@@ -383,17 +475,12 @@ def measure_noise_vs_lambda(
     grid = _validate_grid("lambda_grid", lambda_grid, 0.0, 1.0)
     if not isinstance(trials, int) or not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be an int in [1, {_MAX_TRIALS}], got {trials!r}")
-    workers = _scan_workers(config, trials)
-    # Worker k reads trials k, k + W, ... into one buffer that this thread
-    # allocates: records allocated in the workers would be freed into
-    # per-thread malloc arenas, which keep the memory (peak RSS).
-    buffers = [np.empty((2, config.n_samples)) for _ in range(workers)]
+    # The band is checked, and its basis built once, before any draw.
+    band = _band(config.n_samples, config.sample_rate, center_freq, rbw)
+    workers = _scan_workers(trials)
 
     def read_trials(k: int) -> list[np.ndarray]:
-        return [
-            _segment_sums(config, i, center_freq, rbw, buffers[k])
-            for i in range(k, trials, workers)
-        ]
+        return [_segment_sums(config, i, band) for i in range(k, trials, workers)]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         per_worker = list(pool.map(read_trials, range(workers)))

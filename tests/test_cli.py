@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsui import cli, fock
+from tsui import cli, fock, simulate
 from tsui.cli import main, parse_span
 from tsui.fitting import NoiseDataset, load_noise_csv
 from tsui.gaussian import (
@@ -322,6 +322,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cutoff" in err
 
+    def test_bad_band_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch):
+        # The band is checked before a 2^23-sample record is drawn.
+        draws = []
+        monkeypatch.setattr(simulate, "_record_pieces", lambda *args: draws.append(args))
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"gain = 1.67\nduration = {2**23 / 8e6!r}\n")
+        out = tmp_path / "scan.csv"
+        for flags, word in ((["--center-freq", "5e6"], "inside"), (["--rbw", "1"], "too short")):
+            argv = ["simulate", "--config", str(cfg), "--trials", "2", "--out", str(out), *flags]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and word in err and "Traceback" not in err
+        assert draws == []
+        assert not out.exists()
+
 
 class TestFit:
     def test_fit_with_overlays(self, tmp_path, capsys):
@@ -400,10 +415,11 @@ class TestVerify:
         assert "verification PASSED" in capsys.readouterr().out
 
     def test_dense_weight_grid(self, capsys, monkeypatch):
-        # 100,000 weights.  The oracle applies two loss channels and reads
-        # seven pair-sum tables per moment bundle whatever the grid; the
-        # guard fails a per-weight regression on the count instead of
-        # letting it run for minutes.
+        # 100,000 weights.  The oracle applies no operator (the loss
+        # channels shift and scale branches) and reads seven pair-sum
+        # tables per moment bundle whatever the grid; the guard fails a
+        # per-weight regression on the count instead of letting it run
+        # for minutes.
         apply, pair_sum = fock._apply, fock._pair_sum
         calls = {"apply": 0, "tables": 0}
 
@@ -414,11 +430,11 @@ class TestVerify:
                 return func(*args)
             return wrapper
 
-        monkeypatch.setattr(fock, "_apply", counted("apply", apply, 2))
+        monkeypatch.setattr(fock, "_apply", counted("apply", apply, 0))
         monkeypatch.setattr(fock, "_pair_sum", counted("tables", pair_sum, 14))
         assert main(["verify", "--lambdas", "0:1:1e-5"]) == 0
         assert "verification PASSED" in capsys.readouterr().out
-        assert calls == {"apply": 2, "tables": 14}
+        assert calls == {"apply": 0, "tables": 14}
 
     def test_joint_errors_match_per_weight_loop(self, capsys, monkeypatch):
         # The reported joint errors equal the per-weight comparison

@@ -15,7 +15,7 @@ from tsui.fock import (
     FockEnsemble,
     FockState,
     TruncationError,
-    _loss_kraus,
+    _loss_weights,
     apply_loss_fock,
     build_seeded_tmss_fock,
     oracle_mode_quadrature,
@@ -113,36 +113,68 @@ class TestBuild:
         assert accepted
 
 
+def dense_kraus(eta, dim):
+    """The loss channel's Kraus operators as dense matrices,
+    K_k[n - k, n] = w[k, n]."""
+    k, n = np.triu_indices(dim)
+    kraus = np.zeros((dim, dim, dim))
+    kraus[k, n - k, n] = _loss_weights(eta, dim)[k, n]
+    return kraus
+
+
+def dense_loss(branches, eta, mode):
+    """Every Kraus operator applied by matmul to every branch, in (k,
+    branch) order, with the zero-weight branches dropped."""
+    dim = branches.shape[1]
+    new = fock._apply(dense_kraus(eta, dim)[:, np.newaxis], branches, mode)
+    new = new.reshape(-1, dim, dim)
+    return new[np.einsum("bij,bij->b", new, new) > 0.0]
+
+
 class TestLossChannel:
     def test_kraus_completeness(self):
         for eta in (0.0, 0.37, 0.76, 1.0):
-            kraus = _loss_kraus(eta, 12)
+            kraus = dense_kraus(eta, 12)
             total = np.einsum("kij,kil->jl", kraus, kraus)
             assert np.allclose(total, np.eye(12), atol=1e-12)
         # The end points are exact: no loss keeps K_0 = I and every other
         # operator zero; full loss maps |n> to |0> through K_n alone.
-        kraus = _loss_kraus(1.0, 12)
+        kraus = dense_kraus(1.0, 12)
         assert np.array_equal(kraus[0], np.eye(12))
         assert not kraus[1:].any()
-        kraus = _loss_kraus(0.0, 12)
+        kraus = dense_kraus(0.0, 12)
         expected = np.zeros((12, 12, 12))
         expected[np.arange(12), 0, np.arange(12)] = 1.0
         assert np.array_equal(kraus, expected)
 
     def test_kraus_matches_per_outcome_loop(self):
-        # The vectorised build against the per-outcome loop it replaced,
-        # same arithmetic in the same order, so bit for bit.
+        # The vectorised weights against the per-outcome loop they
+        # replaced, same arithmetic in the same order, so bit for bit.
         for eta in (1e-300, 0.37, 0.76, 1.0 - 1e-12):
             for dim in (12, 41):
-                expected = np.zeros((dim, dim, dim))
+                expected = np.zeros((dim, dim))
                 for k in range(dim):
                     n = np.arange(k, dim)
                     log_w = (
                         gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
                         + (n - k) * math.log(eta) + k * math.log1p(-eta)
                     )
-                    expected[k, n - k, n] = np.exp(0.5 * log_w)
-                assert np.array_equal(_loss_kraus(eta, dim), expected)
+                    expected[k, n] = np.exp(0.5 * log_w)
+                assert np.array_equal(_loss_weights(eta, dim), expected)
+
+    def test_matches_dense_kraus_matmul(self):
+        # Shifted, scaled copies give the dense Kraus matmul's branches, in
+        # the same order and with the same zero-weight drop, bit for bit.
+        state, _ = build_seeded_tmss_fock(1.5, 0.5, cutoff=12)
+        two = apply_loss_fock(state, 0.6, "probe")
+        for start in (state.amplitudes[np.newaxis], two.branches):
+            ens = FockEnsemble(branches=start, cutoff=12)
+            for eta in (0.0, 0.37, 1.0):
+                for mode in ("probe", "conjugate"):
+                    got = apply_loss_fock(ens, eta, mode).branches
+                    ref = dense_loss(start, eta, mode)
+                    assert got.shape == ref.shape
+                    assert np.array_equal(got, ref)
 
     def test_identity_at_full_transmission(self):
         state, _ = build_seeded_tmss_fock(1.5, 0.5, cutoff=15)
@@ -189,11 +221,9 @@ class TestLossChannel:
             tracemalloc.stop()
         ref = state.amplitudes[np.newaxis]
         for eta, mode in ((0.76, "probe"), (0.79, "conjugate")):
-            ref = fock._apply(_loss_kraus(eta, dim)[:, np.newaxis], ref, mode)
-            ref = ref.reshape(-1, dim, dim)
-            weights = np.einsum("bij,bij->b", ref, ref)
-            assert (weights > 0.0).all()
-            ref = ref[weights > 0.0]
+            ref = dense_loss(ref, eta, mode)
+            assert ref.shape[0] == dim * (1 if mode == "probe" else dim)
+        weights = np.einsum("bij,bij->b", ref, ref)
         assert np.array_equal(ens.branches, ref)
         assert np.array_equal(
             np.einsum("bij,bij->b", ens.branches, ens.branches), weights

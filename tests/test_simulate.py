@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import sys
 import threading
 import time
@@ -188,21 +189,6 @@ class TestSimulateRecords:
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_records(config(), trial=-1)
-        for bad in (np.empty((2, 31999)), np.empty((2, 32000), dtype=np.float32), [0.0]):
-            with pytest.raises(ValueError, match="out must be"):
-                simulate_records(config(), out=bad)
-
-    def test_out_buffer_is_reused(self):
-        # Drawing into a caller's buffer gives the same record, as
-        # read-only views of the buffer's rows.
-        cfg = config(gain=1.67, eta_p=0.76, eta_c=0.79, rng_seed=7, lock_jitter_rms=0.1)
-        out = np.full((2, cfg.n_samples), np.nan)
-        rec = simulate_records(cfg, trial=3, out=out)
-        ref = simulate_records(cfg, trial=3)
-        assert np.shares_memory(rec.probe, out) and np.shares_memory(rec.conjugate, out)
-        assert np.array_equal(out, np.stack([ref.probe, ref.conjugate]))
-        with pytest.raises(ValueError):
-            rec.probe[0] = 0.0
 
     def test_no_jitter_keeps_the_random_stream(self):
         # Without jitter the records are the quadrature normals through
@@ -281,6 +267,46 @@ class TestSpectrumPower:
             spectrum_power(np.zeros(100), 1e6, 1e5, FS)
         with pytest.raises(ValueError, match="1-D"):
             spectrum_power(np.zeros((2, 2**15)), 1e6, 1e5, FS)
+        with pytest.raises(ValueError, match="finite"):
+            spectrum_power(series, 1e6, math.nan, FS)
+
+    @staticmethod
+    def check_against_rfft(n, nperseg):
+        # The band spectra and band power against whole-segment rffts.
+        series = np.random.default_rng(n).standard_normal(n)
+        rbw = 8 * FS / nperseg
+        band = simulate._band(n, FS, 1e6, rbw)
+        assert band.nperseg == nperseg
+        assert band.basis.shape[0] == min(nperseg, simulate._CHUNK)
+        (spectra,) = simulate._band_spectra(band, [(0, 0, series)], arms=1)
+        re, im = np.split(spectra, 2, axis=1)
+        ref = serial_band_spectra(series, FS, 1e6, rbw)
+        assert ref.shape == re.shape
+        assert np.abs(re + 1j * im - ref).max() <= 1e-12 * np.abs(ref).max()
+        power = 10.0 ** (spectrum_power(series, 1e6, rbw, FS).power_db / 10.0)
+        assert math.isclose(power, (np.abs(ref) ** 2).sum(axis=1).mean(), rel_tol=1e-12)
+        return series, rbw
+
+    def test_single_segment_readout_matches_rfft(self):
+        # One segment spans the whole record.  The basis caches _CHUNK
+        # rows and turns each block to its offset with one twiddle per
+        # bin, so the readout peaks far below the 144 B per segment sample
+        # of a whole-segment basis (144 MiB here).
+        n = 2**20
+        series, rbw = self.check_against_rfft(n, n)
+        tracemalloc.start()
+        try:
+            spectrum_power(series, 1e6, rbw, FS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 144 * n / 32
+
+    @pytest.mark.parametrize("n, nperseg", [(100_003, 100_003), (80_017, 40_000), (2**15, 9_000)])
+    def test_ragged_segments_match_rfft(self, n, nperseg):
+        # Long segments with a short last block, several long segments,
+        # and short segments that do not divide a span.
+        self.check_against_rfft(n, nperseg)
 
 
 class TestMeasuredScan:
@@ -362,45 +388,72 @@ class TestMeasuredScan:
             stderr = powers.std(ddof=1) / math.sqrt(n_seg) / powers.mean()
             assert math.isclose(sigma, 10.0 / math.log(10.0) * stderr, rel_tol=1e-12)
 
-    def test_one_fft_pass_per_record(self, monkeypatch):
-        calls = []
-        real_rfft = np.fft.rfft
+    def test_scan_calls_no_rfft_and_builds_basis_once(self, monkeypatch):
+        def no_rfft(*args, **kwargs):
+            raise AssertionError("the scan called np.fft.rfft")
 
-        def counting_rfft(*args, **kwargs):
-            calls.append(1)
-            return real_rfft(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        band = simulate._band
+        builds = []
+        monkeypatch.setattr(np.fft, "rfft", no_rfft)
+        monkeypatch.setattr(simulate, "_band", lambda *args: builds.append(args) or band(*args))
         cfg = config(rng_seed=11)
         for n_lam in (5, 41):
-            calls.clear()
+            builds.clear()
             measure_noise_vs_lambda(cfg, np.linspace(0.0, 1.0, n_lam), trials=3)
-            assert len(calls) == 2 * 3
+            assert len(builds) == 1
+
+    def test_band_checked_before_any_draw(self, monkeypatch):
+        # A bad band fails before a worker draws from a 2^23-sample record.
+        pieces = simulate._record_pieces
+        draws = []
+        monkeypatch.setattr(
+            simulate, "_record_pieces", lambda *args: draws.append(args) or pieces(*args)
+        )
+        longest = config(duration=_MAX_SAMPLES / FS)
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        for kwargs, word in (
+            ({"center_freq": 5e6}, "inside"),
+            ({"center_freq": 1e3}, "inside"),
+            ({"rbw": 1.0}, "too short"),
+            ({"rbw": math.inf}, "finite"),
+        ):
+            with pytest.raises(ValueError, match=word):
+                measure_noise_vs_lambda(longest, grid, trials=2, **kwargs)
+        assert draws == []
+        measure_noise_vs_lambda(config(), grid, trials=1)
+        assert len(draws) == 1
 
     def test_memory_does_not_grow_with_trials(self):
-        # Only per-segment sums outlive a record and each of the W workers
-        # holds one record at a time, so 2W trials peak where W do, within
-        # a quarter of W default-length records (2 n float64 samples each).
-        cfg = config(duration=2**20 / FS, rng_seed=12)
-        workers = _scan_workers(cfg, _MAX_TRIALS)
+        # Records are read piece by piece; only band spectra (144 B per
+        # segment and arm) and three sums per segment outlive a piece.  So
+        # 2W trials peak where W do, up to where the W workers' transient
+        # pieces (2 x 2 x _CHUNK float64 each) happen to coincide; a
+        # 2^20-sample scan peaks within 1 MiB of a 2^18-sample one, and
+        # neither near one record (2 n float64 samples).
+        workers = _scan_workers(_MAX_TRIALS)
         grid = np.linspace(0.0, 1.0, 21)
-        measure_noise_vs_lambda(cfg, grid, trials=1)
+        measure_noise_vs_lambda(config(rng_seed=12), grid, trials=1)
         peaks = {}
         tracemalloc.start()
         try:
-            for trials in (workers, 2 * workers):
-                tracemalloc.reset_peak()
-                measure_noise_vs_lambda(cfg, grid, trials=trials)
-                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            for n in (2**18, 2**20):
+                cfg = config(duration=n / FS, rng_seed=12)
+                for trials in (workers, 2 * workers):
+                    tracemalloc.reset_peak()
+                    measure_noise_vs_lambda(cfg, grid, trials=trials)
+                    peaks[n, trials] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peaks[2 * workers] <= 1.1 * peaks[workers]
-        assert max(peaks.values()) <= 1.25 * workers * (2 * cfg.n_samples * 8)
+        for n in (2**18, 2**20):
+            assert peaks[n, 2 * workers] <= peaks[n, workers] + workers * 32 * simulate._CHUNK
+        assert peaks[2**20, workers] <= peaks[2**18, workers] + 2**20
+        assert max(peaks.values()) < 2 * 2**20 * 8
 
 
 class TestParallelScan:
-    """Scans draw trials on worker threads; the serial algorithm they
-    replaced stays here as the reference, bit for bit."""
+    """Scans draw trials on worker threads and read records piece by
+    piece; the serial whole-record algorithm stays here as the
+    reference, bit for bit for records and to round-off for scans."""
 
     CONFIGS = {
         "plain": {},
@@ -411,35 +464,74 @@ class TestParallelScan:
             "jitter_block": 0.0007,
         },
         "jitter_tone": {"lock_jitter_rms": 0.05, "tone_depth": 0.05},
+        # 20000-sample blocks: a scan draws each in pieces of at most
+        # _CHUNK samples.
+        "long_blocks": {
+            "lock_jitter_rms": 0.05,
+            "electronic_noise_var": 0.1,
+            "jitter_block": 0.0025,
+        },
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_matches_serial_reference(self, name):
+    def test_matches_serial_reference(self, name, monkeypatch):
         cfg = config(
             gain=1.67, eta_p=0.76, eta_c=0.79, alpha=50.0, duration=MEDIUM,
             rng_seed=21, **self.CONFIGS[name],
         )
-        # 200 segments per arm: the readout's 64-segment chunks end short.
+        # 200 segments per arm: the readout's 12-segment spans end short.
         assert cfg.n_samples // 640 == 200
+        assert 200 % (simulate._CHUNK // 640) != 0
         grid = np.linspace(0.0, 1.0, 21)
         records = [serial_records(cfg, trial) for trial in range(8)]
         for trial, (probe, conj) in enumerate(records):
             rec = simulate_records(cfg, trial=trial)
             assert np.array_equal(rec.probe, probe)
             assert np.array_equal(rec.conjugate, conj)
+        scan_workers = simulate._scan_workers
         for trials in (1, 3, 8):
+            monkeypatch.setattr(simulate, "_scan_workers", scan_workers)
             data = measure_noise_vs_lambda(cfg, grid, trials=trials)
             noise_db, sigma_db = serial_scan(records[:trials], FS, grid)
-            assert np.array_equal(data.noise_db, noise_db)
-            assert np.array_equal(data.sigma_db, sigma_db)
+            assert np.abs(data.noise_db - noise_db).max() <= 1e-12
+            assert np.abs(data.sigma_db - sigma_db).max() <= 1e-12
+            # Bit-identical for one worker, one per CPU, and more.
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(
+                    simulate, "_scan_workers", lambda trials, w=workers: min(trials, w)
+                )
+                again = measure_noise_vs_lambda(cfg, grid, trials=trials)
+                assert np.array_equal(again.noise_db, data.noise_db)
+                assert np.array_equal(again.sigma_db, data.sigma_db)
 
-    def test_longest_record_runs_alone(self):
-        # The count comes from the config alone; no record is generated.
-        longest = config(duration=_MAX_SAMPLES / FS)
+    def test_longest_record_runs_on_every_core(self, monkeypatch):
+        # A worker never holds a record, so the longest records scan on
+        # W = min(trials, CPUs) threads, far below one record's memory.
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count() or 1
+        assert _scan_workers(_MAX_TRIALS) == cpus
+        assert _scan_workers(1) == 1
+        longest = config(duration=_MAX_SAMPLES / FS, rng_seed=23)
         assert longest.n_samples == 2**23
-        assert _scan_workers(longest, _MAX_TRIALS) == 1
-        assert _scan_workers(config(duration=_MAX_SAMPLES / 2 / FS), _MAX_TRIALS) <= 2
-        assert _scan_workers(config(), 1) == 1
+        segment_sums = simulate._segment_sums
+        threads = set()
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return segment_sums(*args)
+
+        monkeypatch.setattr(simulate, "_segment_sums", recording)
+        monkeypatch.setattr(simulate, "simulate_records", None)
+        tracemalloc.start()
+        try:
+            measure_noise_vs_lambda(longest, [0.0, 0.25, 0.5, 0.75, 1.0], trials=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(threads) == min(2, cpus)
+        assert peak < 2 * longest.n_samples * 8 / 8
 
     def test_records_in_flight_never_exceed_the_worker_count(self, monkeypatch):
         cfg = config(rng_seed=22)
@@ -469,7 +561,7 @@ class TestParallelScan:
         finally:
             sys.setswitchinterval(interval)
         assert in_flight[0] == 0
-        assert 1 <= in_flight[1] <= _scan_workers(cfg, trials)
+        assert 1 <= in_flight[1] <= _scan_workers(trials)
         assert np.array_equal(data.noise_db, expected.noise_db)
         assert np.array_equal(data.sigma_db, expected.sigma_db)
 
