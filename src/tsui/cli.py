@@ -195,19 +195,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines: list[str] = []
     ok = True
 
-    pure_fock, report = fock.build_seeded_tmss_fock(
-        params.gain, params.alpha, cutoff=args.cutoff
-    )
-    lines.append(
-        f"state build: cutoff={args.cutoff}, norm deficit {report.norm_deficit:.3e}"
-    )
+    if args.cutoff is None:
+        cutoff = fock.moment_cutoff(params.gain, params.alpha)
+        how = f" (smallest with n^2-weighted tail <= {fock.MOMENT_TAIL_LIMIT:.0e})"
+    else:
+        cutoff, how = args.cutoff, ""
+    pure_fock, report = fock.build_seeded_tmss_fock(params.gain, params.alpha, cutoff=cutoff)
+    lines.append(f"state build: cutoff={cutoff}{how}, norm deficit {report.norm_deficit:.3e}")
     pure_gauss = seeded_tmss(params)
 
     if params.alpha == 0.0:
         # Unseeded output is diagonal in the photon-number basis with
         # amplitudes tanh(r)^n / cosh(r).
         tanh_r = math.tanh(params.r)
-        n = np.arange(args.cutoff + 1)
+        n = np.arange(cutoff + 1)
         ladder = tanh_r**n / math.cosh(params.r)
         err = float(np.abs(np.diag(pure_fock.amplitudes) - ladder).max())
         offdiag = pure_fock.amplitudes - np.diag(np.diag(pure_fock.amplitudes))
@@ -341,7 +342,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--gain", type=float, default=2.0)
     p_ver.add_argument("--alpha", type=float, default=0.0)
     p_ver.add_argument("--eta", default="0.76", help="'eta' or 'eta_p,eta_c'")
-    p_ver.add_argument("--cutoff", type=int, default=40)
+    p_ver.add_argument(
+        "--cutoff",
+        type=int,
+        help=(
+            "photons per mode (default: the smallest whose n^2-weighted tail "
+            f"is <= {fock.MOMENT_TAIL_LIMIT:.0e})"
+        ),
+    )
     p_ver.add_argument("--lambdas", default="0,0.5,1")
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -2,26 +2,29 @@
 
 Everything here recomputes the moments of :mod:`tsui.gaussian` by brute
 force in a truncated Fock space, without touching covariance-matrix
-algebra.  It exists to cross-check the Gaussian code path at the small
-seeds and gains a cutoff of at most ``MAX_CUTOFF`` photons per mode holds.
+algebra.  It exists to cross-check the Gaussian code path at seeds and
+gains a cutoff of at most ``MAX_CUTOFF`` photons per mode holds.
 
 A state is an amplitude matrix psi[n_p, n_c].  The pure amplifier output
 exp(r (ad_p ad_c - a_p a_c)) |alpha, 0> is written down amplitude by
 amplitude from the closed form of the two-mode squeezer on a number
-state (see :func:`build_seeded_tmss_fock`).  Loss is an explicit Kraus
-ensemble of photon-loss branches, kept as separate pure states (the
-mixtures stay small because expectation values are linear in the
-branches); each Kraus operator shifts one index and scales it.
-:func:`oracle_moment_bundle` reads every moment from sums of amplitude
-pairs over the branches, without forming an operator; the complex
-references apply the ladder operators as matrices, an independent
-route to the same moments.
+state (see :func:`build_seeded_tmss_fock`).  A lossy state is that pure
+state plus one power transmission per mode (:class:`FockEnsemble`):
+loss never raises a photon number, so the truncated channels compose
+exactly and a second loss on a mode multiplies its transmission.
+:func:`oracle_moment_bundle` reads every moment from seven sums of
+amplitude pairs of the pure state, each carried through the loss by a
+triangular matrix on each mode, without forming an operator or a branch.
+The complex references expand the loss into its Kraus branches and
+apply the ladder operators as matrices, an independent route to the
+same moments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
@@ -33,6 +36,7 @@ __all__ = [
     "TruncationReport",
     "apply_loss_fock",
     "build_seeded_tmss_fock",
+    "moment_cutoff",
     "oracle_mode_quadrature",
     "oracle_moment_bundle",
     "oracle_quadrature_stats",
@@ -42,10 +46,18 @@ __all__ = [
 # the retained (cutoff + 1)^2 block.
 NORM_DEFICIT_LIMIT = 1e-4
 
-# Largest accepted cutoff: a two-arm lossy ensemble holds (cutoff + 1)^4
-# doubles, 111 MB at 60; the moment bundle adds only its (cutoff + 1)^2
-# tables (0.12 MiB peak under tracemalloc at G=2, alpha=1, eta=0.76).
-MAX_CUTOFF = 60
+# Largest accepted cutoff.  The moment path holds (cutoff + 1)^2 arrays
+# and multiplies (cutoff + 1)-square matrices: at 400 a two-arm lossy
+# bundle (G=1.67, alpha=5, eta 0.76/0.79) takes 0.10-0.14 s on 2 cores
+# with a 17 MiB tracemalloc peak, and the cost grows as cutoff^3.
+MAX_CUTOFF = 400
+
+# Largest cutoff whose dense Kraus branches FockEnsemble.branches builds:
+# a two-arm lossy ensemble holds (cutoff + 1)^4 doubles, 111 MB at 60.
+MAX_BRANCH_CUTOFF = 60
+
+# moment_cutoff's bound on each mode's tail sum_{n > cutoff} n^2 p(n).
+MOMENT_TAIL_LIMIT = 1e-7
 
 
 class TruncationError(RuntimeError):
@@ -83,20 +95,48 @@ class FockState:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FockEnsemble:
-    """Unnormalized pure-state branches of a lossy state.
+    """A mixture of pure branches sent through photon loss on each mode.
 
-    ``branches[k]`` is the amplitude matrix conditioned on the k-th loss
-    outcome; branch weights are the squared norms, and the ensemble as a
-    whole represents their incoherent mixture.
+    ``base[b]`` are unnormalized amplitude matrices (a pure state is one
+    branch) whose incoherent mixture passed a loss channel of power
+    transmission ``eta_p`` on the probe and ``eta_c`` on the conjugate.
+    The loss is held as the two numbers, never expanded, unless
+    :attr:`branches` is read.
     """
 
-    branches: np.ndarray  # shape (n_branches, cutoff + 1, cutoff + 1)
+    base: np.ndarray  # shape (n_branches, cutoff + 1, cutoff + 1)
     cutoff: int
+    eta_p: float = 1.0
+    eta_c: float = 1.0
 
     def total_weight(self) -> float:
-        return float(np.vdot(self.branches, self.branches).real)
+        # Loss only moves weight between number states, so it keeps the trace.
+        return float(np.vdot(self.base, self.base).real)
+
+    @property
+    def branches(self) -> np.ndarray:
+        """The dense Kraus ensemble, built anew on every read.
+
+        One branch per (photons lost on the conjugate, photons lost on
+        the probe, base branch), in that order, zero-weight branches
+        dropped after each mode; a mode at transmission 1 is not
+        expanded.  Only the complex references and tests read it.
+
+        Raises:
+            ValueError: if ``cutoff`` exceeds ``MAX_BRANCH_CUTOFF``.
+        """
+        if self.cutoff > MAX_BRANCH_CUTOFF:
+            raise ValueError(
+                f"dense branches need cutoff <= {MAX_BRANCH_CUTOFF}, got "
+                f"{self.cutoff}: a two-arm ensemble holds (cutoff + 1)^4 doubles"
+            )
+        branches = self.base
+        for eta, mode in ((self.eta_p, "probe"), (self.eta_c, "conjugate")):
+            if eta < 1.0:
+                branches = _kraus_copies(branches, eta, mode)
+        return branches
 
 
 def _ladder(dim: int) -> np.ndarray:
@@ -135,6 +175,16 @@ def build_seeded_tmss_fock(
     Raises:
         TruncationError: if the deficit exceeds ``NORM_DEFICIT_LIMIT``.
     """
+    psi = _amplitudes(gain, alpha, cutoff)
+    deficit = max(1.0 - float(np.vdot(psi, psi)), 0.0)
+    report = TruncationReport(cutoff=cutoff, norm_deficit=deficit)
+    if deficit > NORM_DEFICIT_LIMIT:
+        raise TruncationError(report)
+    return FockState(amplitudes=psi, cutoff=cutoff), report
+
+
+def _amplitudes(gain: float, alpha: float, cutoff: int) -> np.ndarray:
+    # The (cutoff + 1)-square block of build_seeded_tmss_fock's closed form.
     if gain < 1.0 or not math.isfinite(gain):
         raise ValueError(f"gain must be >= 1, got {gain!r}")
     if not 0.0 <= alpha < math.inf:
@@ -154,11 +204,39 @@ def build_seeded_tmss_fock(
     )
     psi = np.zeros((cutoff + 1, cutoff + 1))
     psi[i, k] = np.exp(log_amp)
-    deficit = max(1.0 - float(np.vdot(psi, psi)), 0.0)
-    report = TruncationReport(cutoff=cutoff, norm_deficit=deficit)
-    if deficit > NORM_DEFICIT_LIMIT:
-        raise TruncationError(report)
-    return FockState(amplitudes=psi, cutoff=cutoff), report
+    return psi
+
+
+def moment_cutoff(gain: float, alpha: float = 0.0) -> int:
+    """Smallest cutoff whose per-mode tail sum_{n > cutoff} n^2 p(n) is at
+    most ``MOMENT_TAIL_LIMIT``.
+
+    The norm deficit that :func:`build_seeded_tmss_fock` gates does not
+    bound second moments; this tail does.  Every amplitude has n_c <= n_p,
+    so the conjugate's tail is at most the probe's.  The probe marginal
+    p(n) is summed from the closed-form amplitudes on the ``MAX_CUTOFF``
+    block, where it is complete for n <= ``MAX_CUTOFF``, and the tail is
+    <n^2> minus that partial sum.  The probe is a displaced thermal state
+    with m = G - 1 thermal photons and |d|^2 = G alpha^2, so <n> = m + |d|^2
+    and Var(n) = m (m + 1) + |d|^2 (2 m + 1).  Loss only lowers photon
+    numbers, so the bound holds for any transmissions too.
+
+    Raises:
+        ValueError: if no cutoff up to ``MAX_CUTOFF`` meets the limit.
+    """
+    psi = _amplitudes(gain, alpha, MAX_CUTOFF)
+    n = np.arange(MAX_CUTOFF + 1.0)
+    thermal, shift = gain - 1.0, gain * alpha * alpha
+    mean = thermal + shift
+    second = thermal * (thermal + 1.0) + shift * (2.0 * thermal + 1.0) + mean * mean
+    tails = second - np.cumsum(n * n * np.einsum("ij,ij->i", psi, psi))
+    fits = np.flatnonzero(tails[1:] <= MOMENT_TAIL_LIMIT)
+    if not fits.size:
+        raise ValueError(
+            f"no cutoff up to {MAX_CUTOFF} bounds the n^2-weighted tail by "
+            f"{MOMENT_TAIL_LIMIT:.0e} at gain {gain!r}, alpha {alpha!r}"
+        )
+    return int(fits[0]) + 1
 
 
 def _loss_weights(eta: float, dim: int) -> np.ndarray:
@@ -177,10 +255,10 @@ def _loss_weights(eta: float, dim: int) -> np.ndarray:
     return weights
 
 
-def _as_branches(state: "FockState | FockEnsemble") -> np.ndarray:
+def _as_ensemble(state: "FockState | FockEnsemble") -> FockEnsemble:
     if isinstance(state, FockState):
-        return state.amplitudes[np.newaxis, :, :]
-    return state.branches
+        return FockEnsemble(base=state.amplitudes[np.newaxis], cutoff=state.cutoff)
+    return state
 
 
 def _apply(op: np.ndarray, branches: np.ndarray, mode: str) -> np.ndarray:
@@ -192,29 +270,11 @@ def _apply(op: np.ndarray, branches: np.ndarray, mode: str) -> np.ndarray:
     return branches @ np.swapaxes(op, -1, -2)
 
 
-def apply_loss_fock(
-    state: "FockState | FockEnsemble", eta: float, mode: str
-) -> FockEnsemble:
-    """Apply a photon-loss channel to one mode, branch by branch.
-
-    Args:
-        state: pure state or ensemble to attenuate.
-        eta: power transmission in [0, 1].
-        mode: "probe" (first index) or "conjugate" (second index).
-
-    Returns:
-        A :class:`FockEnsemble` with one branch per (input branch, number
-        of lost photons) pair; zero-weight branches are dropped.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
-    if mode not in ("probe", "conjugate"):
-        raise ValueError(f"unknown mode {mode!r}")
-    branches = _as_branches(state)
-    dim = branches.shape[1]
-    weights = _loss_weights(eta, dim)
+def _kraus_copies(branches: np.ndarray, eta: float, mode: str) -> np.ndarray:
     # Outcome k shifts the mode's photon number down by k and scales it by
     # w[k, n]: a shifted, scaled copy of every branch, in (k, branch) order.
+    dim = branches.shape[1]
+    weights = _loss_weights(eta, dim)
     new = np.zeros((dim, *branches.shape), dtype=np.result_type(weights, branches))
     for k in range(dim):
         if mode == "probe":
@@ -226,7 +286,36 @@ def apply_loss_fock(
     # A boolean mask copies every branch, so apply it only if one drops.
     if not kept.all():
         new = new[kept]
-    return FockEnsemble(branches=new, cutoff=dim - 1)
+    return new
+
+
+def apply_loss_fock(
+    state: "FockState | FockEnsemble", eta: float, mode: str
+) -> FockEnsemble:
+    """Apply a photon-loss channel to one mode.
+
+    Nothing is expanded: the result keeps the input's branches and
+    multiplies the mode's transmission by ``eta``, which is exact because
+    losses eta_1 then eta_2 are the single loss eta_1 eta_2 (the binomial
+    thinnings compose, and loss never leaves the truncated block).
+
+    Args:
+        state: pure state or ensemble to attenuate.
+        eta: power transmission in [0, 1].
+        mode: "probe" (first index) or "conjugate" (second index).
+
+    Returns:
+        A :class:`FockEnsemble` with the input's branches and the mode's
+        transmission scaled by ``eta``.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
+    if mode not in ("probe", "conjugate"):
+        raise ValueError(f"unknown mode {mode!r}")
+    ens = _as_ensemble(state)
+    if mode == "probe":
+        return replace(ens, eta_p=ens.eta_p * eta)
+    return replace(ens, eta_c=ens.eta_c * eta)
 
 
 def _pair_sum(branches: np.ndarray, first, second) -> np.ndarray:
@@ -244,14 +333,62 @@ def _pair_sum(branches: np.ndarray, first, second) -> np.ndarray:
     )
 
 
+def _loss_matrices(eta: float, dim: int) -> list[np.ndarray]:
+    # A pair table T[j, m] = sum_b psi_b[j + a, .] psi_b[j + b, .] after
+    # loss on its mode is L T, with L[i, j] = w[j - i, j + a] w[j - i, j + b]
+    # for j >= i: losing k = j - i photons takes both amplitudes of a pair
+    # from row j to row i, scaled by their Kraus weights (the conjugate
+    # acts on the columns, T L^T).  Returns L for (a, b) = (0, d), d = 0, 1,
+    # 2, each (dim - d) square; L is symmetric in (a, b) and the identity
+    # at eta = 1.
+    w = np.zeros((dim, dim + 2))
+    w[:, :dim] = _loss_weights(eta, dim)
+    i, j = np.triu_indices(dim)
+    mats = np.zeros((3, dim, dim))
+    mats[:, i, j] = w[j - i, j] * w[j - i, j + np.arange(3)[:, np.newaxis]]
+    return [mats[d, : dim - d, : dim - d] for d in range(3)]
+
+
+# The bundle's seven tables: the photon-number weights P[n_p, n_c];
+# amplitudes one and two levels apart on the probe, then on the conjugate;
+# and the two halves of the cross term.
+_BUNDLE_TABLES = (
+    ((0, 0), (0, 0)),
+    ((0, 0), (1, 0)), ((0, 0), (2, 0)),
+    ((0, 0), (0, 1)), ((0, 0), (0, 2)),
+    ((0, 1), (1, 0)), ((0, 0), (1, 1)),
+)
+
+
+def _lossy_tables(ens: FockEnsemble) -> list[np.ndarray]:
+    # The lossy state's pair table for each of _BUNDLE_TABLES' (first,
+    # second) offset pairs: L_p T L_c^T on the table T of its base
+    # branches, skipping a mode at transmission 1, whose L is the
+    # identity.  Each pair has a zero offset on each mode, so (a, b) there
+    # is (0, a + b) or (a + b, 0).
+    dim = ens.base.shape[1]
+    loss = functools.cache(lambda eta: _loss_matrices(eta, dim))
+    tables = []
+    for first, second in _BUNDLE_TABLES:
+        table = _pair_sum(ens.base, first, second)
+        if ens.eta_p < 1.0:
+            table = loss(ens.eta_p)[first[0] + second[0]] @ table
+        if ens.eta_c < 1.0:
+            table = table @ loss(ens.eta_c)[first[1] + second[1]].T
+        tables.append(table)
+    return tables
+
+
 def oracle_moment_bundle(state: "FockState | FockEnsemble", lambdas) -> dict:
     """Every oracle moment of a (real-amplitude) state in one pass.
 
-    Seven pair-sum tables over the branches serve every moment and
-    weight: T[i, c] = sum_b psi_b[i, c] psi_b[i + di, c + dc] for (di, dc)
-    in (0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1), and the
-    anti-diagonal sum of psi_b[i, c + 1] psi_b[i + 1, c], each at most
-    (cutoff + 1)-square; no operator is formed or applied.  Along the probe
+    Seven pair-sum tables of the lossy state serve every moment and
+    weight: T[i, c] = sum_b psi_b[i, c] psi_b[i + di, c + dc] over its
+    Kraus branches for (di, dc) in (0, 0), (1, 0), (2, 0), (0, 1), (0, 2),
+    (1, 1), and the anti-diagonal sum of psi_b[i, c + 1] psi_b[i + 1, c],
+    each at most (cutoff + 1)-square.  Each is read as L_p T L_c^T from the
+    base branches' table (see :func:`_loss_matrices`), so no branch is
+    built and no operator is formed or applied.  Along the probe
     index (the conjugate is the same along the other one), with p(i) the
     marginal number distribution, T1 and T2 the tables of amplitudes one
     and two levels apart, and [i < cutoff] the truncation of a a^T:
@@ -280,32 +417,28 @@ def oracle_moment_bundle(state: "FockState | FockEnsemble", lambdas) -> dict:
         ``"joint"`` float array of shape (n_weights, 3) whose columns are
         lam, mean and var.
     """
-    branches = _as_branches(state)
-    if np.iscomplexobj(branches):
+    ens = _as_ensemble(state)
+    if np.iscomplexobj(ens.base):
         raise ValueError("bundle path expects real amplitudes")
     lam = np.asarray(lambdas, dtype=float).reshape(-1)
     bad = ~((lam >= 0.0) & (lam <= 1.0))
     if bad.any():
         raise ValueError(f"lam must lie in [0, 1], got {float(lam[bad][0])!r}")
-    # Joint photon-number weights P[n_p, n_c] of the mixture.
-    number = _pair_sum(branches, (0, 0), (0, 0))
+    number, *levels, swap, both = _lossy_tables(ens)
     total = float(number.sum())
     if total <= 0.0:
         raise ValueError("state has zero norm")
-    dim = branches.shape[1]
+    dim = ens.base.shape[1]
     n = np.arange(dim, dtype=float)
     root = np.sqrt(n[1:])  # sqrt(i + 1) for i < cutoff
     # i + (i + 1)[i < cutoff]: the diagonal of a^T a + a a^T when truncated.
     diag = n + np.append(n[1:], 0.0)
 
     out: dict = {}
-    for mode, axis, one, two in (
-        ("probe", 1, (1, 0), (2, 0)),
-        ("conjugate", 0, (0, 1), (0, 2)),
-    ):
+    for mode, axis, (one, two) in (("probe", 1, levels[:2]), ("conjugate", 0, levels[2:])):
         marginal = number.sum(axis) / total
-        t1 = _pair_sum(branches, (0, 0), one).sum(axis) / total
-        t2 = _pair_sum(branches, (0, 0), two).sum(axis) / total
+        t1 = one.sum(axis) / total
+        t2 = two.sum(axis) / total
         mean_x = 2.0 * float(root @ t1)
         d = float(marginal @ diag)
         s = 2.0 * float((root[:-1] * root[1:]) @ t2)
@@ -315,8 +448,7 @@ def oracle_moment_bundle(state: "FockState | FockEnsemble", lambdas) -> dict:
             "y": (0.0, d - s),
             "n": (mean_n, float(marginal @ (n * n)) - mean_n * mean_n),
         }
-    anti = _pair_sum(branches, (0, 1), (1, 0)) - _pair_sum(branches, (0, 0), (1, 1))
-    cross = 2.0 * float(root @ anti @ root) / total
+    cross = 2.0 * float(root @ (swap - both) @ root) / total
     pp, cc = out["probe"]["y"][1], out["conjugate"]["y"][1]
     var = pp + 2.0 * lam * cross + lam * lam * cc
     out["joint"] = np.column_stack((lam, np.zeros_like(lam), var))
@@ -351,7 +483,7 @@ def oracle_quadrature_stats(
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
-    branches = _as_branches(state).astype(complex)
+    branches = _as_ensemble(state).branches.astype(complex)
     a = _ladder(branches.shape[1])
     y = -1j * (a - a.T)
     return _ensemble_stats(
@@ -379,7 +511,7 @@ def oracle_mode_quadrature(
         raise ValueError(f"unknown mode {mode!r}")
     if quadrature not in ("x", "y"):
         raise ValueError(f"unknown quadrature {quadrature!r}")
-    branches = _as_branches(state).astype(complex)
+    branches = _as_ensemble(state).branches.astype(complex)
     a = _ladder(branches.shape[1])
     op = a + a.T if quadrature == "x" else -1j * (a - a.T)
     return _ensemble_stats(branches, lambda b: _apply(op, b, mode))

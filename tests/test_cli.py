@@ -452,10 +452,11 @@ class TestVerify:
         assert len(lambdas) == 1001
         args = ["--gain", "1.67", "--alpha", "1", "--eta", "0.76,0.79"]
         assert main(["verify", *args, "--lambdas", "0:1:0.001"]) == 0
-        capsys.readouterr()
-
         params = InterferometerParams(gain=1.67, eta_p=0.76, eta_c=0.79, alpha=1.0)
-        pure, _ = fock.build_seeded_tmss_fock(params.gain, params.alpha, cutoff=40)
+        cutoff = fock.moment_cutoff(params.gain, params.alpha)
+        assert f"state build: cutoff={cutoff} " in capsys.readouterr().out
+
+        pure, _ = fock.build_seeded_tmss_fock(params.gain, params.alpha, cutoff=cutoff)
         pure_gauss = seeded_tmss(params)
         cases = {
             "lossless": (pure, pure_gauss),
@@ -474,6 +475,28 @@ class TestVerify:
                 var_err = max(var_err, abs(fv - gv))
             assert abs(reported[f"{tag}: joint quadrature means"] - mean_err) <= 1e-12
             assert abs(reported[f"{tag}: joint quadrature variances"] - var_err) <= 1e-12
+
+    def test_default_cutoff_bounds_second_moments(self, capsys):
+        # At cutoff 40 this state passes the norm gate (deficit 5.4e-9) but
+        # misses the photon-number tolerance; without --cutoff, verify
+        # picks the smallest cutoff whose n^2-weighted tail is <= 1e-7 and
+        # prints it.  The bright seed of the paper's regime passes too.
+        args = ["verify", "--gain", "2", "--alpha", "1", "--eta", "1"]
+        assert main([*args, "--cutoff", "40"]) == 1
+        assert "photon number moments                      FAIL" in capsys.readouterr().out
+        bright = ["verify", "--gain", "1.67", "--alpha", "5", "--eta", "0.76,0.79"]
+        for argv, cutoff in ((args, 49), (bright, 135)):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert f"state build: cutoff={cutoff} (smallest with n^2-weighted tail <= 1e-07)" in out
+            assert "FAIL" not in out and "verification PASSED" in out
+
+    def test_cutoff_above_the_cap_exits_2(self, capsys):
+        assert main(["verify", "--cutoff", str(fock.MAX_CUTOFF + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cutoff must lie in [1, 400]" in err
+        assert main(["verify", "--gain", "1.67", "--alpha", "12"]) == 2
+        assert "no cutoff up to 400" in capsys.readouterr().err
 
     def test_tight_cutoff_exits_1(self, capsys):
         assert main(["verify", "--cutoff", "12", "--gain", "2.0"]) == 1

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,29 @@ class TestBuild:
             deficits.append(report.norm_deficit)
         assert deficits[0] > deficits[1] > deficits[2]
 
+    def test_moment_cutoff_is_the_smallest_bounding_the_tail(self):
+        # Unseeded G = 2 is thermal, p(n) = 2^-(n+1), so the n^2-weighted
+        # tail is summed directly.
+        n = np.arange(2000.0)
+        tail = np.cumsum((n * n * 2.0 ** -(n + 1))[::-1])[::-1]
+        assert fock.moment_cutoff(2.0) == np.flatnonzero(tail[1:] <= 1e-7)[0] == 33
+        # Seeded: the tails summed over the largest block, past which the
+        # state holds nothing at these settings; the conjugate's is smaller.
+        for gain, alpha in ((2.0, 1.0), (1.67, 5.0), (1.2, 0.5)):
+            cutoff = fock.moment_cutoff(gain, alpha)
+            prob = fock._amplitudes(gain, alpha, fock.MAX_CUTOFF) ** 2
+            n = np.arange(fock.MAX_CUTOFF + 1.0)
+            probe, conj = (np.cumsum((n * n * m)[::-1])[::-1] for m in (prob.sum(1), prob.sum(0)))
+            assert conj[cutoff + 1] <= probe[cutoff + 1] <= 1e-7 < probe[cutoff]
+
+    def test_moment_cutoff_beyond_the_cap(self):
+        # No cutoff up to MAX_CUTOFF meets the tail bound: a message, not a
+        # truncation error, also where the largest block itself misses
+        # more than the build's gate.
+        for gain, alpha in ((1.67, 12.0), (2.0, 12.0)):
+            with pytest.raises(ValueError, match="no cutoff up to 400"):
+                fock.moment_cutoff(gain, alpha)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             build_seeded_tmss_fock(0.5, 0.0)
@@ -84,11 +108,11 @@ class TestBuild:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
     def test_matches_brute_force_exponentiation(self, gain, alpha):
         # The closed form against exp(r (ad_p ad_c - a_p a_c)) |alpha, 0>
-        # integrated on a box 64 levels past the largest cutoff, where the
-        # seed and the squeezed tail are negligible.  Each cutoff's block is
-        # a slice of the same converged state, and its deficit is the mass
-        # the exponentiation puts outside that block.
-        dim = fock.MAX_CUTOFF + 1 + 64
+        # integrated on a box 64 levels past the largest cutoff checked,
+        # where the seed and the squeezed tail are negligible.  Each
+        # cutoff's block is a slice of the same converged state, and its
+        # deficit is the mass the exponentiation puts outside that block.
+        dim = 60 + 1 + 64
         n = np.arange(dim)
         seed = np.zeros((dim, dim))
         seed[:, 0] = np.sqrt(poisson.pmf(n, alpha**2))
@@ -168,7 +192,7 @@ class TestLossChannel:
         state, _ = build_seeded_tmss_fock(1.5, 0.5, cutoff=12)
         two = apply_loss_fock(state, 0.6, "probe")
         for start in (state.amplitudes[np.newaxis], two.branches):
-            ens = FockEnsemble(branches=start, cutoff=12)
+            ens = FockEnsemble(base=start, cutoff=12)
             for eta in (0.0, 0.37, 1.0):
                 for mode in ("probe", "conjugate"):
                     got = apply_loss_fock(ens, eta, mode).branches
@@ -209,13 +233,15 @@ class TestLossChannel:
         assert math.isclose(np.trace(rho).real, state.norm_squared(), rel_tol=1e-12)
 
     def test_keeping_every_branch_skips_the_copy(self):
-        # Branches and weights equal the masked result, and a two-arm loss
-        # that keeps all of its branches peaks near one ensemble, not two.
+        # Branches and weights equal the masked result, and building the
+        # branches of a two-arm loss that keeps all of them peaks near one
+        # ensemble, not two.
         state, _ = build_seeded_tmss_fock(2.0, 1.0, cutoff=30)
         dim = 31
+        ens = apply_loss_fock(apply_loss_fock(state, 0.76, "probe"), 0.79, "conjugate")
         tracemalloc.start()
         try:
-            ens = apply_loss_fock(apply_loss_fock(state, 0.76, "probe"), 0.79, "conjugate")
+            branches = ens.branches
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -224,11 +250,9 @@ class TestLossChannel:
             ref = dense_loss(ref, eta, mode)
             assert ref.shape[0] == dim * (1 if mode == "probe" else dim)
         weights = np.einsum("bij,bij->b", ref, ref)
-        assert np.array_equal(ens.branches, ref)
-        assert np.array_equal(
-            np.einsum("bij,bij->b", ens.branches, ens.branches), weights
-        )
-        assert peak <= 1.25 * ens.branches.nbytes
+        assert np.array_equal(branches, ref)
+        assert np.array_equal(np.einsum("bij,bij->b", branches, branches), weights)
+        assert peak <= 1.25 * branches.nbytes
 
     def test_validation(self):
         state, _ = build_seeded_tmss_fock(1.5, 0.0, cutoff=10)
@@ -236,6 +260,76 @@ class TestLossChannel:
             apply_loss_fock(state, 1.2, "probe")
         with pytest.raises(ValueError):
             apply_loss_fock(state, 0.5, "signal")
+
+    def test_losses_on_one_mode_compose(self):
+        # eta_1 then eta_2 is the single loss eta_1 eta_2: the mixture of
+        # the two-step Kraus expansion equals the one-step one to
+        # round-off, and the ensemble holds the product.
+        base = unit_branches(7, 2, 10)
+        for mode in ("probe", "conjugate"):
+            for first, second in ((0.3, 0.9), (0.76, 0.79), (0.0, 0.5), (1.0, 0.4)):
+                ens = FockEnsemble(base=base, cutoff=10)
+                ens = apply_loss_fock(apply_loss_fock(ens, first, mode), second, mode)
+                assert (ens.eta_p if mode == "probe" else ens.eta_c) == first * second
+                two_step = dense_loss(dense_loss(base, first, mode), second, mode)
+                flat = [x.reshape(len(x), -1) for x in (two_step, ens.branches)]
+                rho = [x.T @ x for x in flat]
+                assert np.abs(rho[0] - rho[1]).max() < 1e-15
+
+
+def unit_branches(seed, n_branches, cutoff):
+    """Random real branches scaled to unit total weight."""
+    branches = np.random.default_rng(seed).standard_normal((n_branches, cutoff + 1, cutoff + 1))
+    return branches / math.sqrt(np.vdot(branches, branches))
+
+
+class TestLossTables:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_branches=st.integers(1, 3),
+        cutoff=st.integers(1, 20),
+        eta_p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        eta_c=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    )
+    def test_tables_match_materialized_branches(self, seed, n_branches, cutoff, eta_p, eta_c):
+        # L_p T L_c^T on the base branches' table equals the pair sum over
+        # the dense Kraus ensemble, for each of the bundle's seven tables.
+        base = unit_branches(seed, n_branches, cutoff)
+        ens = FockEnsemble(base=base, cutoff=cutoff, eta_p=eta_p, eta_c=eta_c)
+        branches = ens.branches
+        tables = fock._lossy_tables(ens)
+        for (first, second), table in zip(fock._BUNDLE_TABLES, tables):
+            ref = fock._pair_sum(branches, first, second)
+            assert table.shape == ref.shape
+            assert np.abs(table - ref).max(initial=0.0) <= 1e-14
+
+    def test_full_transmission_tables_are_exact(self):
+        # At eta = 1 the loss matrices are the identity, so the tables are
+        # the base branches' pair sums bit for bit, and on one lossy mode
+        # they equal the two-sided product with that identity.
+        base = unit_branches(4, 2, 9)
+        for eta_p, eta_c in ((1.0, 1.0), (0.6, 1.0), (1.0, 0.6)):
+            ens = FockEnsemble(base=base, cutoff=9, eta_p=eta_p, eta_c=eta_c)
+            lp, lc = (fock._loss_matrices(eta, 10) for eta in (eta_p, eta_c))
+            for (first, second), table in zip(fock._BUNDLE_TABLES, fock._lossy_tables(ens)):
+                full = (
+                    lp[first[0] + second[0]] @ fock._pair_sum(base, first, second)
+                    @ lc[first[1] + second[1]].T
+                )
+                assert np.array_equal(table, full)
+
+    def test_dense_branches_capped(self):
+        # The bundle reads a cutoff-61 lossy state; its dense branches, and
+        # so the complex references, are refused with a message.
+        state, _ = build_seeded_tmss_fock(1.5, 0.5, cutoff=fock.MAX_BRANCH_CUTOFF + 1)
+        ens = apply_loss_fock(state, 0.9, "probe")
+        assert oracle_moment_bundle(ens, [0.5])["joint"].shape == (1, 3)
+        with pytest.raises(ValueError, match=r"cutoff <= 60"):
+            ens.branches
+        with pytest.raises(ValueError, match=r"cutoff <= 60"):
+            oracle_quadrature_stats(ens, 0.5)
+        apply_loss_fock(build_seeded_tmss_fock(1.5, 0.5, cutoff=60)[0], 0.9, "probe").branches
 
 
 class TestOracleMoments:
@@ -323,7 +417,7 @@ class TestOracleMoments:
             branches = rng.standard_normal((n_branches, cutoff + 1, cutoff + 1))
             branches[:, -1, :] *= 10.0
             branches[:, :, -1] *= 10.0
-            ens = FockEnsemble(branches=branches, cutoff=cutoff)
+            ens = FockEnsemble(base=branches, cutoff=cutoff)
             bundle = oracle_moment_bundle(ens, [0.0, 0.3, 1.0])
             for lam, mean, var in bundle["joint"]:
                 im, iv = oracle_quadrature_stats(ens, lam)
@@ -356,8 +450,8 @@ class TestOracleMoments:
         assert counts == [7, 7, 7, 7]
 
     def test_bundle_memory_is_table_sized(self):
-        # The cutoff-40 two-arm lossy ensemble holds 22 MiB of branches;
-        # the bundle reads it through views and (41 x 41) tables only.
+        # The cutoff-40 two-arm lossy ensemble would hold 22 MiB of
+        # branches; the bundle never builds it and holds (41 x 41) tables.
         state, _ = build_seeded_tmss_fock(2.0, 1.0, cutoff=40)
         ens = apply_loss_fock(apply_loss_fock(state, 0.76, "probe"), 0.76, "conjugate")
         assert ens.branches.nbytes > 20 * 2**20
@@ -369,6 +463,44 @@ class TestOracleMoments:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_bright_seed_in_the_papers_regime(self):
+        # G = 1.67, alpha = 5, eta 0.76/0.79 at the cutoff moment_cutoff
+        # picks (135): criterion 5's moment set matches the Gaussian model
+        # to 1e-6, lossless and lossy.  Dense branches there would hold
+        # 136^4 doubles (2.7 GB); choosing the cutoff, building and both
+        # bundles took 0.035-0.041 s with a 4.3 MiB tracemalloc peak.
+        gain, alpha, eta_p, eta_c = 1.67, 5.0, 0.76, 0.79
+        lambdas = [0.0, 0.5, 1.0]
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            cutoff = fock.moment_cutoff(gain, alpha)
+            pure, _ = build_seeded_tmss_fock(gain, alpha, cutoff)
+            lossy = apply_loss_fock(apply_loss_fock(pure, eta_p, "probe"), eta_c, "conjugate")
+            bundles = [oracle_moment_bundle(s, lambdas) for s in (pure, lossy)]
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cutoff == 135
+        gauss = seeded_tmss(InterferometerParams(gain=gain, alpha=alpha))
+        worst = 0.0
+        for bundle, g in zip(bundles, (gauss, apply_loss(gauss, eta_p, eta_c))):
+            for lam, mean, var in bundle["joint"]:
+                g_mean, g_var = joint_quadrature_stats(g, lam)
+                worst = max(worst, abs(mean - g_mean), abs(var - g_var))
+            for mode, base in (("probe", 0), ("conjugate", 2)):
+                for quad, idx in (("x", 0), ("y", 1)):
+                    mean, var = bundle[mode][quad]
+                    worst = max(
+                        worst,
+                        abs(mean - g.mean[base + idx]),
+                        abs(var - g.cov[base + idx, base + idx]),
+                    )
+        assert worst <= 1e-6
+        assert elapsed < 1.0
+        assert peak < 6 * 2**20
+
     def test_lambda_validation(self):
         state, _ = build_seeded_tmss_fock(1.5, 0.0, cutoff=15)
         with pytest.raises(ValueError):
@@ -379,6 +511,6 @@ class TestOracleMoments:
             oracle_moment_bundle(state, np.array([0.5, np.nan]))
 
     def test_zero_state_rejected(self):
-        ens = FockEnsemble(branches=np.zeros((1, 5, 5)), cutoff=4)
+        ens = FockEnsemble(base=np.zeros((1, 5, 5)), cutoff=4)
         with pytest.raises(ValueError):
             oracle_quadrature_stats(ens, 0.5)
