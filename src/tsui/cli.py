@@ -15,7 +15,13 @@ import sys
 import numpy as np
 
 from . import fitting, fock, metrology, simulate
-from .gaussian import InterferometerParams, apply_loss, photon_moments, seeded_tmss
+from .gaussian import (
+    InterferometerParams,
+    apply_loss,
+    joint_quadrature_stats,
+    photon_moments,
+    seeded_tmss,
+)
 from .metrology import SqlKind
 
 __all__ = ["main"]
@@ -76,21 +82,32 @@ def _single(values: np.ndarray, name: str) -> float:
     return float(values[0])
 
 
+# The flags each figure reads besides --out and --format.  fig4a and fig6
+# take one --eta setting, fig4b and fig8 any number.
+_CURVE_FLAGS = {
+    "fig3": ("gain", "alpha"),
+    "fig4a": ("gain", "eta", "alpha", "lambdas"),
+    "fig4b": ("gain", "eta"),
+    "fig6": ("gain", "eta", "lambdas"),
+    "fig8": ("gain", "eta"),
+}
+
+
 def cmd_curves(args: argparse.Namespace) -> int:
     figure = args.figure
     fmt = args.format
     out = args.out or f"{figure}.{fmt}"
+    unread = [
+        f"--{flag}"
+        for flag in ("gain", "eta", "alpha", "lambdas")
+        if getattr(args, flag) is not None and flag not in _CURVE_FLAGS[figure]
+    ]
+    if unread:
+        raise ValueError(f"{figure} does not read {', '.join(unread)}")
+    alpha = 100.0 if args.alpha is None else args.alpha
     if figure == "fig3":
-        grid = parse_span(args.gain) if args.gain else parse_span("1:5:0.05")
-        table = metrology.curve_sensitivity_vs_gain(args.alpha, grid)
-    elif figure == "fig4a":
-        gain = _single(parse_span(args.gain), "--gain") if args.gain else 2.0
-        ep, ec = _parse_eta(args.eta[0]) if args.eta else (1.0, 1.0)
-        if args.eta and len(args.eta) > 1:
-            raise ValueError("fig4a takes a single --eta setting")
-        lam_grid = parse_span(args.lambdas) if args.lambdas else parse_span("0:1:0.01")
-        params = InterferometerParams(gain=gain, eta_p=ep, eta_c=ec, alpha=args.alpha)
-        table = metrology.curve_noise_vs_lambda(params, lam_grid)
+        grid = parse_span(args.gain or "1:5:0.05")
+        table = metrology.curve_sensitivity_vs_gain(alpha, grid)
     elif figure in ("fig4b", "fig8"):
         if figure == "fig4b":
             default_etas = ["1.0", "0.9,0.9", "0.8,0.8"]
@@ -99,20 +116,22 @@ def cmd_curves(args: argparse.Namespace) -> int:
             default_etas = ["0.745,0.775", "1.0"]
             default_grid = "1:3:0.02"
         etas = [_parse_eta(e) for e in (args.eta or default_etas)]
-        grid = parse_span(args.gain) if args.gain else parse_span(default_grid)
-        table = metrology.curve_lambda_opt_vs_gain(etas, grid)
-    elif figure == "fig6":
-        gains = parse_span(args.gain) if args.gain else np.array([1.1])
-        ep, ec = _parse_eta(args.eta[0]) if args.eta else (1.0, 1.0)
+        table = metrology.curve_lambda_opt_vs_gain(etas, parse_span(args.gain or default_grid))
+    else:  # fig4a and fig6: one transmission setting, a weight grid
         if args.eta and len(args.eta) > 1:
-            raise ValueError("fig6 takes a single --eta setting")
-        lam_grid = parse_span(args.lambdas) if args.lambdas else parse_span("0:1:0.01")
-        params_list = [
-            InterferometerParams(gain=float(g), eta_p=ep, eta_c=ec) for g in gains
-        ]
-        table = metrology.curve_snri_vs_lambda(params_list, lam_grid)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown figure {figure!r}")
+            raise ValueError(f"{figure} takes a single --eta setting")
+        ep, ec = _parse_eta(args.eta[0]) if args.eta else (1.0, 1.0)
+        lam_grid = parse_span(args.lambdas or "0:1:0.01")
+        if figure == "fig4a":
+            gain = _single(parse_span(args.gain), "--gain") if args.gain else 2.0
+            params = InterferometerParams(gain=gain, eta_p=ep, eta_c=ec, alpha=alpha)
+            table = metrology.curve_noise_vs_lambda(params, lam_grid)
+        else:
+            gains = parse_span(args.gain) if args.gain else np.array([1.1])
+            params_list = [
+                InterferometerParams(gain=float(g), eta_p=ep, eta_c=ec) for g in gains
+            ]
+            table = metrology.curve_snri_vs_lambda(params_list, lam_grid)
     (table.to_csv if fmt == "csv" else table.to_json)(out)
     print(f"wrote {out} ({table.rows.shape[0]} rows, {len(table.columns)} columns)")
     if args.verbose:
@@ -218,11 +237,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     def compare(tag: str, fock_state, gauss_state) -> bool:
         bundle = fock.oracle_moment_bundle(fock_state, lambdas)
         lam, fm, fv = bundle["joint"].T
-        # M = Y_p + lam Y_c: the Gaussian mean is linear and the variance
-        # quadratic in lam, with coefficients read once from the state.
-        d, v = gauss_state.mean, gauss_state.cov
-        gm = d[1] + lam * d[3]
-        gv = v[1, 1] + lam * lam * v[3, 3] + 2.0 * lam * v[1, 3]
+        gm, gv = joint_quadrature_stats(gauss_state, lam)
         mean_err = float(np.abs(fm - gm).max())
         var_err = float(np.abs(fv - gv).max())
         all_ok = _check(f"{tag}: joint quadrature means", mean_err, 1e-7, lines)
@@ -281,18 +296,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write one of the standard theory curve tables",
         description=(
             "Figures: fig3 sensitivity vs gain, fig4a joint noise vs weight, "
-            "fig4b/fig8 optimal weight vs gain, fig6 SNR improvement vs weight."
+            "fig4b/fig8 optimal weight vs gain, fig6 SNR improvement vs weight.  "
+            "A flag the chosen figure does not read exits 2."
         ),
     )
-    p_curves.add_argument("figure", choices=["fig3", "fig4a", "fig4b", "fig6", "fig8"])
+    p_curves.add_argument("figure", choices=sorted(_CURVE_FLAGS))
     p_curves.add_argument("--gain", help="gain value or grid start:stop:step")
     p_curves.add_argument(
         "--eta",
         action="append",
-        help="transmission 'eta' or 'eta_p,eta_c'; repeatable for fig4b/fig8",
+        help="transmission 'eta' or 'eta_p,eta_c' (fig4a, fig6); repeatable for fig4b/fig8",
     )
-    p_curves.add_argument("--alpha", type=float, default=100.0, help="seed amplitude")
-    p_curves.add_argument("--lambdas", help="weight grid start:stop:step")
+    p_curves.add_argument(
+        "--alpha", type=float, help="seed amplitude (fig3, fig4a; default 100)"
+    )
+    p_curves.add_argument("--lambdas", help="weight grid start:stop:step (fig4a, fig6)")
     p_curves.add_argument("--out", help="output path (default <figure>.<format>)")
     p_curves.add_argument("--format", choices=["csv", "json"], default="csv")
     p_curves.set_defaults(func=cmd_curves)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -268,31 +268,16 @@ class FitResult:
         return InterferometerParams(gain=self.gain, eta_p=self.eta_p, eta_c=self.eta_c)
 
     def to_dict(self) -> dict:
-        return {
-            "gain": self.gain,
-            "eta_p": self.eta_p,
-            "eta_c": self.eta_c,
-            "scale_db": self.scale_db,
-            "sigma_gain": self.sigma_gain,
-            "sigma_eta_p": self.sigma_eta_p,
-            "sigma_eta_c": self.sigma_eta_c,
-            "sigma_scale_db": self.sigma_scale_db,
-            "chi_square": self.chi_square,
-            "n_points": self.n_points,
-            "lambda_opt_fit": self.lambda_opt_fit,
-            "lambda_opt_direct": self.lambda_opt_direct,
-            "condition_number": self.condition_number,
-            "loss_offset": self.loss_offset,
-            "warnings": list(self.warnings),
-            "param_names": list(self.param_names),
-            "param_values": [float(v) for v in self.param_values],
-            "param_cov": [[float(v) for v in row] for row in self.param_cov],
-            "nfev": self.nfev,
-            "n_starts": self.n_starts,
-            "winning_start": self.winning_start,
-            "status": self.status,
-            "source": self.source,
-        }
+        """The fields in order, tuples and arrays as (nested) lists."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            elif isinstance(value, (tuple, list)):
+                value = list(value)
+            out[f.name] = value
+        return out
 
     def json_text(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -630,25 +615,16 @@ def extract_lambda_opt(
 
     fit_value = fit_sigma = None
     if fit is not None:
-
-        def lam_of(x: np.ndarray) -> float:
-            gain, eta_p, eta_c = _shape(x, fit.loss_offset)
-            params = InterferometerParams(
-                gain=max(gain, 1.0),
-                eta_p=min(max(eta_p, 0.0), 1.0),
-                eta_c=min(max(eta_c, 0.0), 1.0),
-            )
-            return metrology.lambda_opt(params)
-
+        # Central differences of the clamped closed-form weight: the 2k
+        # points x_hat +/- h_i e_i in one broadcast evaluation.
         x_hat = fit.param_values
-        grad = np.zeros(x_hat.size)
-        for i in range(x_hat.size):
-            h = 1e-6 * max(1.0, abs(x_hat[i]))
-            xp = x_hat.copy()
-            xm = x_hat.copy()
-            xp[i] += h
-            xm[i] -= h
-            grad[i] = (lam_of(xp) - lam_of(xm)) / (2.0 * h)
+        h = 1e-6 * np.maximum(1.0, np.abs(x_hat))
+        steps = x_hat + np.concatenate([np.diag(h), -np.diag(h)])
+        gain, eta_p, eta_c = np.array([_shape(x, fit.loss_offset) for x in steps]).T
+        lams = metrology._lambda_opt(
+            np.maximum(gain, 1.0), np.clip(eta_p, 0.0, 1.0), np.clip(eta_c, 0.0, 1.0)
+        )
+        grad = (lams[: h.size] - lams[h.size :]) / (2.0 * h)
         fit_value = fit.lambda_opt_fit
         fit_sigma = float(math.sqrt(max(grad @ fit.param_cov @ grad, 0.0)))
 

@@ -33,6 +33,7 @@ __all__ = [
     "apply_loss",
     "apply_phase_shift",
     "joint_quadrature_stats",
+    "measurement_weight",
     "photon_moments",
     "seeded_tmss",
 ]
@@ -117,7 +118,7 @@ class WeightedMeasurement:
     lam: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", _check_unit_interval("lam", self.lam))
+        object.__setattr__(self, "lam", float(measurement_weight(self.lam)))
 
 
 @dataclass(frozen=True)
@@ -256,32 +257,38 @@ def apply_phase_shift(state: GaussianState, dphi: float) -> GaussianState:
     return GaussianState(rot @ state.mean, rot @ state.cov @ rot.T)
 
 
-def _weight(m: "WeightedMeasurement | float") -> float:
+def measurement_weight(m: "WeightedMeasurement | float | np.ndarray") -> "float | np.ndarray":
+    """The weight lam of ``m``, checked to lie in [0, 1]: a float for a
+    :class:`WeightedMeasurement` or a scalar, a float array for an array."""
     if isinstance(m, WeightedMeasurement):
         return m.lam
-    return WeightedMeasurement(float(m)).lam
+    lam = np.asarray(m, dtype=float)
+    # A scalar compares in Python, several times faster than np.all.
+    ok = 0.0 <= float(lam) <= 1.0 if lam.ndim == 0 else np.all((lam >= 0.0) & (lam <= 1.0))
+    if not ok:
+        raise ValueError(f"lam must lie in [0, 1], got {m!r}")
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def joint_quadrature_stats(
-    state: GaussianState, m: "WeightedMeasurement | float"
-) -> tuple[float, float]:
+    state: GaussianState, m: "WeightedMeasurement | float | np.ndarray"
+) -> "tuple[float, float] | tuple[np.ndarray, np.ndarray]":
     """Mean and variance of the joint readout M = Y_p + lam * Y_c.
 
     Args:
         state: two-mode state at the detectors.
-        m: measurement weight, either a :class:`WeightedMeasurement` or a
-            bare float in [0, 1].
+        m: measurement weight, either a :class:`WeightedMeasurement`, a
+            bare float in [0, 1], or an array of such weights.
 
     Returns:
         ``(mean, variance)`` of M computed from the phase-quadrature
-        entries of the state moments.
+        entries of the state moments: two floats for a single weight, two
+        arrays shaped like the weights for an array.
     """
-    lam = _weight(m)
-    mean = float(state.mean[1] + lam * state.mean[3])
-    var = float(
-        state.cov[1, 1] + lam * lam * state.cov[3, 3] + 2.0 * lam * state.cov[1, 3]
-    )
-    return mean, var
+    lam = measurement_weight(m)
+    mean = state.mean[1] + lam * state.mean[3]
+    var = state.cov[1, 1] + lam * lam * state.cov[3, 3] + 2.0 * lam * state.cov[1, 3]
+    return (float(mean), float(var)) if isinstance(lam, float) else (mean, var)
 
 
 def photon_moments(state: GaussianState, mode: str) -> MomentSummary:

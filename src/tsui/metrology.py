@@ -27,8 +27,10 @@ import numpy as np
 from .gaussian import (
     InterferometerParams,
     WeightedMeasurement,
+    _check_unit_interval,
     apply_loss,
     joint_quadrature_stats,
+    measurement_weight,
     photon_moments,
     seeded_tmss,
 )
@@ -46,6 +48,7 @@ __all__ = [
     "curve_snri_vs_lambda",
     "format_csv",
     "format_float",
+    "fringe_slope",
     "joint_noise_power",
     "joint_variance",
     "joint_variance_quadratic",
@@ -192,7 +195,7 @@ def joint_variance_quadratic(gain, eta_p, eta_c):
     curve fitter.
     """
     gain = np.asarray(gain, dtype=float)
-    if np.any(gain < 1.0):
+    if (gain < 1.0).any():
         raise ValueError("gain must be >= 1")
     cosh2r = 2.0 * gain - 1.0
     sinh2r = 2.0 * np.sqrt(gain * (gain - 1.0))
@@ -213,16 +216,27 @@ def joint_variance(gain, eta_p, eta_c, lam):
     return v_p + lam * lam * v_c + 2.0 * lam * cross
 
 
+def fringe_slope(gain, eta_p, alpha):
+    """Displaced fringe slope d<M>/dphi = 2 sqrt(eta_p G) alpha, broadcast."""
+    return 2.0 * np.sqrt(eta_p * gain) * alpha
+
+
+def _lambda_opt(gain, eta_p, eta_c):
+    # Vertex -C / V_c of the variance quadratic, clamped to [0, 1]; broadcast.
+    _, v_c, cross = joint_variance_quadratic(gain, eta_p, eta_c)
+    return np.clip(-cross / v_c, 0.0, 1.0)
+
+
 def lambda_opt(params: InterferometerParams) -> float:
     """Noise-minimizing weight for the joint readout, in closed form.
 
-    The unconstrained minimum of the variance quadratic is
+    The unconstrained minimum of the variance quadratic is its vertex
 
-        lam* = sqrt(eta_p eta_c) sinh(2r) / (1 - eta_c + eta_c cosh(2r)),
+        lam* = -C / V_c = sqrt(eta_p eta_c) sinh(2r) / (1 - eta_c + eta_c cosh(2r)),
 
     clamped to the physical attenuator range [0, 1] (strongly asymmetric
     loss with eta_c << eta_p can push the raw ratio above 1).  Lossless
-    it reduces to tanh(2r).
+    it is tanh(2r); read from G, with no acosh, it keeps its digits at G ~ 1.
 
     Args:
         params: amplifier and transmission settings.
@@ -230,10 +244,7 @@ def lambda_opt(params: InterferometerParams) -> float:
     Returns:
         The clamped optimal weight.
     """
-    two_r = 2.0 * params.r
-    numer = math.sqrt(params.eta_p * params.eta_c) * math.sinh(two_r)
-    denom = 1.0 - params.eta_c + params.eta_c * math.cosh(two_r)
-    return min(max(numer / denom, 0.0), 1.0)
+    return float(_lambda_opt(params.gain, params.eta_p, params.eta_c))
 
 
 def lambda_opt_numeric(params: InterferometerParams, tol: float = 1e-10) -> float:
@@ -301,7 +312,7 @@ def joint_noise_power(
         :class:`NoiseResult` with the variance in shot-noise units and in
         dB (0 dB is the single-beam shot-noise level).
     """
-    lam = m.lam if isinstance(m, WeightedMeasurement) else WeightedMeasurement(float(m)).lam
+    lam = measurement_weight(m)
     var = float(joint_variance(params.gain, params.eta_p, params.eta_c, lam))
     return NoiseResult(variance=var, variance_db=10.0 * math.log10(var), lam=lam)
 
@@ -330,7 +341,7 @@ def phase_sensitivity(
     if params.alpha <= 0.0:
         raise ValueError("phase sensitivity requires a bright seed (alpha > 0)")
     noise = joint_noise_power(params, m)
-    slope = 2.0 * math.sqrt(params.eta_p * params.gain) * params.alpha
+    slope = float(fringe_slope(params.gain, params.eta_p, params.alpha))
     delta_phi = math.sqrt(noise.variance) / slope
     snr_db = None
     if dphi is not None:
@@ -357,7 +368,7 @@ def sql_sensitivity(kind: SqlKind, params: InterferometerParams) -> SensitivityR
     if params.alpha <= 0.0:
         raise ValueError("shot-noise sensitivity requires alpha > 0")
     var = 2.0 if kind is SqlKind.SQL1 else 1.0
-    slope = 2.0 * math.sqrt(params.eta_p * params.gain) * params.alpha
+    slope = float(fringe_slope(params.gain, params.eta_p, params.alpha))
     return SensitivityResult(delta_phi=math.sqrt(var) / slope)
 
 
@@ -416,9 +427,7 @@ def snri(
     """
     if not isinstance(kind, SqlKind):
         raise ValueError(f"kind must be a SqlKind, got {kind!r}")
-    lam = m.lam if isinstance(m, WeightedMeasurement) else np.asarray(m, dtype=float)
-    if not np.all((lam >= 0.0) & (lam <= 1.0)):
-        raise ValueError(f"lam must lie in [0, 1], got {m!r}")
+    lam = measurement_weight(m)
     base = -10.0 * np.log10(joint_variance(params.gain, params.eta_p, params.eta_c, lam))
     if kind is SqlKind.SQL1:
         base = base + LOG2_DB
@@ -464,11 +473,10 @@ def curve_noise_vs_lambda(
 
 
 def _eta_pair(entry) -> tuple[float, float]:
-    if isinstance(entry, (tuple, list)):
-        if len(entry) != 2:
-            raise ValueError(f"eta entry must be a float or a pair, got {entry!r}")
-        return float(entry[0]), float(entry[1])
-    return float(entry), float(entry)
+    pair = entry if isinstance(entry, (tuple, list)) else (entry, entry)
+    if len(pair) != 2:
+        raise ValueError(f"eta entry must be a float or a pair, got {entry!r}")
+    return _check_unit_interval("eta_p", pair[0]), _check_unit_interval("eta_c", pair[1])
 
 
 def curve_lambda_opt_vs_gain(eta_list: Sequence, gain_grid) -> CurveTable:
@@ -486,17 +494,11 @@ def curve_lambda_opt_vs_gain(eta_list: Sequence, gain_grid) -> CurveTable:
     if len(eta_list) < 1:
         raise ValueError("eta_list must not be empty")
     pairs = [_eta_pair(e) for e in eta_list]
-    columns = ["gain"]
-    for ep, ec in pairs:
-        tag = f"ep{ep:g}_ec{ec:g}"
-        columns.append(f"lambda_opt_{tag}")
+    columns = ["gain"] + [f"lambda_opt_ep{ep:g}_ec{ec:g}" for ep, ec in pairs]
     if len(set(columns)) != len(columns):
         raise ValueError("eta_list entries must be distinct")
-    rows = np.empty((grid.size, len(columns)))
-    rows[:, 0] = grid
-    for j, (ep, ec) in enumerate(pairs, start=1):
-        for i, g in enumerate(grid):
-            rows[i, j] = lambda_opt(InterferometerParams(gain=float(g), eta_p=ep, eta_c=ec))
+    eta_p, eta_c = np.array(pairs).T
+    rows = np.column_stack([grid, _lambda_opt(grid[:, np.newaxis], eta_p, eta_c)])
     meta = {"etas": "; ".join(f"({ep:g}, {ec:g})" for ep, ec in pairs)}
     return CurveTable("lambda_opt_vs_gain", tuple(columns), rows, meta)
 
@@ -521,13 +523,11 @@ def curve_sensitivity_vs_gain(alpha: float, gain_grid) -> CurveTable:
     if alpha <= 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha!r}")
     grid = _validate_grid("gain_grid", gain_grid, 1.0, math.inf)
-    rows = np.empty((grid.size, 4))
-    for i, g in enumerate(grid):
-        params = InterferometerParams(gain=float(g), alpha=alpha)
-        balanced = phase_sensitivity(params, 1.0).delta_phi
-        optimal = phase_sensitivity(params, lambda_opt(params)).delta_phi
-        bound = qcrb(params).delta_phi
-        rows[i] = (g, alpha * balanced, alpha * optimal, alpha * bound)
+    slope = fringe_slope(grid, 1.0, alpha)
+    balanced = np.sqrt(joint_variance(grid, 1.0, 1.0, 1.0)) / slope
+    optimal = np.sqrt(joint_variance(grid, 1.0, 1.0, _lambda_opt(grid, 1.0, 1.0))) / slope
+    bound = [qcrb(InterferometerParams(gain=g, alpha=alpha)).delta_phi for g in grid]
+    rows = np.column_stack([grid, alpha * balanced, alpha * optimal, alpha * np.array(bound)])
     columns = ("gain", "alpha_dphi_balanced", "alpha_dphi_optimal", "alpha_dphi_qcrb")
     return CurveTable("sensitivity_vs_gain", columns, rows, {"alpha": alpha})
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .fitting import NoiseDataset
-from .gaussian import InterferometerParams, apply_loss, seeded_tmss
-from .metrology import _validate_grid
+from .gaussian import InterferometerParams, apply_loss, measurement_weight, seeded_tmss
+from .metrology import _validate_grid, fringe_slope
 
 __all__ = [
     "MeasurementRecord",
@@ -178,7 +178,7 @@ def _record_pieces(config: SimConfig, trial: int, chunk: int | None = None):
     else:
         # Zero phase is exact (sin 0 = 0, cos 0 = 1) and draws nothing.
         phases = np.zeros((n_blocks, 2))
-    tone_amp = 2.0 * math.sqrt(p.eta_p * p.gain) * p.alpha * config.tone_depth
+    tone_amp = float(fringe_slope(p.gain, p.eta_p, p.alpha)) * config.tone_depth
     omega = 2.0 * math.pi * config.tone_freq
     for b, (e_p, e_c) in enumerate(phases):
         # Rows pick out the rotated measurement direction per arm.
@@ -247,9 +247,7 @@ def combine_weighted(record: MeasurementRecord, lam: float) -> np.ndarray:
     Returns:
         The combined time series.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
-    return record.probe + lam * record.conjugate
+    return record.probe + measurement_weight(lam) * record.conjugate
 
 
 def _hann(offsets: np.ndarray, nperseg: int) -> np.ndarray:
@@ -477,6 +475,12 @@ def measure_noise_vs_lambda(
         raise ValueError(f"trials must be an int in [1, {_MAX_TRIALS}], got {trials!r}")
     # The band is checked, and its basis built once, before any draw.
     band = _band(config.n_samples, config.sample_rate, center_freq, rbw)
+    if trials * band.n_seg < 2:
+        raise ValueError(
+            f"the scan would pool {trials * band.n_seg} segment of {band.nperseg} "
+            "samples; its uncertainty needs at least 2 (more trials, a longer "
+            "record or a wider rbw)"
+        )
     workers = _scan_workers(trials)
 
     def read_trials(k: int) -> list[np.ndarray]:

@@ -16,7 +16,7 @@ from tsui.gaussian import (
     joint_quadrature_stats,
     seeded_tmss,
 )
-from tsui.metrology import joint_variance_quadratic
+from tsui.metrology import joint_variance_quadratic, lambda_opt
 
 
 def read_csv(path):
@@ -136,7 +136,7 @@ class TestCurves:
         idx = int(np.argmin(np.abs(rows[:, 0] - 2.0)))
         assert rows[idx, 0] == 2.0
         # Full-precision serialization: the stored weight round-trips.
-        assert rows[idx, 1] == 0.9428090415820631
+        assert rows[idx, 1] == lambda_opt(InterferometerParams(gain=2.0))
         assert rows[0, 1] == 0.0
 
     def test_fig4b_default_etas(self, tmp_path, monkeypatch):
@@ -192,6 +192,59 @@ class TestCurves:
         assert code == 2
         assert not out.exists()
 
+    # Each figure with every flag it reads (all must work) and the flags
+    # it does not read (each must exit 2, naming the flag, writing nothing).
+    FLAGS = {
+        "fig3": ({"--gain": "1:2:0.5", "--alpha": "3"}, ("--eta", "--lambdas")),
+        "fig4a": (
+            {"--gain": "2", "--eta": "0.9,0.8", "--alpha": "3", "--lambdas": "0:1:0.5"},
+            (),
+        ),
+        "fig4b": ({"--gain": "1:2:0.5", "--eta": "0.9"}, ("--alpha", "--lambdas")),
+        "fig6": (
+            {"--gain": "1.1,1.2", "--eta": "0.9", "--lambdas": "0:1:0.5"},
+            ("--alpha",),
+        ),
+        "fig8": ({"--gain": "1:2:0.5", "--eta": "0.9"}, ("--alpha", "--lambdas")),
+    }
+    UNREAD_VALUES = {"--eta": "0.5", "--lambdas": "0:1:0.5", "--alpha": "3"}
+
+    @pytest.mark.parametrize("figure", sorted(FLAGS))
+    def test_flags_the_figure_does_not_read_exit_2(self, figure, tmp_path, capsys):
+        reads, unread = self.FLAGS[figure]
+        out = tmp_path / "x.csv"
+        argv = ["curves", figure, "--out", str(out)]
+        assert main(argv + [t for kv in reads.items() for t in kv]) == 0
+        out.unlink()
+        for flag in unread:
+            assert main(argv + [flag, self.UNREAD_VALUES[flag]]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {figure} does not read {flag}")
+            assert not out.exists()
+
+    def test_all_unread_flags_named(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["curves", "fig4b", "--lambdas", "0:1:0.5", "--alpha", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert "fig4b does not read --alpha, --lambdas" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alpha_defaults_to_100(self, tmp_path):
+        for figure in ("fig3", "fig4a"):
+            default, explicit = tmp_path / "d.json", tmp_path / "e.json"
+            assert main(["curves", figure, "--format", "json", "--out", str(default)]) == 0
+            argv = ["curves", figure, "--alpha", "100", "--format", "json"]
+            assert main(argv + ["--out", str(explicit)]) == 0
+            assert default.read_bytes() == explicit.read_bytes()
+            assert json.loads(default.read_text())["meta"]["alpha"] == 100.0
+
+    def test_fig6_rejects_multiple_etas(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["curves", "fig6", "--eta", "1.0", "--eta", "0.9", "--out", str(out)])
+        assert code == 2
+        assert "fig6 takes a single --eta setting" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_grid_exits_2(self, tmp_path):
         out = tmp_path / "x.csv"
         assert main(["curves", "fig4b", "--gain", "5:1:0.1", "--out", str(out)]) == 2
@@ -238,7 +291,7 @@ class TestLambdaOpt:
     def test_numeric_check_line(self, capsys):
         assert main(["lambda-opt", "--gain", "2.0", "--numeric"]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert float(out[0]) == 0.9428090415820631
+        assert float(out[0]) == lambda_opt(InterferometerParams(gain=2.0))
         assert out[1].startswith("numeric check:")
 
     def test_unphysical_gain_exits_2(self, capsys):
@@ -321,6 +374,19 @@ class TestSimulate:
         assert main(["verify", "--cutoff", "1000"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cutoff" in err
+
+    def test_single_segment_scan_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch):
+        draws = []
+        monkeypatch.setattr(simulate, "_record_pieces", lambda *args: draws.append(args))
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"gain = 1.67\nduration = {2**14 / 8e6!r}\n")
+        out = tmp_path / "scan.csv"
+        argv = ["simulate", "--config", str(cfg), "--trials", "1", "--rbw", "3906.25"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1 segment" in err and "Traceback" not in err
+        assert draws == []
+        assert not out.exists()
 
     def test_bad_band_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch):
         # The band is checked before a 2^23-sample record is drawn.

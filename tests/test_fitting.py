@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -310,6 +311,15 @@ class TestFitNoiseCurve:
         assert "gain" in text and "lambda_opt" in text
         assert "start data won" in text
 
+    def test_serialized_keys_are_the_fields_in_order(self):
+        fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79, noise_seed=3))
+        data = json.loads(fit.json_text())
+        assert list(data) == [f.name for f in dataclasses.fields(fit)]
+        assert data["param_names"] == list(fit.param_names)
+        assert data["param_values"] == [float(v) for v in fit.param_values]
+        assert data["param_cov"] == [[float(v) for v in row] for row in fit.param_cov]
+        assert all(type(v) is float for v in data["param_values"])
+
     def test_one_start_when_it_converges(self):
         fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79, noise_seed=6))
         assert (fit.n_starts, fit.winning_start) == (1, "data")
@@ -467,6 +477,34 @@ class TestExtractLambdaOpt:
         assert est.method == "fit"
         assert abs(est.value - 0.7962950314799236) < 1e-5
         assert est.fit_sigma is not None and est.fit_sigma >= 0.0
+
+    @pytest.mark.parametrize("offset", [0.03, None])
+    def test_fit_sigma_equals_per_parameter_loop(self, offset):
+        # Reference: one central difference of lambda_opt per parameter,
+        # clamped into the physical range, as scalar calls.
+        ds = synthetic(1.2, 0.73, 0.76, noise_seed=2)
+        fit = fit_noise_curve(ds, FitOptions(loss_offset=offset))
+        x_hat = fit.param_values
+        grad = np.zeros(x_hat.size)
+        for i in range(x_hat.size):
+            h = 1e-6 * max(1.0, abs(x_hat[i]))
+            lam = []
+            for step in (h, -h):
+                x = x_hat.copy()
+                x[i] += step
+                if offset is None:
+                    gain, eta_p, eta_c = x[0], x[1], x[2]
+                else:
+                    gain, eta_p, eta_c = x[0], x[1] - offset, x[1]
+                params = InterferometerParams(
+                    gain=max(gain, 1.0),
+                    eta_p=min(max(eta_p, 0.0), 1.0),
+                    eta_c=min(max(eta_c, 0.0), 1.0),
+                )
+                lam.append(lambda_opt(params))
+            grad[i] = (lam[0] - lam[1]) / (2.0 * h)
+        expected = math.sqrt(max(grad @ fit.param_cov @ grad, 0.0))
+        assert extract_lambda_opt(ds, fit, n_bootstrap=10).fit_sigma == expected
 
     def test_boundary_warning_when_min_at_edge(self):
         lam = np.linspace(0.0, 1.0, 11)

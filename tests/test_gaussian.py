@@ -13,6 +13,7 @@ from tsui.gaussian import (
     apply_loss,
     apply_phase_shift,
     joint_quadrature_stats,
+    measurement_weight,
     photon_moments,
     seeded_tmss,
 )
@@ -236,6 +237,40 @@ class TestJointQuadrature:
         vs = np.array([joint_quadrature_stats(st, float(l))[1] for l in lams])
         second = np.diff(vs, 2)
         assert np.allclose(second, second[0], atol=1e-12)
+
+    def test_array_of_weights_equals_scalar_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            st = apply_loss(seeded_tmss(random_params(rng)), rng.random(), rng.random())
+            lams = np.concatenate([[0.0, 1.0], rng.random(50)]).reshape(4, 13)
+            mean, var = joint_quadrature_stats(st, lams)
+            assert mean.shape == var.shape == lams.shape
+            loop = [joint_quadrature_stats(st, float(l)) for l in lams.ravel()]
+            assert np.array_equal(mean.ravel(), [m for m, _ in loop])
+            assert np.array_equal(var.ravel(), [v for _, v in loop])
+
+    def test_array_of_weights_validated(self):
+        st = seeded_tmss(InterferometerParams(gain=1.5))
+        for bad in (np.array([0.5, 1.5]), np.array([-0.1, 0.5]), np.array([math.nan])):
+            with pytest.raises(ValueError):
+                joint_quadrature_stats(st, bad)
+
+
+class TestMeasurementWeight:
+    def test_scalar_and_object_give_floats(self):
+        for m in (0.25, np.float64(0.25), WeightedMeasurement(0.25), 1):
+            lam = measurement_weight(m)
+            assert type(lam) is float and lam == float(getattr(m, "lam", m))
+
+    def test_array_gives_array(self):
+        lam = measurement_weight([0.0, 0.5, 1.0])
+        assert isinstance(lam, np.ndarray) and lam.dtype == float
+        assert np.array_equal(lam, [0.0, 0.5, 1.0])
+
+    def test_out_of_range_rejected(self):
+        for bad in (-0.01, 1.01, math.nan, math.inf, [0.5, 1.2], np.array([[math.nan]])):
+            with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\]"):
+                measurement_weight(bad)
 
 
 class TestPhotonMoments:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tsui.metrology import (
     curve_noise_vs_lambda,
     curve_sensitivity_vs_gain,
     curve_snri_vs_lambda,
+    fringe_slope,
     joint_noise_power,
     joint_variance_quadratic,
     lambda_opt,
@@ -41,6 +43,19 @@ class TestLambdaOpt:
     def test_gain_one_gives_zero(self):
         assert lambda_opt(InterferometerParams(gain=1.0)) == 0.0
         assert lambda_opt(InterferometerParams(gain=1.0, eta_p=0.7, eta_c=0.8)) == 0.0
+
+    @pytest.mark.parametrize("k", [20, 30, 40])
+    @pytest.mark.parametrize("eta_p, eta_c", [(1.0, 1.0), (0.76, 0.79), (0.3, 0.9)])
+    def test_accurate_just_above_unit_gain(self, k, eta_p, eta_c):
+        # Near G = 1, sinh 2r = 2 sqrt(G (G - 1)) keeps every digit that an
+        # acosh(sqrt(G)) route loses.  Reference: the vertex in 50 digits.
+        gain = 1.0 + 2.0**-k
+        with localcontext() as ctx:
+            ctx.prec = 50
+            g, ep, ec = Decimal(gain), Decimal(eta_p), Decimal(eta_c)
+            ref = float((ep * ec).sqrt() * 2 * (g * (g - 1)).sqrt() / (1 - ec + ec * (2 * g - 1)))
+        got = lambda_opt(InterferometerParams(gain=gain, eta_p=eta_p, eta_c=eta_c))
+        assert abs(got - ref) <= 2.0 * np.spacing(ref)
 
     def test_known_lossy_value(self):
         p = InterferometerParams(gain=1.67, eta_p=0.76, eta_c=0.79)
@@ -172,6 +187,14 @@ class TestJointNoisePower:
 
 
 class TestSensitivity:
+    def test_fringe_slope_broadcasts(self):
+        gains = np.array([[1.0], [2.0]])
+        etas = np.array([0.5, 1.0])
+        slope = fringe_slope(gains, etas, 3.0)
+        assert slope.shape == (2, 2)
+        for i, j in np.ndindex(2, 2):
+            assert slope[i, j] == 2.0 * math.sqrt(etas[j] * gains[i, 0]) * 3.0
+
     def test_sql_values(self):
         p = InterferometerParams(gain=2.0, eta_p=0.76, alpha=10.0)
         slope = 2.0 * math.sqrt(0.76 * 2.0) * 10.0
@@ -353,6 +376,32 @@ class TestCurveGenerators:
         assert math.isclose(table.rows[1, 1], 2.0 * math.sqrt(2.0) / 3.0, rel_tol=1e-12)
         # Lossy curve sits below lossless everywhere above G = 1.
         assert np.all(table.rows[1:, 2] < table.rows[1:, 1])
+
+    def test_lambda_opt_rows_match_scalar_api(self):
+        # The broadcast table and per-point lambda_opt run the same float
+        # operations, so the stated gap is zero.
+        etas = [1.0, (0.9, 0.9), (0.745, 0.775), (0.3, 0.9), (0.9, 0.1)]
+        grid = np.arange(1.0, 5.0001, 0.05)
+        table = curve_lambda_opt_vs_gain(etas, grid)
+        for row in table.rows:
+            for (ep, ec), value in zip([(1.0, 1.0), *etas[1:]], row[1:]):
+                p = InterferometerParams(gain=row[0], eta_p=ep, eta_c=ec)
+                assert value == lambda_opt(p)
+
+    def test_sensitivity_rows_match_scalar_api(self):
+        # Gap zero, as above: the same operations per point.
+        alpha = 3.0
+        table = curve_sensitivity_vs_gain(alpha, np.arange(1.0, 5.0001, 0.05))
+        for gain, balanced, optimal, bound in table.rows:
+            p = InterferometerParams(gain=gain, alpha=alpha)
+            assert balanced == alpha * phase_sensitivity(p, 1.0).delta_phi
+            assert optimal == alpha * phase_sensitivity(p, lambda_opt(p)).delta_phi
+            assert bound == alpha * qcrb(p).delta_phi
+
+    def test_lambda_opt_vs_gain_validates_each_eta(self):
+        for etas in ([1.2], [(0.5, -0.1)], [0.9, (0.5, math.nan)]):
+            with pytest.raises(ValueError, match="must lie in"):
+                curve_lambda_opt_vs_gain(etas, np.array([1.0, 2.0]))
 
     def test_sensitivity_vs_gain_coherent_limit(self):
         table = curve_sensitivity_vs_gain(100.0, np.array([1.0, 2.0]))

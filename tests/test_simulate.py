@@ -423,6 +423,16 @@ class TestMeasuredScan:
         measure_noise_vs_lambda(config(), grid, trials=1)
         assert len(draws) == 1
 
+    def test_fewer_than_two_segments_fail_before_any_draw(self, monkeypatch):
+        # One 16384-sample segment in one trial leaves no spread to take a
+        # standard error from; the scan says so before drawing the record.
+        draws = []
+        monkeypatch.setattr(simulate, "_record_pieces", lambda *args: draws.append(args))
+        cfg = config(duration=_MIN_SAMPLES / FS)
+        with pytest.raises(ValueError, match="pool 1 segment of 16384 samples"):
+            measure_noise_vs_lambda(cfg, [0.0, 1.0], trials=1, rbw=3906.25)
+        assert draws == []
+
     def test_memory_does_not_grow_with_trials(self):
         # Records are read piece by piece; only band spectra (144 B per
         # segment and arm) and three sums per segment outlive a piece.  So
