@@ -9,6 +9,7 @@ brute-force Fock-space oracle, and emulates the measurement chain
 (time records, spectrum analysis, noise-curve fitting) end to end.
 """
 
+from .data import CurveTable, NoiseDataset, load_noise_csv
 from .gaussian import (
     GaussianState,
     InterferometerParams,
@@ -22,7 +23,6 @@ from .gaussian import (
 )
 from .metrology import (
     LOG2_DB,
-    CurveTable,
     NoiseResult,
     SensitivityResult,
     SqlKind,
@@ -37,6 +37,7 @@ from .metrology import (
     joint_variance_quadratic,
     lambda_opt,
     lambda_opt_numeric,
+    optimal_weight,
     phase_sensitivity,
     qcrb,
     snri,
@@ -59,10 +60,8 @@ from .fitting import (
     FitOptions,
     FitResult,
     LambdaOptEstimate,
-    NoiseDataset,
     extract_lambda_opt,
     fit_noise_curve,
-    load_noise_csv,
     overlay_theory,
 )
 from .simulate import (
@@ -79,6 +78,9 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CurveTable",
+    "NoiseDataset",
+    "load_noise_csv",
     "GaussianState",
     "InterferometerParams",
     "MomentSummary",
@@ -89,7 +91,6 @@ __all__ = [
     "photon_moments",
     "seeded_tmss",
     "LOG2_DB",
-    "CurveTable",
     "NoiseResult",
     "SensitivityResult",
     "SqlKind",
@@ -104,6 +105,7 @@ __all__ = [
     "joint_variance_quadratic",
     "lambda_opt",
     "lambda_opt_numeric",
+    "optimal_weight",
     "phase_sensitivity",
     "qcrb",
     "snri",
@@ -122,10 +124,8 @@ __all__ = [
     "FitOptions",
     "FitResult",
     "LambdaOptEstimate",
-    "NoiseDataset",
     "extract_lambda_opt",
     "fit_noise_curve",
-    "load_noise_csv",
     "overlay_theory",
     "MeasurementRecord",
     "SimConfig",

@@ -2,19 +2,23 @@
 
 Exit codes: 0 success, 1 runtime failure (fit did not converge, oracle
 tolerance breach, truncation), 2 usage or validation errors.  All file
-writes go through :func:`tsui.metrology.write_atomic` (temp file plus
-rename) so outputs are never left half written.
+writes go through :func:`tsui.data.write_atomic` (temp file plus
+rename) so outputs are never left half written.  Every output path is
+checked before any draw or fit: a missing directory, or a path that is
+a directory, exits 2 at once and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import fitting, fock, metrology, simulate
+from .data import check_grid, format_float, load_noise_csv, write_atomic
 from .gaussian import (
     InterferometerParams,
     apply_loss,
@@ -76,6 +80,15 @@ def _parse_eta(text: str) -> tuple[float, float]:
     raise ValueError(f"transmission must be 'eta' or 'eta_p,eta_c', got {text!r}")
 
 
+def _check_outputs(*paths: str) -> None:
+    # Fail before the work if an output cannot be written where it is asked.
+    for path in paths:
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValueError(f"cannot write {path}: its directory does not exist")
+
+
 def _single(values: np.ndarray, name: str) -> float:
     if values.size != 1:
         raise ValueError(f"{name} expects a single value, got {values.size}")
@@ -97,6 +110,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     figure = args.figure
     fmt = args.format
     out = args.out or f"{figure}.{fmt}"
+    _check_outputs(out)
     unread = [
         f"--{flag}"
         for flag in ("gain", "eta", "alpha", "lambdas")
@@ -143,17 +157,18 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def cmd_lambda_opt(args: argparse.Namespace) -> int:
     params = InterferometerParams(gain=args.gain, eta_p=args.eta_p, eta_c=args.eta_c)
     value = metrology.lambda_opt(params)
-    print(metrology.format_float(value))
+    print(format_float(value))
     if args.numeric:
         check = metrology.lambda_opt_numeric(params)
         print(
-            f"numeric check: {metrology.format_float(check)}"
+            f"numeric check: {format_float(check)}"
             f" (difference {abs(check - value):.3e})"
         )
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_outputs(args.out)
     config = simulate.load_sim_config(args.config)
     grid = parse_span(args.lambdas)
     dataset = simulate.measure_noise_vs_lambda(
@@ -169,7 +184,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    dataset = fitting.load_noise_csv(args.data)
+    kinds = (SqlKind.SQL2, SqlKind.SQL1) if args.overlay else ()
+    overlays = [f"{args.overlay}_{kind.value}.csv" for kind in kinds]
+    _check_outputs(args.out, *overlays)
+    # The overlay grid is checked before the fit, so a bad one writes nothing.
+    grid = check_grid("lambda_grid", parse_span(args.lambdas), 0.0, 1.0) if kinds else None
+    dataset = load_noise_csv(args.data)
     if args.unconstrained:
         offset = None
     else:
@@ -183,20 +203,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
     options = fitting.FitOptions(loss_offset=offset, initial=initial)
     fit = fitting.fit_noise_curve(dataset, options)
     est = fitting.extract_lambda_opt(dataset, fit)
-    metrology.write_atomic(args.out, fit.json_text())
+    write_atomic(args.out, fit.json_text())
     print(fit.summary())
     print(
         f"  lambda_opt estimate = {est.value:.4f} +/- {est.sigma:.4f} ({est.method})"
     )
     if est.boundary_warning:
         print("  warning: measured minimum sits at the edge of the scanned range")
-    if args.overlay:
-        grid = parse_span(args.lambdas)
-        for kind in (SqlKind.SQL2, SqlKind.SQL1):
-            table = fitting.overlay_theory(fit, kind, grid)
-            path = f"{args.overlay}_{kind.value}.csv"
-            table.to_csv(path)
-            print(f"wrote {path}")
+    for kind, path in zip(kinds, overlays):
+        fitting.overlay_theory(fit, kind, grid).to_csv(path)
+        print(f"wrote {path}")
     print(f"wrote {args.out}")
     return 0
 

@@ -1,0 +1,255 @@
+"""File formats and the input checks that every layer shares.
+
+A noise-versus-weight scan (:class:`NoiseDataset`) and a theory curve
+(:class:`CurveTable`) are written as CSV with ``# key = value`` metadata
+lines and shortest round-trip floats, through one atomic writer.  This
+module imports no other tsui module, so any layer can use it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import math
+import os
+from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
+
+__all__ = [
+    "CurveTable",
+    "NoiseDataset",
+    "check_grid",
+    "check_unit_interval",
+    "format_csv",
+    "format_float",
+    "load_noise_csv",
+    "write_atomic",
+]
+
+
+def check_unit_interval(name: str, value: float) -> float:
+    """``value`` as a float, checked to be finite and in [0, 1]."""
+    value = float(value)
+    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return value
+
+
+def check_grid(name: str, grid, lower: float, upper: float) -> np.ndarray:
+    """``grid`` as floats, checked: 1-D, finite, increasing, >= 2 points, in range."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError(f"{name} must be a 1-D grid with at least 2 points")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError(f"{name} must be strictly increasing")
+    if grid[0] < lower or grid[-1] > upper:
+        raise ValueError(f"{name} must lie within [{lower:g}, {upper:g}]")
+    return grid
+
+
+def format_csv(comments, columns: Sequence[str], rows) -> str:
+    """CSV text: a ``# key = value`` line per ``(key, value)`` pair in
+    ``comments``, the header, then the float rows via :func:`format_float`."""
+    lines = [f"# {key} = {value}" for key, value in comments]
+    lines.append(",".join(columns))
+    lines += [",".join(format_float(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def format_float(value: float) -> str:
+    """Shortest decimal string that round-trips the float exactly."""
+    return np.format_float_positional(value, unique=True, trim="0")
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename.
+
+    A failed write leaves neither ``path`` nor the temp file behind, and
+    its ``OSError`` names ``path``.  The mode is 0o666 & ~umask, as
+    ``open(path, "w")`` gives a new file.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tsui-tmp-{os.urandom(8).hex()}")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+@dataclass
+class CurveTable:
+    """Column-oriented numeric table with provenance metadata.
+
+    The first column is the abscissa and must be strictly increasing;
+    all values must be finite.  Serializes to CSV (metadata as ``#``
+    comment lines, full round-trip precision) and to JSON.
+    """
+
+    label: str
+    columns: tuple[str, ...]
+    rows: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.columns = tuple(str(c) for c in self.columns)
+        rows = np.asarray(self.rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != len(self.columns):
+            raise ValueError(
+                f"rows must be 2-D with {len(self.columns)} columns, "
+                f"got shape {rows.shape}"
+            )
+        if rows.shape[0] < 1:
+            raise ValueError("table must have at least one row")
+        if len(set(self.columns)) != len(self.columns):
+            raise ValueError("column names must be unique")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("table values must be finite")
+        if np.any(np.diff(rows[:, 0]) <= 0.0):
+            raise ValueError(f"abscissa {self.columns[0]!r} must be strictly increasing")
+        self.rows = rows
+
+    def csv_text(self) -> str:
+        comments = [("label", self.label)] + sorted(self.meta.items())
+        return format_csv(comments, self.columns, self.rows)
+
+    def json_text(self) -> str:
+        payload = {
+            "label": self.label,
+            "meta": self.meta,
+            "columns": list(self.columns),
+            "rows": [
+                {c: float(v) for c, v in zip(self.columns, row)}
+                for row in self.rows
+            ],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+
+    def to_csv(self, path: str) -> None:
+        write_atomic(path, self.csv_text())
+
+    def to_json(self, path: str) -> None:
+        write_atomic(path, self.json_text())
+
+
+@dataclass
+class NoiseDataset:
+    """One noise-versus-weight scan with per-point uncertainties.
+
+    Rows are sorted by weight on construction.  Duplicate weights are
+    allowed (replicate measurements); fitting requires at least five
+    distinct ones.
+    """
+
+    lam: np.ndarray
+    noise_db: np.ndarray
+    sigma_db: np.ndarray
+    source: str = "measured"
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        lam = np.asarray(self.lam, dtype=float)
+        noise = np.asarray(self.noise_db, dtype=float)
+        sigma = np.asarray(self.sigma_db, dtype=float)
+        if not (lam.shape == noise.shape == sigma.shape) or lam.ndim != 1:
+            raise ValueError("lam, noise_db and sigma_db must be equal-length 1-D arrays")
+        if lam.size < 5:
+            raise ValueError(f"need at least 5 rows, got {lam.size}")
+        if not (
+            np.all(np.isfinite(lam))
+            and np.all(np.isfinite(noise))
+            and np.all(np.isfinite(sigma))
+        ):
+            raise ValueError("dataset values must be finite")
+        if np.any(lam < 0.0) or np.any(lam > 1.0):
+            raise ValueError("weights must lie in [0, 1]")
+        if np.any(sigma <= 0.0):
+            raise ValueError("sigma_db entries must be > 0")
+        order = np.argsort(lam, kind="stable")
+        self.lam = lam[order]
+        self.noise_db = noise[order]
+        self.sigma_db = sigma[order]
+
+    def __len__(self) -> int:
+        return int(self.lam.size)
+
+    def n_distinct(self) -> int:
+        return int(np.unique(self.lam).size)
+
+    def csv_text(self) -> str:
+        comments = [("source", self.source)] + sorted(self.meta.items())
+        rows = zip(self.lam, self.noise_db, self.sigma_db)
+        return format_csv(comments, ("lambda", "noise_db", "sigma_db"), rows)
+
+    def to_csv(self, path: str) -> None:
+        write_atomic(path, self.csv_text())
+
+
+def load_noise_csv(path: str) -> NoiseDataset:
+    """Read a noise scan written by :meth:`NoiseDataset.to_csv`.
+
+    Expects ``#`` metadata comments, a ``lambda,noise_db,sigma_db``
+    header, and one float triple per row.  Malformed content raises
+    ``ValueError`` naming the offending line.
+
+    Args:
+        path: CSV file to read.
+
+    Returns:
+        The parsed :class:`NoiseDataset`.
+    """
+    meta: dict = {}
+    source = "measured"
+    rows: list[tuple[float, float, float]] = []
+    header_seen = False
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    key = key.strip()
+                    value = value.strip()
+                    if key == "source":
+                        source = value
+                    elif key:
+                        meta[key] = value
+                continue
+            if not header_seen:
+                names = [c.strip().lower() for c in line.split(",")]
+                if names != ["lambda", "noise_db", "sigma_db"]:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected header 'lambda,noise_db,sigma_db', "
+                        f"got {line!r}"
+                    )
+                header_seen = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
+            try:
+                rows.append(tuple(float(p) for p in parts))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: could not parse row {line!r}") from None
+    if not header_seen:
+        raise ValueError(f"{path}: missing 'lambda,noise_db,sigma_db' header")
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    data = np.array(rows)
+    return NoiseDataset(
+        lam=data[:, 0], noise_db=data[:, 1], sigma_db=data[:, 2], source=source, meta=meta
+    )

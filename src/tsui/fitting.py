@@ -1,7 +1,7 @@
-"""Noise-curve datasets, weighted model fits, and weight extraction.
+"""Weighted model fits of noise scans, and weight extraction.
 
-A noise-versus-weight scan (measured or simulated) is fitted in dB space
-to the closed-form model
+A noise-versus-weight scan (a :class:`tsui.data.NoiseDataset`, measured
+or simulated) is fitted in dB space to the closed-form model
 
     model(lam) = 10 log10( V_p + lam^2 V_c + 2 lam C ) + scale_db
 
@@ -30,24 +30,24 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from . import metrology
+# load_noise_csv is unused here; callers from before tsui.data read it as fitting's.
+from .data import CurveTable, NoiseDataset, check_grid, load_noise_csv
 from .gaussian import InterferometerParams
-from .metrology import CurveTable, SqlKind
+from .metrology import SqlKind
 
 __all__ = [
     "FitFailure",
     "FitOptions",
     "FitResult",
     "LambdaOptEstimate",
-    "NoiseDataset",
     "extract_lambda_opt",
     "fit_noise_curve",
-    "load_noise_csv",
     "overlay_theory",
 ]
 
@@ -76,118 +76,6 @@ class FitFailure(RuntimeError):
             message += f" (best residual cost {best_cost:.6g})"
         super().__init__(message)
         self.best_cost = best_cost
-
-
-@dataclass
-class NoiseDataset:
-    """One noise-versus-weight scan with per-point uncertainties.
-
-    Rows are sorted by weight on construction.  Duplicate weights are
-    allowed (replicate measurements); fitting requires at least five
-    distinct ones.
-    """
-
-    lam: np.ndarray
-    noise_db: np.ndarray
-    sigma_db: np.ndarray
-    source: str = "measured"
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        lam = np.asarray(self.lam, dtype=float)
-        noise = np.asarray(self.noise_db, dtype=float)
-        sigma = np.asarray(self.sigma_db, dtype=float)
-        if not (lam.shape == noise.shape == sigma.shape) or lam.ndim != 1:
-            raise ValueError("lam, noise_db and sigma_db must be equal-length 1-D arrays")
-        if lam.size < 5:
-            raise ValueError(f"need at least 5 rows, got {lam.size}")
-        if not (
-            np.all(np.isfinite(lam))
-            and np.all(np.isfinite(noise))
-            and np.all(np.isfinite(sigma))
-        ):
-            raise ValueError("dataset values must be finite")
-        if np.any(lam < 0.0) or np.any(lam > 1.0):
-            raise ValueError("weights must lie in [0, 1]")
-        if np.any(sigma <= 0.0):
-            raise ValueError("sigma_db entries must be > 0")
-        order = np.argsort(lam, kind="stable")
-        self.lam = lam[order]
-        self.noise_db = noise[order]
-        self.sigma_db = sigma[order]
-
-    def __len__(self) -> int:
-        return int(self.lam.size)
-
-    def n_distinct(self) -> int:
-        return int(np.unique(self.lam).size)
-
-    def csv_text(self) -> str:
-        comments = [("source", self.source)] + sorted(self.meta.items())
-        rows = zip(self.lam, self.noise_db, self.sigma_db)
-        return metrology.format_csv(comments, ("lambda", "noise_db", "sigma_db"), rows)
-
-    def to_csv(self, path: str) -> None:
-        metrology.write_atomic(path, self.csv_text())
-
-
-def load_noise_csv(path: str) -> NoiseDataset:
-    """Read a noise scan written by :meth:`NoiseDataset.to_csv`.
-
-    Expects ``#`` metadata comments, a ``lambda,noise_db,sigma_db``
-    header, and one float triple per row.  Malformed content raises
-    ``ValueError`` naming the offending line.
-
-    Args:
-        path: CSV file to read.
-
-    Returns:
-        The parsed :class:`NoiseDataset`.
-    """
-    meta: dict = {}
-    source = "measured"
-    rows: list[tuple[float, float, float]] = []
-    header_seen = False
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    key = key.strip()
-                    value = value.strip()
-                    if key == "source":
-                        source = value
-                    elif key:
-                        meta[key] = value
-                continue
-            if not header_seen:
-                names = [c.strip().lower() for c in line.split(",")]
-                if names != ["lambda", "noise_db", "sigma_db"]:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected header 'lambda,noise_db,sigma_db', "
-                        f"got {line!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-            try:
-                rows.append(tuple(float(p) for p in parts))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: could not parse row {line!r}") from None
-    if not header_seen:
-        raise ValueError(f"{path}: missing 'lambda,noise_db,sigma_db' header")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    data = np.array(rows)
-    return NoiseDataset(
-        lam=data[:, 0], noise_db=data[:, 1], sigma_db=data[:, 2], source=source, meta=meta
-    )
 
 
 @dataclass(frozen=True)
@@ -621,7 +509,7 @@ def extract_lambda_opt(
         h = 1e-6 * np.maximum(1.0, np.abs(x_hat))
         steps = x_hat + np.concatenate([np.diag(h), -np.diag(h)])
         gain, eta_p, eta_c = np.array([_shape(x, fit.loss_offset) for x in steps]).T
-        lams = metrology._lambda_opt(
+        lams = metrology.optimal_weight(
             np.maximum(gain, 1.0), np.clip(eta_p, 0.0, 1.0), np.clip(eta_c, 0.0, 1.0)
         )
         grad = (lams[: h.size] - lams[h.size :]) / (2.0 * h)
@@ -655,7 +543,7 @@ def overlay_theory(fit: FitResult, kind: SqlKind, lambda_grid) -> CurveTable:
     Returns:
         Table with columns (lambda, snri_db).
     """
-    grid = metrology._validate_grid("lambda_grid", lambda_grid, 0.0, 1.0)
+    grid = check_grid("lambda_grid", lambda_grid, 0.0, 1.0)
     rows = np.column_stack([grid, metrology.snri(fit.params(), grid, kind)])
     meta = {
         "gain": fit.gain,

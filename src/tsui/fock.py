@@ -29,6 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
+from .data import check_unit_interval
+
 __all__ = [
     "FockEnsemble",
     "FockState",
@@ -308,8 +310,7 @@ def apply_loss_fock(
         A :class:`FockEnsemble` with the input's branches and the mode's
         transmission scaled by ``eta``.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta!r}")
+    eta = check_unit_interval("eta", eta)
     if mode not in ("probe", "conjugate"):
         raise ValueError(f"unknown mode {mode!r}")
     ens = _as_ensemble(state)
@@ -481,8 +482,7 @@ def oracle_quadrature_stats(
     Returns:
         ``(mean, variance)`` of the joint phase quadrature.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
+    lam = check_unit_interval("lam", lam)
     branches = _as_ensemble(state).branches.astype(complex)
     a = _ladder(branches.shape[1])
     y = -1j * (a - a.T)

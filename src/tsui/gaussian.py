@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_unit_interval
+
 __all__ = [
     "GaussianState",
     "InterferometerParams",
@@ -65,13 +67,6 @@ def _mode_slice(mode: str) -> slice:
         ) from None
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class InterferometerParams:
     """Physical settings of one amplifier-plus-detection configuration.
@@ -98,8 +93,8 @@ class InterferometerParams:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
         object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "eta_p", _check_unit_interval("eta_p", self.eta_p))
-        object.__setattr__(self, "eta_c", _check_unit_interval("eta_c", self.eta_c))
+        object.__setattr__(self, "eta_p", check_unit_interval("eta_p", self.eta_p))
+        object.__setattr__(self, "eta_c", check_unit_interval("eta_c", self.eta_c))
 
     @property
     def r(self) -> float:
@@ -220,8 +215,8 @@ def apply_loss(state: GaussianState, eta_p: float, eta_c: float) -> GaussianStat
     Returns:
         The attenuated state.
     """
-    eta_p = _check_unit_interval("eta_p", eta_p)
-    eta_c = _check_unit_interval("eta_c", eta_c)
+    eta_p = check_unit_interval("eta_p", eta_p)
+    eta_c = check_unit_interval("eta_c", eta_c)
     t = np.sqrt([eta_p, eta_p, eta_c, eta_c])
     cov = state.cov * np.outer(t, t) + np.diag(1.0 - t * t)
     return GaussianState(state.mean * t, cov)

@@ -14,20 +14,18 @@ produce the tables behind the standard figures of the project.
 
 from __future__ import annotations
 
-import contextlib
 import enum
-import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+# CurveTable types the curve tables; older callers also read it as metrology.CurveTable.
+from .data import CurveTable, check_grid, check_unit_interval
 from .gaussian import (
     InterferometerParams,
     WeightedMeasurement,
-    _check_unit_interval,
     apply_loss,
     joint_quadrature_stats,
     measurement_weight,
@@ -37,7 +35,6 @@ from .gaussian import (
 
 __all__ = [
     "LOG2_DB",
-    "CurveTable",
     "NoiseResult",
     "SensitivityResult",
     "SqlKind",
@@ -46,19 +43,17 @@ __all__ = [
     "curve_noise_vs_lambda",
     "curve_sensitivity_vs_gain",
     "curve_snri_vs_lambda",
-    "format_csv",
-    "format_float",
     "fringe_slope",
     "joint_noise_power",
     "joint_variance",
     "joint_variance_quadratic",
     "lambda_opt",
     "lambda_opt_numeric",
+    "optimal_weight",
     "phase_sensitivity",
     "qcrb",
     "snri",
     "sql_sensitivity",
-    "write_atomic",
 ]
 
 # dB gap between the two shot-noise conventions, 10*log10(2).
@@ -99,94 +94,6 @@ class SensitivityResult:
     snr_db: float | None = None
 
 
-@dataclass
-class CurveTable:
-    """Column-oriented numeric table with provenance metadata.
-
-    The first column is the abscissa and must be strictly increasing;
-    all values must be finite.  Serializes to CSV (metadata as ``#``
-    comment lines, full round-trip precision) and to JSON.
-    """
-
-    label: str
-    columns: tuple[str, ...]
-    rows: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.columns = tuple(str(c) for c in self.columns)
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != len(self.columns):
-            raise ValueError(
-                f"rows must be 2-D with {len(self.columns)} columns, "
-                f"got shape {rows.shape}"
-            )
-        if rows.shape[0] < 1:
-            raise ValueError("table must have at least one row")
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError("column names must be unique")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("table values must be finite")
-        if np.any(np.diff(rows[:, 0]) <= 0.0):
-            raise ValueError(f"abscissa {self.columns[0]!r} must be strictly increasing")
-        self.rows = rows
-
-    def csv_text(self) -> str:
-        comments = [("label", self.label)] + sorted(self.meta.items())
-        return format_csv(comments, self.columns, self.rows)
-
-    def json_text(self) -> str:
-        payload = {
-            "label": self.label,
-            "meta": self.meta,
-            "columns": list(self.columns),
-            "rows": [
-                {c: float(v) for c, v in zip(self.columns, row)}
-                for row in self.rows
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-    def to_csv(self, path: str) -> None:
-        write_atomic(path, self.csv_text())
-
-    def to_json(self, path: str) -> None:
-        write_atomic(path, self.json_text())
-
-
-def format_csv(comments, columns: Sequence[str], rows) -> str:
-    """CSV text: a ``# key = value`` line per ``(key, value)`` pair in
-    ``comments``, the header, then the float rows via :func:`format_float`."""
-    lines = [f"# {key} = {value}" for key, value in comments]
-    lines.append(",".join(columns))
-    lines += [",".join(format_float(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def format_float(value: float) -> str:
-    """Shortest decimal string that round-trips the float exactly."""
-    return np.format_float_positional(value, unique=True, trim="0")
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file and a rename.
-
-    A failed write leaves neither ``path`` nor the temp file behind.  The
-    mode is 0o666 & ~umask, as ``open(path, "w")`` gives a new file.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".tsui-tmp-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
 def joint_variance_quadratic(gain, eta_p, eta_c):
     """Coefficients (V_p, V_c, C) of Var(M) = V_p + lam^2 V_c + 2 lam C.
 
@@ -221,8 +128,8 @@ def fringe_slope(gain, eta_p, alpha):
     return 2.0 * np.sqrt(eta_p * gain) * alpha
 
 
-def _lambda_opt(gain, eta_p, eta_c):
-    # Vertex -C / V_c of the variance quadratic, clamped to [0, 1]; broadcast.
+def optimal_weight(gain, eta_p, eta_c):
+    """Vertex -C / V_c of the variance quadratic clamped to [0, 1], broadcast."""
     _, v_c, cross = joint_variance_quadratic(gain, eta_p, eta_c)
     return np.clip(-cross / v_c, 0.0, 1.0)
 
@@ -244,7 +151,7 @@ def lambda_opt(params: InterferometerParams) -> float:
     Returns:
         The clamped optimal weight.
     """
-    return float(_lambda_opt(params.gain, params.eta_p, params.eta_c))
+    return float(optimal_weight(params.gain, params.eta_p, params.eta_c))
 
 
 def lambda_opt_numeric(params: InterferometerParams, tol: float = 1e-10) -> float:
@@ -434,19 +341,6 @@ def snri(
     return float(base) if np.ndim(base) == 0 else base
 
 
-def _validate_grid(name: str, grid, lower: float, upper: float) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError(f"{name} must be a 1-D grid with at least 2 points")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError(f"{name} must be finite")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError(f"{name} must be strictly increasing")
-    if grid[0] < lower or grid[-1] > upper:
-        raise ValueError(f"{name} must lie within [{lower:g}, {upper:g}]")
-    return grid
-
-
 def curve_noise_vs_lambda(
     params: InterferometerParams, lambda_grid
 ) -> CurveTable:
@@ -459,7 +353,7 @@ def curve_noise_vs_lambda(
     Returns:
         Table with columns (lambda, variance, noise_db).
     """
-    grid = _validate_grid("lambda_grid", lambda_grid, 0.0, 1.0)
+    grid = check_grid("lambda_grid", lambda_grid, 0.0, 1.0)
     var = joint_variance(params.gain, params.eta_p, params.eta_c, grid)
     rows = np.column_stack([grid, var, 10.0 * np.log10(var)])
     meta = {
@@ -476,7 +370,7 @@ def _eta_pair(entry) -> tuple[float, float]:
     pair = entry if isinstance(entry, (tuple, list)) else (entry, entry)
     if len(pair) != 2:
         raise ValueError(f"eta entry must be a float or a pair, got {entry!r}")
-    return _check_unit_interval("eta_p", pair[0]), _check_unit_interval("eta_c", pair[1])
+    return check_unit_interval("eta_p", pair[0]), check_unit_interval("eta_c", pair[1])
 
 
 def curve_lambda_opt_vs_gain(eta_list: Sequence, gain_grid) -> CurveTable:
@@ -490,7 +384,7 @@ def curve_lambda_opt_vs_gain(eta_list: Sequence, gain_grid) -> CurveTable:
     Returns:
         Table with columns (gain, lambda_opt_<tag>...).
     """
-    grid = _validate_grid("gain_grid", gain_grid, 1.0, math.inf)
+    grid = check_grid("gain_grid", gain_grid, 1.0, math.inf)
     if len(eta_list) < 1:
         raise ValueError("eta_list must not be empty")
     pairs = [_eta_pair(e) for e in eta_list]
@@ -498,7 +392,7 @@ def curve_lambda_opt_vs_gain(eta_list: Sequence, gain_grid) -> CurveTable:
     if len(set(columns)) != len(columns):
         raise ValueError("eta_list entries must be distinct")
     eta_p, eta_c = np.array(pairs).T
-    rows = np.column_stack([grid, _lambda_opt(grid[:, np.newaxis], eta_p, eta_c)])
+    rows = np.column_stack([grid, optimal_weight(grid[:, np.newaxis], eta_p, eta_c)])
     meta = {"etas": "; ".join(f"({ep:g}, {ec:g})" for ep, ec in pairs)}
     return CurveTable("lambda_opt_vs_gain", tuple(columns), rows, meta)
 
@@ -522,10 +416,10 @@ def curve_sensitivity_vs_gain(alpha: float, gain_grid) -> CurveTable:
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha!r}")
-    grid = _validate_grid("gain_grid", gain_grid, 1.0, math.inf)
+    grid = check_grid("gain_grid", gain_grid, 1.0, math.inf)
     slope = fringe_slope(grid, 1.0, alpha)
     balanced = np.sqrt(joint_variance(grid, 1.0, 1.0, 1.0)) / slope
-    optimal = np.sqrt(joint_variance(grid, 1.0, 1.0, _lambda_opt(grid, 1.0, 1.0))) / slope
+    optimal = np.sqrt(joint_variance(grid, 1.0, 1.0, optimal_weight(grid, 1.0, 1.0))) / slope
     bound = [qcrb(InterferometerParams(gain=g, alpha=alpha)).delta_phi for g in grid]
     rows = np.column_stack([grid, alpha * balanced, alpha * optimal, alpha * np.array(bound)])
     columns = ("gain", "alpha_dphi_balanced", "alpha_dphi_optimal", "alpha_dphi_qcrb")
@@ -545,7 +439,7 @@ def curve_snri_vs_lambda(
     Returns:
         Table with columns (lambda, snri_sql2_<tag>..., snri_sql1_<tag>...).
     """
-    grid = _validate_grid("lambda_grid", lambda_grid, 0.0, 1.0)
+    grid = check_grid("lambda_grid", lambda_grid, 0.0, 1.0)
     if len(params_list) < 1:
         raise ValueError("params_list must not be empty")
     tags = []

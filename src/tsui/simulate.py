@@ -31,9 +31,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fitting import NoiseDataset
+from .data import NoiseDataset, check_grid
 from .gaussian import InterferometerParams, apply_loss, measurement_weight, seeded_tmss
-from .metrology import _validate_grid, fringe_slope
+from .metrology import fringe_slope
 
 __all__ = [
     "MeasurementRecord",
@@ -50,7 +50,7 @@ __all__ = [
 # while leaving hundreds of segments in a default-length record.
 _BINS_PER_RBW = 8
 
-# Samples per readout GEMM and per drawn piece of a scanned record; also
+# Samples per readout GEMM and per drawn piece of a record; also
 # the most basis rows cached (144 B each at 9 band bins).  A GEMM this
 # size against the (rows, 2 n_bins) basis stays below OpenBLAS's
 # threading threshold (2^18 multiply-adds) for up to 16 bins, so it runs
@@ -155,23 +155,23 @@ class SpectrumResult:
     is_peak: bool
 
 
-def _record_pieces(config: SimConfig, trial: int, chunk: int | None = None):
+def _record_pieces(config: SimConfig, trial: int):
     """Draw one record as a stream of ``(arm, start, values)`` pieces.
 
     The record is the sum of the pieces at positions ``start`` onwards of
     arm 0 (probe) or 1 (conjugate).  They come in stream order: each
     jitter block's quadrature pair, offset and tone included, then each
-    block's electronic noise for the probe, then for the conjugate.  With
-    ``chunk`` set, no piece is longer than ``chunk`` samples; without it
-    each piece is one whole block.  Smaller draws take the stream's
-    numbers in the same order as one whole-record draw would.
+    block's electronic noise for the probe, then for the conjugate.  No
+    piece is longer than ``_CHUNK`` samples or crosses a block; smaller
+    draws take the stream's numbers in the same order as one
+    whole-record draw would.
     """
     n = config.n_samples
     p = config.params
     state = apply_loss(seeded_tmss(p), p.eta_p, p.eta_c)
     rng = np.random.default_rng([config.rng_seed, trial])
     block = int(round(config.jitter_block * config.sample_rate))
-    step = block if chunk is None else min(block, chunk)
+    step = min(block, _CHUNK)
     n_blocks = -(-n // block)
     if config.lock_jitter_rms > 0.0:
         phases = rng.normal(0.0, config.lock_jitter_rms, size=(n_blocks, 2))
@@ -433,7 +433,7 @@ def _segment_sums(config: SimConfig, trial: int, band: _Band) -> np.ndarray:
     The record is drawn piece by piece straight into the arms' band
     spectra; no record-sized array is made.
     """
-    p, c = _band_spectra(band, _record_pieces(config, trial, _CHUNK), arms=2)
+    p, c = _band_spectra(band, _record_pieces(config, trial), arms=2)
     return np.stack([_cross_power(p, p), _cross_power(p, c), _cross_power(c, c)])
 
 
@@ -468,9 +468,9 @@ def measure_noise_vs_lambda(
         rbw: resolution bandwidth in Hz.
 
     Returns:
-        A :class:`~tsui.fitting.NoiseDataset` tagged ``source="simulated"``.
+        A :class:`~tsui.data.NoiseDataset` tagged ``source="simulated"``.
     """
-    grid = _validate_grid("lambda_grid", lambda_grid, 0.0, 1.0)
+    grid = check_grid("lambda_grid", lambda_grid, 0.0, 1.0)
     if not isinstance(trials, int) or not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be an int in [1, {_MAX_TRIALS}], got {trials!r}")
     # The band is checked, and its basis built once, before any draw.

@@ -8,6 +8,7 @@ and are asserted, not just reported.
 
 import math
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy import stats
@@ -52,7 +53,12 @@ def test_1_lossless_weight_identity():
     for _ in range(1000):
         g = 1.001 + 8.999 * rng.random()
         p = InterferometerParams(gain=g)
-        expected = math.tanh(2.0 * math.acosh(math.sqrt(g)))
+        # tanh 2r = (q - 1) / (q + 1), q = e^{4r} = (sqrt G + sqrt(G - 1))^4,
+        # in 50 digits: the reference adds no round-off of its own.
+        with localcontext() as ctx:
+            ctx.prec = 50
+            q = (Decimal(g).sqrt() + (Decimal(g) - 1).sqrt()) ** 4
+            expected = float((q - 1) / (q + 1))
         worst = max(worst, abs(lambda_opt(p) - expected))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0

@@ -259,6 +259,12 @@ class TestCurves:
         assert not out.exists()
         assert not out.parent.exists()
 
+    def test_directory_as_output_exits_2(self, tmp_path, capsys):
+        assert main(["curves", "fig3", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {tmp_path}: it is a directory" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_mode_follows_umask(self, tmp_path):
         data = tmp_path / "scan.csv"
         write_scan_csv(data, 1.67, 0.76, 0.79)
@@ -403,6 +409,20 @@ class TestSimulate:
         assert draws == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_bad_out_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch, where):
+        # A path that cannot be written fails before the scan, naming it.
+        draws = []
+        monkeypatch.setattr(simulate, "_record_pieces", lambda *args: draws.append(args))
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("gain = 1.67\nduration = 0.004\n")
+        out = tmp_path / "missing" / "scan.csv" if where == "missing" else tmp_path
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}:") and "tsui-tmp" not in err
+        assert draws == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.cfg"]
+
 
 class TestFit:
     def test_fit_with_overlays(self, tmp_path, capsys):
@@ -457,6 +477,30 @@ class TestFit:
              "--initial", "1.5,0.8"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, word",
+        [
+            (["--overlay", "missing/ov"], "cannot write"),
+            (["--out", "missing/f.json"], "cannot write"),
+            (["--overlay", "ov", "--lambdas", "0:2:0.5"], "lambda_grid"),
+        ],
+    )
+    def test_bad_output_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch, flags, word):
+        # Every output is checked before the fit: nothing is written.
+        fits = []
+        monkeypatch.setattr(cli.fitting, "fit_noise_curve", lambda *args: fits.append(args))
+        data = tmp_path / "scan.csv"
+        write_scan_csv(data, 1.67, 0.76, 0.79)
+        flags = [str(tmp_path / f) if f.startswith(("missing", "ov")) else f for f in flags]
+        argv = ["fit", "--data", str(data), "--out", str(tmp_path / "f.json"), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and word in err
+        if word == "cannot write":
+            assert str(tmp_path / "missing") in err
+        assert fits == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
 
     def test_missing_data_file_exits_2(self, tmp_path):
         code = main(

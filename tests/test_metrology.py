@@ -37,7 +37,11 @@ class TestLambdaOpt:
         for _ in range(300):
             g = 1.0 + 9.0 * rng.random()
             p = InterferometerParams(gain=g)
-            expected = math.tanh(2.0 * math.acosh(math.sqrt(g)))
+            # tanh 2r = (q - 1) / (q + 1), q = (sqrt G + sqrt(G - 1))^4, in 50 digits.
+            with localcontext() as ctx:
+                ctx.prec = 50
+                q = (Decimal(g).sqrt() + (Decimal(g) - 1).sqrt()) ** 4
+                expected = float((q - 1) / (q + 1))
             assert abs(lambda_opt(p) - expected) <= 1e-13
 
     def test_gain_one_gives_zero(self):
@@ -329,6 +333,21 @@ class TestCurveTable:
                 write(str(blocked))
             assert list(tmp_path.iterdir()) == [blocked]
             assert list(blocked.iterdir()) == []
+
+    def test_write_errors_name_the_target(self, tmp_path):
+        # The error names the path asked for, not the writer's temp file.
+        table = self.make()
+        blocked = tmp_path / "blocked"
+        blocked.mkdir()
+        for path, error in (
+            (tmp_path / "missing" / "t.csv", FileNotFoundError),
+            (blocked, IsADirectoryError),
+        ):
+            with pytest.raises(error) as info:
+                table.to_csv(str(path))
+            assert info.value.filename == str(path)
+            assert ".tsui-tmp" not in str(info.value)
+        assert list(blocked.iterdir()) == []
 
     def test_file_mode_follows_umask(self, tmp_path):
         table = self.make()
