@@ -9,15 +9,18 @@ white noise sits at 0 dB.
 
 Determinism: a record is a pure function of ``(config, trial)``.  Random
 draws always happen in the same order (block jitter phases, then the
-quadrature normals, then electronic noise for probe and conjugate), so
-identical inputs give bit-identical records.
+quadrature normals, then white electronic noise for probe and
+conjugate), so identical inputs give bit-identical records.
 
 The readout never needs a whole record.  A record is drawn as a stream
 of pieces, and each piece's in-band DFT (a small GEMM against a cached
-window x cos/sin basis) is added into per-segment band spectra; the
-electronic noise, drawn after every quadrature normal, enters by the
-linearity of the DFT.  A scan keeps three sums per segment, runs its
-trials on one thread per trial and usable CPU, each from its own
+window x cos/sin basis) is added into per-segment band spectra.  A scan
+draws no electronic noise samples: white noise's band spectra are
+Gaussian with the Gram matrix of one segment's in-band DFT rows as
+covariance, independent across segments and arms, so after every
+quadrature normal the scan draws those spectra directly, 2 n_bins
+normals per segment and arm.  A scan keeps three sums per segment, runs
+its trials on one thread per trial and usable CPU, each from its own
 generator, and pools the sums in trial order, so a scan does not depend
 on the number of workers.
 """
@@ -50,12 +53,12 @@ __all__ = [
 # while leaving hundreds of segments in a default-length record.
 _BINS_PER_RBW = 8
 
-# Samples per readout GEMM and per drawn piece of a record; also
-# the most basis rows cached (144 B each at 9 band bins).  A GEMM this
-# size against the (rows, 2 n_bins) basis stays below OpenBLAS's
-# threading threshold (2^18 multiply-adds) for up to 16 bins, so it runs
-# on the calling thread and concurrent scan workers do not oversubscribe
-# the cores.
+# Samples per readout GEMM, per drawn piece of a record and normals per
+# in-band noise draw; also the most basis rows cached (144 B each at 9
+# band bins).  A GEMM this size against the (rows, 2 n_bins) basis stays
+# below OpenBLAS's threading threshold (2^18 multiply-adds) for up to 16
+# bins, so it runs on the calling thread and concurrent scan workers do
+# not oversubscribe the cores.
 _CHUNK = 2**13
 
 # Input caps: the longest record is 8x the default length (2 x 64 MiB
@@ -155,21 +158,20 @@ class SpectrumResult:
     is_peak: bool
 
 
-def _record_pieces(config: SimConfig, trial: int):
-    """Draw one record as a stream of ``(arm, start, values)`` pieces.
+def _record_pieces(config: SimConfig, rng: np.random.Generator):
+    """Draw one record's quadrature signal as ``(arm, start, values)`` pieces.
 
-    The record is the sum of the pieces at positions ``start`` onwards of
+    The signal is the sum of the pieces at positions ``start`` onwards of
     arm 0 (probe) or 1 (conjugate).  They come in stream order: each
-    jitter block's quadrature pair, offset and tone included, then each
-    block's electronic noise for the probe, then for the conjugate.  No
-    piece is longer than ``_CHUNK`` samples or crosses a block; smaller
-    draws take the stream's numbers in the same order as one
-    whole-record draw would.
+    jitter block's quadrature pair, offset and tone included.  No piece is
+    longer than ``_CHUNK`` samples or crosses a block; smaller draws take
+    ``rng``'s numbers in the same order as one whole-record draw would.
+    Electronic noise is left to the caller, which draws it from ``rng``
+    after the last piece.
     """
     n = config.n_samples
     p = config.params
     state = apply_loss(seeded_tmss(p), p.eta_p, p.eta_c)
-    rng = np.random.default_rng([config.rng_seed, trial])
     block = int(round(config.jitter_block * config.sample_rate))
     step = min(block, _CHUNK)
     n_blocks = -(-n // block)
@@ -188,23 +190,20 @@ def _record_pieces(config: SimConfig, trial: int):
                 [0.0, 0.0, math.sin(e_c), math.cos(e_c)],
             ]
         )
-        chol = np.linalg.cholesky(u @ state.cov @ u.T)
+        # The factor transposed and contiguous: a 4x faster product than
+        # through the transposed view, with the same values.
+        chol_t = np.ascontiguousarray(np.linalg.cholesky(u @ state.cov @ u.T).T)
         offset = u @ state.mean
         stop = min((b + 1) * block, n)
         for lo in range(b * block, stop, step):
             hi = min(lo + step, stop)
-            seg = rng.standard_normal((hi - lo, 2)) @ chol.T
+            seg = rng.standard_normal((hi - lo, 2)) @ chol_t
             probe = seg[:, 0] + offset[0]
             if config.tone_depth > 0.0:
                 t = np.arange(lo, hi) / config.sample_rate
                 probe += tone_amp * math.cos(e_p) * np.sin(omega * t)
             yield 0, lo, probe
             yield 1, lo, seg[:, 1] + offset[1]
-    if config.electronic_noise_var > 0.0:
-        sigma = math.sqrt(config.electronic_noise_var)
-        for arm in (0, 1):
-            for lo in range(0, n, step):
-                yield arm, lo, rng.normal(0.0, sigma, min(step, n - lo))
 
 
 def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
@@ -216,7 +215,9 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     block-constant random phase, which both mixes in amplitude-quadrature
     noise and leaks the bright carrier in as a block-constant offset.
     The calibration tone enters only the probe record, with amplitude
-    slope * tone_depth where slope = 2 sqrt(eta_p G) alpha.
+    slope * tone_depth where slope = 2 sqrt(eta_p G) alpha.  White
+    electronic noise is drawn last, the probe's samples then the
+    conjugate's.
 
     Args:
         config: acquisition settings.
@@ -228,9 +229,14 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     """
     if not isinstance(trial, int) or trial < 0:
         raise ValueError(f"trial must be a nonnegative int, got {trial!r}")
+    rng = np.random.default_rng([config.rng_seed, trial])
     out = np.zeros((2, config.n_samples))
-    for arm, start, values in _record_pieces(config, trial):
+    for arm, start, values in _record_pieces(config, rng):
         out[arm, start : start + values.size] += values
+    if config.electronic_noise_var > 0.0:
+        noise = rng.standard_normal(out.shape)
+        noise *= math.sqrt(config.electronic_noise_var)
+        out += noise
     probe, conj = out
     probe.flags.writeable = False
     conj.flags.writeable = False
@@ -267,16 +273,66 @@ class _Band:
     in-band DFT in real layout.  Segments of at most ``_CHUNK`` samples
     get one row per position with the window folded in; longer segments
     get ``_CHUNK`` rows without it, reused for every block of the segment.
+    ``noise_factor`` is F = L^T, where L L^T = G is the Gram matrix of one
+    segment's windowed, scaled basis rows: standard normals xi give
+    xi @ F with the distribution of the band spectra of one segment of
+    unit-variance white noise.
     """
 
     nperseg: int
     n_seg: int
     bins: np.ndarray
     basis: np.ndarray
+    noise_factor: np.ndarray
+
+
+def _sinpi(num: np.ndarray, den: int) -> np.ndarray:
+    """sin(pi num / den) for integer ``num``, reduced exactly to |angle| <= pi / 2."""
+    r = num % (2 * den)
+    sign = np.where(r < den, 1.0, -1.0)
+    r = r % den
+    return sign * np.sin(np.pi * np.minimum(r, den - r) / den)
+
+
+# The squared Hann window as cosines: w(t)^2 = sum_j c_j exp(i j theta t)
+# with theta = 2 pi / (nperseg - 1), as ((j, c_j), ...).
+_HANN_SQUARED = ((-2, 1 / 16), (-1, -1 / 4), (0, 3 / 8), (1, -1 / 4), (2, 1 / 16))
+
+
+def _band_gram(nperseg: int, bins: np.ndarray) -> np.ndarray:
+    """Gram matrix of a Hann segment's in-band DFT rows, in closed form.
+
+    The rows are w(t) [cos(2 pi k t / n) | -sin(2 pi k t / n)] over the
+    band bins k and t = 0 .. n - 1.  Every entry is a window-squared sum
+    E(d) = sum_t w(t)^2 exp(2 pi i d t / n) at a bin difference or sum d,
+    and since w^2 is three cosines, E(d) is five Dirichlet kernels
+    sum_t exp(i psi t) = exp(i psi (n - 1) / 2) sin(n psi / 2) / sin(psi / 2).
+    Each psi / 2 pi is the integer ratio (d (n - 1) + j n) / (n (n - 1)),
+    so every sine is reduced exactly and the entries are accurate to
+    round-off relative to the largest, at any segment length.
+    """
+    n = nperseg
+    q = n * (n - 1)
+    d = np.concatenate([np.subtract.outer(bins, bins), np.add.outer(bins, bins)])
+    e = np.zeros(d.shape, dtype=complex)
+    for j, c in _HANN_SQUARED:
+        p = d * (n - 1) + j * n
+        # psi is a multiple of 2 pi only at j = 0 on the difference diagonal.
+        whole = p % q == 0
+        kernel = _sinpi(p, n - 1) / np.where(whole, 1.0, _sinpi(p, q))
+        phase = _sinpi(n - 2 * p, 2 * n) + 1j * _sinpi(p, n)
+        e += c * np.where(whole, n, phase * kernel)
+    diff, total = np.split(e, 2)
+    # cos a cos b, sin a sin b and cos a (-sin b) as halves of E(a -+ b).
+    cc = 0.5 * (diff.real + total.real)
+    ss = 0.5 * (diff.real - total.real)
+    cs = 0.5 * (diff.imag - total.imag)
+    return np.block([[cc, cs], [cs.T, ss]])
 
 
 def _band(n_samples: int, sample_rate: float, center_freq: float, rbw: float) -> _Band:
-    """Check the band against a record of ``n_samples`` and build its basis."""
+    """Check the band against a record of ``n_samples`` and build its basis
+    and its white-noise factor, the Cholesky factor of the closed-form Gram."""
     if not (0.0 < rbw < math.inf and 0.0 < sample_rate < math.inf):
         raise ValueError("rbw and sample_rate must be finite and > 0")
     if not rbw / 2.0 < center_freq < sample_rate / 2.0 - rbw / 2.0:
@@ -311,15 +367,21 @@ def _band(n_samples: int, sample_rate: float, center_freq: float, rbw: float) ->
     basis = np.empty((rows, 2 * bins.size))
     np.multiply(np.cos(angle), weight[:, np.newaxis], out=basis[:, : bins.size])
     np.multiply(np.sin(angle), -weight[:, np.newaxis], out=basis[:, bins.size :])
-    return _Band(nperseg=nperseg, n_seg=n_samples // nperseg, bins=bins, basis=basis)
+    gram = scale * scale * _band_gram(nperseg, bins)
+    return _Band(
+        nperseg=nperseg,
+        n_seg=n_samples // nperseg,
+        bins=bins,
+        basis=basis,
+        noise_factor=np.linalg.cholesky(gram).T,
+    )
 
 
 def _band_spectra(band: _Band, pieces, arms: int) -> np.ndarray:
     """Per-segment band spectra of each arm, read from a record's pieces.
 
     ``pieces`` yields ``(arm, start, values)`` as :func:`_record_pieces`
-    does: the pieces of one pass tile an arm's record in order, and a
-    later pass adds to an earlier one, since the DFT is linear.  Row g of
+    does: the pieces of an arm tile its record in order.  Row g of
     an arm's spectra holds segment g's band bins as [real parts, imaginary
     parts], scaled so that its squared norm is the segment's normalized
     band power: unit-variance white noise averages to 1.  Samples are
@@ -430,10 +492,24 @@ def _scan_workers(trials: int) -> int:
 def _segment_sums(config: SimConfig, trial: int, band: _Band) -> np.ndarray:
     """Per-segment (|P|^2, Re(P C*), |C|^2) band sums of one record.
 
-    The record is drawn piece by piece straight into the arms' band
-    spectra; no record-sized array is made.
+    The record's quadrature signal is drawn piece by piece straight into
+    the arms' band spectra; no record-sized array is made.  The white
+    electronic noise of every segment and arm is then drawn as its band
+    spectra, xi @ (sigma ``band.noise_factor``), which for zero-overlap
+    segments has the distribution of the time-domain draw's spectra.
+    The normals xi come in runs of at most ``_CHUNK`` numbers, which take
+    the stream's numbers in the order of one (2, n_seg, 2 n_bins) draw.
     """
-    p, c = _band_spectra(band, _record_pieces(config, trial), arms=2)
+    rng = np.random.default_rng([config.rng_seed, trial])
+    spectra = _band_spectra(band, _record_pieces(config, rng), arms=2)
+    if config.electronic_noise_var > 0.0:
+        factor = math.sqrt(config.electronic_noise_var) * band.noise_factor
+        rows = spectra.reshape(-1, len(factor))
+        step = _CHUNK // len(factor)
+        for lo in range(0, len(rows), step):
+            block = rows[lo : lo + step]
+            block += rng.standard_normal(block.shape) @ factor
+    p, c = spectra
     return np.stack([_cross_power(p, p), _cross_power(p, c), _cross_power(c, c)])
 
 
@@ -450,10 +526,15 @@ def measure_noise_vs_lambda(
     reads the band power of probe + lam * conjugate at the analysis
     frequency.  Each segment's band power is the quadratic |P|^2 +
     2 lam Re(P C*) + lam^2 |C|^2 in the arms' band spectra, so one
-    spectral pass per record serves every weight.  Segments from all
-    trials are pooled; the quoted uncertainty is the standard error of
-    their mean, mapped to dB.  Trials run on up to one thread per usable
-    CPU, with the same result for any number; no record is held whole.
+    spectral pass per record serves every weight.  White electronic
+    noise enters as band spectra drawn per segment and arm after every
+    quadrature normal, with the distribution the readout of
+    :func:`simulate_records`' samples would give; so with it the scan
+    matches that readout in distribution, and without it to round-off.
+    Segments from all trials are pooled; the quoted uncertainty is the
+    standard error of their mean, mapped to dB.  Trials run on up to one
+    thread per usable CPU, with the same result for any number; no
+    record is held whole.
 
     Because every weight reuses the same records, the scan's points are
     strongly correlated across lambda: the whole curve shifts together
@@ -469,6 +550,9 @@ def measure_noise_vs_lambda(
 
     Returns:
         A :class:`~tsui.data.NoiseDataset` tagged ``source="simulated"``.
+        Its ``meta`` holds the settings the numbers depend on: the
+        parameters, the acquisition settings, the band, the segment
+        length ``nperseg`` and the pooled ``segments``.
     """
     grid = check_grid("lambda_grid", lambda_grid, 0.0, 1.0)
     if not isinstance(trials, int) or not 1 <= trials <= _MAX_TRIALS:
@@ -503,8 +587,16 @@ def measure_noise_vs_lambda(
         "eta_p": p.eta_p,
         "eta_c": p.eta_c,
         "alpha": p.alpha,
+        "sample_rate": config.sample_rate,
+        "n_samples": config.n_samples,
+        "tone_depth": config.tone_depth,
+        "lock_jitter_rms": config.lock_jitter_rms,
+        "jitter_block": config.jitter_block,
+        "electronic_noise_var": config.electronic_noise_var,
         "center_freq": center_freq,
         "rbw": rbw,
+        "nperseg": band.nperseg,
+        "segments": sums.shape[1],
         "trials": trials,
         "rng_seed": config.rng_seed,
     }

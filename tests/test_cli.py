@@ -335,6 +335,34 @@ class TestSimulate:
         assert ds.source == "simulated"
         assert np.all(ds.sigma_db > 0.0)
 
+    def test_scan_settings_reach_the_csv_and_fit(self, tmp_path):
+        # The header records every setting the scan's numbers depend on,
+        # and a jittered, noisy scan still fits.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(
+            "gain = 1.67\neta_p = 0.76\neta_c = 0.79\nalpha = 50\n"
+            "duration = 0.004\nrng_seed = 3\nlock_jitter_rms = 0.02\n"
+            "jitter_block = 0.0005\nelectronic_noise_var = 0.1\ntone_depth = 0.01\n"
+        )
+        out = tmp_path / "scan.csv"
+        argv = ["simulate", "--config", str(cfg), "--lambdas", "0:1:0.25", "--trials", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        meta = load_noise_csv(str(out)).meta
+        expected = {
+            "sample_rate": 8e6,
+            "n_samples": 32000,
+            "nperseg": 640,
+            "segments": 100,
+            "lock_jitter_rms": 0.02,
+            "jitter_block": 0.0005,
+            "electronic_noise_var": 0.1,
+            "tone_depth": 0.01,
+        }
+        assert {key: float(meta[key]) for key in expected} == expected
+        fit = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(out), "--out", str(fit)]) == 0
+        assert math.isfinite(json.loads(fit.read_text())["gain"])
+
     def test_missing_config_exits_2(self, tmp_path):
         out = tmp_path / "scan.csv"
         code = main(
