@@ -9,131 +9,22 @@ brute-force Fock-space oracle, and emulates the measurement chain
 (time records, spectrum analysis, noise-curve fitting) end to end.
 """
 
+import types
+
 from .data import CurveTable, NoiseDataset, load_noise_csv
-from .gaussian import (
-    GaussianState,
-    InterferometerParams,
-    MomentSummary,
-    WeightedMeasurement,
-    apply_loss,
-    apply_phase_shift,
-    joint_quadrature_stats,
-    photon_moments,
-    seeded_tmss,
-)
-from .metrology import (
-    LOG2_DB,
-    NoiseResult,
-    SensitivityResult,
-    SqlKind,
-    UnsupportedConfigurationError,
-    curve_lambda_opt_vs_gain,
-    curve_noise_vs_lambda,
-    curve_sensitivity_vs_gain,
-    curve_snri_vs_lambda,
-    fringe_slope,
-    joint_noise_power,
-    joint_variance,
-    joint_variance_quadratic,
-    lambda_opt,
-    lambda_opt_numeric,
-    optimal_weight,
-    phase_sensitivity,
-    qcrb,
-    snri,
-    sql_sensitivity,
-)
-from .fock import (
-    FockEnsemble,
-    FockState,
-    TruncationError,
-    TruncationReport,
-    apply_loss_fock,
-    build_seeded_tmss_fock,
-    moment_cutoff,
-    oracle_mode_quadrature,
-    oracle_moment_bundle,
-    oracle_quadrature_stats,
-)
-from .fitting import (
-    FitFailure,
-    FitOptions,
-    FitResult,
-    LambdaOptEstimate,
-    extract_lambda_opt,
-    fit_noise_curve,
-    overlay_theory,
-)
-from .simulate import (
-    MeasurementRecord,
-    SimConfig,
-    SpectrumResult,
-    combine_weighted,
-    load_sim_config,
-    measure_noise_vs_lambda,
-    simulate_records,
-    spectrum_power,
-)
+from .gaussian import *  # noqa: F403
+from .metrology import *  # noqa: F403
+from .fock import *  # noqa: F403
+from .fitting import *  # noqa: F403
+from .simulate import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# The data module's file formats and, through the star imports, every
+# name in each model layer's __all__; the submodules themselves are
+# attributes, not exports.
 __all__ = [
-    "CurveTable",
-    "NoiseDataset",
-    "load_noise_csv",
-    "GaussianState",
-    "InterferometerParams",
-    "MomentSummary",
-    "WeightedMeasurement",
-    "apply_loss",
-    "apply_phase_shift",
-    "joint_quadrature_stats",
-    "photon_moments",
-    "seeded_tmss",
-    "LOG2_DB",
-    "NoiseResult",
-    "SensitivityResult",
-    "SqlKind",
-    "UnsupportedConfigurationError",
-    "curve_lambda_opt_vs_gain",
-    "curve_noise_vs_lambda",
-    "curve_sensitivity_vs_gain",
-    "curve_snri_vs_lambda",
-    "fringe_slope",
-    "joint_noise_power",
-    "joint_variance",
-    "joint_variance_quadratic",
-    "lambda_opt",
-    "lambda_opt_numeric",
-    "optimal_weight",
-    "phase_sensitivity",
-    "qcrb",
-    "snri",
-    "sql_sensitivity",
-    "FockEnsemble",
-    "FockState",
-    "TruncationError",
-    "TruncationReport",
-    "apply_loss_fock",
-    "build_seeded_tmss_fock",
-    "moment_cutoff",
-    "oracle_mode_quadrature",
-    "oracle_moment_bundle",
-    "oracle_quadrature_stats",
-    "FitFailure",
-    "FitOptions",
-    "FitResult",
-    "LambdaOptEstimate",
-    "extract_lambda_opt",
-    "fit_noise_curve",
-    "overlay_theory",
-    "MeasurementRecord",
-    "SimConfig",
-    "SpectrumResult",
-    "combine_weighted",
-    "load_sim_config",
-    "measure_noise_vs_lambda",
-    "simulate_records",
-    "spectrum_power",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+] + ["__version__"]

@@ -12,9 +12,11 @@ draws always happen in the same order (block jitter phases, then the
 quadrature normals, then white electronic noise for probe and
 conjugate), so identical inputs give bit-identical records.
 
-The readout never needs a whole record.  A record is drawn as a stream
-of pieces, and each piece's in-band DFT (a small GEMM against a cached
-window x cos/sin basis) is added into per-segment band spectra.  A scan
+The readout never needs a whole record.  A scan draws each record on
+its readout's span grid: runs of whole Welch segments, or one block of
+a long segment, of at most ``_CHUNK`` samples each.  Every span's
+in-band DFT (a small GEMM against a cached window x cos/sin basis) is
+added into per-segment band spectra where the span lies.  A scan
 draws no electronic noise samples: white noise's band spectra are
 Gaussian with the Gram matrix of one segment's in-band DFT rows as
 covariance, independent across segments and arms, so after every
@@ -53,16 +55,16 @@ __all__ = [
 # while leaving hundreds of segments in a default-length record.
 _BINS_PER_RBW = 8
 
-# Samples per readout GEMM, per drawn piece of a record and normals per
-# in-band noise draw; also the most basis rows cached (144 B each at 9
-# band bins).  A GEMM this size against the (rows, 2 n_bins) basis stays
-# below OpenBLAS's threading threshold (2^18 multiply-adds) for up to 16
-# bins, so it runs on the calling thread and concurrent scan workers do
-# not oversubscribe the cores.
+# Most samples per span, the unit in which a record is drawn and read,
+# and normals per in-band noise draw; also the most basis rows cached
+# (144 B each at 9 band bins).  A GEMM this size against the (rows,
+# 2 n_bins) basis stays below OpenBLAS's threading threshold (2^18
+# multiply-adds) for up to 16 bins, so it runs on the calling thread and
+# concurrent scan workers do not oversubscribe the cores.
 _CHUNK = 2**13
 
 # Input caps: the longest record is 8x the default length (2 x 64 MiB
-# when simulate_records returns it; a scan reads it piece by piece and
+# when simulate_records returns it; a scan reads it span by span and
 # holds only its per-segment band spectra), and a scan takes at most
 # 1000 records.
 _MIN_SAMPLES = 2**14
@@ -158,52 +160,60 @@ class SpectrumResult:
     is_peak: bool
 
 
-def _record_pieces(config: SimConfig, rng: np.random.Generator):
-    """Draw one record's quadrature signal as ``(arm, start, values)`` pieces.
+def _runs(lo: int, hi: int, step: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` runs of at most ``step`` samples tiling ``[lo, hi)``."""
+    return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
-    The signal is the sum of the pieces at positions ``start`` onwards of
-    arm 0 (probe) or 1 (conjugate).  They come in stream order: each
-    jitter block's quadrature pair, offset and tone included.  No piece is
-    longer than ``_CHUNK`` samples or crosses a block; smaller draws take
-    ``rng``'s numbers in the same order as one whole-record draw would.
-    Electronic noise is left to the caller, which draws it from ``rng``
-    after the last piece.
+
+def _record_pieces(config: SimConfig, rng: np.random.Generator, spans):
+    """Draw one record's quadrature signal span by span, as ``(lo, values)``.
+
+    ``spans`` are ``(lo, hi)`` pairs that tile ``[0, n_samples)`` in order;
+    ``values`` holds samples lo .. hi - 1 of the probe (row 0) and the
+    conjugate (row 1), offset and tone included.  A span takes its
+    quadrature normals in one draw, so any tiling takes ``rng``'s numbers
+    in the order of one whole-record draw, and each jitter block's part of
+    a span is one product with that block's factor.  Electronic noise is
+    left to the caller, which draws it from ``rng`` after the last span.
     """
     n = config.n_samples
     p = config.params
     state = apply_loss(seeded_tmss(p), p.eta_p, p.eta_c)
-    block = int(round(config.jitter_block * config.sample_rate))
-    step = min(block, _CHUNK)
-    n_blocks = -(-n // block)
     if config.lock_jitter_rms > 0.0:
-        phases = rng.normal(0.0, config.lock_jitter_rms, size=(n_blocks, 2))
+        block = int(round(config.jitter_block * config.sample_rate))
+        phases = rng.normal(0.0, config.lock_jitter_rms, size=(-(-n // block), 2))
     else:
-        # Zero phase is exact (sin 0 = 0, cos 0 = 1) and draws nothing.
-        phases = np.zeros((n_blocks, 2))
+        # Without jitter the record is one block at zero phase, which is
+        # exact (sin 0 = 0, cos 0 = 1) and draws nothing.
+        block, phases = n, np.zeros((1, 2))
     tone_amp = float(fringe_slope(p.gain, p.eta_p, p.alpha)) * config.tone_depth
     omega = 2.0 * math.pi * config.tone_freq
-    for b, (e_p, e_c) in enumerate(phases):
-        # Rows pick out the rotated measurement direction per arm.
-        u = np.array(
-            [
-                [math.sin(e_p), math.cos(e_p), 0.0, 0.0],
-                [0.0, 0.0, math.sin(e_c), math.cos(e_c)],
-            ]
-        )
-        # The factor transposed and contiguous: a 4x faster product than
-        # through the transposed view, with the same values.
-        chol_t = np.ascontiguousarray(np.linalg.cholesky(u @ state.cov @ u.T).T)
-        offset = u @ state.mean
-        stop = min((b + 1) * block, n)
-        for lo in range(b * block, stop, step):
-            hi = min(lo + step, stop)
-            seg = rng.standard_normal((hi - lo, 2)) @ chol_t
-            probe = seg[:, 0] + offset[0]
+    current = -1
+    for lo, hi in spans:
+        normals = rng.standard_normal((hi - lo, 2))
+        values = np.empty((2, hi - lo))
+        for b in range(lo // block, (hi - 1) // block + 1):
+            if b != current:
+                # A block met again at the next span keeps its factor.
+                current, (e_p, e_c) = b, phases[b]
+                # Rows pick out the rotated measurement direction per arm.
+                u = np.array(
+                    [
+                        [math.sin(e_p), math.cos(e_p), 0.0, 0.0],
+                        [0.0, 0.0, math.sin(e_c), math.cos(e_c)],
+                    ]
+                )
+                # The factor transposed and contiguous: a 4x faster product
+                # than through the transposed view, with the same values.
+                chol_t = np.ascontiguousarray(np.linalg.cholesky(u @ state.cov @ u.T).T)
+                offset = u @ state.mean
+            start, stop = max(lo, b * block), min(hi, (b + 1) * block)
+            part = slice(start - lo, stop - lo)
+            np.add((normals[part] @ chol_t).T, offset[:, np.newaxis], out=values[:, part])
             if config.tone_depth > 0.0:
-                t = np.arange(lo, hi) / config.sample_rate
-                probe += tone_amp * math.cos(e_p) * np.sin(omega * t)
-            yield 0, lo, probe
-            yield 1, lo, seg[:, 1] + offset[1]
+                t = np.arange(start, stop) / config.sample_rate
+                values[0, part] += tone_amp * math.cos(e_p) * np.sin(omega * t)
+        yield lo, values
 
 
 def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
@@ -230,9 +240,9 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     if not isinstance(trial, int) or trial < 0:
         raise ValueError(f"trial must be a nonnegative int, got {trial!r}")
     rng = np.random.default_rng([config.rng_seed, trial])
-    out = np.zeros((2, config.n_samples))
-    for arm, start, values in _record_pieces(config, rng):
-        out[arm, start : start + values.size] += values
+    out = np.empty((2, config.n_samples))
+    for lo, values in _record_pieces(config, rng, _runs(0, out.shape[1], _CHUNK)):
+        out[:, lo : lo + values.shape[1]] = values
     if config.electronic_noise_var > 0.0:
         noise = rng.standard_normal(out.shape)
         noise *= math.sqrt(config.electronic_noise_var)
@@ -276,7 +286,8 @@ class _Band:
     ``noise_factor`` is F = L^T, where L L^T = G is the Gram matrix of one
     segment's windowed, scaled basis rows: standard normals xi give
     xi @ F with the distribution of the band spectra of one segment of
-    unit-variance white noise.
+    unit-variance white noise.  ``spans`` is the grid a record is drawn
+    and read on (:func:`_spans`).
     """
 
     nperseg: int
@@ -284,6 +295,7 @@ class _Band:
     bins: np.ndarray
     basis: np.ndarray
     noise_factor: np.ndarray
+    spans: list[tuple[int, int]]
 
 
 def _sinpi(num: np.ndarray, den: int) -> np.ndarray:
@@ -330,6 +342,21 @@ def _band_gram(nperseg: int, bins: np.ndarray) -> np.ndarray:
     return np.block([[cc, cs], [cs.T, ss]])
 
 
+def _spans(n_samples: int, nperseg: int) -> list[tuple[int, int]]:
+    """The readout's ``(lo, hi)`` spans, tiling ``[0, n_samples)`` in order.
+
+    Runs of whole segments of at most ``_CHUNK`` samples, or one
+    ``_CHUNK`` block of a longer segment; then the tail after the last
+    whole segment, in ``_CHUNK`` runs.
+    """
+    used = n_samples - n_samples % nperseg
+    if nperseg <= _CHUNK:
+        read = _runs(0, used, _CHUNK - _CHUNK % nperseg)
+    else:
+        read = [s for g in range(0, used, nperseg) for s in _runs(g, g + nperseg, _CHUNK)]
+    return read + _runs(used, n_samples, _CHUNK)
+
+
 def _band(n_samples: int, sample_rate: float, center_freq: float, rbw: float) -> _Band:
     """Check the band against a record of ``n_samples`` and build its basis
     and its white-noise factor, the Cholesky factor of the closed-form Gram."""
@@ -374,65 +401,46 @@ def _band(n_samples: int, sample_rate: float, center_freq: float, rbw: float) ->
         bins=bins,
         basis=basis,
         noise_factor=np.linalg.cholesky(gram).T,
+        spans=_spans(n_samples, nperseg),
     )
 
 
 def _band_spectra(band: _Band, pieces, arms: int) -> np.ndarray:
     """Per-segment band spectra of each arm, read from a record's pieces.
 
-    ``pieces`` yields ``(arm, start, values)`` as :func:`_record_pieces`
-    does: the pieces of an arm tile its record in order.  Row g of
-    an arm's spectra holds segment g's band bins as [real parts, imaginary
-    parts], scaled so that its squared norm is the segment's normalized
-    band power: unit-variance white noise averages to 1.  Samples are
-    gathered into spans of at most ``_CHUNK``, whole segments or one
-    basis block of a long segment, and each span costs one GEMM.
+    ``pieces`` yields ``(lo, values)`` over ``band.spans``, as
+    :func:`_record_pieces` does, with ``values`` holding the ``arms``
+    rows of samples lo .. hi - 1.  Row g of an arm's spectra holds segment
+    g's band bins as [real parts, imaginary parts], scaled so that its
+    squared norm is the segment's normalized band power: unit-variance
+    white noise averages to 1.  Each span is read where it lies, one GEMM
+    per arm; the tail after the last whole segment is not read.
     """
     n = band.nperseg
-    used = band.n_seg * n
-    # Spans tile each period: runs of whole segments, or one long segment.
-    period = _CHUNK - _CHUNK % n if n <= _CHUNK else n
-    span = min(period, _CHUNK)
     spectra = np.zeros((arms, band.n_seg, band.basis.shape[1]))
-    stage = np.empty((arms, span))
-    for arm, start, values in pieces:
-        stop = min(start + values.size, used)
-        pos = start
-        while pos < stop:
-            first = pos - pos % period
-            lo = pos - (pos - first) % span
-            hi = min(lo + span, first + period, used)
-            end = min(stop, hi)
-            samples = values[pos - start : end - start]
-            if pos != lo or end != hi:
-                stage[arm, pos - lo : end - lo] = samples
-                samples = stage[arm, : hi - lo]
-            if end == hi:
-                _read_span(band, spectra[arm], lo, samples)
-            pos = end
+    for lo, values in pieces:
+        seg, offset = divmod(lo, n)
+        size = values.shape[1]
+        if seg >= band.n_seg:  # the tail, drawn but not read
+            continue
+        if n <= _CHUNK:
+            rows = size // n
+            spectra[:, seg : seg + rows] += values.reshape(arms, rows, n) @ band.basis
+            continue
+        # A block of a long segment: window the samples here, and move the
+        # basis's phases from position 0 to the block's offset with one
+        # twiddle exp(-2 pi i k offset / n) per bin.
+        window = _hann(np.arange(offset, offset + size), n)
+        # One product per arm: a single (arms, size) product rounds differently.
+        dft = np.stack([(v * window) @ band.basis[:size] for v in values])
+        if offset:
+            phi = (2.0 * math.pi / n) * ((band.bins * offset) % n)
+            re, im = np.split(dft, 2, axis=1)
+            dft = np.hstack(
+                [re * np.cos(phi) + im * np.sin(phi), im * np.cos(phi) - re * np.sin(phi)]
+            )
+        spectra[:, seg] += dft
     return spectra
-
-
-def _read_span(band: _Band, spectra: np.ndarray, lo: int, samples: np.ndarray) -> None:
-    # Add the in-band DFT of the span starting at record position lo.
-    n = band.nperseg
-    seg, offset = divmod(lo, n)
-    if n <= _CHUNK:
-        rows = samples.size // n
-        spectra[seg : seg + rows] += samples.reshape(rows, n) @ band.basis
-        return
-    # A block of a long segment: window the samples here, and move the
-    # basis's phases from position 0 to the block's offset with one
-    # twiddle exp(-2 pi i k offset / n) per bin.
-    window = _hann(np.arange(offset, offset + samples.size), n)
-    dft = (samples * window) @ band.basis[: samples.size]
-    if offset:
-        phi = (2.0 * math.pi / n) * ((band.bins * offset) % n)
-        re, im = np.split(dft, 2)
-        dft = np.concatenate(
-            [re * np.cos(phi) + im * np.sin(phi), im * np.cos(phi) - re * np.sin(phi)]
-        )
-    spectra[seg] += dft
 
 
 def _cross_power(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -465,7 +473,8 @@ def spectrum_power(
     if series.ndim != 1:
         raise ValueError("series must be 1-D")
     band = _band(series.size, sample_rate, center_freq, rbw)
-    (spectra,) = _band_spectra(band, [(0, 0, series)], arms=1)
+    pieces = ((lo, series[np.newaxis, lo:hi]) for lo, hi in band.spans)
+    (spectra,) = _band_spectra(band, pieces, arms=1)
     mean_power = float(_cross_power(spectra, spectra).mean())
     is_peak = tone_freq is not None and abs(tone_freq - center_freq) <= rbw / 2.0
     return SpectrumResult(
@@ -479,7 +488,7 @@ def spectrum_power(
 def _scan_workers(trials: int) -> int:
     """Number of worker threads of a scan: one per trial and usable CPU.
 
-    A worker holds a few ``_CHUNK``-sample pieces and the band spectra of
+    A worker holds one ``_CHUNK``-sample span and the band spectra of
     the record it reads, never the record itself.
     """
     try:
@@ -492,8 +501,8 @@ def _scan_workers(trials: int) -> int:
 def _segment_sums(config: SimConfig, trial: int, band: _Band) -> np.ndarray:
     """Per-segment (|P|^2, Re(P C*), |C|^2) band sums of one record.
 
-    The record's quadrature signal is drawn piece by piece straight into
-    the arms' band spectra; no record-sized array is made.  The white
+    The record's quadrature signal is drawn span by span on the band's
+    grid and read where it lies; no record-sized array is made.  The white
     electronic noise of every segment and arm is then drawn as its band
     spectra, xi @ (sigma ``band.noise_factor``), which for zero-overlap
     segments has the distribution of the time-domain draw's spectra.
@@ -501,7 +510,7 @@ def _segment_sums(config: SimConfig, trial: int, band: _Band) -> np.ndarray:
     the stream's numbers in the order of one (2, n_seg, 2 n_bins) draw.
     """
     rng = np.random.default_rng([config.rng_seed, trial])
-    spectra = _band_spectra(band, _record_pieces(config, rng), arms=2)
+    spectra = _band_spectra(band, _record_pieces(config, rng, band.spans), arms=2)
     if config.electronic_noise_var > 0.0:
         factor = math.sqrt(config.electronic_noise_var) * band.noise_factor
         rows = spectra.reshape(-1, len(factor))
@@ -511,6 +520,10 @@ def _segment_sums(config: SimConfig, trial: int, band: _Band) -> np.ndarray:
             block += rng.standard_normal(block.shape) @ factor
     p, c = spectra
     return np.stack([_cross_power(p, p), _cross_power(p, c), _cross_power(c, c)])
+
+
+_PARAM_KEYS = tuple(f.name for f in fields(InterferometerParams))
+_CONFIG_KEYS = tuple(f.name for f in fields(SimConfig) if f.name != "params")
 
 
 def measure_noise_vs_lambda(
@@ -550,9 +563,10 @@ def measure_noise_vs_lambda(
 
     Returns:
         A :class:`~tsui.data.NoiseDataset` tagged ``source="simulated"``.
-        Its ``meta`` holds the settings the numbers depend on: the
-        parameters, the acquisition settings, the band, the segment
-        length ``nperseg`` and the pooled ``segments``.
+        Its ``meta`` holds the settings the numbers depend on: every
+        parameter and :class:`SimConfig` field, ``n_samples``, the band,
+        the segment length ``nperseg``, the pooled ``segments`` and
+        ``trials``.
     """
     grid = check_grid("lambda_grid", lambda_grid, 0.0, 1.0)
     if not isinstance(trials, int) or not 1 <= trials <= _MAX_TRIALS:
@@ -581,32 +595,13 @@ def measure_noise_vs_lambda(
     stderr = np.sqrt(variance / sums.shape[1])
     noise_db = 10.0 * np.log10(mean_power)
     sigma_db = (10.0 / math.log(10.0)) * stderr / mean_power
-    p = config.params
-    meta = {
-        "gain": p.gain,
-        "eta_p": p.eta_p,
-        "eta_c": p.eta_c,
-        "alpha": p.alpha,
-        "sample_rate": config.sample_rate,
-        "n_samples": config.n_samples,
-        "tone_depth": config.tone_depth,
-        "lock_jitter_rms": config.lock_jitter_rms,
-        "jitter_block": config.jitter_block,
-        "electronic_noise_var": config.electronic_noise_var,
-        "center_freq": center_freq,
-        "rbw": rbw,
-        "nperseg": band.nperseg,
-        "segments": sums.shape[1],
-        "trials": trials,
-        "rng_seed": config.rng_seed,
-    }
+    meta = {k: getattr(config.params, k) for k in _PARAM_KEYS}
+    meta.update({k: getattr(config, k) for k in _CONFIG_KEYS})
+    meta.update(n_samples=config.n_samples, center_freq=center_freq, rbw=rbw)
+    meta.update(nperseg=band.nperseg, segments=sums.shape[1], trials=trials)
     return NoiseDataset(
         lam=grid, noise_db=noise_db, sigma_db=sigma_db, source="simulated", meta=meta
     )
-
-
-_PARAM_KEYS = tuple(f.name for f in fields(InterferometerParams))
-_CONFIG_KEYS = tuple(f.name for f in fields(SimConfig) if f.name != "params")
 
 
 def load_sim_config(path: str) -> SimConfig:

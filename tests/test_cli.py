@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -359,6 +360,12 @@ class TestSimulate:
             "tone_depth": 0.01,
         }
         assert {key: float(meta[key]) for key in expected} == expected
+        # Every parameter and acquisition field, the defaults included.
+        keys = {f.name for f in dataclasses.fields(InterferometerParams)}
+        keys |= {f.name for f in dataclasses.fields(simulate.SimConfig)} - {"params"}
+        assert keys - meta.keys() == set()
+        assert float(meta["tone_freq"]) == 1e6
+        assert float(meta["duration"]) == 0.004
         fit = tmp_path / "fit.json"
         assert main(["fit", "--data", str(out), "--out", str(fit)]) == 0
         assert math.isfinite(json.loads(fit.read_text())["gain"])

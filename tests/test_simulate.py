@@ -8,13 +8,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tsui import simulate
 from tsui.gaussian import InterferometerParams, apply_loss, seeded_tmss
 from tsui.metrology import joint_noise_power, joint_variance_quadratic, lambda_opt
 from tsui.simulate import (
+    _CHUNK,
     _MAX_SAMPLES,
     _MAX_TRIALS,
     _MIN_SAMPLES,
@@ -278,7 +279,8 @@ class TestSpectrumPower:
         band = simulate._band(n, FS, 1e6, rbw)
         assert band.nperseg == nperseg
         assert band.basis.shape[0] == min(nperseg, simulate._CHUNK)
-        (spectra,) = simulate._band_spectra(band, [(0, 0, series)], arms=1)
+        pieces = [(lo, series[np.newaxis, lo:hi]) for lo, hi in band.spans]
+        (spectra,) = simulate._band_spectra(band, pieces, arms=1)
         re, im = np.split(spectra, 2, axis=1)
         ref = serial_band_spectra(series, FS, 1e6, rbw)
         assert ref.shape == re.shape
@@ -461,8 +463,8 @@ class TestMeasuredScan:
 
 
 class TestParallelScan:
-    """Scans draw trials on worker threads and read records piece by
-    piece; the serial whole-record algorithm stays here as the
+    """Scans draw trials on worker threads and read records span by
+    span; the serial whole-record algorithm stays here as the
     reference, bit for bit for records and to round-off for scans
     without electronic noise.  A scan draws electronic noise as band
     spectra, so with it the scan matches the reference in distribution
@@ -484,6 +486,9 @@ class TestParallelScan:
             "electronic_noise_var": 0.1,
             "jitter_block": 0.0025,
         },
+        # 800-sample blocks: about 10 per span (8192 samples in
+        # simulate_records, 7680 in a scan), cut at both edges of most.
+        "short_blocks": {"lock_jitter_rms": 0.05, "tone_depth": 0.05, "jitter_block": 1e-4},
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -582,6 +587,54 @@ class TestParallelScan:
         assert 1 <= in_flight[1] <= _scan_workers(trials)
         assert np.array_equal(data.noise_db, expected.noise_db)
         assert np.array_equal(data.sigma_db, expected.sigma_db)
+
+
+class TestSpanGrid:
+    """A scan draws each record on its readout's span grid, so the spans
+    must tile the record, be readable where they lie, and leave the
+    records unchanged."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        nperseg=st.integers(40, 3 * _CHUNK),
+        extra=st.integers(0, 3 * _CHUNK),
+        block=st.integers(50, 20_000),
+    )
+    @example(nperseg=_CHUNK, extra=0, block=800)
+    @example(nperseg=_CHUNK + 1, extra=_CHUNK - 1, block=_CHUNK)
+    @example(nperseg=640, extra=7680 - 16384 % 7680, block=8000)
+    def test_spans_tile_the_record_and_keep_it_bit_identical(self, nperseg, extra, block):
+        n = max(_MIN_SAMPLES, nperseg) + extra
+        band = simulate._band(n, FS, 1e6, 8 * FS / nperseg)
+        assert band.nperseg == nperseg
+        spans = band.spans
+        assert spans[0][0] == 0
+        assert spans[-1][1] == n
+        assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(spans, spans[1:]))
+        assert all(0 < hi - lo <= _CHUNK for lo, hi in spans)
+        used = band.n_seg * nperseg
+        for lo, hi in spans:
+            if lo >= used:
+                continue  # the tail, drawn but not read
+            assert hi <= used
+            segments = lo % nperseg == 0 and (hi - lo) % nperseg == 0
+            one_block = (
+                nperseg > _CHUNK
+                and lo // nperseg == (hi - 1) // nperseg
+                and lo % nperseg % _CHUNK == 0
+            )
+            assert segments or one_block
+        cfg = config(
+            gain=1.67, eta_p=0.76, eta_c=0.79, alpha=50.0, duration=n / FS,
+            lock_jitter_rms=0.05, tone_depth=0.05, jitter_block=block / FS,
+            rng_seed=nperseg,
+        )
+        rng = np.random.default_rng([cfg.rng_seed, 0])
+        drawn = np.empty((2, n))
+        for lo, values in simulate._record_pieces(cfg, rng, spans):
+            drawn[:, lo : lo + values.shape[1]] = values
+        rec = simulate_records(cfg)
+        assert drawn.tobytes() == np.stack([rec.probe, rec.conjugate]).tobytes()
 
 
 def dense_band_gram(nperseg, bins):
