@@ -230,20 +230,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines: list[str] = []
     ok = True
 
-    if args.cutoff is None:
-        cutoff = fock.moment_cutoff(params.gain, params.alpha)
-        how = f" (smallest with n^2-weighted tail <= {fock.MOMENT_TAIL_LIMIT:.0e})"
-    else:
-        cutoff, how = args.cutoff, ""
-    pure_fock, report = fock.build_seeded_tmss_fock(params.gain, params.alpha, cutoff=cutoff)
-    lines.append(f"state build: cutoff={cutoff}{how}, norm deficit {report.norm_deficit:.3e}")
+    pure_fock, report = fock.build_seeded_tmss_fock(params.gain, params.alpha, args.cutoff)
+    rule = f" (smallest with n^2-weighted tail <= {fock.MOMENT_TAIL_LIMIT:.0e})"
+    how = rule if args.cutoff is None else ""
+    lines.append(
+        f"state build: cutoff={report.cutoff}{how}, norm deficit {report.norm_deficit:.3e}"
+    )
     pure_gauss = seeded_tmss(params)
 
     if params.alpha == 0.0:
         # Unseeded output is diagonal in the photon-number basis with
         # amplitudes tanh(r)^n / cosh(r).
         tanh_r = math.tanh(params.r)
-        n = np.arange(cutoff + 1)
+        n = np.arange(report.cutoff + 1)
         ladder = tanh_r**n / math.cosh(params.r)
         err = float(np.abs(np.diag(pure_fock.amplitudes) - ladder).max())
         offdiag = pure_fock.amplitudes - np.diag(np.diag(pure_fock.amplitudes))

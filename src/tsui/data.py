@@ -19,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "CurveTable",
+    "MAX_GAIN",
     "NoiseDataset",
     "check_grid",
     "check_unit_interval",
@@ -27,6 +28,18 @@ __all__ = [
     "load_noise_csv",
     "write_atomic",
 ]
+
+# Largest accepted amplifier intensity gain.  Four-wave-mixing and
+# parametric amplifiers stay far below 1e3; the cap only keeps the model's
+# products of two gains (G (G - 1) in sinh 2r, the G^2 of a photon-number
+# variance) below the largest double, 1.8e308.
+MAX_GAIN = 1e150
+
+# Accepted range of each NoiseDataset column.  A reading beyond 1000 dB
+# (a power ratio of 1e100) or an uncertainty outside [1e-6, 1000] dB
+# describes no spectrum analyser; inside them the fit's residuals,
+# weights 1 / sigma^2 and their sum stay finite and nonzero.
+_COLUMN_RANGES = {"lambda": (0.0, 1.0), "noise_db": (-1e3, 1e3), "sigma_db": (1e-6, 1e3)}
 
 
 def check_unit_interval(name: str, value: float) -> float:
@@ -166,16 +179,13 @@ class NoiseDataset:
             raise ValueError("lam, noise_db and sigma_db must be equal-length 1-D arrays")
         if lam.size < 5:
             raise ValueError(f"need at least 5 rows, got {lam.size}")
-        if not (
-            np.all(np.isfinite(lam))
-            and np.all(np.isfinite(noise))
-            and np.all(np.isfinite(sigma))
-        ):
-            raise ValueError("dataset values must be finite")
-        if np.any(lam < 0.0) or np.any(lam > 1.0):
-            raise ValueError("weights must lie in [0, 1]")
-        if np.any(sigma <= 0.0):
-            raise ValueError("sigma_db entries must be > 0")
+        for (name, (lo, hi)), values in zip(_COLUMN_RANGES.items(), (lam, noise, sigma)):
+            bad = ~((values >= lo) & (values <= hi))
+            if bad.any():
+                raise ValueError(
+                    f"{name} values must be finite and lie in [{lo:g}, {hi:g}], "
+                    f"got {float(values[bad][0])!r} in row {int(np.argmax(bad)) + 1}"
+                )
         order = np.argsort(lam, kind="stable")
         self.lam = lam[order]
         self.noise_db = noise[order]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_unit_interval
+from .data import MAX_GAIN, check_unit_interval
 
 __all__ = [
     "GaussianState",
@@ -52,7 +52,9 @@ _OMEGA = np.array(
 )
 
 # Most negative eigenvalue of cov + i*Omega tolerated before a state is
-# rejected as unphysical.  Loose enough for round-off on composed maps.
+# rejected as unphysical, per unit of the covariance's largest entry when
+# that exceeds 1.  Loose enough for round-off on composed maps, which
+# grows with the entries (-1.2e-10 for a pure state at G = 1e6).
 PHYSICALITY_TOL = 1e-10
 
 _MODE_SLICES = {"probe": slice(0, 2), "conjugate": slice(2, 4)}
@@ -72,7 +74,7 @@ class InterferometerParams:
     """Physical settings of one amplifier-plus-detection configuration.
 
     Attributes:
-        gain: intensity gain G >= 1 of the seeded amplifier.
+        gain: intensity gain G of the seeded amplifier, in [1, ``MAX_GAIN``].
         eta_p: power transmission of the probe path, in [0, 1].
         eta_c: power transmission of the conjugate path, in [0, 1].
         alpha: coherent seed amplitude (real, >= 0); the seed carries
@@ -86,8 +88,8 @@ class InterferometerParams:
 
     def __post_init__(self) -> None:
         gain = float(self.gain)
-        if not math.isfinite(gain) or gain < 1.0:
-            raise ValueError(f"gain must be >= 1, got {self.gain!r}")
+        if not 1.0 <= gain <= MAX_GAIN:
+            raise ValueError(f"gain must lie in [1, {MAX_GAIN:g}], got {self.gain!r}")
         alpha = float(self.alpha)
         if not math.isfinite(alpha) or alpha < 0.0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
@@ -131,7 +133,8 @@ class GaussianState:
     ``mean`` holds (<X_p>, <Y_p>, <X_c>, <Y_c>) and ``cov`` the symmetric
     covariance matrix in the same ordering.  Construction symmetrizes the
     covariance and rejects matrices violating the uncertainty principle
-    (min eigenvalue of cov + i*Omega below -PHYSICALITY_TOL).
+    (min eigenvalue of cov + i*Omega below -PHYSICALITY_TOL times the
+    largest covariance entry, or times 1 if that is smaller).
     """
 
     mean: np.ndarray
@@ -148,7 +151,7 @@ class GaussianState:
             raise ValueError("state moments must be finite")
         cov = 0.5 * (cov + cov.T)
         min_eig = float(np.linalg.eigvalsh(cov + 1j * _OMEGA).min())
-        if min_eig < -PHYSICALITY_TOL:
+        if min_eig < -PHYSICALITY_TOL * max(1.0, float(np.abs(cov).max())):
             raise ValueError(
                 "covariance violates the uncertainty principle "
                 f"(min eigenvalue of cov + i*Omega is {min_eig:.3e})"

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 # CurveTable types the curve tables; older callers also read it as metrology.CurveTable.
-from .data import CurveTable, check_grid, check_unit_interval
+from .data import MAX_GAIN, CurveTable, check_grid, check_unit_interval
 from .gaussian import (
     InterferometerParams,
     WeightedMeasurement,
@@ -379,12 +379,12 @@ def curve_lambda_opt_vs_gain(eta_list: Sequence, gain_grid) -> CurveTable:
     Args:
         eta_list: transmissions, each either a single eta used for both
             arms or an ``(eta_p, eta_c)`` pair; one output column each.
-        gain_grid: strictly increasing gains, all >= 1.
+        gain_grid: strictly increasing gains in [1, ``MAX_GAIN``].
 
     Returns:
         Table with columns (gain, lambda_opt_<tag>...).
     """
-    grid = check_grid("gain_grid", gain_grid, 1.0, math.inf)
+    grid = check_grid("gain_grid", gain_grid, 1.0, MAX_GAIN)
     if len(eta_list) < 1:
         raise ValueError("eta_list must not be empty")
     pairs = [_eta_pair(e) for e in eta_list]
@@ -407,7 +407,7 @@ def curve_sensitivity_vs_gain(alpha: float, gain_grid) -> CurveTable:
 
     Args:
         alpha: seed amplitude, > 0.
-        gain_grid: strictly increasing gains, all >= 1.
+        gain_grid: strictly increasing gains in [1, ``MAX_GAIN``].
 
     Returns:
         Table with columns
@@ -416,7 +416,7 @@ def curve_sensitivity_vs_gain(alpha: float, gain_grid) -> CurveTable:
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha!r}")
-    grid = check_grid("gain_grid", gain_grid, 1.0, math.inf)
+    grid = check_grid("gain_grid", gain_grid, 1.0, MAX_GAIN)
     slope = fringe_slope(grid, 1.0, alpha)
     balanced = np.sqrt(joint_variance(grid, 1.0, 1.0, 1.0)) / slope
     optimal = np.sqrt(joint_variance(grid, 1.0, 1.0, optimal_weight(grid, 1.0, 1.0))) / slope

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tsui import cli, fock, simulate
 from tsui.cli import main, parse_span
+from tsui.data import format_csv
 from tsui.fitting import NoiseDataset, load_noise_csv
 from tsui.gaussian import (
     InterferometerParams,
@@ -302,8 +303,13 @@ class TestLambdaOpt:
         assert out[1].startswith("numeric check:")
 
     def test_unphysical_gain_exits_2(self, capsys):
-        assert main(["lambda-opt", "--gain", "0.9"]) == 2
-        assert "error:" in capsys.readouterr().err
+        # Above MAX_GAIN, G (G - 1) used to overflow into a printed nan
+        # (1e308) or a silent 1.0 (1e160, eta 0.5/0.9; the answer is 0.7454).
+        for gain in ("0.9", "1e160", "1e308"):
+            argv = ["lambda-opt", "--gain", gain, "--eta-p", "0.5", "--eta-c", "0.9"]
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: gain must lie in [1, 1e+150]")
 
     def test_missing_required_flag(self, capsys):
         assert main(["lambda-opt"]) == 2
@@ -537,6 +543,23 @@ class TestFit:
         assert fits == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
 
+    @pytest.mark.parametrize(
+        "column, value", [("sigma_db", 1e300), ("sigma_db", 1e-300), ("noise_db", 1e308)]
+    )
+    def test_out_of_range_column_exits_2(self, tmp_path, capsys, column, value):
+        # Used to end in a ZeroDivisionError traceback (sigma_db 1e300: the
+        # sum of 1 / sigma^2 underflows) or in scipy's "Residuals are not
+        # finite", which does not name the input.
+        lam = np.linspace(0.0, 1.0, 11)
+        cols = {"noise_db": 10.0 * np.log10(1.0 + lam**2), "sigma_db": np.full(11, 0.05)}
+        cols[column] = np.full(11, value)
+        data = tmp_path / "scan.csv"
+        rows = zip(lam, cols["noise_db"], cols["sigma_db"])
+        data.write_text(format_csv([], ("lambda", "noise_db", "sigma_db"), rows))
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "f.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {column} values must be finite")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
+
     def test_missing_data_file_exits_2(self, tmp_path):
         code = main(
             ["fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "f.json")]
@@ -560,26 +583,22 @@ class TestVerify:
         assert "verification PASSED" in capsys.readouterr().out
 
     def test_dense_weight_grid(self, capsys, monkeypatch):
-        # 100,000 weights.  The oracle applies no operator (the loss
-        # channels shift and scale branches) and reads seven pair-sum
-        # tables per moment bundle whatever the grid; the guard fails a
-        # per-weight regression on the count instead of letting it run
-        # for minutes.
-        apply, pair_sum = fock._apply, fock._pair_sum
-        calls = {"apply": 0, "tables": 0}
+        # 100,000 weights.  The oracle reads seven pair-sum tables per
+        # moment bundle whatever the grid; the guard fails a per-weight
+        # regression on the count instead of letting it run for minutes.
+        pair_sum = fock._pair_sum
+        calls = 0
 
-        def counted(name, func, limit):
-            def wrapper(*args):
-                calls[name] += 1
-                assert calls[name] <= limit, f"{name} passes grow with the grid"
-                return func(*args)
-            return wrapper
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            assert calls <= 14, "table passes grow with the grid"
+            return pair_sum(*args)
 
-        monkeypatch.setattr(fock, "_apply", counted("apply", apply, 0))
-        monkeypatch.setattr(fock, "_pair_sum", counted("tables", pair_sum, 14))
+        monkeypatch.setattr(fock, "_pair_sum", counted)
         assert main(["verify", "--lambdas", "0:1:1e-5"]) == 0
         assert "verification PASSED" in capsys.readouterr().out
-        assert calls == {"apply": 0, "tables": 14}
+        assert calls == 14
 
     def test_joint_errors_match_per_weight_loop(self, capsys, monkeypatch):
         # The reported joint errors equal the per-weight comparison
@@ -598,10 +617,9 @@ class TestVerify:
         args = ["--gain", "1.67", "--alpha", "1", "--eta", "0.76,0.79"]
         assert main(["verify", *args, "--lambdas", "0:1:0.001"]) == 0
         params = InterferometerParams(gain=1.67, eta_p=0.76, eta_c=0.79, alpha=1.0)
-        cutoff = fock.moment_cutoff(params.gain, params.alpha)
-        assert f"state build: cutoff={cutoff} " in capsys.readouterr().out
+        pure, _ = fock.build_seeded_tmss_fock(params.gain, params.alpha)
+        assert f"state build: cutoff={pure.cutoff} " in capsys.readouterr().out
 
-        pure, _ = fock.build_seeded_tmss_fock(params.gain, params.alpha, cutoff=cutoff)
         pure_gauss = seeded_tmss(params)
         cases = {
             "lossless": (pure, pure_gauss),

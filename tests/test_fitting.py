@@ -21,6 +21,7 @@ from tsui.fitting import (
     load_noise_csv,
     overlay_theory,
 )
+from tsui.data import format_float
 from tsui.gaussian import InterferometerParams
 from tsui.metrology import (
     SqlKind,
@@ -104,8 +105,9 @@ class TestNoiseDataset:
         st.lists(
             st.tuples(
                 st.floats(0.0, 1.0),
+                st.floats(-1e3, 1e3),
+                st.floats(1e-6, 1e3),
                 st.floats(allow_nan=False, allow_infinity=False),
-                st.floats(0.0, exclude_min=True, allow_infinity=False),
             ),
             min_size=5,
             max_size=30,
@@ -113,8 +115,10 @@ class TestNoiseDataset:
     )
     def test_csv_round_trip_is_bit_exact(self, rows):
         # format_float writes the shortest string that parses back to the
-        # same double, so every value survives the file bit for bit.
-        lam, noise, sigma = (np.array(col) for col in zip(*rows))
+        # same double, so every value survives the file bit for bit: the
+        # columns within their accepted ranges, and any finite float.
+        lam, noise, sigma, anything = (np.array(col) for col in zip(*rows))
+        assert all(float(format_float(v)) == v for v in anything)
         ds = NoiseDataset(lam=lam, noise_db=noise, sigma_db=sigma, source="simulated")
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "scan.csv")

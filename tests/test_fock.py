@@ -11,17 +11,15 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 from scipy.stats import poisson
 
+from fock_reference import apply_op, ladder, oracle_mode_quadrature, oracle_quadrature_stats
 from tsui import fock
 from tsui.fock import (
-    FockEnsemble,
     FockState,
     TruncationError,
     _loss_weights,
     apply_loss_fock,
     build_seeded_tmss_fock,
-    oracle_mode_quadrature,
     oracle_moment_bundle,
-    oracle_quadrature_stats,
 )
 from tsui.gaussian import (
     InterferometerParams,
@@ -116,7 +114,7 @@ class TestBuild:
         n = np.arange(dim)
         seed = np.zeros((dim, dim))
         seed[:, 0] = np.sqrt(poisson.pmf(n, alpha**2))
-        a = sparse.csr_matrix(fock._ladder(dim))
+        a = sparse.csr_matrix(ladder(dim))
         r = math.acosh(math.sqrt(gain))
         gen = r * (sparse.kron(a.T, a.T) - sparse.kron(a, a))
         ref = expm_multiply(gen.tocsr(), seed.reshape(-1)).reshape(dim, dim)
@@ -150,7 +148,7 @@ def dense_loss(branches, eta, mode):
     """Every Kraus operator applied by matmul to every branch, in (k,
     branch) order, with the zero-weight branches dropped."""
     dim = branches.shape[1]
-    new = fock._apply(dense_kraus(eta, dim)[:, np.newaxis], branches, mode)
+    new = apply_op(dense_kraus(eta, dim)[:, np.newaxis], branches, mode)
     new = new.reshape(-1, dim, dim)
     return new[np.einsum("bij,bij->b", new, new) > 0.0]
 
@@ -188,17 +186,19 @@ class TestLossChannel:
 
     def test_matches_dense_kraus_matmul(self):
         # Shifted, scaled copies give the dense Kraus matmul's branches, in
-        # the same order and with the same zero-weight drop, bit for bit.
+        # the same order and with the same zero-weight drop, bit for bit:
+        # from the pure state on either mode, and on the conjugate from
+        # the probe's branches, the one mixture the expansion starts from.
         state, _ = build_seeded_tmss_fock(1.5, 0.5, cutoff=12)
         two = apply_loss_fock(state, 0.6, "probe")
-        for start in (state.amplitudes[np.newaxis], two.branches):
-            ens = FockEnsemble(base=start, cutoff=12)
+        cases = [(state, state.amplitudes[np.newaxis], "probe")]
+        cases += [(start, start.branches, "conjugate") for start in (state, two)]
+        for start, branches, mode in cases:
             for eta in (0.0, 0.37, 1.0):
-                for mode in ("probe", "conjugate"):
-                    got = apply_loss_fock(ens, eta, mode).branches
-                    ref = dense_loss(start, eta, mode)
-                    assert got.shape == ref.shape
-                    assert np.array_equal(got, ref)
+                got = apply_loss_fock(start, eta, mode).branches
+                ref = dense_loss(branches, eta, mode)
+                assert got.shape == ref.shape
+                assert np.array_equal(got, ref)
 
     def test_identity_at_full_transmission(self):
         state, _ = build_seeded_tmss_fock(1.5, 0.5, cutoff=15)
@@ -207,11 +207,13 @@ class TestLossChannel:
         assert np.allclose(ens.branches[0], state.amplitudes, atol=1e-14)
 
     def test_total_weight_preserved(self):
+        # The dense branches of the lossy state carry the pure state's norm.
         state, _ = build_seeded_tmss_fock(1.8, 0.3, cutoff=25)
-        before = state.norm_squared()
         ens = apply_loss_fock(state, 0.6, "probe")
         ens = apply_loss_fock(ens, 0.8, "conjugate")
-        assert math.isclose(ens.total_weight(), before, rel_tol=1e-12)
+        branches = ens.branches
+        assert ens.norm_squared() == state.norm_squared()
+        assert math.isclose(np.vdot(branches, branches), ens.norm_squared(), rel_tol=1e-12)
 
     def test_full_loss_empties_mode(self):
         state, _ = build_seeded_tmss_fock(1.5, 1.0, cutoff=20)
@@ -260,57 +262,59 @@ class TestLossChannel:
             apply_loss_fock(state, 1.2, "probe")
         with pytest.raises(ValueError):
             apply_loss_fock(state, 0.5, "signal")
+        for bad in (np.zeros((3, 4)), np.zeros((3, 3), dtype=complex), np.zeros(3)):
+            with pytest.raises(ValueError, match="real square"):
+                FockState(bad)
+        with pytest.raises(ValueError, match="eta_c"):
+            FockState(state.amplitudes, eta_c=1.5)
 
     def test_losses_on_one_mode_compose(self):
         # eta_1 then eta_2 is the single loss eta_1 eta_2: the mixture of
         # the two-step Kraus expansion equals the one-step one to
-        # round-off, and the ensemble holds the product.
-        base = unit_branches(7, 2, 10)
+        # round-off, and the state holds the product.
+        base = unit_block(7, 10)
         for mode in ("probe", "conjugate"):
             for first, second in ((0.3, 0.9), (0.76, 0.79), (0.0, 0.5), (1.0, 0.4)):
-                ens = FockEnsemble(base=base, cutoff=10)
-                ens = apply_loss_fock(apply_loss_fock(ens, first, mode), second, mode)
+                ens = apply_loss_fock(apply_loss_fock(FockState(base), first, mode), second, mode)
                 assert (ens.eta_p if mode == "probe" else ens.eta_c) == first * second
-                two_step = dense_loss(dense_loss(base, first, mode), second, mode)
+                two_step = dense_loss(dense_loss(base[np.newaxis], first, mode), second, mode)
                 flat = [x.reshape(len(x), -1) for x in (two_step, ens.branches)]
                 rho = [x.T @ x for x in flat]
                 assert np.abs(rho[0] - rho[1]).max() < 1e-15
 
 
-def unit_branches(seed, n_branches, cutoff):
-    """Random real branches scaled to unit total weight."""
-    branches = np.random.default_rng(seed).standard_normal((n_branches, cutoff + 1, cutoff + 1))
-    return branches / math.sqrt(np.vdot(branches, branches))
+def unit_block(seed, cutoff):
+    """Random real amplitudes scaled to unit norm."""
+    psi = np.random.default_rng(seed).standard_normal((cutoff + 1, cutoff + 1))
+    return psi / math.sqrt(np.vdot(psi, psi))
 
 
 class TestLossTables:
     @settings(derandomize=True, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_branches=st.integers(1, 3),
         cutoff=st.integers(1, 20),
         eta_p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
         eta_c=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
     )
-    def test_tables_match_materialized_branches(self, seed, n_branches, cutoff, eta_p, eta_c):
-        # L_p T L_c^T on the base branches' table equals the pair sum over
+    def test_tables_match_materialized_branches(self, seed, cutoff, eta_p, eta_c):
+        # L_p T L_c^T on the pure amplitudes' table equals the pair sum over
         # the dense Kraus ensemble, for each of the bundle's seven tables.
-        base = unit_branches(seed, n_branches, cutoff)
-        ens = FockEnsemble(base=base, cutoff=cutoff, eta_p=eta_p, eta_c=eta_c)
+        ens = FockState(unit_block(seed, cutoff), eta_p, eta_c)
         branches = ens.branches
         tables = fock._lossy_tables(ens)
         for (first, second), table in zip(fock._BUNDLE_TABLES, tables):
-            ref = fock._pair_sum(branches, first, second)
+            ref = sum(fock._pair_sum(branch, first, second) for branch in branches)
             assert table.shape == ref.shape
             assert np.abs(table - ref).max(initial=0.0) <= 1e-14
 
     def test_full_transmission_tables_are_exact(self):
         # At eta = 1 the loss matrices are the identity, so the tables are
-        # the base branches' pair sums bit for bit, and on one lossy mode
-        # they equal the two-sided product with that identity.
-        base = unit_branches(4, 2, 9)
+        # the pure amplitudes' pair products bit for bit, and on one lossy
+        # mode they equal the two-sided product with that identity.
+        base = unit_block(4, 9)
         for eta_p, eta_c in ((1.0, 1.0), (0.6, 1.0), (1.0, 0.6)):
-            ens = FockEnsemble(base=base, cutoff=9, eta_p=eta_p, eta_c=eta_c)
+            ens = FockState(base, eta_p, eta_c)
             lp, lc = (fock._loss_matrices(eta, 10) for eta in (eta_p, eta_c))
             for (first, second), table in zip(fock._BUNDLE_TABLES, fock._lossy_tables(ens)):
                 full = (
@@ -334,14 +338,23 @@ class TestLossTables:
 
 class TestOracleMoments:
     def test_matches_gaussian_lossless(self):
-        for gain, alpha in ((1.2, 0.0), (1.5, 0.5), (2.0, 1.0)):
-            state, _ = build_seeded_tmss_fock(gain, alpha, cutoff=40)
+        # The default cutoff is moment_cutoff's, where the photon moments
+        # meet 1e-6 too: 49 at G = 2, alpha = 1, where cutoff 40 passes the
+        # norm gate but misses the photon-number variance by 8.3e-6.
+        for gain, alpha, cutoff in ((1.2, 0.0, 11), (1.5, 0.5, 24), (2.0, 1.0, 49)):
+            state, report = build_seeded_tmss_fock(gain, alpha)
+            assert state.cutoff == report.cutoff == cutoff
             gauss = seeded_tmss(InterferometerParams(gain=gain, alpha=alpha))
             for lam in (0.0, 0.5, 1.0):
                 fm, fv = oracle_quadrature_stats(state, lam)
                 gm, gv = joint_quadrature_stats(gauss, lam)
                 assert abs(fm - gm) < 1e-7
                 assert abs(fv - gv) < 1e-6
+            bundle = oracle_moment_bundle(state, [])
+            for mode in ("probe", "conjugate"):
+                gm = photon_moments(gauss, mode)
+                assert abs(bundle[mode]["n"][0] - gm.mean_n) < 1e-6
+                assert abs(bundle[mode]["n"][1] - gm.var_n) < 1e-6
 
     def test_matches_gaussian_lossy(self):
         gain, alpha = 1.67, 0.5
@@ -386,7 +399,7 @@ class TestOracleMoments:
         # than the build's 1e-4 gate at cutoff 20; the comparison holds
         # for any real amplitudes.
         state, _ = build_seeded_tmss_fock(gain, alpha, cutoff=30)
-        block = FockState(amplitudes=state.amplitudes[:21, :21], cutoff=20)
+        block = FockState(state.amplitudes[:21, :21])
         ens = apply_loss_fock(apply_loss_fock(block, eta_p, "probe"), eta_c, "conjugate")
         bundle = oracle_moment_bundle(ens, [lam])
         [(_, mean, var)] = bundle["joint"]
@@ -401,7 +414,7 @@ class TestOracleMoments:
                 assert abs(bv - iv) < 1e-10
             # Photon numbers against the marginal number distribution.
             axes = (0, 2) if mode == "probe" else (0, 1)
-            prob = (ens.branches**2).sum(axis=axes) / ens.total_weight()
+            prob = (ens.branches**2).sum(axis=axes) / ens.norm_squared()
             n = np.arange(prob.size)
             inm = float(prob @ n)
             invar = float(prob @ n**2) - inm * inm
@@ -409,15 +422,16 @@ class TestOracleMoments:
             assert abs(bundle[mode]["n"][1] - invar) < 1e-10
 
     def test_bundle_matches_references_on_random_amplitudes(self):
-        # Arbitrary real branches put most weight on the top level, where
+        # Arbitrary real amplitudes put most weight on the top level, where
         # the truncated a a^T vanishes; the bundle must read the same
-        # moments there as the operator-product references.
+        # moments there as the operator-product references, lossless and
+        # after loss.
         rng = np.random.default_rng(8)
-        for cutoff, n_branches in ((1, 1), (3, 5), (6, 2)):
-            branches = rng.standard_normal((n_branches, cutoff + 1, cutoff + 1))
-            branches[:, -1, :] *= 10.0
-            branches[:, :, -1] *= 10.0
-            ens = FockEnsemble(base=branches, cutoff=cutoff)
+        for cutoff, eta_p, eta_c in ((1, 1.0, 1.0), (3, 0.6, 1.0), (6, 0.3, 0.8)):
+            psi = rng.standard_normal((cutoff + 1, cutoff + 1))
+            psi[-1, :] *= 10.0
+            psi[:, -1] *= 10.0
+            ens = FockState(psi, eta_p, eta_c)
             bundle = oracle_moment_bundle(ens, [0.0, 0.3, 1.0])
             for lam, mean, var in bundle["joint"]:
                 im, iv = oracle_quadrature_stats(ens, lam)
@@ -435,7 +449,6 @@ class TestOracleMoments:
         state, _ = build_seeded_tmss_fock(1.5, 0.5, cutoff=20)
         ens = apply_loss_fock(apply_loss_fock(state, 0.7, "probe"), 0.8, "conjugate")
         pair_sum = fock._pair_sum
-        monkeypatch.setattr(fock, "_apply", None)
         counts = []
         for lambdas in ([], [0.5], np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 100_000)):
             calls = []
@@ -474,15 +487,14 @@ class TestOracleMoments:
         tracemalloc.start()
         t0 = time.perf_counter()
         try:
-            cutoff = fock.moment_cutoff(gain, alpha)
-            pure, _ = build_seeded_tmss_fock(gain, alpha, cutoff)
+            pure, report = build_seeded_tmss_fock(gain, alpha)
             lossy = apply_loss_fock(apply_loss_fock(pure, eta_p, "probe"), eta_c, "conjugate")
             bundles = [oracle_moment_bundle(s, lambdas) for s in (pure, lossy)]
             elapsed = time.perf_counter() - t0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cutoff == 135
+        assert report.cutoff == 135
         gauss = seeded_tmss(InterferometerParams(gain=gain, alpha=alpha))
         worst = 0.0
         for bundle, g in zip(bundles, (gauss, apply_loss(gauss, eta_p, eta_c))):
@@ -511,6 +523,8 @@ class TestOracleMoments:
             oracle_moment_bundle(state, np.array([0.5, np.nan]))
 
     def test_zero_state_rejected(self):
-        ens = FockEnsemble(base=np.zeros((1, 5, 5)), cutoff=4)
-        with pytest.raises(ValueError):
-            oracle_quadrature_stats(ens, 0.5)
+        state = FockState(np.zeros((5, 5)))
+        with pytest.raises(ValueError, match="zero norm"):
+            oracle_moment_bundle(state, [0.5])
+        with pytest.raises(ValueError, match="zero norm"):
+            oracle_quadrature_stats(state, 0.5)

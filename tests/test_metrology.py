@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsui.fock import apply_loss_fock, build_seeded_tmss_fock, oracle_quadrature_stats
+from fock_reference import oracle_quadrature_stats
+from tsui.data import MAX_GAIN
+from tsui.fock import apply_loss_fock, build_seeded_tmss_fock
 from tsui.gaussian import InterferometerParams, WeightedMeasurement
 from tsui.metrology import (
     LOG2_DB,
@@ -94,6 +96,16 @@ class TestLambdaOpt:
         lo = lambda_opt(p)
         assert 0.0 <= lo <= 1.0
         assert abs(lo - lambda_opt_numeric(p)) <= 1e-8
+
+    def test_agrees_with_direct_search_at_the_gain_cap(self):
+        # At MAX_GAIN every intermediate of the closed form stays finite,
+        # and the searched states pass the physicality check, which at
+        # G = 1e6 used to reject them on round-off alone.
+        for gain in (1e6, MAX_GAIN):
+            for eta_p, eta_c in ((1.0, 1.0), (0.5, 0.9), (0.9, 0.1), (0.76, 0.79)):
+                p = InterferometerParams(gain=gain, eta_p=eta_p, eta_c=eta_c)
+                assert abs(lambda_opt(p) - lambda_opt_numeric(p)) <= 1e-8
+        assert math.isclose(lambda_opt(p), math.sqrt(0.76 * 0.79) / 0.79, rel_tol=1e-15)
 
     def test_clamped_when_conjugate_much_lossier(self):
         # Strong asymmetry pushes the raw quadratic minimum above 1; the
@@ -458,3 +470,10 @@ class TestCurveGenerators:
             curve_lambda_opt_vs_gain([], np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             curve_sensitivity_vs_gain(0.0, np.array([1.0, 2.0]))
+        # Gains past MAX_GAIN are refused; the grids may end at it.
+        grid = np.array([1.0, MAX_GAIN, 1e160])
+        with pytest.raises(ValueError, match=r"gain_grid must lie within \[1, 1e\+150\]"):
+            curve_lambda_opt_vs_gain([1.0], grid)
+        with pytest.raises(ValueError, match=r"gain_grid must lie within \[1, 1e\+150\]"):
+            curve_sensitivity_vs_gain(1.0, grid)
+        assert curve_lambda_opt_vs_gain([(0.5, 0.9)], grid[:2]).rows[1, 1] == 0.7453559924999299
