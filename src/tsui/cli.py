@@ -188,7 +188,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     overlays = [f"{args.overlay}_{kind.value}.csv" for kind in kinds]
     _check_outputs(args.out, *overlays)
     # The overlay grid is checked before the fit, so a bad one writes nothing.
-    grid = check_grid("lambda_grid", parse_span(args.lambdas), 0.0, 1.0) if kinds else None
+    grid = check_grid("lam", parse_span(args.lambdas)) if kinds else None
     dataset = load_noise_csv(args.data)
     if args.unconstrained:
         offset = None

@@ -37,7 +37,7 @@ from scipy.optimize import least_squares
 
 from . import metrology
 # load_noise_csv is unused here; callers from before tsui.data read it as fitting's.
-from .data import CurveTable, NoiseDataset, check_grid, load_noise_csv
+from .data import CurveTable, NoiseDataset, check_grid, check_range, load_noise_csv
 from .gaussian import InterferometerParams
 from .metrology import SqlKind
 
@@ -95,10 +95,8 @@ class FitOptions:
     initial: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.loss_offset is not None and not -0.2 <= self.loss_offset <= 0.2:
-            raise ValueError(
-                f"loss_offset must lie in [-0.2, 0.2], got {self.loss_offset!r}"
-            )
+        if self.loss_offset is not None:
+            check_range("loss_offset", self.loss_offset)
         if self.initial is not None:
             if len(self.initial) != 4 or not all(
                 math.isfinite(float(v)) for v in self.initial
@@ -543,7 +541,7 @@ def overlay_theory(fit: FitResult, kind: SqlKind, lambda_grid) -> CurveTable:
     Returns:
         Table with columns (lambda, snri_db).
     """
-    grid = check_grid("lambda_grid", lambda_grid, 0.0, 1.0)
+    grid = check_grid("lam", lambda_grid)
     rows = np.column_stack([grid, metrology.snri(fit.params(), grid, kind)])
     meta = {
         "gain": fit.gain,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
-from .data import check_unit_interval
+from .data import MAX_CUTOFF, check_range
 
 __all__ = [
     "FockState",
@@ -45,12 +45,6 @@ __all__ = [
 # A state is rejected when more than this much probability lies outside
 # the retained (cutoff + 1)^2 block.
 NORM_DEFICIT_LIMIT = 1e-4
-
-# Largest accepted cutoff.  The moment path holds (cutoff + 1)^2 arrays
-# and multiplies (cutoff + 1)-square matrices: at 400 a two-arm lossy
-# bundle (G=1.67, alpha=5, eta 0.76/0.79) takes 0.10-0.14 s on 2 cores
-# with a 17 MiB tracemalloc peak, and the cost grows as cutoff^3.
-MAX_CUTOFF = 400
 
 # Largest cutoff whose dense Kraus branches FockState.branches builds:
 # a two-arm lossy ensemble holds (cutoff + 1)^4 doubles, 111 MB at 60.
@@ -102,8 +96,8 @@ class FockState:
                 f"amplitudes must be a real square matrix, got {psi.dtype} {psi.shape}"
             )
         object.__setattr__(self, "amplitudes", psi)
-        object.__setattr__(self, "eta_p", check_unit_interval("eta_p", self.eta_p))
-        object.__setattr__(self, "eta_c", check_unit_interval("eta_c", self.eta_c))
+        object.__setattr__(self, "eta_p", check_range("eta_p", self.eta_p))
+        object.__setattr__(self, "eta_c", check_range("eta_c", self.eta_c))
 
     @property
     def cutoff(self) -> int:
@@ -180,12 +174,9 @@ def build_seeded_tmss_fock(
 
 def _amplitudes(gain: float, alpha: float, cutoff: int) -> np.ndarray:
     # The (cutoff + 1)-square block of build_seeded_tmss_fock's closed form.
-    if gain < 1.0 or not math.isfinite(gain):
-        raise ValueError(f"gain must be >= 1, got {gain!r}")
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
-    if not 1 <= cutoff <= MAX_CUTOFF:
-        raise ValueError(f"cutoff must lie in [1, {MAX_CUTOFF}], got {cutoff!r}")
+    gain, alpha = check_range("gain", gain), check_range("alpha", alpha)
+    check_range("gain * alpha^2", gain * alpha * alpha)
+    check_range("cutoff", cutoff)
     r = math.acosh(math.sqrt(gain))
     # Amplitudes sit on the block's lower triangle, psi[i, k] with i >= k
     # and seed photon number n = i - k; xlogy(0, 0) = 0 keeps the exact
@@ -285,7 +276,7 @@ def apply_loss_fock(state: FockState, eta: float, mode: str) -> FockState:
     Returns:
         ``state`` with the mode's transmission scaled by ``eta``.
     """
-    eta = check_unit_interval("eta", eta)
+    eta = check_range("eta", eta)
     if mode not in ("probe", "conjugate"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "probe":
@@ -390,10 +381,7 @@ def oracle_moment_bundle(state: FockState, lambdas) -> dict:
         ``"joint"`` float array of shape (n_weights, 3) whose columns are
         lam, mean and var.
     """
-    lam = np.asarray(lambdas, dtype=float).reshape(-1)
-    bad = ~((lam >= 0.0) & (lam <= 1.0))
-    if bad.any():
-        raise ValueError(f"lam must lie in [0, 1], got {float(lam[bad][0])!r}")
+    lam = check_range("lam", np.asarray(lambdas, dtype=float).reshape(-1))
     number, *levels, swap, both = _lossy_tables(state)
     total = float(number.sum())
     if total <= 0.0:

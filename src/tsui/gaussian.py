@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MAX_GAIN, check_unit_interval
+from .data import check_range
 
 __all__ = [
     "GaussianState",
@@ -74,11 +74,12 @@ class InterferometerParams:
     """Physical settings of one amplifier-plus-detection configuration.
 
     Attributes:
-        gain: intensity gain G of the seeded amplifier, in [1, ``MAX_GAIN``].
-        eta_p: power transmission of the probe path, in [0, 1].
-        eta_c: power transmission of the conjugate path, in [0, 1].
-        alpha: coherent seed amplitude (real, >= 0); the seed carries
+        gain: intensity gain G of the seeded amplifier.
+        eta_p: power transmission of the probe path.
+        eta_c: power transmission of the conjugate path.
+        alpha: coherent seed amplitude (real); the seed carries
             |alpha|^2 photons into the probe mode before amplification.
+            Each, and G alpha^2, lies in its :data:`tsui.data.RANGES` row.
     """
 
     gain: float
@@ -87,16 +88,9 @@ class InterferometerParams:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        gain = float(self.gain)
-        if not 1.0 <= gain <= MAX_GAIN:
-            raise ValueError(f"gain must lie in [1, {MAX_GAIN:g}], got {self.gain!r}")
-        alpha = float(self.alpha)
-        if not math.isfinite(alpha) or alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
-        object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "eta_p", check_unit_interval("eta_p", self.eta_p))
-        object.__setattr__(self, "eta_c", check_unit_interval("eta_c", self.eta_c))
+        for name in ("gain", "alpha", "eta_p", "eta_c"):
+            object.__setattr__(self, name, check_range(name, getattr(self, name)))
+        check_range("gain * alpha^2", self.gain * self.alpha * self.alpha)
 
     @property
     def r(self) -> float:
@@ -218,8 +212,8 @@ def apply_loss(state: GaussianState, eta_p: float, eta_c: float) -> GaussianStat
     Returns:
         The attenuated state.
     """
-    eta_p = check_unit_interval("eta_p", eta_p)
-    eta_c = check_unit_interval("eta_c", eta_c)
+    eta_p = check_range("eta_p", eta_p)
+    eta_c = check_range("eta_c", eta_c)
     t = np.sqrt([eta_p, eta_p, eta_c, eta_c])
     cov = state.cov * np.outer(t, t) + np.diag(1.0 - t * t)
     return GaussianState(state.mean * t, cov)
@@ -258,14 +252,7 @@ def apply_phase_shift(state: GaussianState, dphi: float) -> GaussianState:
 def measurement_weight(m: "WeightedMeasurement | float | np.ndarray") -> "float | np.ndarray":
     """The weight lam of ``m``, checked to lie in [0, 1]: a float for a
     :class:`WeightedMeasurement` or a scalar, a float array for an array."""
-    if isinstance(m, WeightedMeasurement):
-        return m.lam
-    lam = np.asarray(m, dtype=float)
-    # A scalar compares in Python, several times faster than np.all.
-    ok = 0.0 <= float(lam) <= 1.0 if lam.ndim == 0 else np.all((lam >= 0.0) & (lam <= 1.0))
-    if not ok:
-        raise ValueError(f"lam must lie in [0, 1], got {m!r}")
-    return float(lam) if lam.ndim == 0 else lam
+    return m.lam if isinstance(m, WeightedMeasurement) else check_range("lam", m)
 
 
 def joint_quadrature_stats(

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 # CurveTable types the curve tables; older callers also read it as metrology.CurveTable.
-from .data import MAX_GAIN, CurveTable, check_grid, check_unit_interval
+from .data import CurveTable, check_grid, check_range
 from .gaussian import (
     InterferometerParams,
     WeightedMeasurement,
@@ -58,6 +58,9 @@ __all__ = [
 
 # dB gap between the two shot-noise conventions, 10*log10(2).
 LOG2_DB = 10.0 * math.log10(2.0)
+
+# Final bracket width of lambda_opt_numeric's golden-section search.
+_GOLDEN_TOL = 1e-10
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -97,30 +100,38 @@ class SensitivityResult:
 def joint_variance_quadratic(gain, eta_p, eta_c):
     """Coefficients (V_p, V_c, C) of Var(M) = V_p + lam^2 V_c + 2 lam C.
 
-    Accepts scalars or numpy arrays (broadcast together).  This is the
-    single source of the noise model shared by the theory curves and the
-    curve fitter.
+    Accepts scalars or numpy arrays (broadcast together), each checked
+    against its :data:`tsui.data.RANGES` row.
     """
-    gain = np.asarray(gain, dtype=float)
-    if (gain < 1.0).any():
-        raise ValueError("gain must be >= 1")
+    gain = check_range("gain", gain)
+    eta_p, eta_c = check_range("eta_p", eta_p), check_range("eta_c", eta_c)
     cosh2r = 2.0 * gain - 1.0
     sinh2r = 2.0 * np.sqrt(gain * (gain - 1.0))
-    v_p = eta_p * cosh2r + (1.0 - np.asarray(eta_p, dtype=float))
-    v_c = eta_c * cosh2r + (1.0 - np.asarray(eta_c, dtype=float))
-    cross = -np.sqrt(np.asarray(eta_p, dtype=float) * eta_c) * sinh2r
+    v_p = eta_p * cosh2r + (1.0 - eta_p)
+    v_c = eta_c * cosh2r + (1.0 - eta_c)
+    cross = -np.sqrt(eta_p * eta_c) * sinh2r
     return v_p, v_c, cross
 
 
 def joint_variance(gain, eta_p, eta_c, lam):
-    """Var(M) = V_p + lam^2 V_c + 2 lam C, broadcast over all arguments.
+    """Var(M) = V_p + lam^2 V_c + 2 lam C, broadcast over all arguments, as
+    a sum of terms that are nonnegative for transmissions in [0, 1],
 
-    The one evaluation of the quadratic from parameters, shared by the
-    theory curves and the curve fitter; weights are not range-checked.
+        (sqrt(eta_p) - lam sqrt(eta_c))^2 cosh 2r + 2 lam sqrt(eta_p eta_c) exp(-2r)
+        + (1 - eta_p) + lam^2 (1 - eta_c),   exp(-2r) = (sqrt(G) + sqrt(G - 1))^-2,
+
+    so no O(G) terms cancel to an O(1/G) result; shared by the curves and the
+    fitter.  Only the gain is checked: a central difference of the fit's model
+    steps just past the eta bounds.
     """
-    v_p, v_c, cross = joint_variance_quadratic(gain, eta_p, eta_c)
-    lam = np.asarray(lam, dtype=float)
-    return v_p + lam * lam * v_c + 2.0 * lam * cross
+    gain = check_range("gain", gain)
+    gain, eta_p, eta_c, lam = (np.asarray(v, dtype=float) for v in (gain, eta_p, eta_c, lam))
+    root_p, root_c = np.sqrt(eta_p), np.sqrt(eta_c)
+    exp_m2r = 1.0 / (np.sqrt(gain) + np.sqrt(gain - 1.0)) ** 2
+    return (
+        (root_p - lam * root_c) ** 2 * (2.0 * gain - 1.0) + 2.0 * lam * root_p * root_c * exp_m2r
+        + (1.0 - eta_p) + lam * lam * (1.0 - eta_c)
+    )
 
 
 def fringe_slope(gain, eta_p, alpha):
@@ -154,11 +165,11 @@ def lambda_opt(params: InterferometerParams) -> float:
     return float(optimal_weight(params.gain, params.eta_p, params.eta_c))
 
 
-def lambda_opt_numeric(params: InterferometerParams, tol: float = 1e-10) -> float:
+def lambda_opt_numeric(params: InterferometerParams) -> float:
     """Optimal weight found by searching the measured variance directly.
 
     Golden-section search over lam in [0, 1] on the variance of the
-    loss-propagated state brackets the minimum to width ``tol``; a final
+    loss-propagated state brackets the minimum to width ``_GOLDEN_TOL``; a final
     three-point parabolic interpolation (exact for this quadratic
     objective, up to round-off) removes the flat-bottom ambiguity of
     comparing nearly equal variances.  Serves as an independent check of
@@ -166,13 +177,10 @@ def lambda_opt_numeric(params: InterferometerParams, tol: float = 1e-10) -> floa
 
     Args:
         params: amplifier and transmission settings.
-        tol: final golden-section bracket width.
 
     Returns:
         The minimizing weight in [0, 1].
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     state = apply_loss(seeded_tmss(params), params.eta_p, params.eta_c)
 
     def var(lam: float) -> float:
@@ -183,7 +191,7 @@ def lambda_opt_numeric(params: InterferometerParams, tol: float = 1e-10) -> floa
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = var(c), var(d)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -237,7 +245,7 @@ def phase_sensitivity(
         (delta phi)^2 = Var(M) / (2 sqrt(eta_p G) alpha)^2.
 
     Args:
-        params: settings; ``alpha`` must be positive (no fringe otherwise).
+        params: settings; a bright seed ``alpha`` (no fringe otherwise).
         m: measurement weight.
         dphi: optional applied phase; when given, the result also carries
             the power signal-to-noise ratio of that phase in dB.
@@ -245,8 +253,7 @@ def phase_sensitivity(
     Returns:
         :class:`SensitivityResult`.
     """
-    if params.alpha <= 0.0:
-        raise ValueError("phase sensitivity requires a bright seed (alpha > 0)")
+    check_range("alpha (bright seed)", params.alpha)
     noise = joint_noise_power(params, m)
     slope = float(fringe_slope(params.gain, params.eta_p, params.alpha))
     delta_phi = math.sqrt(noise.variance) / slope
@@ -265,15 +272,14 @@ def sql_sensitivity(kind: SqlKind, params: InterferometerParams) -> SensitivityR
     Args:
         kind: which shot-noise convention to reference (see
             :class:`SqlKind`).
-        params: settings; ``alpha`` must be positive.
+        params: settings; a bright seed ``alpha``.
 
     Returns:
         :class:`SensitivityResult` for the reference measurement.
     """
     if not isinstance(kind, SqlKind):
         raise ValueError(f"kind must be a SqlKind, got {kind!r}")
-    if params.alpha <= 0.0:
-        raise ValueError("shot-noise sensitivity requires alpha > 0")
+    check_range("alpha (bright seed)", params.alpha)
     var = 2.0 if kind is SqlKind.SQL1 else 1.0
     slope = float(fringe_slope(params.gain, params.eta_p, params.alpha))
     return SensitivityResult(delta_phi=math.sqrt(var) / slope)
@@ -353,7 +359,7 @@ def curve_noise_vs_lambda(
     Returns:
         Table with columns (lambda, variance, noise_db).
     """
-    grid = check_grid("lambda_grid", lambda_grid, 0.0, 1.0)
+    grid = check_grid("lam", lambda_grid)
     var = joint_variance(params.gain, params.eta_p, params.eta_c, grid)
     rows = np.column_stack([grid, var, 10.0 * np.log10(var)])
     meta = {
@@ -370,7 +376,7 @@ def _eta_pair(entry) -> tuple[float, float]:
     pair = entry if isinstance(entry, (tuple, list)) else (entry, entry)
     if len(pair) != 2:
         raise ValueError(f"eta entry must be a float or a pair, got {entry!r}")
-    return check_unit_interval("eta_p", pair[0]), check_unit_interval("eta_c", pair[1])
+    return check_range("eta_p", pair[0]), check_range("eta_c", pair[1])
 
 
 def curve_lambda_opt_vs_gain(eta_list: Sequence, gain_grid) -> CurveTable:
@@ -379,12 +385,12 @@ def curve_lambda_opt_vs_gain(eta_list: Sequence, gain_grid) -> CurveTable:
     Args:
         eta_list: transmissions, each either a single eta used for both
             arms or an ``(eta_p, eta_c)`` pair; one output column each.
-        gain_grid: strictly increasing gains in [1, ``MAX_GAIN``].
+        gain_grid: strictly increasing gains, in the ``gain`` range.
 
     Returns:
         Table with columns (gain, lambda_opt_<tag>...).
     """
-    grid = check_grid("gain_grid", gain_grid, 1.0, MAX_GAIN)
+    grid = check_grid("gain", gain_grid)
     if len(eta_list) < 1:
         raise ValueError("eta_list must not be empty")
     pairs = [_eta_pair(e) for e in eta_list]
@@ -406,17 +412,15 @@ def curve_sensitivity_vs_gain(alpha: float, gain_grid) -> CurveTable:
     for a single coherent beam).
 
     Args:
-        alpha: seed amplitude, > 0.
-        gain_grid: strictly increasing gains in [1, ``MAX_GAIN``].
+        alpha: seed amplitude, a bright seed.
+        gain_grid: strictly increasing gains, in the ``gain`` range.
 
     Returns:
         Table with columns
         (gain, alpha_dphi_balanced, alpha_dphi_optimal, alpha_dphi_qcrb).
     """
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha!r}")
-    grid = check_grid("gain_grid", gain_grid, 1.0, MAX_GAIN)
+    alpha = check_range("alpha (bright seed)", alpha)
+    grid = check_grid("gain", gain_grid)
     slope = fringe_slope(grid, 1.0, alpha)
     balanced = np.sqrt(joint_variance(grid, 1.0, 1.0, 1.0)) / slope
     optimal = np.sqrt(joint_variance(grid, 1.0, 1.0, optimal_weight(grid, 1.0, 1.0))) / slope
@@ -439,7 +443,7 @@ def curve_snri_vs_lambda(
     Returns:
         Table with columns (lambda, snri_sql2_<tag>..., snri_sql1_<tag>...).
     """
-    grid = check_grid("lambda_grid", lambda_grid, 0.0, 1.0)
+    grid = check_grid("lam", lambda_grid)
     if len(params_list) < 1:
         raise ValueError("params_list must not be empty")
     tags = []

@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import NoiseDataset, check_grid
+from .data import NoiseDataset, check_grid, check_range
 from .gaussian import InterferometerParams, apply_loss, measurement_weight, seeded_tmss
 from .metrology import fringe_slope
 
@@ -117,27 +117,24 @@ class SimConfig:
                 f"samples, need >= {_MIN_SAMPLES}"
             )
         if self.n_samples > _MAX_SAMPLES:
-            raise ValueError(f"record too long: {self.n_samples} samples > {_MAX_SAMPLES}")
+            raise ValueError(
+                f"record too long: {self.duration * self.sample_rate:.6g} samples > {_MAX_SAMPLES}"
+            )
         if not 0.0 < self.tone_freq < self.sample_rate / 2.0:
             raise ValueError("tone_freq must lie in (0, sample_rate / 2)")
-        if not 0.0 <= self.tone_depth <= 1.0:
-            raise ValueError(f"tone_depth must lie in [0, 1], got {self.tone_depth!r}")
-        if not 0.0 <= self.lock_jitter_rms <= 1.0:
-            raise ValueError(
-                f"lock_jitter_rms must lie in [0, 1] rad, got {self.lock_jitter_rms!r}"
-            )
-        if not 0.0 <= self.electronic_noise_var < math.inf:
-            raise ValueError("electronic_noise_var must be finite and >= 0")
+        for name in ("tone_depth", "lock_jitter_rms", "electronic_noise_var"):
+            check_range(name, getattr(self, name))
         if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
             raise ValueError(f"rng_seed must be a nonnegative int, got {self.rng_seed!r}")
         if not (math.isfinite(self.jitter_block) and self.jitter_block > 0.0):
             raise ValueError("jitter_block must be > 0")
-        if int(round(self.jitter_block * self.sample_rate)) < 1:
+        if self.jitter_block * self.sample_rate <= 0.5:  # rounds to 0 samples
             raise ValueError("jitter_block is shorter than one sample")
 
     @property
     def n_samples(self) -> int:
-        return int(round(self.duration * self.sample_rate))
+        # min: round() cannot make an int of an infinite product.
+        return int(round(min(self.duration * self.sample_rate, 2.0 * _MAX_SAMPLES)))
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,7 @@ def _record_pieces(config: SimConfig, rng: np.random.Generator, spans):
     p = config.params
     state = apply_loss(seeded_tmss(p), p.eta_p, p.eta_c)
     if config.lock_jitter_rms > 0.0:
-        block = int(round(config.jitter_block * config.sample_rate))
+        block = int(round(min(config.jitter_block * config.sample_rate, n)))
         phases = rng.normal(0.0, config.lock_jitter_rms, size=(-(-n // block), 2))
     else:
         # Without jitter the record is one block at zero phase, which is
@@ -366,10 +363,12 @@ def _band(n_samples: int, sample_rate: float, center_freq: float, rbw: float) ->
         raise ValueError(
             "analysis band must lie strictly inside (0, sample_rate / 2)"
         )
-    nperseg = int(round(_BINS_PER_RBW * sample_rate / rbw))
+    segment = _BINS_PER_RBW * sample_rate / rbw
+    # min: an rbw near 0 gives a segment that round() cannot make an int.
+    nperseg = int(round(min(segment, 2.0 * n_samples)))
     if n_samples < nperseg:
         raise ValueError(
-            f"series too short: {n_samples} samples, need >= {nperseg} "
+            f"series too short: {n_samples} samples, need >= {segment:.6g} "
             "for the requested resolution bandwidth"
         )
     # The band's entries of np.fft.rfftfreq(nperseg, 1 / sample_rate),
@@ -568,7 +567,7 @@ def measure_noise_vs_lambda(
         the segment length ``nperseg``, the pooled ``segments`` and
         ``trials``.
     """
-    grid = check_grid("lambda_grid", lambda_grid, 0.0, 1.0)
+    grid = check_grid("lam", lambda_grid)
     if not isinstance(trials, int) or not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be an int in [1, {_MAX_TRIALS}], got {trials!r}")
     # The band is checked, and its basis built once, before any draw.
@@ -579,16 +578,11 @@ def measure_noise_vs_lambda(
             "samples; its uncertainty needs at least 2 (more trials, a longer "
             "record or a wider rbw)"
         )
-    workers = _scan_workers(trials)
-
-    def read_trials(k: int) -> list[np.ndarray]:
-        return [_segment_sums(config, i, band) for i in range(k, trials, workers)]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_worker = list(pool.map(read_trials, range(workers)))
-    sums = np.concatenate(
-        [per_worker[i % workers][i // workers] for i in range(trials)], axis=1
-    )
+    # map returns the trials in order, whatever the number of workers.
+    with ThreadPoolExecutor(max_workers=_scan_workers(trials)) as pool:
+        sums = np.concatenate(
+            list(pool.map(lambda i: _segment_sums(config, i, band), range(trials))), axis=1
+        )
     coef = np.stack([np.ones_like(grid), 2.0 * grid, grid * grid])
     mean_power = sums.mean(axis=1) @ coef
     variance = np.einsum("il,ij,jl->l", coef, np.cov(sums), coef)

@@ -9,7 +9,7 @@ from pair-sum tables.
 
 import numpy as np
 
-from tsui.data import check_unit_interval
+from tsui.data import check_range
 from tsui.fock import FockState
 
 
@@ -51,7 +51,7 @@ def oracle_quadrature_stats(state: FockState, lam: float) -> tuple[float, float]
     Returns:
         ``(mean, variance)`` of the joint phase quadrature.
     """
-    lam = check_unit_interval("lam", lam)
+    lam = check_range("lam", lam)
     branches = state.branches.astype(complex)
     a = ladder(branches.shape[1])
     y = -1j * (a - a.T)

@@ -524,7 +524,7 @@ class TestFit:
         [
             (["--overlay", "missing/ov"], "cannot write"),
             (["--out", "missing/f.json"], "cannot write"),
-            (["--overlay", "ov", "--lambdas", "0:2:0.5"], "lambda_grid"),
+            (["--overlay", "ov", "--lambdas", "0:2:0.5"], "lam must lie in"),
         ],
     )
     def test_bad_output_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch, flags, word):
@@ -557,7 +557,7 @@ class TestFit:
         rows = zip(lam, cols["noise_db"], cols["sigma_db"])
         data.write_text(format_csv([], ("lambda", "noise_db", "sigma_db"), rows))
         assert main(["fit", "--data", str(data), "--out", str(tmp_path / "f.json")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {column} values must be finite")
+        assert capsys.readouterr().err.startswith(f"error: {column} must lie in")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
 
     def test_missing_data_file_exits_2(self, tmp_path):

@@ -80,7 +80,7 @@ class TestNoiseDataset:
             )
         with pytest.raises(ValueError, match="equal-length"):
             NoiseDataset(lam=[0, 0.5, 1, 0.2], noise_db=[1, 2, 3, 4, 5], sigma_db=[0.1] * 5)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"noise_db must lie in .*, got inf at index 2"):
             NoiseDataset(
                 lam=[0, 0.2, 0.5, 0.7, 1],
                 noise_db=[1, 2, math.inf, 4, 5],

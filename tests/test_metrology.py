@@ -23,6 +23,7 @@ from tsui.metrology import (
     curve_snri_vs_lambda,
     fringe_slope,
     joint_noise_power,
+    joint_variance,
     joint_variance_quadratic,
     lambda_opt,
     lambda_opt_numeric,
@@ -150,10 +151,6 @@ class TestLambdaOpt:
                 lam = min(max(lo + d, 0.0), 1.0)
                 assert v0 <= joint_noise_power(p, lam).variance + 1e-15
 
-    def test_numeric_tol_validation(self):
-        with pytest.raises(ValueError):
-            lambda_opt_numeric(InterferometerParams(gain=2.0), tol=0.0)
-
 
 class TestJointNoisePower:
     def test_known_values(self):
@@ -200,6 +197,27 @@ class TestJointNoisePower:
     def test_gain_below_one_rejected(self):
         with pytest.raises(ValueError):
             joint_variance_quadratic(0.99, 1.0, 1.0)
+
+    def test_variance_matches_a_400_digit_reference(self):
+        # V_p + lam^2 V_c + 2 lam C subtracts O(G) terms to an O(1/G)
+        # result: that form was off by 2.4e-4 (relative) at G = 1e6 and by
+        # 100 % from 1e8 up.  The sum of nonnegative terms keeps its digits.
+        lam = np.linspace(0.0, 1.0, 101)
+        worst = 0.0
+        with localcontext() as ctx:
+            ctx.prec = 400
+            for gain in (1e2, 1e4, 1e6, 1e8, 1e12, 1e50, 1e100, MAX_GAIN):
+                g = Decimal(gain)
+                cosh, sinh = 2 * g - 1, 2 * (g * (g - 1)).sqrt()
+                for eta_p, eta_c in ((1.0, 1.0), (0.76, 0.79), (0.5, 0.9), (0.9, 0.3)):
+                    ep, ec = Decimal(eta_p), Decimal(eta_c)
+                    vp, vc = ep * cosh + 1 - ep, ec * cosh + 1 - ec
+                    cross = -(ep * ec).sqrt() * sinh
+                    for x, got in zip(lam, joint_variance(gain, eta_p, eta_c, lam)):
+                        w = Decimal(x)
+                        ref = vp + w * w * vc + 2 * w * cross
+                        worst = max(worst, float(abs(Decimal(got) - ref) / ref))
+        assert worst <= 1e-12
 
 
 class TestSensitivity:
@@ -472,8 +490,9 @@ class TestCurveGenerators:
             curve_sensitivity_vs_gain(0.0, np.array([1.0, 2.0]))
         # Gains past MAX_GAIN are refused; the grids may end at it.
         grid = np.array([1.0, MAX_GAIN, 1e160])
-        with pytest.raises(ValueError, match=r"gain_grid must lie within \[1, 1e\+150\]"):
+        past = r"gain must lie in \[1, 1e\+150\], got 1e\+160 at index 2"
+        with pytest.raises(ValueError, match=past):
             curve_lambda_opt_vs_gain([1.0], grid)
-        with pytest.raises(ValueError, match=r"gain_grid must lie within \[1, 1e\+150\]"):
+        with pytest.raises(ValueError, match=past):
             curve_sensitivity_vs_gain(1.0, grid)
         assert curve_lambda_opt_vs_gain([(0.5, 0.9)], grid[:2]).rows[1, 1] == 0.7453559924999299

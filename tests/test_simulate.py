@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tsui import simulate
+from tsui.data import RANGES
 from tsui.gaussian import InterferometerParams, apply_loss, seeded_tmss
 from tsui.metrology import joint_noise_power, joint_variance_quadratic, lambda_opt
 from tsui.simulate import (
@@ -794,7 +795,7 @@ class TestLoadSimConfig:
             tone_freq=data.draw(st.floats(0.0, fs / 2.0, exclude_min=True, exclude_max=True)),
             tone_depth=data.draw(unit),
             lock_jitter_rms=data.draw(unit),
-            electronic_noise_var=data.draw(st.floats(0.0, 1e300)),
+            electronic_noise_var=data.draw(st.floats(*RANGES["electronic_noise_var"])),
             rng_seed=data.draw(st.integers(0, 2**128)),
             jitter_block=data.draw(st.floats(1.0 / fs, duration)),
         )
