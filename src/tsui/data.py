@@ -51,8 +51,14 @@ MAX_CUTOFF = 400
 RANGES = {
     "gain": (1.0, MAX_GAIN),
     "alpha": (0.0, math.sqrt(MAX_GAIN)),  # the seed rule's bound at G = 1
-    # A phase readout's seed: its fringe slope, a divisor, stays far from 0.
+    # A phase readout's seed and probe transmission: its fringe slope
+    # 2 sqrt(eta_p G) alpha, a divisor, stays far from 0.
     "alpha (bright seed)": (1.0 / math.sqrt(MAX_GAIN), math.sqrt(MAX_GAIN)),
+    "eta_p (phase readout)": (1.0 / MAX_GAIN, 1.0),
+    # A simulated record's samples are about sqrt(2 G) while its squeezed
+    # readout is about 1 / sqrt(2 G): past 1e12 lossless, round-off in the
+    # difference moves that reading by more than 1e-4 dB.
+    "gain (simulated)": (1.0, 1e12),
     # The seed rule, on the amplified seed's photon number: with the gain
     # cap it keeps the probe's 4 Var(n) below 8 MAX_GAIN^2.
     "gain * alpha^2": (0.0, MAX_GAIN),

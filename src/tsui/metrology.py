@@ -232,6 +232,13 @@ def joint_noise_power(
     return NoiseResult(variance=var, variance_db=10.0 * math.log10(var), lam=lam)
 
 
+def _phase_slope(params: InterferometerParams) -> float:
+    """The fringe slope of a phase readout, its seed and probe arm checked."""
+    check_range("alpha (bright seed)", params.alpha)
+    check_range("eta_p (phase readout)", params.eta_p)
+    return float(fringe_slope(params.gain, params.eta_p, params.alpha))
+
+
 def phase_sensitivity(
     params: InterferometerParams,
     m: "WeightedMeasurement | float",
@@ -245,7 +252,8 @@ def phase_sensitivity(
         (delta phi)^2 = Var(M) / (2 sqrt(eta_p G) alpha)^2.
 
     Args:
-        params: settings; a bright seed ``alpha`` (no fringe otherwise).
+        params: settings; a bright seed ``alpha`` and a probe arm that
+            transmits, ``eta_p`` > 0 (no fringe otherwise).
         m: measurement weight.
         dphi: optional applied phase; when given, the result also carries
             the power signal-to-noise ratio of that phase in dB.
@@ -253,9 +261,8 @@ def phase_sensitivity(
     Returns:
         :class:`SensitivityResult`.
     """
-    check_range("alpha (bright seed)", params.alpha)
+    slope = _phase_slope(params)
     noise = joint_noise_power(params, m)
-    slope = float(fringe_slope(params.gain, params.eta_p, params.alpha))
     delta_phi = math.sqrt(noise.variance) / slope
     snr_db = None
     if dphi is not None:
@@ -272,17 +279,15 @@ def sql_sensitivity(kind: SqlKind, params: InterferometerParams) -> SensitivityR
     Args:
         kind: which shot-noise convention to reference (see
             :class:`SqlKind`).
-        params: settings; a bright seed ``alpha``.
+        params: settings; a bright seed ``alpha`` and ``eta_p`` > 0.
 
     Returns:
         :class:`SensitivityResult` for the reference measurement.
     """
     if not isinstance(kind, SqlKind):
         raise ValueError(f"kind must be a SqlKind, got {kind!r}")
-    check_range("alpha (bright seed)", params.alpha)
     var = 2.0 if kind is SqlKind.SQL1 else 1.0
-    slope = float(fringe_slope(params.gain, params.eta_p, params.alpha))
-    return SensitivityResult(delta_phi=math.sqrt(var) / slope)
+    return SensitivityResult(delta_phi=math.sqrt(var) / _phase_slope(params))
 
 
 def qcrb(params: InterferometerParams) -> SensitivityResult:

@@ -1,11 +1,12 @@
 """Time-domain emulation of the homodyne records and spectrum analysis.
 
 Generates correlated phase-quadrature noise for the probe/conjugate
-detector pair from the Gaussian model, optionally with a calibration
-phase tone on the probe, slow homodyne-lock jitter, and white electronic
-noise.  A Welch-style band-power estimator then reads the records back
-the way a spectrum analyzer would, normalized so that unit-variance
-white noise sits at 0 dB.
+detector pair from the model's closed-form coefficients (V_p, V_c, C)
+(:func:`tsui.metrology.joint_variance_quadratic`), optionally with a
+calibration phase tone on the probe, slow homodyne-lock jitter, and white
+electronic noise.  A Welch-style band-power estimator then reads the
+records back the way a spectrum analyzer would, normalized so that
+unit-variance white noise sits at 0 dB.
 
 Determinism: a record is a pure function of ``(config, trial)``.  Random
 draws always happen in the same order (block jitter phases, then the
@@ -33,12 +34,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .data import NoiseDataset, check_grid, check_range
-from .gaussian import InterferometerParams, apply_loss, measurement_weight, seeded_tmss
-from .metrology import fringe_slope
+from .gaussian import InterferometerParams, measurement_weight
+from .metrology import fringe_slope, joint_variance, joint_variance_quadratic
 
 __all__ = [
     "MeasurementRecord",
@@ -107,6 +109,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.params, InterferometerParams):
             raise ValueError("params must be an InterferometerParams")
+        check_range("gain (simulated)", self.params.gain)
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0.0):
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate!r}")
         if not (math.isfinite(self.duration) and self.duration > 0.0):
@@ -175,7 +178,10 @@ def _record_pieces(config: SimConfig, rng: np.random.Generator, spans):
     """
     n = config.n_samples
     p = config.params
-    state = apply_loss(seeded_tmss(p), p.eta_p, p.eta_c)
+    v_p, _, cross = joint_variance_quadratic(p.gain, p.eta_p, p.eta_c)
+    # (V_p V_c - C^2) / V_p as the arms-swapped variance at its vertex: a
+    # sum of nonnegative terms, where the difference would lose every digit.
+    rest = float(joint_variance(p.gain, p.eta_c, p.eta_p, -cross / v_p))
     if config.lock_jitter_rms > 0.0:
         block = int(round(min(config.jitter_block * config.sample_rate, n)))
         phases = rng.normal(0.0, config.lock_jitter_rms, size=(-(-n // block), 2))
@@ -183,33 +189,27 @@ def _record_pieces(config: SimConfig, rng: np.random.Generator, spans):
         # Without jitter the record is one block at zero phase, which is
         # exact (sin 0 = 0, cos 0 = 1) and draws nothing.
         block, phases = n, np.zeros((1, 2))
-    tone_amp = float(fringe_slope(p.gain, p.eta_p, p.alpha)) * config.tone_depth
+    # Each arm's carrier 2 sqrt(eta G) alpha, which the jitter leaks in.
+    carrier = float(fringe_slope(p.gain, p.eta_p, p.alpha))
+    carrier_c = 2.0 * math.sqrt(p.eta_c * (p.gain - 1.0)) * p.alpha
     omega = 2.0 * math.pi * config.tone_freq
-    current = -1
     for lo, hi in spans:
         normals = rng.standard_normal((hi - lo, 2))
         values = np.empty((2, hi - lo))
         for b in range(lo // block, (hi - 1) // block + 1):
-            if b != current:
-                # A block met again at the next span keeps its factor.
-                current, (e_p, e_c) = b, phases[b]
-                # Rows pick out the rotated measurement direction per arm.
-                u = np.array(
-                    [
-                        [math.sin(e_p), math.cos(e_p), 0.0, 0.0],
-                        [0.0, 0.0, math.sin(e_c), math.cos(e_c)],
-                    ]
-                )
-                # The factor transposed and contiguous: a 4x faster product
-                # than through the transposed view, with the same values.
-                chol_t = np.ascontiguousarray(np.linalg.cholesky(u @ state.cov @ u.T).T)
-                offset = u @ state.mean
+            e_p, e_c = phases[b]
+            # The Cholesky factor, transposed, of the rotated quadratures'
+            # covariance [[V_p, C cos s], [C cos s, V_c]], s = e_p + e_c.
+            l_1, l_2 = math.sqrt(v_p), cross * math.cos(e_p + e_c) / math.sqrt(v_p)
+            l_3 = math.sqrt(rest + (cross * math.sin(e_p + e_c)) ** 2 / v_p)
+            chol_t = np.array([[l_1, l_2], [0.0, l_3]])
+            offset = np.array([carrier * math.sin(e_p), carrier_c * math.sin(e_c)])
             start, stop = max(lo, b * block), min(hi, (b + 1) * block)
             part = slice(start - lo, stop - lo)
             np.add((normals[part] @ chol_t).T, offset[:, np.newaxis], out=values[:, part])
             if config.tone_depth > 0.0:
                 t = np.arange(start, stop) / config.sample_rate
-                values[0, part] += tone_amp * math.cos(e_p) * np.sin(omega * t)
+                values[0, part] += carrier * config.tone_depth * math.cos(e_p) * np.sin(omega * t)
         yield lo, values
 
 
@@ -217,10 +217,14 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     """Generate one pair of synchronized detector records.
 
     The two phase quadratures are drawn as a correlated Gaussian pair
-    using the Cholesky factor of the loss-propagated covariance.  With
-    lock jitter enabled, each arm's measured quadrature rotates by a
-    block-constant random phase, which both mixes in amplitude-quadrature
-    noise and leaks the bright carrier in as a block-constant offset.
+    through the Cholesky factor of their covariance, written in closed
+    form from the model's (V_p, V_c, C); its corner comes from a sum of
+    nonnegative terms, so the factor holds up to the simulator's gain cap.
+    With lock jitter enabled, each arm's measured quadrature rotates by a
+    block-constant random phase (e_p, e_c): the covariance becomes
+    [[V_p, C cos s], [C cos s, V_c]] with s = e_p + e_c, and each arm's
+    bright carrier 2 sqrt(eta G) alpha leaks in as a block-constant offset
+    times sin e.
     The calibration tone enters only the probe record, with amplitude
     slope * tone_depth where slope = 2 sqrt(eta_p G) alpha.  White
     electronic noise is drawn last, the probe's samples then the
@@ -280,19 +284,26 @@ class _Band:
     in-band DFT in real layout.  Segments of at most ``_CHUNK`` samples
     get one row per position with the window folded in; longer segments
     get ``_CHUNK`` rows without it, reused for every block of the segment.
-    ``noise_factor`` is F = L^T, where L L^T = G is the Gram matrix of one
-    segment's windowed, scaled basis rows: standard normals xi give
-    xi @ F with the distribution of the band spectra of one segment of
-    unit-variance white noise.  ``spans`` is the grid a record is drawn
-    and read on (:func:`_spans`).
+    ``scale`` is the readout's normalization, folded into ``basis``.
+    ``spans`` is the grid a record is drawn and read on (:func:`_spans`).
     """
 
     nperseg: int
     n_seg: int
     bins: np.ndarray
     basis: np.ndarray
-    noise_factor: np.ndarray
+    scale: float
     spans: list[tuple[int, int]]
+
+    @cached_property
+    def noise_factor(self) -> np.ndarray:
+        """F = L^T, where L L^T = G is the Gram matrix of one segment's
+        windowed, scaled basis rows: standard normals xi give xi @ F with
+        the distribution of the band spectra of one segment of
+        unit-variance white noise.  Factored on first use, so only a scan
+        with electronic noise pays for it."""
+        gram = self.scale * self.scale * _band_gram(self.nperseg, self.bins)
+        return np.linalg.cholesky(gram).T
 
 
 def _sinpi(num: np.ndarray, den: int) -> np.ndarray:
@@ -355,8 +366,7 @@ def _spans(n_samples: int, nperseg: int) -> list[tuple[int, int]]:
 
 
 def _band(n_samples: int, sample_rate: float, center_freq: float, rbw: float) -> _Band:
-    """Check the band against a record of ``n_samples`` and build its basis
-    and its white-noise factor, the Cholesky factor of the closed-form Gram."""
+    """Check the band against a record of ``n_samples`` and build its basis."""
     if not (0.0 < rbw < math.inf and 0.0 < sample_rate < math.inf):
         raise ValueError("rbw and sample_rate must be finite and > 0")
     if not rbw / 2.0 < center_freq < sample_rate / 2.0 - rbw / 2.0:
@@ -393,13 +403,12 @@ def _band(n_samples: int, sample_rate: float, center_freq: float, rbw: float) ->
     basis = np.empty((rows, 2 * bins.size))
     np.multiply(np.cos(angle), weight[:, np.newaxis], out=basis[:, : bins.size])
     np.multiply(np.sin(angle), -weight[:, np.newaxis], out=basis[:, bins.size :])
-    gram = scale * scale * _band_gram(nperseg, bins)
     return _Band(
         nperseg=nperseg,
         n_seg=n_samples // nperseg,
         bins=bins,
         basis=basis,
-        noise_factor=np.linalg.cholesky(gram).T,
+        scale=scale,
         spans=_spans(n_samples, nperseg),
     )
 
@@ -498,7 +507,9 @@ def _scan_workers(trials: int) -> int:
 
 
 def _segment_sums(config: SimConfig, trial: int, band: _Band) -> np.ndarray:
-    """Per-segment (|P|^2, Re(P C*), |C|^2) band sums of one record.
+    """Per-segment (|U|^2, Re(U W*), |W|^2) band sums of one record, in the
+    sum and difference U = P + C, W = P - C of its probe and conjugate
+    band spectra.
 
     The record's quadrature signal is drawn span by span on the band's
     grid and read where it lies; no record-sized array is made.  The white
@@ -507,6 +518,8 @@ def _segment_sums(config: SimConfig, trial: int, band: _Band) -> np.ndarray:
     segments has the distribution of the time-domain draw's spectra.
     The normals xi come in runs of at most ``_CHUNK`` numbers, which take
     the stream's numbers in the order of one (2, n_seg, 2 n_bins) draw.
+    At high gain P and C nearly cancel in U, the squeezed readout, whose
+    power the (|P|^2, Re(P C*), |C|^2) sums would leave to round-off.
     """
     rng = np.random.default_rng([config.rng_seed, trial])
     spectra = _band_spectra(band, _record_pieces(config, rng, band.spans), arms=2)
@@ -517,8 +530,8 @@ def _segment_sums(config: SimConfig, trial: int, band: _Band) -> np.ndarray:
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
             block += rng.standard_normal(block.shape) @ factor
-    p, c = spectra
-    return np.stack([_cross_power(p, p), _cross_power(p, c), _cross_power(c, c)])
+    u, w = spectra[0] + spectra[1], spectra[0] - spectra[1]
+    return np.stack([_cross_power(u, u), _cross_power(u, w), _cross_power(w, w)])
 
 
 _PARAM_KEYS = tuple(f.name for f in fields(InterferometerParams))
@@ -536,12 +549,14 @@ def measure_noise_vs_lambda(
 
     Generates ``trials`` independent records at the given settings and
     reads the band power of probe + lam * conjugate at the analysis
-    frequency.  Each segment's band power is the quadratic |P|^2 +
-    2 lam Re(P C*) + lam^2 |C|^2 in the arms' band spectra, so one
-    spectral pass per record serves every weight.  White electronic
-    noise enters as band spectra drawn per segment and arm after every
-    quadrature normal, with the distribution the readout of
-    :func:`simulate_records`' samples would give; so with it the scan
+    frequency.  Each segment's band power is the quadratic a^2 |U|^2 +
+    2 a b Re(U W*) + b^2 |W|^2 in the sum U = P + C and difference
+    W = P - C of the arms' band spectra, with a = (1 + lam) / 2 and
+    b = (1 - lam) / 2, so one spectral pass per record serves every
+    weight, and the squeezed readout keeps its digits at high gain.
+    White electronic noise enters as band spectra drawn per segment and
+    arm after every quadrature normal, with the distribution the readout
+    of :func:`simulate_records`' samples would give; so with it the scan
     matches that readout in distribution, and without it to round-off.
     Segments from all trials are pooled; the quoted uncertainty is the
     standard error of their mean, mapped to dB.  Trials run on up to one
@@ -583,7 +598,9 @@ def measure_noise_vs_lambda(
         sums = np.concatenate(
             list(pool.map(lambda i: _segment_sums(config, i, band), range(trials))), axis=1
         )
-    coef = np.stack([np.ones_like(grid), 2.0 * grid, grid * grid])
+    # P + lam C = a U + b W with a = (1 + lam) / 2 and b = (1 - lam) / 2.
+    a, b = (1.0 + grid) / 2.0, (1.0 - grid) / 2.0
+    coef = np.stack([a * a, 2.0 * a * b, b * b])
     mean_power = sums.mean(axis=1) @ coef
     variance = np.einsum("il,ij,jl->l", coef, np.cov(sums), coef)
     stderr = np.sqrt(variance / sums.shape[1])

@@ -376,6 +376,29 @@ class TestSimulate:
         assert main(["fit", "--data", str(out), "--out", str(fit)]) == 0
         assert math.isfinite(json.loads(fit.read_text())["gain"])
 
+    def test_high_gain_lossless_scan_reads_the_squeezed_floor(self, tmp_path):
+        # At G = 1e8 with no loss the balanced readout sits at 2 exp(-2r),
+        # -83.01 dB, where LAPACK found each block's covariance not
+        # positive definite.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("gain = 1e8\nrng_seed = 3\n")
+        out = tmp_path / "scan.csv"
+        argv = ["simulate", "--config", str(cfg), "--lambdas", "0:1:0.25", "--out", str(out)]
+        assert main(argv) == 0
+        ds = load_noise_csv(str(out))
+        exp_m2r = 1.0 / (math.sqrt(1e8) + math.sqrt(1e8 - 1.0)) ** 2
+        assert ds.lam[-1] == 1.0
+        assert abs(ds.noise_db[-1] - 10.0 * math.log10(2.0 * exp_m2r)) <= 0.5
+
+    def test_gain_past_the_simulator_cap_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("gain = 1e13\nduration = 0.004\n")
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gain (simulated) must lie in" in err
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         out = tmp_path / "scan.csv"
         code = main(

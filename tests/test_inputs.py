@@ -89,6 +89,11 @@ ENTRY_POINTS = {
     "gain * alpha^2": [
         lambda v: InterferometerParams(gain=v / 4.0, alpha=2.0) if v else InterferometerParams(1.0)
     ],
+    "eta_p (phase readout)": [
+        lambda v: phase_sensitivity(InterferometerParams(2.0, eta_p=v, alpha=1.0), 0.5),
+        lambda v: sql_sensitivity(SqlKind.SQL2, InterferometerParams(2.0, eta_p=v, alpha=1.0)),
+    ],
+    "gain (simulated)": [lambda v: SimConfig(InterferometerParams(gain=v))],
     "eta": [lambda v: fock.apply_loss_fock(_FOCK, v, "probe")],
     "lam": [
         measurement_weight,
@@ -143,6 +148,13 @@ def test_range_is_checked_where_it_is_read(name):
         for value in outside:
             with pytest.raises(ValueError, match=named):
                 call(value)
+
+
+def test_phase_readout_needs_a_transmitting_probe_arm():
+    # No fringe at eta_p = 0: a message naming eta_p, not a ZeroDivisionError.
+    for call in ENTRY_POINTS["eta_p (phase readout)"]:
+        with pytest.raises(ValueError, match=r"eta_p \(phase readout\) must lie in .*, got 0\.0$"):
+            call(0.0)
 
 
 def test_array_message_names_the_index():

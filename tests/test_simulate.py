@@ -465,10 +465,12 @@ class TestMeasuredScan:
 
 class TestParallelScan:
     """Scans draw trials on worker threads and read records span by
-    span; the serial whole-record algorithm stays here as the
-    reference, bit for bit for records and to round-off for scans
-    without electronic noise.  A scan draws electronic noise as band
-    spectra, so with it the scan matches the reference in distribution
+    span; the serial whole-record algorithm, which factors each jitter
+    block's covariance with LAPACK, stays here as the reference.  Records
+    draw each block from the model's closed-form factor, so they match it
+    to round-off (1e-13 of each arm's rms), and so do scans without
+    electronic noise.  A scan draws electronic noise as band spectra, so
+    with it the scan matches the reference in distribution
     (TestInBandNoise)."""
 
     CONFIGS = {
@@ -505,8 +507,8 @@ class TestParallelScan:
         records = [serial_records(cfg, trial) for trial in range(8)]
         for trial, (probe, conj) in enumerate(records):
             rec = simulate_records(cfg, trial=trial)
-            assert np.array_equal(rec.probe, probe)
-            assert np.array_equal(rec.conjugate, conj)
+            for arm, ref in ((rec.probe, probe), (rec.conjugate, conj)):
+                assert np.abs(arm - ref).max() <= 1e-13 * ref.std()
         quiet = dataclasses.replace(cfg, electronic_noise_var=0.0)
         if quiet != cfg:
             records = [serial_records(quiet, trial) for trial in range(8)]
@@ -636,6 +638,42 @@ class TestSpanGrid:
             drawn[:, lo : lo + values.shape[1]] = values
         rec = simulate_records(cfg)
         assert drawn.tobytes() == np.stack([rec.probe, rec.conjugate]).tobytes()
+
+
+class TestClosedFormDraw:
+    """Records and scans draw each jitter block from the model's
+    closed-form (V_p, V_c, C), with no LAPACK factor, and a scan's sums in
+    the sum and difference of the arms keep the squeezed readout's digits
+    at high gain."""
+
+    def test_no_cholesky_in_records_or_scans(self, monkeypatch):
+        def no_cholesky(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky was called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        cfg = config(
+            gain=1.67, eta_p=0.76, eta_c=0.79, alpha=50.0, rng_seed=30,
+            lock_jitter_rms=0.05, tone_depth=0.05, jitter_block=1e-4,
+        )
+        simulate_records(dataclasses.replace(cfg, electronic_noise_var=0.1))
+        measure_noise_vs_lambda(cfg, np.linspace(0.0, 1.0, 5), trials=2)
+
+    @pytest.mark.parametrize("gain", [1e3, 1e4, 1e6])
+    def test_high_gain_scan_matches_the_direct_readout(self, gain):
+        # Lossless, probe + conjugate is about 1 / sqrt(2 G) against samples
+        # of about sqrt(2 G).  One trial: each point is the mean of the
+        # per-segment band powers of the combined record, and sigma_db
+        # their standard error, both to 1e-8.
+        cfg = config(gain=gain, duration=2**16 / FS, rng_seed=31)
+        grid = np.linspace(0.0, 1.0, 11)
+        data = measure_noise_vs_lambda(cfg, grid, trials=1)
+        rec = simulate_records(cfg)
+        for lam, db, sigma in zip(grid, data.noise_db, data.sigma_db):
+            spectra = serial_band_spectra(combine_weighted(rec, float(lam)), FS, 1e6, 1e5)
+            powers = (np.abs(spectra) ** 2).sum(axis=1)
+            stderr = powers.std(ddof=1) / math.sqrt(powers.size) / powers.mean()
+            assert abs(db - 10.0 * math.log10(powers.mean())) <= 1e-8
+            assert math.isclose(sigma, 10.0 / math.log(10.0) * stderr, rel_tol=1e-8)
 
 
 def dense_band_gram(nperseg, bins):
