@@ -269,7 +269,8 @@ def phase_sensitivity(
         dphi = float(dphi)
         if dphi <= 0.0 or not math.isfinite(dphi):
             raise ValueError(f"dphi must be positive and finite, got {dphi!r}")
-        snr_db = 10.0 * math.log10((slope * dphi) ** 2 / noise.variance)
+        # In logs, so a signal power (slope dphi)^2 below the smallest double keeps its ratio.
+        snr_db = 20.0 * (math.log10(slope) + math.log10(dphi)) - 10.0 * math.log10(noise.variance)
     return SensitivityResult(delta_phi=delta_phi, snr_db=snr_db)
 
 

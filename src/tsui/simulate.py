@@ -13,28 +13,17 @@ draws always happen in the same order (block jitter phases, then the
 quadrature normals, then white electronic noise for probe and
 conjugate), so identical inputs give bit-identical records.
 
-The readout never needs a whole record.  A scan draws each record on
-its readout's span grid: runs of whole Welch segments, or one block of
-a long segment, of at most ``_CHUNK`` samples each.  Every span's
-in-band DFT (a small GEMM against a cached window x cos/sin basis) is
-added into per-segment band spectra where the span lies.  A scan
-draws no electronic noise samples: white noise's band spectra are
-Gaussian with the Gram matrix of one segment's in-band DFT rows as
-covariance, independent across segments and arms, so after every
-quadrature normal the scan draws those spectra directly, 2 n_bins
-normals per segment and arm.  A scan keeps three sums per segment, runs
-its trials on one thread per trial and usable CPU, each from its own
-generator, and pools the sums in trial order, so a scan does not depend
-on the number of workers.
+A scan draws band spectra, not samples: within a jitter block the arms
+are white Gaussian noise, so the in-band spectra of a zero-overlap Hann
+segment, or of its part in one block, are N(mean, S x G), with S the
+arms' 2 x 2 covariance and G the Gram matrix of the part's in-band DFT
+rows (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -57,18 +46,13 @@ __all__ = [
 # while leaving hundreds of segments in a default-length record.
 _BINS_PER_RBW = 8
 
-# Most samples per span, the unit in which a record is drawn and read,
-# and normals per in-band noise draw; also the most basis rows cached
-# (144 B each at 9 band bins).  A GEMM this size against the (rows,
-# 2 n_bins) basis stays below OpenBLAS's threading threshold (2^18
-# multiply-adds) for up to 16 bins, so it runs on the calling thread and
-# concurrent scan workers do not oversubscribe the cores.
+# Most samples drawn or read at once, and normals per draw of band
+# spectra; also the most basis rows cached (144 B each at 9 band bins).
 _CHUNK = 2**13
 
 # Input caps: the longest record is 8x the default length (2 x 64 MiB
-# when simulate_records returns it; a scan reads it span by span and
-# holds only its per-segment band spectra), and a scan takes at most
-# 1000 records.
+# from simulate_records; a scan draws no samples and holds one trial's
+# band spectra), and a scan takes at most 1000 trials.
 _MIN_SAMPLES = 2**14
 _MAX_SAMPLES = 2**23
 _MAX_TRIALS = 1000
@@ -92,8 +76,8 @@ class SimConfig:
         electronic_noise_var: white detector noise variance in
             shot-noise units, added independently per detector.
         rng_seed: base seed; combined with the trial index.
-        jitter_block: correlation time of the lock error in seconds
-            (the phase error is redrawn once per block).
+        jitter_block: correlation time of the lock error in seconds, one
+            phase error per block; a scan needs a Welch segment or more.
     """
 
     params: InterferometerParams
@@ -165,68 +149,46 @@ def _runs(lo: int, hi: int, step: int) -> list[tuple[int, int]]:
     return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
-def _record_pieces(config: SimConfig, rng: np.random.Generator, spans):
-    """Draw one record's quadrature signal span by span, as ``(lo, values)``.
-
-    ``spans`` are ``(lo, hi)`` pairs that tile ``[0, n_samples)`` in order;
-    ``values`` holds samples lo .. hi - 1 of the probe (row 0) and the
-    conjugate (row 1), offset and tone included.  A span takes its
-    quadrature normals in one draw, so any tiling takes ``rng``'s numbers
-    in the order of one whole-record draw, and each jitter block's part of
-    a span is one product with that block's factor.  Electronic noise is
-    left to the caller, which draws it from ``rng`` after the last span.
-    """
-    n = config.n_samples
-    p = config.params
-    v_p, _, cross = joint_variance_quadratic(p.gain, p.eta_p, p.eta_c)
-    # (V_p V_c - C^2) / V_p as the arms-swapped variance at its vertex: a
-    # sum of nonnegative terms, where the difference would lose every digit.
+def _model(p: InterferometerParams) -> tuple[float, float, float, float, float, float]:
+    """(V_p, V_c, C), r = (V_p V_c - C^2) / V_p, and each arm's carrier
+    2 sqrt(eta G) alpha, which lock jitter leaks in."""
+    v_p, v_c, cross = joint_variance_quadratic(p.gain, p.eta_p, p.eta_c)
+    # r as the arms-swapped variance at its vertex: a sum of nonnegative
+    # terms, where the difference would lose every digit.
     rest = float(joint_variance(p.gain, p.eta_c, p.eta_p, -cross / v_p))
-    if config.lock_jitter_rms > 0.0:
-        block = int(round(min(config.jitter_block * config.sample_rate, n)))
-        phases = rng.normal(0.0, config.lock_jitter_rms, size=(-(-n // block), 2))
-    else:
-        # Without jitter the record is one block at zero phase, which is
-        # exact (sin 0 = 0, cos 0 = 1) and draws nothing.
-        block, phases = n, np.zeros((1, 2))
-    # Each arm's carrier 2 sqrt(eta G) alpha, which the jitter leaks in.
-    carrier = float(fringe_slope(p.gain, p.eta_p, p.alpha))
     carrier_c = 2.0 * math.sqrt(p.eta_c * (p.gain - 1.0)) * p.alpha
-    omega = 2.0 * math.pi * config.tone_freq
-    for lo, hi in spans:
-        normals = rng.standard_normal((hi - lo, 2))
-        values = np.empty((2, hi - lo))
-        for b in range(lo // block, (hi - 1) // block + 1):
-            e_p, e_c = phases[b]
-            # The Cholesky factor, transposed, of the rotated quadratures'
-            # covariance [[V_p, C cos s], [C cos s, V_c]], s = e_p + e_c.
-            l_1, l_2 = math.sqrt(v_p), cross * math.cos(e_p + e_c) / math.sqrt(v_p)
-            l_3 = math.sqrt(rest + (cross * math.sin(e_p + e_c)) ** 2 / v_p)
-            chol_t = np.array([[l_1, l_2], [0.0, l_3]])
-            offset = np.array([carrier * math.sin(e_p), carrier_c * math.sin(e_c)])
-            start, stop = max(lo, b * block), min(hi, (b + 1) * block)
-            part = slice(start - lo, stop - lo)
-            np.add((normals[part] @ chol_t).T, offset[:, np.newaxis], out=values[:, part])
-            if config.tone_depth > 0.0:
-                t = np.arange(start, stop) / config.sample_rate
-                values[0, part] += carrier * config.tone_depth * math.cos(e_p) * np.sin(omega * t)
-        yield lo, values
+    return v_p, v_c, cross, rest, float(fringe_slope(p.gain, p.eta_p, p.alpha)), carrier_c
+
+
+def _block_samples(config: SimConfig) -> int:
+    """Samples per lock-jitter block; without jitter the record is one block."""
+    if config.lock_jitter_rms == 0.0:
+        return config.n_samples
+    # min: round() cannot make an int of an infinite product.
+    return int(round(min(config.jitter_block * config.sample_rate, config.n_samples)))
+
+
+def _phases(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """Each jitter block's phase errors (e_p, e_c), a record's first draw.
+    Without jitter the record is one block at zero phase, which is exact
+    (sin 0 = 0, cos 0 = 1) and draws nothing."""
+    if config.lock_jitter_rms == 0.0:
+        return np.zeros((1, 2))
+    n_blocks = -(-config.n_samples // _block_samples(config))
+    return rng.normal(0.0, config.lock_jitter_rms, size=(n_blocks, 2))
 
 
 def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     """Generate one pair of synchronized detector records.
 
-    The two phase quadratures are drawn as a correlated Gaussian pair
-    through the Cholesky factor of their covariance, written in closed
-    form from the model's (V_p, V_c, C); its corner comes from a sum of
-    nonnegative terms, so the factor holds up to the simulator's gain cap.
-    With lock jitter enabled, each arm's measured quadrature rotates by a
-    block-constant random phase (e_p, e_c): the covariance becomes
-    [[V_p, C cos s], [C cos s, V_c]] with s = e_p + e_c, and each arm's
-    bright carrier 2 sqrt(eta G) alpha leaks in as a block-constant offset
-    times sin e.
-    The calibration tone enters only the probe record, with amplitude
-    slope * tone_depth where slope = 2 sqrt(eta_p G) alpha.  White
+    The two phase quadratures are a correlated Gaussian pair, drawn
+    through the closed-form Cholesky factor of their covariance (its
+    corner a sum of nonnegative terms, so it holds up to the gain cap).
+    With lock jitter, each arm's quadrature rotates by a block-constant
+    phase (e_p, e_c): the covariance becomes [[V_p, C cos s], [C cos s,
+    V_c]] with s = e_p + e_c, and each arm's carrier 2 sqrt(eta G) alpha
+    leaks in as an offset times sin e.  The calibration tone enters only
+    the probe, with amplitude 2 sqrt(eta_p G) alpha tone_depth.  White
     electronic noise is drawn last, the probe's samples then the
     conjugate's.
 
@@ -241,9 +203,27 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     if not isinstance(trial, int) or trial < 0:
         raise ValueError(f"trial must be a nonnegative int, got {trial!r}")
     rng = np.random.default_rng([config.rng_seed, trial])
+    v_p, _, cross, rest, carrier, carrier_c = _model(config.params)
+    block, phases = _block_samples(config), _phases(config, rng)
+    omega, depth = 2.0 * math.pi * config.tone_freq, carrier * config.tone_depth
     out = np.empty((2, config.n_samples))
-    for lo, values in _record_pieces(config, rng, _runs(0, out.shape[1], _CHUNK)):
-        out[:, lo : lo + values.shape[1]] = values
+    # The normals _CHUNK pairs at a time, in the order of one whole draw.
+    for lo, hi in _runs(0, out.shape[1], _CHUNK):
+        normals = rng.standard_normal((hi - lo, 2))
+        for b in range(lo // block, (hi - 1) // block + 1):
+            e_p, e_c = phases[b]
+            # The Cholesky factor, transposed, of the rotated quadratures'
+            # covariance [[V_p, C cos s], [C cos s, V_c]], s = e_p + e_c.
+            l_1, l_2 = math.sqrt(v_p), cross * math.cos(e_p + e_c) / math.sqrt(v_p)
+            l_3 = math.sqrt(rest + (cross * math.sin(e_p + e_c)) ** 2 / v_p)
+            chol_t = np.array([[l_1, l_2], [0.0, l_3]])
+            offset = np.array([carrier * math.sin(e_p), carrier_c * math.sin(e_c)])
+            start, stop = max(lo, b * block), min(hi, (b + 1) * block)
+            part = normals[start - lo : stop - lo]
+            np.add((part @ chol_t).T, offset[:, np.newaxis], out=out[:, start:stop])
+            if config.tone_depth > 0.0:
+                t = np.arange(start, stop) / config.sample_rate
+                out[0, start:stop] += depth * math.cos(e_p) * np.sin(omega * t)
     if config.electronic_noise_var > 0.0:
         noise = rng.standard_normal(out.shape)
         noise *= math.sqrt(config.electronic_noise_var)
@@ -275,17 +255,12 @@ def _hann(offsets: np.ndarray, nperseg: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Band:
-    """Welch readout of one analysis band in a record of known length.
-
-    Hann-windowed, zero-overlap segments of ``nperseg`` samples with bin
-    spacing rbw / 8; the band collects the ``bins`` within rbw / 2 of the
-    center.  Row t of ``basis`` holds the columns [cos | -sin] of each
-    band bin at segment position t, so that samples @ basis is their
-    in-band DFT in real layout.  Segments of at most ``_CHUNK`` samples
-    get one row per position with the window folded in; longer segments
-    get ``_CHUNK`` rows without it, reused for every block of the segment.
-    ``scale`` is the readout's normalization, folded into ``basis``.
-    ``spans`` is the grid a record is drawn and read on (:func:`_spans`).
+    """Welch readout of one band: Hann-windowed, zero-overlap segments of
+    ``nperseg`` samples, bin spacing rbw / 8, the ``bins`` within rbw / 2
+    of the center.  Row t of ``basis`` holds [cos | -sin] of each bin at
+    segment position t times ``scale``, the readout's normalization, and
+    the window for segments of at most ``_CHUNK`` samples; longer ones get
+    ``_CHUNK`` rows without it, turned to each block by :func:`_twiddle`.
     """
 
     nperseg: int
@@ -293,76 +268,6 @@ class _Band:
     bins: np.ndarray
     basis: np.ndarray
     scale: float
-    spans: list[tuple[int, int]]
-
-    @cached_property
-    def noise_factor(self) -> np.ndarray:
-        """F = L^T, where L L^T = G is the Gram matrix of one segment's
-        windowed, scaled basis rows: standard normals xi give xi @ F with
-        the distribution of the band spectra of one segment of
-        unit-variance white noise.  Factored on first use, so only a scan
-        with electronic noise pays for it."""
-        gram = self.scale * self.scale * _band_gram(self.nperseg, self.bins)
-        return np.linalg.cholesky(gram).T
-
-
-def _sinpi(num: np.ndarray, den: int) -> np.ndarray:
-    """sin(pi num / den) for integer ``num``, reduced exactly to |angle| <= pi / 2."""
-    r = num % (2 * den)
-    sign = np.where(r < den, 1.0, -1.0)
-    r = r % den
-    return sign * np.sin(np.pi * np.minimum(r, den - r) / den)
-
-
-# The squared Hann window as cosines: w(t)^2 = sum_j c_j exp(i j theta t)
-# with theta = 2 pi / (nperseg - 1), as ((j, c_j), ...).
-_HANN_SQUARED = ((-2, 1 / 16), (-1, -1 / 4), (0, 3 / 8), (1, -1 / 4), (2, 1 / 16))
-
-
-def _band_gram(nperseg: int, bins: np.ndarray) -> np.ndarray:
-    """Gram matrix of a Hann segment's in-band DFT rows, in closed form.
-
-    The rows are w(t) [cos(2 pi k t / n) | -sin(2 pi k t / n)] over the
-    band bins k and t = 0 .. n - 1.  Every entry is a window-squared sum
-    E(d) = sum_t w(t)^2 exp(2 pi i d t / n) at a bin difference or sum d,
-    and since w^2 is three cosines, E(d) is five Dirichlet kernels
-    sum_t exp(i psi t) = exp(i psi (n - 1) / 2) sin(n psi / 2) / sin(psi / 2).
-    Each psi / 2 pi is the integer ratio (d (n - 1) + j n) / (n (n - 1)),
-    so every sine is reduced exactly and the entries are accurate to
-    round-off relative to the largest, at any segment length.
-    """
-    n = nperseg
-    q = n * (n - 1)
-    d = np.concatenate([np.subtract.outer(bins, bins), np.add.outer(bins, bins)])
-    e = np.zeros(d.shape, dtype=complex)
-    for j, c in _HANN_SQUARED:
-        p = d * (n - 1) + j * n
-        # psi is a multiple of 2 pi only at j = 0 on the difference diagonal.
-        whole = p % q == 0
-        kernel = _sinpi(p, n - 1) / np.where(whole, 1.0, _sinpi(p, q))
-        phase = _sinpi(n - 2 * p, 2 * n) + 1j * _sinpi(p, n)
-        e += c * np.where(whole, n, phase * kernel)
-    diff, total = np.split(e, 2)
-    # cos a cos b, sin a sin b and cos a (-sin b) as halves of E(a -+ b).
-    cc = 0.5 * (diff.real + total.real)
-    ss = 0.5 * (diff.real - total.real)
-    cs = 0.5 * (diff.imag - total.imag)
-    return np.block([[cc, cs], [cs.T, ss]])
-
-
-def _spans(n_samples: int, nperseg: int) -> list[tuple[int, int]]:
-    """The readout's ``(lo, hi)`` spans, tiling ``[0, n_samples)`` in order.
-
-    Runs of whole segments of at most ``_CHUNK`` samples, or one
-    ``_CHUNK`` block of a longer segment; then the tail after the last
-    whole segment, in ``_CHUNK`` runs.
-    """
-    used = n_samples - n_samples % nperseg
-    if nperseg <= _CHUNK:
-        read = _runs(0, used, _CHUNK - _CHUNK % nperseg)
-    else:
-        read = [s for g in range(0, used, nperseg) for s in _runs(g, g + nperseg, _CHUNK)]
-    return read + _runs(used, n_samples, _CHUNK)
 
 
 def _band(n_samples: int, sample_rate: float, center_freq: float, rbw: float) -> _Band:
@@ -370,9 +275,7 @@ def _band(n_samples: int, sample_rate: float, center_freq: float, rbw: float) ->
     if not (0.0 < rbw < math.inf and 0.0 < sample_rate < math.inf):
         raise ValueError("rbw and sample_rate must be finite and > 0")
     if not rbw / 2.0 < center_freq < sample_rate / 2.0 - rbw / 2.0:
-        raise ValueError(
-            "analysis band must lie strictly inside (0, sample_rate / 2)"
-        )
+        raise ValueError("analysis band must lie strictly inside (0, sample_rate / 2)")
     segment = _BINS_PER_RBW * sample_rate / rbw
     # min: an rbw near 0 gives a segment that round() cannot make an int.
     nperseg = int(round(min(segment, 2.0 * n_samples)))
@@ -403,52 +306,45 @@ def _band(n_samples: int, sample_rate: float, center_freq: float, rbw: float) ->
     basis = np.empty((rows, 2 * bins.size))
     np.multiply(np.cos(angle), weight[:, np.newaxis], out=basis[:, : bins.size])
     np.multiply(np.sin(angle), -weight[:, np.newaxis], out=basis[:, bins.size :])
-    return _Band(
-        nperseg=nperseg,
-        n_seg=n_samples // nperseg,
-        bins=bins,
-        basis=basis,
-        scale=scale,
-        spans=_spans(n_samples, nperseg),
+    return _Band(nperseg, n_samples // nperseg, bins, basis, scale)
+
+
+def _twiddle(band: _Band, x: np.ndarray, offset: int) -> np.ndarray:
+    """Turn [cos | -sin] columns, or spectra read through them, from
+    segment position 0 to ``offset``: exp(-2 pi i k offset / n) per bin."""
+    phi = (2.0 * math.pi / band.nperseg) * ((band.bins * offset) % band.nperseg)
+    re, im = np.split(x, 2, axis=-1)
+    return np.concatenate(
+        [re * np.cos(phi) + im * np.sin(phi), im * np.cos(phi) - re * np.sin(phi)], axis=-1
     )
 
 
-def _band_spectra(band: _Band, pieces, arms: int) -> np.ndarray:
-    """Per-segment band spectra of each arm, read from a record's pieces.
+def _read(band: _Band, x: np.ndarray, lo: int) -> np.ndarray:
+    """In-band DFT (..., 2 n_bins) of samples ``x`` (..., size <= ``_CHUNK``)
+    at segment positions lo .. lo + size - 1: one GEMM, then in a long
+    segment (windowed samples, unwindowed basis) one twiddle."""
+    n, size = band.nperseg, x.shape[-1]
+    if n <= _CHUNK:
+        return x @ band.basis[lo : lo + size]
+    return _twiddle(band, (x * _hann(np.arange(lo, lo + size), n)) @ band.basis[:size], lo)
 
-    ``pieces`` yields ``(lo, values)`` over ``band.spans``, as
-    :func:`_record_pieces` does, with ``values`` holding the ``arms``
-    rows of samples lo .. hi - 1.  Row g of an arm's spectra holds segment
-    g's band bins as [real parts, imaginary parts], scaled so that its
-    squared norm is the segment's normalized band power: unit-variance
-    white noise averages to 1.  Each span is read where it lies, one GEMM
-    per arm; the tail after the last whole segment is not read.
-    """
+
+def _band_spectra(band: _Band, series: np.ndarray) -> np.ndarray:
+    """Per-segment band spectra of a series, the tail after the last whole
+    segment unread.  Row g holds segment g's band bins as [real parts,
+    imaginary parts], scaled so that its squared norm is the segment's
+    normalized band power: unit-variance white noise averages to 1."""
     n = band.nperseg
-    spectra = np.zeros((arms, band.n_seg, band.basis.shape[1]))
-    for lo, values in pieces:
-        seg, offset = divmod(lo, n)
-        size = values.shape[1]
-        if seg >= band.n_seg:  # the tail, drawn but not read
-            continue
-        if n <= _CHUNK:
-            rows = size // n
-            spectra[:, seg : seg + rows] += values.reshape(arms, rows, n) @ band.basis
-            continue
-        # A block of a long segment: window the samples here, and move the
-        # basis's phases from position 0 to the block's offset with one
-        # twiddle exp(-2 pi i k offset / n) per bin.
-        window = _hann(np.arange(offset, offset + size), n)
-        # One product per arm: a single (arms, size) product rounds differently.
-        dft = np.stack([(v * window) @ band.basis[:size] for v in values])
-        if offset:
-            phi = (2.0 * math.pi / n) * ((band.bins * offset) % n)
-            re, im = np.split(dft, 2, axis=1)
-            dft = np.hstack(
-                [re * np.cos(phi) + im * np.sin(phi), im * np.cos(phi) - re * np.sin(phi)]
-            )
-        spectra[:, seg] += dft
-    return spectra
+    if n <= _CHUNK:
+        segments = series[: band.n_seg * n].reshape(band.n_seg, n)
+        step = _CHUNK // n  # segments per GEMM, which the product's rounding depends on
+        return np.concatenate(
+            [_read(band, segments[g : g + step], 0) for g in range(0, band.n_seg, step)]
+        )
+    return np.array([
+        sum(_read(band, series[g * n + lo : g * n + hi], lo) for lo, hi in _runs(0, n, _CHUNK))
+        for g in range(band.n_seg)
+    ])
 
 
 def _cross_power(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -481,8 +377,7 @@ def spectrum_power(
     if series.ndim != 1:
         raise ValueError("series must be 1-D")
     band = _band(series.size, sample_rate, center_freq, rbw)
-    pieces = ((lo, series[np.newaxis, lo:hi]) for lo, hi in band.spans)
-    (spectra,) = _band_spectra(band, pieces, arms=1)
+    spectra = _band_spectra(band, series)
     mean_power = float(_cross_power(spectra, spectra).mean())
     is_peak = tone_freq is not None and abs(tone_freq - center_freq) <= rbw / 2.0
     return SpectrumResult(
@@ -493,44 +388,146 @@ def spectrum_power(
     )
 
 
-def _scan_workers(trials: int) -> int:
-    """Number of worker threads of a scan: one per trial and usable CPU.
-
-    A worker holds one ``_CHUNK``-sample span and the band spectra of
-    the record it reads, never the record itself.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has CPU affinity
-        cpus = os.cpu_count() or 1
-    return min(trials, cpus)
+def _sinpi(num: np.ndarray, den: int) -> np.ndarray:
+    """sin(pi num / den) for integer ``num``, reduced exactly to |angle| <= pi / 2."""
+    r = num % (2 * den)
+    sign = np.where(r < den, 1.0, -1.0)
+    r = r % den
+    return sign * np.sin(np.pi * np.minimum(r, den - r) / den)
 
 
-def _segment_sums(config: SimConfig, trial: int, band: _Band) -> np.ndarray:
-    """Per-segment (|U|^2, Re(U W*), |W|^2) band sums of one record, in the
-    sum and difference U = P + C, W = P - C of its probe and conjugate
-    band spectra.
+# The squared Hann window as cosines: w(t)^2 = sum_j c_j exp(i j theta t)
+# with theta = 2 pi / (nperseg - 1), as ((j, c_j), ...).
+_HANN_SQUARED = ((-2, 1 / 16), (-1, -1 / 4), (0, 3 / 8), (1, -1 / 4), (2, 1 / 16))
 
-    The record's quadrature signal is drawn span by span on the band's
-    grid and read where it lies; no record-sized array is made.  The white
-    electronic noise of every segment and arm is then drawn as its band
-    spectra, xi @ (sigma ``band.noise_factor``), which for zero-overlap
-    segments has the distribution of the time-domain draw's spectra.
-    The normals xi come in runs of at most ``_CHUNK`` numbers, which take
-    the stream's numbers in the order of one (2, n_seg, 2 n_bins) draw.
-    At high gain P and C nearly cancel in U, the squeezed readout, whose
-    power the (|P|^2, Re(P C*), |C|^2) sums would leave to round-off.
+
+def _band_gram(nperseg: int, bins: np.ndarray) -> np.ndarray:
+    """Gram matrix of a whole Hann segment's in-band DFT rows, unscaled,
+    in O(n_bins^2) at any segment length.  Each entry is a sum
+    E(d) = sum_t w(t)^2 exp(2 pi i d t / n) at a bin difference or sum d:
+    five Dirichlet kernels, as w^2 is three cosines, each at an integer
+    ratio psi / 2 pi = (d (n - 1) + j n) / (n (n - 1)) whose sines reduce
+    exactly."""
+    n = nperseg
+    q = n * (n - 1)
+    d = np.concatenate([np.subtract.outer(bins, bins), np.add.outer(bins, bins)])
+    e = np.zeros(d.shape, dtype=complex)
+    for j, c in _HANN_SQUARED:
+        p = d * (n - 1) + j * n
+        # psi is a multiple of 2 pi only at j = 0 on the difference diagonal.
+        whole = p % q == 0
+        kernel = _sinpi(p, n - 1) / np.where(whole, 1.0, _sinpi(p, q))
+        phase = _sinpi(n - 2 * p, 2 * n) + 1j * _sinpi(p, n)
+        e += c * np.where(whole, n, phase * kernel)
+    diff, total = np.split(e, 2)
+    # cos a cos b, sin a sin b and cos a (-sin b) as halves of E(a -+ b).
+    cc = 0.5 * (diff.real + total.real)
+    ss = 0.5 * (diff.real - total.real)
+    cs = 0.5 * (diff.imag - total.imag)
+    return np.block([[cc, cs], [cs.T, ss]])
+
+
+def _pieces(band: _Band, edges: list[int], tone_step: float, grams: bool) -> tuple:
+    """Gram matrices (if ``grams``) and reads of the segment positions
+    between consecutive ``edges``, in one pass over their basis rows.  The
+    reads are the rows read against 1, cos(tone_step t) and sin(tone_step t):
+    a unit offset's and the tone's two quadratures' band spectra."""
+    n, m = band.nperseg, band.basis.shape[1]
+    gram, reads = np.zeros((len(edges) - 1, m, m)), np.zeros((len(edges) - 1, 3, m))
+    for i, (s0, s1) in enumerate(zip(edges, edges[1:])):
+        for lo, hi in _runs(s0, s1, _CHUNK):
+            angle = tone_step * np.arange(lo, hi)
+            reads[i] += _read(band, np.stack([np.ones(hi - lo), np.cos(angle), np.sin(angle)]), lo)
+            if grams and n <= _CHUNK:
+                gram[i] += band.basis[lo:hi].T @ band.basis[lo:hi]
+            elif grams:  # the cached basis's window-squared Gram, turned to lo on both sides
+                base = _hann(np.arange(lo, hi), n)[:, np.newaxis] * band.basis[: hi - lo]
+                gram[i] += _twiddle(band, _read(band, base.T, lo).T, lo)
+    return gram, reads
+
+
+def _factor(gram: np.ndarray) -> np.ndarray:
+    """Upper-triangular F with a nonnegative diagonal and F^T F = ``gram``,
+    through a QR of sqrt(Lambda) V^T: the Cholesky factor's transpose where
+    the Gram has full rank, one row per kept eigenvalue where a short
+    part's has not, and unmoved by degenerate eigenvalue pairs."""
+    lam, vec = np.linalg.eigh(gram)
+    keep = lam > lam[-1] * len(gram) * np.finfo(float).eps
+    r = np.linalg.qr(np.sqrt(lam[keep, np.newaxis]) * vec[:, keep].T, mode="r")
+    return np.where(np.diag(r)[:, np.newaxis] < 0.0, -r, r)
+
+
+def _layout(config: SimConfig, band: _Band) -> list:
+    """A scan's draw groups ``(F, reads, segments, blocks, tone phases)``.
+
+    With blocks of at least a segment, a segment lies in one block or is
+    cut once, at c, into [0, c) and [c, n).  Whole segments come first,
+    then each cut in ascending order, [0, c) before [c, n).  F factors the
+    Gram of a part's rows: closed form for a whole segment, and summed
+    from the pieces between cuts for the rest, one pass for any cuts."""
+    n, block = band.nperseg, _block_samples(config)
+    if block < n:
+        raise ValueError(
+            f"jitter blocks of {block} samples are shorter than a {n}-sample Welch "
+            "segment; a scan needs a longer jitter_block or a wider rbw"
+        )
+    start = n * np.arange(band.n_seg)
+    first = start // block
+    cut = (first + 1) * block - start  # the next block edge
+    cuts = np.unique(cut[cut < n]).tolist()
+    step = 2.0 * math.pi * config.tone_freq / config.sample_rate
+    gram, reads = _pieces(band, [0, *cuts, n], step, grams=bool(cuts))
+    whole = np.flatnonzero(cut >= n)
+    groups = [(band.scale**2 * _band_gram(n, band.bins), reads.sum(axis=0), whole, first[whole])]
+    # [0, c_k) sums the pieces before cut k, [c_k, n) those after it.
+    head, head_reads = np.cumsum(gram, axis=0), np.cumsum(reads, axis=0)
+    tail, tail_reads = np.cumsum(gram[::-1], axis=0)[::-1], np.cumsum(reads[::-1], axis=0)[::-1]
+    for k, c in enumerate(cuts):
+        segments = np.flatnonzero(cut == c)
+        groups += [(head[k], head_reads[k], segments, first[segments])]
+        groups += [(tail[k + 1], tail_reads[k + 1], segments, first[segments] + 1)]
+    return [
+        (_factor(g), r, segments, blocks, step * start[segments])
+        for g, r, segments, blocks in groups
+        if segments.size
+    ]
+
+
+def _segment_sums(config: SimConfig, trial: int, band: _Band, layout: list) -> np.ndarray:
+    """Per-segment (|U|^2, Re(U W*), |W|^2) band sums of one trial, in the
+    sum U = P + C and difference W = P - C of its arms' band spectra.
+
+    After the block phases, each group draws (k, 2, rank) normals xi for
+    its k segments, in runs of at most ``_CHUNK`` numbers.  In a block
+    whose (W, U) covariance is S, a part gets W = sqrt(S_WW) xi_0 @ F and
+    U = S_WU / sqrt(S_WW) xi_0 @ F + sqrt(det S / S_WW) xi_1 @ F plus its
+    mean.  S_WW and det S are sums of nonnegative terms (C <= 0), so at
+    high gain, where P and C nearly cancel in U, U keeps its digits.
     """
     rng = np.random.default_rng([config.rng_seed, trial])
-    spectra = _band_spectra(band, _record_pieces(config, rng, band.spans), arms=2)
-    if config.electronic_noise_var > 0.0:
-        factor = math.sqrt(config.electronic_noise_var) * band.noise_factor
-        rows = spectra.reshape(-1, len(factor))
-        step = _CHUNK // len(factor)
-        for lo in range(0, len(rows), step):
-            block = rows[lo : lo + step]
-            block += rng.standard_normal(block.shape) @ factor
-    u, w = spectra[0] + spectra[1], spectra[0] - spectra[1]
+    p, var = config.params, config.electronic_noise_var
+    v_p, v_c, cross, rest, carrier_p, carrier_c = _model(p)
+    e_p, e_c = _phases(config, rng).T
+    s = e_p + e_c
+    s_ww = joint_variance(p.gain, p.eta_p, p.eta_c, 1.0) - 4 * cross * np.cos(s / 2) ** 2 + 2 * var
+    # det S = 4 ((V_p + var)(V_c + var) - C^2 cos^2 s), and V_p V_c - C^2 = V_p r.
+    det = 4.0 * (v_p * rest + (cross * np.sin(s)) ** 2 + var * (v_p + v_c + var))
+    l_w, l_u = np.sqrt(s_ww), np.sqrt(det / s_ww)
+    l_uw = 2.0 * (p.eta_p - p.eta_c) * (p.gain - 1.0) / l_w  # S_WU = V_p - V_c
+    o_p, o_c = carrier_p * np.sin(e_p), carrier_c * np.sin(e_c)
+    tone = carrier_p * config.tone_depth * np.cos(e_p)
+    spectra = np.zeros((2, band.n_seg, band.basis.shape[1]))
+    for factor, reads, segments, blocks, phases in layout:
+        step = _CHUNK // max(2 * len(factor), 1)
+        for lo in range(0, segments.size, step):
+            g, b = segments[lo : lo + step], blocks[lo : lo + step, np.newaxis]
+            y = rng.standard_normal((g.size, 2, len(factor))) @ factor
+            # The tone sin(omega (t0 + t)) of a segment starting at t0.
+            phase = phases[lo : lo + step, np.newaxis]
+            mean = tone[b] * (np.sin(phase) * reads[1] + np.cos(phase) * reads[2])
+            spectra[0, g] += l_w[b] * y[:, 0] + (o_p - o_c)[b] * reads[0] + mean
+            spectra[1, g] += l_uw[b] * y[:, 0] + l_u[b] * y[:, 1] + (o_p + o_c)[b] * reads[0] + mean
+    w, u = spectra
     return np.stack([_cross_power(u, u), _cross_power(u, w), _cross_power(w, w)])
 
 
@@ -547,31 +544,27 @@ def measure_noise_vs_lambda(
 ) -> NoiseDataset:
     """Simulated noise-versus-weight scan, as the experiment records it.
 
-    Generates ``trials`` independent records at the given settings and
-    reads the band power of probe + lam * conjugate at the analysis
-    frequency.  Each segment's band power is the quadratic a^2 |U|^2 +
-    2 a b Re(U W*) + b^2 |W|^2 in the sum U = P + C and difference
-    W = P - C of the arms' band spectra, with a = (1 + lam) / 2 and
-    b = (1 - lam) / 2, so one spectral pass per record serves every
-    weight, and the squeezed readout keeps its digits at high gain.
-    White electronic noise enters as band spectra drawn per segment and
-    arm after every quadrature normal, with the distribution the readout
-    of :func:`simulate_records`' samples would give; so with it the scan
-    matches that readout in distribution, and without it to round-off.
-    Segments from all trials are pooled; the quoted uncertainty is the
-    standard error of their mean, mapped to dB.  Trials run on up to one
-    thread per usable CPU, with the same result for any number; no
-    record is held whole.
+    Reads the band power of probe + lam * conjugate in ``trials``
+    independent acquisitions.  A segment's band power is a^2 |U|^2 +
+    2 a b Re(U W*) + b^2 |W|^2, a = (1 + lam) / 2, b = (1 - lam) / 2, in
+    the arms' band spectra U = P + C and W = P - C, drawn directly
+    (:func:`_segment_sums`): one draw serves every weight, and the scan
+    matches the readout of :func:`simulate_records` in distribution.  The
+    trials' counts, mean sums and centred co-moments are pooled in order
+    (Chan, Golub & LeVeque, Am. Stat. 37, 242 (1983)); sigma_db is the
+    standard error of the pooled mean, in dB.
 
-    Because every weight reuses the same records, the scan's points are
+    Because every weight reuses the same draws, the scan's points are
     strongly correlated across lambda: the whole curve shifts together
     with the noise realization.  Each sigma_db is honest for its own
     point, but residuals of a good model fit will sit well below it.
 
     Args:
         config: acquisition settings (the tone is normally off here).
+            With lock jitter its blocks must be at least one Welch
+            segment (8 sample_rate / rbw samples) long.
         lambda_grid: strictly increasing weights in [0, 1].
-        trials: number of independent records, 1 to 1000.
+        trials: number of independent acquisitions, 1 to 1000.
         center_freq: analysis frequency in Hz.
         rbw: resolution bandwidth in Hz.
 
@@ -585,7 +578,8 @@ def measure_noise_vs_lambda(
     grid = check_grid("lam", lambda_grid)
     if not isinstance(trials, int) or not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be an int in [1, {_MAX_TRIALS}], got {trials!r}")
-    # The band is checked, and its basis built once, before any draw.
+    # The band and the blocks are checked, and the parts' constants built
+    # once, before any draw.
     band = _band(config.n_samples, config.sample_rate, center_freq, rbw)
     if trials * band.n_seg < 2:
         raise ValueError(
@@ -593,23 +587,27 @@ def measure_noise_vs_lambda(
             "samples; its uncertainty needs at least 2 (more trials, a longer "
             "record or a wider rbw)"
         )
-    # map returns the trials in order, whatever the number of workers.
-    with ThreadPoolExecutor(max_workers=_scan_workers(trials)) as pool:
-        sums = np.concatenate(
-            list(pool.map(lambda i: _segment_sums(config, i, band), range(trials))), axis=1
-        )
+    layout = _layout(config, band)
+    count, mean, comoment = 0, np.zeros(3), np.zeros((3, 3))
+    for trial in range(trials):
+        sums = _segment_sums(config, trial, band, layout)
+        size, trial_mean = sums.shape[1], sums.mean(axis=1)
+        centred, delta = sums - trial_mean[:, np.newaxis], trial_mean - mean
+        count += size
+        mean = mean + delta * (size / count)
+        comoment += centred @ centred.T + np.outer(delta, delta) * ((count - size) * size / count)
     # P + lam C = a U + b W with a = (1 + lam) / 2 and b = (1 - lam) / 2.
     a, b = (1.0 + grid) / 2.0, (1.0 - grid) / 2.0
     coef = np.stack([a * a, 2.0 * a * b, b * b])
-    mean_power = sums.mean(axis=1) @ coef
-    variance = np.einsum("il,ij,jl->l", coef, np.cov(sums), coef)
-    stderr = np.sqrt(variance / sums.shape[1])
+    mean_power = mean @ coef
+    variance = np.einsum("il,ij,jl->l", coef, comoment / (count - 1), coef)
+    stderr = np.sqrt(variance / count)
     noise_db = 10.0 * np.log10(mean_power)
     sigma_db = (10.0 / math.log(10.0)) * stderr / mean_power
     meta = {k: getattr(config.params, k) for k in _PARAM_KEYS}
     meta.update({k: getattr(config, k) for k in _CONFIG_KEYS})
     meta.update(n_samples=config.n_samples, center_freq=center_freq, rbw=rbw)
-    meta.update(nperseg=band.nperseg, segments=sums.shape[1], trials=trials)
+    meta.update(nperseg=band.nperseg, segments=count, trials=trials)
     return NoiseDataset(
         lam=grid, noise_db=noise_db, sigma_db=sigma_db, source="simulated", meta=meta
     )

@@ -447,7 +447,7 @@ class TestSimulate:
 
     def test_single_segment_scan_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch):
         draws = []
-        monkeypatch.setattr(simulate, "_record_pieces", lambda *args: draws.append(args))
+        monkeypatch.setattr(simulate, "_segment_sums", lambda *args: draws.append(args))
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(f"gain = 1.67\nduration = {2**14 / 8e6!r}\n")
         out = tmp_path / "scan.csv"
@@ -458,10 +458,25 @@ class TestSimulate:
         assert draws == []
         assert not out.exists()
 
+    def test_jitter_block_shorter_than_a_segment_exits_2(self, tmp_path, capsys, monkeypatch):
+        # At --rbw 5e3 a segment is 12,800 samples; the default 1 ms jitter
+        # block is 8,000.  The message names both lengths and the fix.
+        draws = []
+        monkeypatch.setattr(simulate, "_segment_sums", lambda *args: draws.append(args))
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("gain = 1.67\nduration = 0.004\nlock_jitter_rms = 0.02\n")
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(cfg), "--rbw", "5e3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "8000 samples" in err and "12800-sample" in err and "jitter_block" in err
+        assert draws == []
+        assert not out.exists()
+
     def test_bad_band_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch):
         # The band is checked before a 2^23-sample record is drawn.
         draws = []
-        monkeypatch.setattr(simulate, "_record_pieces", lambda *args: draws.append(args))
+        monkeypatch.setattr(simulate, "_segment_sums", lambda *args: draws.append(args))
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(f"gain = 1.67\nduration = {2**23 / 8e6!r}\n")
         out = tmp_path / "scan.csv"
@@ -477,7 +492,7 @@ class TestSimulate:
     def test_bad_out_exits_2_before_drawing(self, tmp_path, capsys, monkeypatch, where):
         # A path that cannot be written fails before the scan, naming it.
         draws = []
-        monkeypatch.setattr(simulate, "_record_pieces", lambda *args: draws.append(args))
+        monkeypatch.setattr(simulate, "_segment_sums", lambda *args: draws.append(args))
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("gain = 1.67\nduration = 0.004\n")
         out = tmp_path / "missing" / "scan.csv" if where == "missing" else tmp_path

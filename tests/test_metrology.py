@@ -261,6 +261,18 @@ class TestSensitivity:
         expected = 10.0 * math.log10((dphi / res.delta_phi) ** 2)
         assert math.isclose(res.snr_db, expected, rel_tol=1e-6)
 
+    def test_snr_of_a_power_below_the_smallest_double(self):
+        # (slope dphi)^2 underflows to 0 here; in logs the SNR stays finite:
+        # 20 log10(2 sqrt(2) 1e-70) + 20 log10(dphi) - 10 log10 Var(M).
+        p = InterferometerParams(2.0, alpha=1e-70)
+        var_db = joint_noise_power(p, 0.5).variance_db
+        for dphi in (1e-300, 1e-200):
+            snr_db = phase_sensitivity(p, 0.5, dphi=dphi).snr_db
+            expected = 20.0 * math.log10(2.0 * math.sqrt(2.0)) - 1400.0
+            expected += 20.0 * math.log10(dphi) - var_db
+            assert math.isfinite(snr_db)
+            assert math.isclose(snr_db, expected, rel_tol=1e-12)
+
     def test_dphi_validation(self):
         p = InterferometerParams(gain=1.8, alpha=3.0)
         with pytest.raises(ValueError):

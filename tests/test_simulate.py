@@ -1,14 +1,11 @@
 import dataclasses
 import math
-import os
 import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tsui import simulate
@@ -16,13 +13,9 @@ from tsui.data import RANGES
 from tsui.gaussian import InterferometerParams, apply_loss, seeded_tmss
 from tsui.metrology import joint_noise_power, joint_variance_quadratic, lambda_opt
 from tsui.simulate import (
-    _CHUNK,
     _MAX_SAMPLES,
-    _MAX_TRIALS,
     _MIN_SAMPLES,
-    MeasurementRecord,
     SimConfig,
-    _scan_workers,
     combine_weighted,
     load_sim_config,
     measure_noise_vs_lambda,
@@ -280,8 +273,7 @@ class TestSpectrumPower:
         band = simulate._band(n, FS, 1e6, rbw)
         assert band.nperseg == nperseg
         assert band.basis.shape[0] == min(nperseg, simulate._CHUNK)
-        pieces = [(lo, series[np.newaxis, lo:hi]) for lo, hi in band.spans]
-        (spectra,) = simulate._band_spectra(band, pieces, arms=1)
+        spectra = simulate._band_spectra(band, series)
         re, im = np.split(spectra, 2, axis=1)
         ref = serial_band_spectra(series, FS, 1e6, rbw)
         assert ref.shape == re.shape
@@ -308,7 +300,7 @@ class TestSpectrumPower:
     @pytest.mark.parametrize("n, nperseg", [(100_003, 100_003), (80_017, 40_000), (2**15, 9_000)])
     def test_ragged_segments_match_rfft(self, n, nperseg):
         # Long segments with a short last block, several long segments,
-        # and short segments that do not divide a span.
+        # and segments followed by an unread tail.
         self.check_against_rfft(n, nperseg)
 
 
@@ -373,22 +365,22 @@ class TestMeasuredScan:
             measure_noise_vs_lambda(cfg, full, trials=1001)
 
     def test_quadratic_readout_matches_direct_combination(self):
-        # One trial: every point equals the band power of the combined
-        # record, and sigma_db the standard error of its segment powers.
+        # Three trials: every point is the mean of the per-segment band
+        # powers a^2 |U|^2 + 2 a b Re(U W*) + b^2 |W|^2 of the drawn sums,
+        # and sigma_db their standard error from np.cov, both to 1e-12.
         cfg = config(gain=1.67, eta_p=0.76, eta_c=0.79, duration=MEDIUM, rng_seed=10)
         grid = np.linspace(0.0, 1.0, 11)
-        data = measure_noise_vs_lambda(cfg, grid, trials=1, center_freq=1.5e6, rbw=2e5)
-        rec = simulate_records(cfg, trial=0)
-        nperseg = int(round(8 * FS / 2e5))
-        band = np.abs(np.fft.rfftfreq(nperseg, 1.0 / FS) - 1.5e6) <= 1e5
+        data = measure_noise_vs_lambda(cfg, grid, trials=3, center_freq=1.5e6, rbw=2e5)
+        band = simulate._band(cfg.n_samples, FS, 1.5e6, 2e5)
+        layout = simulate._layout(cfg, band)
+        sums = np.hstack([simulate._segment_sums(cfg, trial, band, layout) for trial in range(3)])
+        assert data.meta["segments"] == sums.shape[1] == 3 * band.n_seg
         for lam, db, sigma in zip(grid, data.noise_db, data.sigma_db):
-            series = combine_weighted(rec, float(lam))
-            direct = spectrum_power(series, 1.5e6, 2e5, FS).power_db
-            assert abs(db - direct) <= 1e-12
-            n_seg = series.size // nperseg
-            segs = series[: n_seg * nperseg].reshape(n_seg, nperseg) * np.hanning(nperseg)
-            powers = (np.abs(np.fft.rfft(segs, axis=1)[:, band]) ** 2).sum(axis=1)
-            stderr = powers.std(ddof=1) / math.sqrt(n_seg) / powers.mean()
+            a, b = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
+            coef = np.array([a * a, 2.0 * a * b, b * b])
+            powers = coef @ sums
+            assert abs(db - 10.0 * math.log10(powers.mean())) <= 1e-12
+            stderr = math.sqrt(coef @ np.cov(sums) @ coef / powers.size) / powers.mean()
             assert math.isclose(sigma, 10.0 / math.log(10.0) * stderr, rel_tol=1e-12)
 
     def test_scan_calls_no_rfft_and_builds_basis_once(self, monkeypatch):
@@ -406,11 +398,11 @@ class TestMeasuredScan:
             assert len(builds) == 1
 
     def test_band_checked_before_any_draw(self, monkeypatch):
-        # A bad band fails before a worker draws from a 2^23-sample record.
-        pieces = simulate._record_pieces
+        # A bad band fails before a 2^23-sample scan draws.
+        segment_sums = simulate._segment_sums
         draws = []
         monkeypatch.setattr(
-            simulate, "_record_pieces", lambda *args: draws.append(args) or pieces(*args)
+            simulate, "_segment_sums", lambda *args: draws.append(args) or segment_sums(*args)
         )
         longest = config(duration=_MAX_SAMPLES / FS)
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -428,50 +420,85 @@ class TestMeasuredScan:
 
     def test_fewer_than_two_segments_fail_before_any_draw(self, monkeypatch):
         # One 16384-sample segment in one trial leaves no spread to take a
-        # standard error from; the scan says so before drawing the record.
+        # standard error from; the scan says so before drawing.
         draws = []
-        monkeypatch.setattr(simulate, "_record_pieces", lambda *args: draws.append(args))
+        monkeypatch.setattr(simulate, "_segment_sums", lambda *args: draws.append(args))
         cfg = config(duration=_MIN_SAMPLES / FS)
         with pytest.raises(ValueError, match="pool 1 segment of 16384 samples"):
             measure_noise_vs_lambda(cfg, [0.0, 1.0], trials=1, rbw=3906.25)
         assert draws == []
 
     def test_memory_does_not_grow_with_trials(self):
-        # Records are read piece by piece; only band spectra (144 B per
-        # segment and arm) and three sums per segment outlive a piece.  So
-        # 2W trials peak where W do, up to where the W workers' transient
-        # pieces (2 x 2 x _CHUNK float64 each) happen to coincide; a
-        # 2^20-sample scan peaks within 1 MiB of a 2^18-sample one, and
-        # neither near one record (2 n float64 samples).
-        workers = _scan_workers(_MAX_TRIALS)
+        # Each trial's band spectra (2 x 144 B per segment) and sums are
+        # gone before the next trial, which pools only its count, mean and
+        # co-moments.  So 64 trials peak within 128 KiB of one; keeping
+        # every segment's sums cost 64 x 409 x 3 x 8 B, about 0.6 MiB.
+        cfg = config(duration=2**18 / FS, rng_seed=12)
         grid = np.linspace(0.0, 1.0, 21)
-        measure_noise_vs_lambda(config(rng_seed=12), grid, trials=1)
+        measure_noise_vs_lambda(cfg, grid, trials=1)
         peaks = {}
         tracemalloc.start()
         try:
-            for n in (2**18, 2**20):
-                cfg = config(duration=n / FS, rng_seed=12)
-                for trials in (workers, 2 * workers):
-                    tracemalloc.reset_peak()
-                    measure_noise_vs_lambda(cfg, grid, trials=trials)
-                    peaks[n, trials] = tracemalloc.get_traced_memory()[1]
+            for trials in (1, 64):
+                tracemalloc.reset_peak()
+                measure_noise_vs_lambda(cfg, grid, trials=trials)
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        for n in (2**18, 2**20):
-            assert peaks[n, 2 * workers] <= peaks[n, workers] + workers * 32 * simulate._CHUNK
-        assert peaks[2**20, workers] <= peaks[2**18, workers] + 2**20
-        assert max(peaks.values()) < 2 * 2**20 * 8
+        assert peaks[64] <= peaks[1] + 128 * 1024
+
+    def test_longest_record_scan_peaks_far_below_a_record(self, monkeypatch):
+        # A scan draws band spectra, never a sample, so a 2-trial scan of
+        # the longest records peaks below an eighth of one record.
+        longest = config(duration=_MAX_SAMPLES / FS, rng_seed=23)
+        assert longest.n_samples == 2**23
+        monkeypatch.setattr(simulate, "simulate_records", None)
+        tracemalloc.start()
+        try:
+            measure_noise_vs_lambda(longest, [0.0, 0.25, 0.5, 0.75, 1.0], trials=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * longest.n_samples * 8 / 8
+
+    def test_jitter_blocks_shorter_than_a_segment_fail_before_any_draw(self, monkeypatch):
+        # A segment over blocks shorter than itself would have up to one
+        # distinct part per sample; a scan refuses such blocks.  The default
+        # 1 ms block is 8,000 samples, and --rbw 5e3 makes 12,800-sample
+        # segments.
+        draws = []
+        segment_sums = simulate._segment_sums
+        monkeypatch.setattr(
+            simulate, "_segment_sums", lambda *args: draws.append(args) or segment_sums(*args)
+        )
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        jittered = config(lock_jitter_rms=0.02)
+        message = (
+            "jitter blocks of 8000 samples are shorter than a 12800-sample Welch "
+            "segment; a scan needs a longer jitter_block or a wider rbw"
+        )
+        with pytest.raises(ValueError, match=message):
+            measure_noise_vs_lambda(jittered, grid, trials=1, rbw=5e3)
+        assert draws == []
+        # A block of one segment runs, as does the capped largest block,
+        # a scan without jitter, and a record of 1-sample blocks.
+        for cfg in (
+            dataclasses.replace(jittered, jitter_block=12_800 / FS),
+            dataclasses.replace(jittered, jitter_block=sys.float_info.max),
+            dataclasses.replace(jittered, lock_jitter_rms=0.0),
+        ):
+            data = measure_noise_vs_lambda(cfg, grid, trials=1, rbw=5e3)
+            assert np.all(np.isfinite(data.noise_db))
+        assert len(draws) == 3
+        simulate_records(dataclasses.replace(jittered, jitter_block=1 / FS))
 
 
 class TestParallelScan:
-    """Scans draw trials on worker threads and read records span by
-    span; the serial whole-record algorithm, which factors each jitter
+    """The serial whole-record algorithm, which factors each jitter
     block's covariance with LAPACK, stays here as the reference.  Records
     draw each block from the model's closed-form factor, so they match it
-    to round-off (1e-13 of each arm's rms), and so do scans without
-    electronic noise.  A scan draws electronic noise as band spectra, so
-    with it the scan matches the reference in distribution
-    (TestInBandNoise)."""
+    to round-off (1e-13 of each arm's rms).  Scans draw band spectra, so
+    they match its readout in distribution (TestInBandNoise)."""
 
     CONFIGS = {
         "plain": {},
@@ -482,169 +509,36 @@ class TestParallelScan:
             "jitter_block": 0.0007,
         },
         "jitter_tone": {"lock_jitter_rms": 0.05, "tone_depth": 0.05},
-        # 20000-sample blocks: a scan draws each in pieces of at most
+        # 20000-sample blocks: a record draws each in pieces of at most
         # _CHUNK samples.
         "long_blocks": {
             "lock_jitter_rms": 0.05,
             "electronic_noise_var": 0.1,
             "jitter_block": 0.0025,
         },
-        # 800-sample blocks: about 10 per span (8192 samples in
-        # simulate_records, 7680 in a scan), cut at both edges of most.
+        # 800-sample blocks: about 10 per 8192-sample piece, cut at both
+        # edges of most; a scan cuts most 640-sample segments in two.
         "short_blocks": {"lock_jitter_rms": 0.05, "tone_depth": 0.05, "jitter_block": 1e-4},
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_matches_serial_reference(self, name, monkeypatch):
+    def test_matches_serial_reference(self, name):
         cfg = config(
             gain=1.67, eta_p=0.76, eta_c=0.79, alpha=50.0, duration=MEDIUM,
             rng_seed=21, **self.CONFIGS[name],
         )
-        # 200 segments per arm: the readout's 12-segment spans end short.
-        assert cfg.n_samples // 640 == 200
-        assert 200 % (simulate._CHUNK // 640) != 0
-        grid = np.linspace(0.0, 1.0, 21)
-        records = [serial_records(cfg, trial) for trial in range(8)]
-        for trial, (probe, conj) in enumerate(records):
+        for trial in range(8):
+            probe, conj = serial_records(cfg, trial)
             rec = simulate_records(cfg, trial=trial)
             for arm, ref in ((rec.probe, probe), (rec.conjugate, conj)):
                 assert np.abs(arm - ref).max() <= 1e-13 * ref.std()
-        quiet = dataclasses.replace(cfg, electronic_noise_var=0.0)
-        if quiet != cfg:
-            records = [serial_records(quiet, trial) for trial in range(8)]
-        scan_workers = simulate._scan_workers
-        for trials in (1, 3, 8):
-            monkeypatch.setattr(simulate, "_scan_workers", scan_workers)
-            data = measure_noise_vs_lambda(quiet, grid, trials=trials)
-            noise_db, sigma_db = serial_scan(records[:trials], FS, grid)
-            assert np.abs(data.noise_db - noise_db).max() <= 1e-12
-            assert np.abs(data.sigma_db - sigma_db).max() <= 1e-12
-            if quiet != cfg:
-                data = measure_noise_vs_lambda(cfg, grid, trials=trials)
-            # Bit-identical for one worker, one per CPU, and more.
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(
-                    simulate, "_scan_workers", lambda trials, w=workers: min(trials, w)
-                )
-                again = measure_noise_vs_lambda(cfg, grid, trials=trials)
-                assert np.array_equal(again.noise_db, data.noise_db)
-                assert np.array_equal(again.sigma_db, data.sigma_db)
-
-    def test_longest_record_runs_on_every_core(self, monkeypatch):
-        # A worker never holds a record, so the longest records scan on
-        # W = min(trials, CPUs) threads, far below one record's memory.
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:
-            cpus = os.cpu_count() or 1
-        assert _scan_workers(_MAX_TRIALS) == cpus
-        assert _scan_workers(1) == 1
-        longest = config(duration=_MAX_SAMPLES / FS, rng_seed=23)
-        assert longest.n_samples == 2**23
-        segment_sums = simulate._segment_sums
-        threads = set()
-
-        def recording(*args):
-            threads.add(threading.get_ident())
-            return segment_sums(*args)
-
-        monkeypatch.setattr(simulate, "_segment_sums", recording)
-        monkeypatch.setattr(simulate, "simulate_records", None)
-        tracemalloc.start()
-        try:
-            measure_noise_vs_lambda(longest, [0.0, 0.25, 0.5, 0.75, 1.0], trials=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(threads) == min(2, cpus)
-        assert peak < 2 * longest.n_samples * 8 / 8
-
-    def test_records_in_flight_never_exceed_the_worker_count(self, monkeypatch):
-        cfg = config(rng_seed=22)
-        grid = np.linspace(0.0, 1.0, 5)
-        trials = 12
-        expected = measure_noise_vs_lambda(cfg, grid, trials=trials)
-        segment_sums = simulate._segment_sums
-        lock = threading.Lock()
-        in_flight = [0, 0]  # current, maximum
-
-        def counted(*args):
-            with lock:
-                in_flight[0] += 1
-                in_flight[1] = max(in_flight)
-            try:
-                time.sleep(0.005)
-                return segment_sums(*args)
-            finally:
-                with lock:
-                    in_flight[0] -= 1
-
-        monkeypatch.setattr(simulate, "_segment_sums", counted)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            data = measure_noise_vs_lambda(cfg, grid, trials=trials)
-        finally:
-            sys.setswitchinterval(interval)
-        assert in_flight[0] == 0
-        assert 1 <= in_flight[1] <= _scan_workers(trials)
-        assert np.array_equal(data.noise_db, expected.noise_db)
-        assert np.array_equal(data.sigma_db, expected.sigma_db)
-
-
-class TestSpanGrid:
-    """A scan draws each record on its readout's span grid, so the spans
-    must tile the record, be readable where they lie, and leave the
-    records unchanged."""
-
-    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        nperseg=st.integers(40, 3 * _CHUNK),
-        extra=st.integers(0, 3 * _CHUNK),
-        block=st.integers(50, 20_000),
-    )
-    @example(nperseg=_CHUNK, extra=0, block=800)
-    @example(nperseg=_CHUNK + 1, extra=_CHUNK - 1, block=_CHUNK)
-    @example(nperseg=640, extra=7680 - 16384 % 7680, block=8000)
-    def test_spans_tile_the_record_and_keep_it_bit_identical(self, nperseg, extra, block):
-        n = max(_MIN_SAMPLES, nperseg) + extra
-        band = simulate._band(n, FS, 1e6, 8 * FS / nperseg)
-        assert band.nperseg == nperseg
-        spans = band.spans
-        assert spans[0][0] == 0
-        assert spans[-1][1] == n
-        assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(spans, spans[1:]))
-        assert all(0 < hi - lo <= _CHUNK for lo, hi in spans)
-        used = band.n_seg * nperseg
-        for lo, hi in spans:
-            if lo >= used:
-                continue  # the tail, drawn but not read
-            assert hi <= used
-            segments = lo % nperseg == 0 and (hi - lo) % nperseg == 0
-            one_block = (
-                nperseg > _CHUNK
-                and lo // nperseg == (hi - 1) // nperseg
-                and lo % nperseg % _CHUNK == 0
-            )
-            assert segments or one_block
-        cfg = config(
-            gain=1.67, eta_p=0.76, eta_c=0.79, alpha=50.0, duration=n / FS,
-            lock_jitter_rms=0.05, tone_depth=0.05, jitter_block=block / FS,
-            rng_seed=nperseg,
-        )
-        rng = np.random.default_rng([cfg.rng_seed, 0])
-        drawn = np.empty((2, n))
-        for lo, values in simulate._record_pieces(cfg, rng, spans):
-            drawn[:, lo : lo + values.shape[1]] = values
-        rec = simulate_records(cfg)
-        assert drawn.tobytes() == np.stack([rec.probe, rec.conjugate]).tobytes()
 
 
 class TestClosedFormDraw:
     """Records and scans draw each jitter block from the model's
-    closed-form (V_p, V_c, C), with no LAPACK factor, and a scan's sums in
-    the sum and difference of the arms keep the squeezed readout's digits
-    at high gain."""
+    closed-form (V_p, V_c, C), with no LAPACK Cholesky, and a scan's
+    spectra of the sum and difference of the arms keep the squeezed
+    readout's digits at high gain."""
 
     def test_no_cholesky_in_records_or_scans(self, monkeypatch):
         def no_cholesky(*args, **kwargs):
@@ -658,61 +552,72 @@ class TestClosedFormDraw:
         simulate_records(dataclasses.replace(cfg, electronic_noise_var=0.1))
         measure_noise_vs_lambda(cfg, np.linspace(0.0, 1.0, 5), trials=2)
 
-    @pytest.mark.parametrize("gain", [1e3, 1e4, 1e6])
-    def test_high_gain_scan_matches_the_direct_readout(self, gain):
-        # Lossless, probe + conjugate is about 1 / sqrt(2 G) against samples
-        # of about sqrt(2 G).  One trial: each point is the mean of the
-        # per-segment band powers of the combined record, and sigma_db
-        # their standard error, both to 1e-8.
-        cfg = config(gain=gain, duration=2**16 / FS, rng_seed=31)
+    @pytest.mark.parametrize("gain", [1e3, 1e4, 1e6, 1e12])
+    def test_high_gain_scan_matches_theory_in_distribution(self, gain):
+        # Lossless, probe + conjugate has variance about 1 / (2 G) against
+        # about 2 G per arm, which samples would leave to round-off past
+        # G ~ 1e6.  Over 60 seeds of a 1-trial scan, the mean noise_db lies
+        # within 4 standard errors of theory at every weight.
         grid = np.linspace(0.0, 1.0, 11)
-        data = measure_noise_vs_lambda(cfg, grid, trials=1)
-        rec = simulate_records(cfg)
-        for lam, db, sigma in zip(grid, data.noise_db, data.sigma_db):
-            spectra = serial_band_spectra(combine_weighted(rec, float(lam)), FS, 1e6, 1e5)
-            powers = (np.abs(spectra) ** 2).sum(axis=1)
-            stderr = powers.std(ddof=1) / math.sqrt(powers.size) / powers.mean()
-            assert abs(db - 10.0 * math.log10(powers.mean())) <= 1e-8
-            assert math.isclose(sigma, 10.0 / math.log(10.0) * stderr, rel_tol=1e-8)
+        params = InterferometerParams(gain=gain)
+        theory = np.array([joint_noise_power(params, lam).variance_db for lam in grid])
+        scans = np.array([
+            measure_noise_vs_lambda(
+                config(gain=gain, duration=2**16 / FS, rng_seed=seed), grid, trials=1
+            ).noise_db
+            for seed in range(60)
+        ])
+        stderr = scans.std(axis=0, ddof=1) / math.sqrt(len(scans))
+        assert np.all(np.abs(scans.mean(axis=0) - theory) <= 4.0 * stderr)
 
 
-def dense_band_gram(nperseg, bins):
-    """Gram matrix of a Hann segment's in-band impulse responses, summed
-    densely: the rfft of a windowed unit impulse at t is w(t) exp(-2 pi i k
-    t / nperseg) on bin k, laid out as [real parts, imaginary parts]."""
-    t = np.arange(nperseg)
+def dense_band_gram(nperseg, bins, s0=0, s1=None):
+    """Gram matrix of a Hann segment's in-band impulse responses at
+    positions s0 .. s1 - 1, summed densely: the rfft of a windowed unit
+    impulse at t is w(t) exp(-2 pi i k t / nperseg) on bin k, laid out as
+    [real parts, imaginary parts]."""
+    t = np.arange(nperseg)[s0:s1]
     angle = (2.0 * math.pi / nperseg) * (np.outer(t, bins) % nperseg)
-    rows = np.hanning(nperseg)[:, np.newaxis] * np.hstack([np.cos(angle), -np.sin(angle)])
+    rows = np.hanning(nperseg)[t, np.newaxis] * np.hstack([np.cos(angle), -np.sin(angle)])
     return rows.T @ rows
 
 
 class TestInBandNoise:
-    """A scan draws white electronic noise as per-segment band spectra,
-    N(0, var G) with G the Gram matrix of one segment's in-band DFT rows,
-    instead of as samples."""
+    """A scan draws each segment's band spectra, or those of its parts in
+    two jitter blocks, as N(mean, S x G), with G the Gram matrix of the
+    part's in-band DFT rows, instead of drawing samples."""
 
     @pytest.mark.parametrize("nperseg", [640, 9_000, 20_000])
     def test_gram_matches_dense_impulse_responses(self, nperseg):
         # The default segment, and two longer than _CHUNK whose last
-        # basis block is short.
+        # basis block is short; whole, and cut into [0, c) and [c, n),
+        # with one part shorter than 2 n_bins (and so rank-deficient: F
+        # has one row per kept eigenvalue).
         band = simulate._band(2**20, FS, 1e6, 8 * FS / nperseg)
         assert band.nperseg == nperseg
         ref = dense_band_gram(nperseg, band.bins)
         gram = simulate._band_gram(nperseg, band.bins)
         assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
-        # The factor reproduces the readout's scaled Gram.
-        scaled = ref / (3.0 * (nperseg - 1) / 8.0 * band.bins.size)
-        factor = band.noise_factor
-        assert np.abs(factor.T @ factor - scaled).max() <= 1e-12 * np.abs(scaled).max()
+        short = 2 * band.bins.size - 5
+        for s0, s1 in ((0, nperseg), (0, short), (short, nperseg), (0, 250), (250, nperseg)):
+            # The factor reproduces the readout's scaled Gram.
+            scaled = dense_band_gram(nperseg, band.bins, s0, s1) * band.scale**2
+            if (s0, s1) == (0, nperseg):
+                gram = simulate._band_gram(nperseg, band.bins) * band.scale**2
+            else:
+                ((gram,), _) = simulate._pieces(band, [s0, s1], 0.0, grams=True)
+            factor = simulate._factor(gram)
+            assert np.array_equal(factor, np.triu(factor))
+            assert np.all(np.diag(factor) >= 0.0)
+            assert np.abs(factor.T @ factor - scaled).max() <= 1e-12 * np.abs(scaled).max()
+            assert len(factor) <= min(s1 - s0, len(scaled))
 
-    @pytest.mark.parametrize("name", ["jitter_electronic", "long_blocks"])
+    @pytest.mark.parametrize("name", sorted(TestParallelScan.CONFIGS))
     def test_scan_matches_time_domain_draw_in_distribution(self, name):
         # 200 seeds of a 1-trial scan against the rfft readout of the same
-        # seeds' records, which draw the electronic noise sample by
-        # sample.  Both share the quadrature signal, so the paired mean
-        # difference isolates the electronic noise: |z| <= 4 at every
-        # weight.  The seed-to-seed spread and the mean quoted sigma agree
-        # within [0.8, 1.25] and 3 %.
+        # seeds' records, which draw every sample.  The paired mean
+        # difference has |z| <= 4 at every weight; the seed-to-seed spread
+        # and the mean quoted sigma agree within [0.8, 1.25] and 3 %.
         grid = np.linspace(0.0, 1.0, 5)
         scans, refs, sigmas, ref_sigmas = [], [], [], []
         for seed in range(1000, 1200):
