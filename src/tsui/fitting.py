@@ -375,6 +375,7 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
 
     best = winner = None
     nfev = n_starts = 0
+    lowest_cost = math.inf  # over every start, converged or not
     for starts in (primary, grid):
         for label, x0 in starts:
             res = least_squares(
@@ -390,6 +391,7 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
             )
             nfev += res.nfev + res.njev
             n_starts += 1
+            lowest_cost = min(lowest_cost, float(res.cost))
             if res.status > 0 and (best is None or res.cost < best.cost):
                 best, winner = res, label
         # With scale_db clipped the shape must absorb the rest of the
@@ -398,7 +400,7 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         if best is not None and profiled(best.x)[2] not in _SCALE_BOUNDS:
             break
     if best is None:
-        raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations")
+        raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations", lowest_cost)
 
     scale = profiled(best.x)[2]
     shape_jac = _model_db(lam, best.x, offset)[1]
@@ -471,9 +473,9 @@ def extract_lambda_opt(
     repeats the extraction.  When a fit is supplied, the model-based
     estimate (closed-form optimal weight at the fitted parameters) is
     used as the headline value, with its uncertainty propagated from the
-    fit covariance by finite differences; near the clamp at 1 that
-    propagation degrades, as the clamped value stops responding to the
-    parameters.
+    fit covariance through the closed-form gradient of the weight (0 where
+    the clamp at 1 holds it).  When the fit warns that a parameter sits at
+    a bound, that sigma is a linearization there, not an interval.
 
     Args:
         dataset: scan to analyze.
@@ -501,16 +503,19 @@ def extract_lambda_opt(
 
     fit_value = fit_sigma = None
     if fit is not None:
-        # Central differences of the clamped closed-form weight: the 2k
-        # points x_hat +/- h_i e_i in one broadcast evaluation.
-        x_hat = fit.param_values
-        h = 1e-6 * np.maximum(1.0, np.abs(x_hat))
-        steps = x_hat + np.concatenate([np.diag(h), -np.diag(h)])
-        gain, eta_p, eta_c = np.array([_shape(x, fit.loss_offset) for x in steps]).T
-        lams = metrology.optimal_weight(
-            np.maximum(gain, 1.0), np.clip(eta_p, 0.0, 1.0), np.clip(eta_c, 0.0, 1.0)
-        )
-        grad = (lams[: h.size] - lams[h.size :]) / (2.0 * h)
+        # d lam* = lam* d ln lam* for lam* = 2 sqrt(eta_p eta_c G (G - 1)) / V_c,
+        # V_c = 1 + 2 eta_c (G - 1), at the parameters floored as in _model_db;
+        # 0 where the clamp at 1 holds lam*.  scale_db's entry is 0.
+        gain, eta_p, eta_c = _shape(fit.param_values, fit.loss_offset)
+        g, ep, ec = max(gain, 1.0 + _JAC_FLOOR), max(eta_p, _JAC_FLOOR), max(eta_c, _JAC_FLOOR)
+        v_c = 1.0 + 2.0 * ec * (g - 1.0)
+        lam_raw = 2.0 * math.sqrt(ep * ec * g * (g - 1.0)) / v_c
+        d_gain = (2.0 * g - 1.0) / (2.0 * g * (g - 1.0)) - 2.0 * ec / v_c
+        d_eta_p, d_eta_c = 0.5 / ep, 0.5 / ec - 2.0 * (g - 1.0) / v_c
+        d_ln = (d_gain, d_eta_p, d_eta_c)
+        if fit.loss_offset is not None:  # eta_p = eta_c - offset moves with eta_c
+            d_ln = (d_gain, d_eta_p + d_eta_c)
+        grad = np.append(d_ln, 0.0) * (lam_raw if lam_raw <= 1.0 else 0.0)
         fit_value = fit.lambda_opt_fit
         fit_sigma = float(math.sqrt(max(grad @ fit.param_cov @ grad, 0.0)))
 

@@ -187,10 +187,11 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     With lock jitter, each arm's quadrature rotates by a block-constant
     phase (e_p, e_c): the covariance becomes [[V_p, C cos s], [C cos s,
     V_c]] with s = e_p + e_c, and each arm's carrier 2 sqrt(eta G) alpha
-    leaks in as an offset times sin e.  The calibration tone enters only
-    the probe, with amplitude 2 sqrt(eta_p G) alpha tone_depth.  White
-    electronic noise is drawn last, the probe's samples then the
-    conjugate's.
+    leaks in as an offset times sin e.  Each block's terms are spread
+    over its samples as arrays: time linear in samples for any block
+    length.  The calibration tone enters only the probe, with amplitude
+    2 sqrt(eta_p G) alpha tone_depth.  White electronic noise is drawn
+    last, the probe's samples then the conjugate's.
 
     Args:
         config: acquisition settings.
@@ -207,23 +208,39 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     block, phases = _block_samples(config), _phases(config, rng)
     omega, depth = 2.0 * math.pi * config.tone_freq, carrier * config.tone_depth
     out = np.empty((2, config.n_samples))
+    root_vp = math.sqrt(v_p)
+    # Terms of blocks start, start + 1, ..., up to _CHUNK + 1 (any run's) at a time.
+    start, terms = 0, np.empty((5, 0))
     # The normals _CHUNK pairs at a time, in the order of one whole draw.
     for lo, hi in _runs(0, out.shape[1], _CHUNK):
-        normals = rng.standard_normal((hi - lo, 2))
-        for b in range(lo // block, (hi - 1) // block + 1):
-            e_p, e_c = phases[b]
-            # The Cholesky factor, transposed, of the rotated quadratures'
-            # covariance [[V_p, C cos s], [C cos s, V_c]], s = e_p + e_c.
-            l_1, l_2 = math.sqrt(v_p), cross * math.cos(e_p + e_c) / math.sqrt(v_p)
-            l_3 = math.sqrt(rest + (cross * math.sin(e_p + e_c)) ** 2 / v_p)
-            chol_t = np.array([[l_1, l_2], [0.0, l_3]])
-            offset = np.array([carrier * math.sin(e_p), carrier_c * math.sin(e_c)])
-            start, stop = max(lo, b * block), min(hi, (b + 1) * block)
-            part = normals[start - lo : stop - lo]
-            np.add((part @ chol_t).T, offset[:, np.newaxis], out=out[:, start:stop])
-            if config.tone_depth > 0.0:
-                t = np.arange(start, stop) / config.sample_rate
-                out[0, start:stop] += depth * math.cos(e_p) * np.sin(omega * t)
+        n_p, n_c = rng.standard_normal((hi - lo, 2)).T
+        first, last = lo // block, (hi - 1) // block
+        if last >= start + terms.shape[1]:
+            # Per block: the lower entries (l_2, l_3) of the Cholesky factor
+            # [[sqrt(V_p), 0], [l_2, l_3]] of the rotated quadratures'
+            # covariance [[V_p, C cos s], [C cos s, V_c]], s = e_p + e_c,
+            # each arm's offset, and the tone amplitude.
+            e_p, e_c = phases[first : first + _CHUNK + 1].T
+            start, terms = first, np.array([
+                cross * np.cos(e_p + e_c) / root_vp,
+                np.sqrt(rest + (cross * np.sin(e_p + e_c)) ** 2 / v_p),
+                carrier * np.sin(e_p),
+                carrier_c * np.sin(e_c),
+                depth * np.cos(e_p),
+            ])
+        run = terms[:, first - start : last + 1 - start]
+        if last > first:  # spread each block's terms over its samples
+            edges = np.clip(np.arange(first, last + 2) * block, lo, hi)
+            run = np.repeat(run, np.diff(edges), axis=1)
+        l_2, l_3, offset_p, offset_c, tone = run
+        probe, conj = out[:, lo:hi]
+        np.multiply(n_p, root_vp, out=probe)
+        probe += offset_p
+        np.multiply(n_p, l_2, out=conj)
+        conj += n_c * l_3
+        conj += offset_c
+        if config.tone_depth > 0.0:
+            probe += tone * np.sin(omega * (np.arange(lo, hi) / config.sample_rate))
     if config.electronic_noise_var > 0.0:
         noise = rng.standard_normal(out.shape)
         noise *= math.sqrt(config.electronic_noise_var)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
 from tsui import cli, fock, simulate
 from tsui.cli import main, parse_span
@@ -16,6 +17,7 @@ from tsui.gaussian import (
     InterferometerParams,
     apply_loss,
     joint_quadrature_stats,
+    photon_moments,
     seeded_tmss,
 )
 from tsui.metrology import joint_variance_quadratic, lambda_opt
@@ -598,6 +600,23 @@ class TestFit:
         assert capsys.readouterr().err.startswith(f"error: {column} must lie in")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
 
+    def test_fit_failure_exits_1_with_the_lowest_cost(self, tmp_path, capsys, monkeypatch):
+        costs = iter([6.5, 2.75] + [9.0] * 20)
+
+        def unconverged(fun, x0, **kwargs):
+            return OptimizeResult(x=x0, cost=next(costs), fun=fun(x0), status=0, nfev=1, njev=1)
+
+        monkeypatch.setattr(cli.fitting, "least_squares", unconverged)
+        data = tmp_path / "scan.csv"
+        write_scan_csv(data, 1.67, 0.76, 0.79)
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "f.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no fit start converged within 400 evaluations (best residual cost 2.75)\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
+
     def test_missing_data_file_exits_2(self, tmp_path):
         code = main(
             ["fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "f.json")]
@@ -676,6 +695,75 @@ class TestVerify:
                 var_err = max(var_err, abs(fv - gv))
             assert abs(reported[f"{tag}: joint quadrature means"] - mean_err) <= 1e-12
             assert abs(reported[f"{tag}: joint quadrature variances"] - var_err) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "gain, alpha, eta_p, eta_c",
+        [(1.67, 1.0, 0.76, 0.79), (2.0, 0.0, 0.76, 0.76), (1.5, 0.8, 1.0, 1.0)],
+    )
+    def test_every_check_matches_elementwise_reference(
+        self, capsys, monkeypatch, gain, alpha, eta_p, eta_c
+    ):
+        # Every row of the table, in order, with its tolerance, and each
+        # reported error against the largest elementwise gap between the
+        # oracle bundle and the Gaussian state: per quadrature for the
+        # single-mode moments (probe x, y, then conjugate x, y), per
+        # photon-number mean and variance of each mode.
+        reported = []
+        check = cli._check
+
+        def recording(name, err, tol, lines):
+            reported.append((name, err, tol))
+            return check(name, err, tol, lines)
+
+        monkeypatch.setattr(cli, "_check", recording)
+        argv = ["verify", "--gain", str(gain), "--alpha", str(alpha)]
+        assert main([*argv, "--eta", f"{eta_p},{eta_c}", "--lambdas", "0:1:0.25"]) == 0
+        capsys.readouterr()
+
+        params = InterferometerParams(gain=gain, eta_p=eta_p, eta_c=eta_c, alpha=alpha)
+        pure, _ = fock.build_seeded_tmss_fock(gain, alpha)
+        pure_gauss = seeded_tmss(params)
+        expected = []
+        if alpha == 0.0:
+            r = params.r
+            ladder = np.tanh(r) ** np.arange(pure.cutoff + 1) / np.cosh(r)
+            err = max(
+                float(np.abs(np.diag(pure.amplitudes) - ladder).max()),
+                float(np.abs(pure.amplitudes - np.diag(np.diag(pure.amplitudes))).max()),
+            )
+            expected.append(("photon-pair ladder amplitudes", err, 1e-8))
+        cases = [("lossless", pure, pure_gauss)]
+        if eta_p < 1.0 or eta_c < 1.0:
+            lossy = fock.apply_loss_fock(
+                fock.apply_loss_fock(pure, eta_p, "probe"), eta_c, "conjugate"
+            )
+            tag = f"lossy (eta_p={eta_p:g}, eta_c={eta_c:g})"
+            cases.append((tag, lossy, apply_loss(pure_gauss, eta_p, eta_c)))
+        lambdas = parse_span("0:1:0.25")
+        for tag, fock_state, gauss in cases:
+            bundle = fock.oracle_moment_bundle(fock_state, lambdas)
+            gm, gv = joint_quadrature_stats(gauss, lambdas)
+            mode_mean, mode_var, photon = [], [], []
+            for base, mode in ((0, "probe"), (2, "conjugate")):
+                for idx, quad in ((0, "x"), (1, "y")):
+                    fm, fv = bundle[mode][quad]
+                    mode_mean.append(abs(fm - gauss.mean[base + idx]))
+                    mode_var.append(abs(fv - gauss.cov[base + idx, base + idx]))
+                fn, fvar = bundle[mode]["n"]
+                moments = photon_moments(gauss, mode)
+                photon += [abs(fn - moments.mean_n), abs(fvar - moments.var_n)]
+            expected += [
+                (f"{tag}: joint quadrature means",
+                 float(np.abs(bundle["joint"][:, 1] - gm).max()), 1e-7),
+                (f"{tag}: joint quadrature variances",
+                 float(np.abs(bundle["joint"][:, 2] - gv).max()), 1e-6),
+                (f"{tag}: single-mode quadrature means", max(mode_mean), 1e-7),
+                (f"{tag}: single-mode quadrature variances", max(mode_var), 1e-6),
+                (f"{tag}: photon number moments", max(photon), 1e-6),
+            ]
+        assert [(n, t) for n, _, t in reported] == [(n, t) for n, _, t in expected]
+        for (name, err, _), (_, ref, _) in zip(reported, expected):
+            assert err == pytest.approx(ref, rel=1e-9, abs=1e-15), name
 
     def test_default_cutoff_bounds_second_moments(self, capsys):
         # At cutoff 40 this state passes the norm gate (deficit 5.4e-9) but

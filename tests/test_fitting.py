@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
+from scipy.optimize import OptimizeResult, least_squares
+
+from tsui import fitting
 
 from tsui.fitting import (
     FitFailure,
@@ -397,6 +399,24 @@ class TestFitNoiseCurve:
         assert fit.chi_square < 1e-12
         assert abs(fit.lambda_opt_fit - lambda_opt(truth)) < 1e-6
 
+    def test_failure_carries_the_lowest_cost(self, monkeypatch):
+        # Every start stops unconverged (status 0); the failure names the
+        # lowest cost over all of them, whichever start it came from.
+        costs = iter([9.5, 4.25, 7.0] + [8.0] * 20)
+        calls = []
+
+        def unconverged(fun, x0, **kwargs):
+            calls.append(x0)
+            return OptimizeResult(
+                x=x0, cost=next(costs), fun=fun(x0), status=0, nfev=3, njev=2
+            )
+
+        monkeypatch.setattr(fitting, "least_squares", unconverged)
+        with pytest.raises(FitFailure, match=r"\(best residual cost 4\.25\)") as info:
+            fit_noise_curve(synthetic(1.67, 0.76, 0.79))
+        assert info.value.best_cost == 4.25
+        assert len(calls) == 11  # the data start, then the ten-start grid
+
     def test_params_accessor(self):
         fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79))
         p = fit.params()
@@ -484,31 +504,41 @@ class TestExtractLambdaOpt:
 
     @pytest.mark.parametrize("offset", [0.03, None])
     def test_fit_sigma_equals_per_parameter_loop(self, offset):
-        # Reference: one central difference of lambda_opt per parameter,
-        # clamped into the physical range, as scalar calls.
+        # Reference: one central difference of the unclamped weight
+        # 2 sqrt(eta_p eta_c G (G - 1)) / V_c per parameter, as scalar
+        # calls; the steps are not clipped into the physical range, so a
+        # fit at eta_c = 1 gets its whole gradient.
         ds = synthetic(1.2, 0.73, 0.76, noise_seed=2)
         fit = fit_noise_curve(ds, FitOptions(loss_offset=offset))
         x_hat = fit.param_values
+
+        def weight(x):
+            gain, eta_c = x[0], x[-2]
+            eta_p = x[1] if offset is None else eta_c - offset
+            return 2.0 * math.sqrt(eta_p * eta_c * gain * (gain - 1.0)) / (
+                1.0 + 2.0 * eta_c * (gain - 1.0)
+            )
+
         grad = np.zeros(x_hat.size)
         for i in range(x_hat.size):
             h = 1e-6 * max(1.0, abs(x_hat[i]))
-            lam = []
-            for step in (h, -h):
-                x = x_hat.copy()
-                x[i] += step
-                if offset is None:
-                    gain, eta_p, eta_c = x[0], x[1], x[2]
-                else:
-                    gain, eta_p, eta_c = x[0], x[1] - offset, x[1]
-                params = InterferometerParams(
-                    gain=max(gain, 1.0),
-                    eta_p=min(max(eta_p, 0.0), 1.0),
-                    eta_c=min(max(eta_c, 0.0), 1.0),
-                )
-                lam.append(lambda_opt(params))
-            grad[i] = (lam[0] - lam[1]) / (2.0 * h)
+            step = np.zeros(x_hat.size)
+            step[i] = h
+            grad[i] = (weight(x_hat + step) - weight(x_hat - step)) / (2.0 * h)
         expected = math.sqrt(max(grad @ fit.param_cov @ grad, 0.0))
-        assert extract_lambda_opt(ds, fit, n_bootstrap=10).fit_sigma == expected
+        got = extract_lambda_opt(ds, fit, n_bootstrap=10).fit_sigma
+        assert got == pytest.approx(expected, rel=1e-6)
+
+    def test_fit_sigma_at_the_eta_c_bound(self):
+        # Criterion 6's second setting, repetition 1: eta_c sits at its
+        # bound of 1.  A step clipped at the bound halved one gradient
+        # component and quoted 0.1755; the closed form gives 0.0037.
+        ds = synthetic(1.2, 0.73, 0.76, noise_seed=1001)
+        fit = fit_noise_curve(ds)
+        assert "parameter eta_c sits at a fit bound" in fit.warnings
+        est = extract_lambda_opt(ds, fit, n_bootstrap=10)
+        assert abs(est.value - 0.55967) < 0.02
+        assert est.fit_sigma < 0.01
 
     def test_boundary_warning_when_min_at_edge(self):
         lam = np.linspace(0.0, 1.0, 11)

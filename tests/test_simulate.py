@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -197,6 +198,23 @@ class TestSimulateRecords:
         expected = normals @ chol.T
         assert np.allclose(rec.probe, expected[:, 0], rtol=0.0, atol=1e-12)
         assert np.allclose(rec.conjugate, expected[:, 1], rtol=0.0, atol=1e-12)
+
+
+    def test_one_sample_blocks_take_time_linear_in_samples(self):
+        # Every sample its own jitter block: the record matches the serial
+        # reference to round-off, and a 2^20-sample one is drawn without a
+        # Python iteration per block (which took about 10 s).
+        cfg = config(
+            gain=1.67, eta_p=0.76, eta_c=0.79, alpha=50.0, rng_seed=5, duration=2**14 / FS,
+            lock_jitter_rms=0.05, tone_depth=0.05, electronic_noise_var=0.1, jitter_block=1 / FS,
+        )
+        rec = simulate_records(cfg)
+        for arm, ref in zip((rec.probe, rec.conjugate), serial_records(cfg, 0)):
+            assert np.abs(arm - ref).max() <= 1e-13 * ref.std()
+        long = dataclasses.replace(cfg, duration=2**20 / FS)
+        t0 = time.perf_counter()
+        simulate_records(long)
+        assert time.perf_counter() - t0 < 3.0
 
 
 class TestCombineWeighted:
