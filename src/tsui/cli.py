@@ -190,11 +190,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     # The overlay grid is checked before the fit, so a bad one writes nothing.
     grid = check_grid("lam", parse_span(args.lambdas)) if kinds else None
     dataset = load_noise_csv(args.data)
-    initial = tuple(float(v) for v in args.initial.split(",")) if args.initial else None
-    options = fitting.FitOptions(
-        loss_offset=None if args.unconstrained else args.offset, initial=initial
-    )
-    fit = fitting.fit_noise_curve(dataset, options)
+    fit = fitting.fit_noise_curve(dataset, fitting.FitOptions(loss_offset=args.offset))
     est = fitting.extract_lambda_opt(dataset, fit)
     write_atomic(args.out, fit.json_text())
     print(fit.summary())
@@ -338,12 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.03,
         help="fixed eta_c - eta_p during the fit",
     )
-    p_fit.add_argument(
-        "--unconstrained",
-        action="store_true",
-        help="fit all four parameters (degenerate; diagnostics only)",
-    )
-    p_fit.add_argument("--initial", help="start point 'gain,eta_p,eta_c,scale_db'")
     p_fit.add_argument("--overlay", help="prefix for theory overlay tables")
     p_fit.add_argument("--lambdas", default="0:1:0.01", help="overlay weight grid")
     p_fit.set_defaults(func=cmd_fit)

@@ -6,12 +6,11 @@ or simulated) is fitted in dB space to the closed-form model
     model(lam) = 10 log10( V_p + lam^2 V_c + 2 lam C ) + scale_db
 
 with the variance coefficients from :func:`tsui.metrology.joint_variance_quadratic`.
-The free ``scale_db`` absorbs the overall detection calibration, which
-makes the unconstrained four-parameter family exactly degenerate (a
-common rescaling of the coefficients is indistinguishable from a scale
-shift).  Fits therefore default to a fixed transmission offset
-eta_c - eta_p, leaving three identifiable parameters; the unconstrained
-mode stays available for diagnostics and is flagged as ill-conditioned.
+Every curve it can express is a noise power a0 + 2 a1 lam + a2 lam^2 with
+three coefficients a = s (V_p, C, V_c), s = 10^(scale_db / 10), so the fit
+holds the transmission offset eta_c - eta_p fixed and frees (gain, eta_c,
+scale_db), three parameters for three coefficients.  The fit solves for
+the coefficients and maps them back to the parameters in closed form.
 
 Quoted parameter uncertainties come from the Gauss-Newton covariance
 (J^T J)^(-1) of the sigma-weighted residuals; they are meaningful only
@@ -31,12 +30,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from . import metrology
-# load_noise_csv is unused here; callers from before tsui.data read it as fitting's.
+# load_noise_csv is unused here; perfbench/workloads.py still reads it as fitting's.
 from .data import CurveTable, NoiseDataset, check_grid, check_range, load_noise_csv
 from .gaussian import InterferometerParams
 from .metrology import SqlKind
@@ -54,14 +54,12 @@ __all__ = [
 _GAIN_BOUNDS = (1.0, 50.0)
 _SCALE_BOUNDS = (-80.0, 80.0)
 _CONDITION_LIMIT = 1e12
-# Residual-evaluation budget per start, and ftol/xtol/gtol of the solver.
+# Residual-evaluation budget per solve, and ftol/xtol/gtol of the solver.
 _MAX_NFEV = 400
-_TOL = 1e-10
-# (gain, eta_c) starts tried only when no primary start converges.
-_GRID_STARTS = tuple((g0, e0) for g0 in (1.05, 1.3, 1.8, 2.6, 3.6) for e0 in (0.6, 0.9))
-# Distance inside the bounds G = 1 and eta = 0 at which the singular
-# Jacobian factors are evaluated.
-_JAC_FLOOR = 1e-10
+_SOLVER = {"ftol": 1e-10, "xtol": 1e-10, "gtol": 1e-10, "max_nfev": _MAX_NFEV}
+# Residual of a trial step whose quadratic is not positive at every weight:
+# larger than any finite fit's, so the step is rejected.
+_INFEASIBLE = 1e100
 # d(10 log10 V) = _DB_PER_LN dV / V.
 _DB_PER_LN = 10.0 / math.log(10.0)
 # Bootstrap draws are generated and reduced this many at a time.
@@ -83,27 +81,16 @@ class FitOptions:
     """Settings for :func:`fit_noise_curve`.
 
     Attributes:
-        loss_offset: fixed value of eta_c - eta_p during the fit, or
-            ``None`` for the (degenerate) unconstrained four-parameter
-            mode.  Must lie in [-0.2, 0.2].
-        initial: optional user start (gain, eta_p, eta_c, scale_db),
-            run before the data-driven start.  Its scale_db is not used:
-            the fit solves for the scale in closed form at every shape.
+        loss_offset: fixed value of eta_c - eta_p during the fit, in
+            [-0.2, 0.2].  At 0 the fit is degenerate: V_p = V_c, so
+            a0 = a2 and gain and eta_c enter the curve only through the
+            one ratio C / V_c.  Such a fit warns "ill-conditioned".
     """
 
-    loss_offset: float | None = 0.03
-    initial: tuple[float, float, float, float] | None = None
+    loss_offset: float = 0.03
 
     def __post_init__(self) -> None:
-        if self.loss_offset is not None:
-            check_range("loss_offset", self.loss_offset)
-        if self.initial is not None:
-            if len(self.initial) != 4 or not all(
-                math.isfinite(float(v)) for v in self.initial
-            ):
-                raise ValueError(
-                    "initial must be 4 finite numbers (gain, eta_p, eta_c, scale_db)"
-                )
+        check_range("loss_offset", self.loss_offset)
 
 
 @dataclass
@@ -111,8 +98,8 @@ class FitResult:
     """Fitted noise-model parameters with uncertainties and diagnostics.
 
     ``param_names``/``param_values``/``param_cov`` describe the free
-    parameter vector actually optimized (three entries in the default
-    constrained mode), which downstream error propagation uses.
+    parameter vector (gain, eta_c, scale_db), which downstream error
+    propagation uses.
 
     The ``sigma_*`` fields and ``param_cov`` are linearized marginal
     errors, not a joint region: for a joint statement at level p, take
@@ -120,10 +107,11 @@ class FitResult:
     most chi2_k(p), with k = len(param_names).  A sigma is not a valid
     interval for a parameter that ``warnings`` reports at a fit bound.
 
-    ``nfev`` counts residual plus Jacobian evaluations over all solver
-    starts, ``n_starts`` the starts run, ``winning_start`` names the one
-    returned ("initial", "data" or "grid:<k>") and ``status`` is its
-    solver status (> 0 converged).
+    ``winning_start`` names the path that gave the result: "coefficients"
+    (the coefficient fit mapped inside the bounds) or "bound" (the bounded
+    solve that runs otherwise).  ``n_starts`` counts the solver runs,
+    ``nfev`` their residual plus Jacobian evaluations, and ``status`` is
+    the returned run's solver status (> 0 converged).
     """
 
     gain: float
@@ -139,7 +127,7 @@ class FitResult:
     lambda_opt_fit: float
     lambda_opt_direct: float
     condition_number: float
-    loss_offset: float | None
+    loss_offset: float
     warnings: list[str]
     param_names: tuple[str, ...]
     param_values: np.ndarray
@@ -169,13 +157,9 @@ class FitResult:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def summary(self) -> str:
-        mode = (
-            "unconstrained"
-            if self.loss_offset is None
-            else f"eta_c - eta_p fixed at {self.loss_offset:g}"
-        )
         lines = [
-            f"noise-curve fit ({self.n_points} points, {mode})",
+            f"noise-curve fit ({self.n_points} points, "
+            f"eta_c - eta_p fixed at {self.loss_offset:g})",
             f"  gain      = {self.gain:.4f} +/- {self.sigma_gain:.4f}",
             f"  eta_p     = {self.eta_p:.4f} +/- {self.sigma_eta_p:.4f}",
             f"  eta_c     = {self.eta_c:.4f} +/- {self.sigma_eta_c:.4f}",
@@ -184,8 +168,8 @@ class FitResult:
             f"  lambda_opt (model) = {self.lambda_opt_fit:.4f}",
             f"  lambda_opt (data)  = {self.lambda_opt_direct:.4f}",
             f"  condition number   = {self.condition_number:.3g}",
-            f"  solver: start {self.winning_start} won (status {self.status}), "
-            f"{self.n_starts} start(s), {self.nfev} evaluations",
+            f"  solver: {self.winning_start} path (status {self.status}), "
+            f"{self.n_starts} solve(s), {self.nfev} evaluations",
         ]
         for w in self.warnings:
             lines.append(f"  warning: {w}")
@@ -210,44 +194,80 @@ class LambdaOptEstimate:
     boundary_warning: bool
 
 
-def _shape(x: np.ndarray, offset: float | None) -> tuple[float, float, float]:
-    # (gain, eta_p, eta_c) from the leading entries of a parameter vector:
-    # (gain, eta_c) with eta_p = eta_c - offset, or (gain, eta_p, eta_c).
-    if offset is None:
-        return float(x[0]), float(x[1]), float(x[2])
-    return float(x[0]), float(x[1]) - offset, float(x[1])
+def _coefficient_jac(lam: np.ndarray, sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Jacobian of the weighted dB residuals in (a0, a1, a2):
+    (10 / ln 10) (1, 2 lam, lam^2) / (sigma (a0 + 2 a1 lam + a2 lam^2))."""
+    basis = np.column_stack([np.ones_like(lam), 2.0 * lam, lam * lam])
+    return basis * (_DB_PER_LN / ((basis @ a) * sigma))[:, None]
 
 
-def _model_db(
-    lam: np.ndarray, theta: np.ndarray, offset: float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """10 log10 Var(M) without scale_db, and its Jacobian in the shape parameters.
+def _parameter_jac(lam: np.ndarray, sigma: np.ndarray, theta, offset: float) -> np.ndarray:
+    """Jacobian of the weighted dB residuals in (gain, eta_c, scale_db).
 
-    With Var(M) = 1 + 2 eta_p (G - 1) + lam^2 (1 + 2 eta_c (G - 1))
-    - 4 lam sqrt(eta_p eta_c) sqrt(G (G - 1)), the dB derivative is
-    (10 / ln 10) dVar / Var.  The factors 1 / sqrt(G (G - 1)) and
-    sqrt(eta_c / eta_p) are infinite at the fit bounds G = 1 and eta = 0;
-    they are evaluated ``_JAC_FLOOR`` inside them.
+    The coefficient Jacobian times d a / d theta of a = s (V_p, C, V_c),
+    eta_p = eta_c - offset; d C is infinite at G = 1 and eta_p = 0.
     """
-    gain, eta_p, eta_c = _shape(theta, offset)
-    var = metrology.joint_variance(gain, eta_p, eta_c, lam)
-    g = max(gain, 1.0 + _JAC_FLOOR)
-    ep = max(eta_p, _JAC_FLOOR)
-    ec = max(eta_c, _JAC_FLOOR)
-    two_lam_root_g = 2.0 * lam * math.sqrt(gain * (gain - 1.0))
-    d_gain = (
-        2.0 * eta_p
-        + 2.0 * lam * lam * eta_c
-        - 2.0 * lam * math.sqrt(eta_p * eta_c) * (2.0 * g - 1.0) / math.sqrt(g * (g - 1.0))
-    )
-    d_eta_p = 2.0 * (gain - 1.0) - two_lam_root_g * math.sqrt(ec / ep)
-    d_eta_c = 2.0 * lam * lam * (gain - 1.0) - two_lam_root_g * math.sqrt(ep / ec)
-    if offset is None:
-        columns = (d_gain, d_eta_p, d_eta_c)
-    else:
-        columns = (d_gain, d_eta_p + d_eta_c)
-    jac = np.column_stack(columns) * (_DB_PER_LN / var)[:, None]
-    return 10.0 * np.log10(var), jac
+    gain, eta_c, scale_db = (float(v) for v in theta)
+    eta_p = eta_c - offset
+    a = _coefficients(gain, eta_p, eta_c, scale_db)
+    s = 10.0 ** (scale_db / 10.0)
+    root_g, root_eta = np.sqrt(gain * (gain - 1.0)), np.sqrt(eta_p * eta_c)
+    d_gain = (2.0 * eta_p, -root_eta * (2.0 * gain - 1.0) / root_g, 2.0 * eta_c)
+    d_eta_c = (2.0 * (gain - 1.0), -root_g * (eta_p + eta_c) / root_eta, 2.0 * (gain - 1.0))
+    d_a = np.column_stack([s * np.array(d_gain), s * np.array(d_eta_c), a / _DB_PER_LN])
+    return _coefficient_jac(lam, sigma, a) @ d_a
+
+
+def _shape_roots(a: np.ndarray, offset: float) -> np.ndarray:
+    """(gain, eta_c) rows for every positive real root x = 2 (G - 1) of the map.
+
+    With r1 = a0 / a2 = V_p / V_c, r2 = a1^2 / (a0 a2) = C^2 / (V_p V_c),
+    k = offset / (1 - r1) and m = k - offset, the model has V_c = k x,
+    V_p = m x and eta_c = (k x - 1) / x, and C^2 = eta_p eta_c x (2 + x)
+    turns r2 into the cubic r2 k m x^3 = (m x - 1)(k x - 1)(2 + x).  A
+    root need not be physical: the rows are sorted by eta_c, largest
+    first, and the caller checks the transmissions and the sign of a1.
+    """
+    a0, a1, a2 = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = a1 * a1 / (a0 * a2)
+        k = offset / (1.0 - a0 / a2)
+        m = k - offset
+        cubic = np.array([(r2 - 1.0) * k * m, m + k - 2.0 * k * m, 2.0 * (m + k) - 1.0, -2.0])
+    if not np.all(np.isfinite(cubic)):
+        return np.empty((0, 2))
+    roots = np.roots(cubic)
+    x = roots.real[(np.abs(roots.imag) <= 1e-9 * np.abs(roots)) & (roots.real > 0.0)]
+    eta_c = k - 1.0 / x
+    order = np.argsort(-eta_c)
+    return np.column_stack([1.0 + 0.5 * x[order], eta_c[order]])
+
+
+def _face_gain(a: np.ndarray, eta_c: float, offset: float) -> float:
+    """Gain that keeps one coefficient ratio with eta_c held, at least 1.
+
+    C^2 / (V_p V_c) = r2 = a1^2 / (a0 a2) is the quadratic eta_p eta_c
+    (1 - r2) x^2 + (2 eta_p eta_c - r2 (eta_p + eta_c)) x - r2 = 0 in
+    x = 2 (G - 1), whose roots have product <= 0.  Where eta_p eta_c = 0,
+    C = 0 at every gain, and V_p / V_c = a0 / a2 sets x instead.
+    """
+    a0, a1, a2 = np.asarray(a, dtype=float)
+    eta_p = eta_c - offset
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if eta_p * eta_c == 0.0:
+            x = (a2 - a0) / (a0 * eta_c - a2 * eta_p)
+        else:
+            r2 = a1 * a1 / (a0 * a2)
+            quad = eta_p * eta_c * (1.0 - r2)
+            lin = 2.0 * eta_p * eta_c - r2 * (eta_p + eta_c)
+            x = 2.0 * r2 / (lin + np.sqrt(lin * lin + 4.0 * quad * r2))
+    return 1.0 + 0.5 * max(float(np.nan_to_num(x, nan=0.0)), 0.0)
+
+
+def _coefficients(gain: float, eta_p: float, eta_c: float, scale_db: float) -> np.ndarray:
+    """(a0, a1, a2) = s (V_p, C, V_c) with s = 10^(scale_db / 10)."""
+    v_p, v_c, cross = metrology.joint_variance_quadratic(gain, eta_p, eta_c)
+    return 10.0 ** (scale_db / 10.0) * np.array([v_p, cross, v_c])
 
 
 def _direct_lambda_opt(lam: np.ndarray, noise_db: np.ndarray) -> np.ndarray | float:
@@ -280,26 +300,37 @@ def _direct_lambda_opt(lam: np.ndarray, noise_db: np.ndarray) -> np.ndarray | fl
 def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) -> FitResult:
     """Weighted least-squares fit of the noise model to a scan.
 
-    Residuals are (model_db - noise_db) / sigma_db.  ``scale_db`` enters
-    linearly, so for each shape it is set to its weighted mean value in
-    closed form (variable projection: Golub and Pereyra, SIAM J. Numer.
-    Anal. 10, 413 (1973)), and a bounded trust-region least-squares
-    solver with the analytic Jacobian moves the shape parameters alone.
-    It runs from ``options.initial`` when given and from a start inverted
-    from the measured minimum (gain from the parabolic minimum assuming
-    no loss, eta_c = 0.85), keeping the better converged result; a fixed
-    grid of ten starts runs only if neither converges or if the winner's
-    ``scale_db`` sits at its bound, and the lowest cost of all wins.
+    Residuals are (model_db - noise_db) / sigma_db, and the fit runs in
+    three steps:
+
+    1. The coefficients (a0, a1, a2) of the noise power a0 + 2 a1 lam +
+       a2 lam^2: a weighted linear least-squares fit in power gives the
+       start, and Levenberg-Marquardt moves it on the dB residuals.
+    2. The coefficients map to (gain, eta_c, scale_db) in closed form:
+       a0 / a2 = V_p / V_c and a1^2 / (a0 a2) = C^2 / (V_p V_c) leave one
+       cubic in x = 2 (G - 1) (see ``_shape_roots``), and s = a2 / V_c.
+    3. Only when no root maps strictly inside the bounds (or the
+       coefficient fit did not converge) does one bounded trust-region
+       solve run in (gain, eta_c, scale_db), with a finite-difference
+       Jacobian, from the clipped map: eta_c clipped, the gain that keeps
+       the ratios there (``_face_gain``) and the scale that keeps a2, or
+       the gain that does where the scale clips.
+
+    Inside the bounds the map is exact, so the coefficient fit's minimum
+    is the model's.  ``chi_square`` is evaluated at the reported
+    parameters.
 
     Parameter uncertainties are the square roots of the diagonal of
     (J^T J)^(-1) at the solution, J holding every free parameter,
-    scale_db included; no rescaling by the residual scatter is applied,
-    so they inherit the calibration of ``sigma_db``.  They are linearized
-    marginal errors: each covers its own parameter, and the set of them
-    is not a joint region.  For a joint confidence region at level p use
-    the returned ``chi_square``: chi2(x) - chi_square <= chi2_k(p), with
-    k = len(param_names).  When the "sits at a fit bound" warning fires,
-    the quoted sigma of that parameter is not a valid interval.
+    scale_db included: the coefficient Jacobian times d a / d theta after
+    step 2, the solver's Jacobian after step 3.  No rescaling by the
+    residual scatter is applied, so they inherit the calibration of
+    ``sigma_db``.  They are linearized marginal errors: each covers its
+    own parameter, and the set of them is not a joint region.  For a
+    joint confidence region at level p use the returned ``chi_square``:
+    chi2(x) - chi_square <= chi2_k(p), with k = len(param_names).  When
+    the "sits at a fit bound" warning fires, the quoted sigma of that
+    parameter is not a valid interval.
 
     A simulated scan (``tsui simulate``) is no test of that region: each
     point is the same quadratic in lam of three pooled Welch sums, which
@@ -308,14 +339,15 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
 
     Args:
         dataset: scan with at least 5 distinct weights.
-        options: fit settings; defaults to ``FitOptions()`` (constrained
-            mode with eta_c - eta_p = 0.03).
+        options: fit settings; defaults to ``FitOptions()``
+            (eta_c - eta_p = 0.03).
 
     Returns:
         A :class:`FitResult`.
 
     Raises:
-        FitFailure: if no start converges within its budget.
+        FitFailure: if the solve that would give the result does not
+            converge within its budget.
         ValueError: for unusable datasets.
     """
     if options is None:
@@ -325,86 +357,79 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
             f"need at least 5 distinct weights to fit, got {dataset.n_distinct()}"
         )
     offset = options.loss_offset
-    if offset is None:
-        names = ("gain", "eta_p", "eta_c", "scale_db")
-        lower = np.array([_GAIN_BOUNDS[0], 0.0, 0.0])
-        upper = np.array([_GAIN_BOUNDS[1], 1.0, 1.0])
+    names = ("gain", "eta_c", "scale_db")
+    lower = np.array([_GAIN_BOUNDS[0], max(0.0, offset), _SCALE_BOUNDS[0]])
+    upper = np.array([_GAIN_BOUNDS[1], min(1.0, 1.0 + offset), _SCALE_BOUNDS[1]])
+    lam, y, sigma = dataset.lam, dataset.noise_db, dataset.sigma_db
+
+    def residuals(theta: np.ndarray) -> np.ndarray:
+        gain, eta_c, scale_db = theta
+        var = metrology.joint_variance(gain, eta_c - offset, eta_c, lam)
+        return (10.0 * np.log10(var) + scale_db - y) / sigma
+
+    # Step 1, in units of the scan's mean power: b = a / 10^(ref_db / 10).
+    ref_db = float(np.mean(y))
+    basis = np.column_stack([np.ones_like(lam), 2.0 * lam, lam * lam])
+
+    def coefficient_residuals(b: np.ndarray) -> np.ndarray:
+        power = basis @ b
+        if np.any(power <= 0.0):
+            return np.full(lam.size, _INFEASIBLE)
+        return (10.0 * np.log10(power) + ref_db - y) / sigma
+
+    power = 10.0 ** ((y - ref_db) / 10.0)
+    b0 = np.linalg.lstsq(basis / (power * sigma)[:, None], 1.0 / sigma, rcond=None)[0]
+    if np.any(basis @ b0 <= 0.0):
+        b0 = np.array([1.0, 0.0, 0.0])
+    jac = partial(_coefficient_jac, lam, sigma)
+    runs = [least_squares(coefficient_residuals, b0, jac=jac, method="lm", **_SOLVER)]
+    b = runs[0].x
+
+    # Step 2.
+    def with_scale(gain: float, eta_c: float) -> np.ndarray:
+        v_c = 1.0 + 2.0 * eta_c * (gain - 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale_db = ref_db + 10.0 * np.log10(b[2] / v_c)
+        return np.array([gain, eta_c, scale_db])
+
+    shapes = _shape_roots(b, offset)
+    mapped = [with_scale(gain, eta_c) for gain, eta_c in shapes]
+    inside = [t for t in mapped if b[1] <= 0.0 and np.all((lower < t) & (t < upper))]
+    if runs[0].status > 0 and inside:
+        winner, theta = "coefficients", inside[0]
     else:
-        names = ("gain", "eta_c", "scale_db")
-        lower = np.array([_GAIN_BOUNDS[0], max(0.0, offset)])
-        upper = np.array([_GAIN_BOUNDS[1], min(1.0, 1.0 + offset)])
-    lam = dataset.lam
-    y = dataset.noise_db
-    sigma = dataset.sigma_db
-    weight = 1.0 / (sigma * sigma)
-    weight_sum = float(weight.sum())
-    # The solver asks for the Jacobian at the point whose residuals it has
-    # just evaluated; both come from one evaluation.
-    last: dict[bytes, tuple[np.ndarray, np.ndarray, float]] = {}
+        # Step 3.
+        eta_c = float(np.clip(shapes[0, 1] if len(shapes) else upper[1], lower[1], upper[1]))
+        if _face_gain(b, eta_c, offset) == 1.0:
+            # No anticorrelation.  C = 0 on the face eta_p eta_c = 0 too,
+            # where the solver's step off G = 1 does not bring it back.
+            eta_c = lower[1]
+        gain = min(_face_gain(b, eta_c, offset), upper[0])
+        x0 = np.clip(np.nan_to_num(with_scale(gain, eta_c), nan=ref_db), lower, upper)
+        if x0[2] in (lower[2], upper[2]) and eta_c > 0.0:
+            # The scale is clipped, so the gain keeps a2 = s V_c instead.
+            v_c = b[2] * 10.0 ** ((ref_db - x0[2]) / 10.0)
+            x0[0] = np.clip(1.0 + (v_c - 1.0) / (2.0 * eta_c), lower[0], upper[0])
+        runs.append(least_squares(residuals, x0, bounds=(lower, upper), method="trf", **_SOLVER))
+        if runs[-1].status <= 0:
+            lowest = min(float(res.cost) for res in runs)
+            raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations", lowest)
+        # The solver keeps its iterates strictly inside; the variables it
+        # reports at a bound are put on it unless that raises chi^2 (at
+        # G = 1 and eta_p = 0, C moves as the square root of the distance).
+        theta, active = runs[-1].x, runs[-1].active_mask
+        snapped = np.where(active < 0, lower, np.where(active > 0, upper, theta))
+        if np.sum(residuals(snapped) ** 2) <= np.sum(residuals(theta) ** 2):
+            theta = snapped
+        winner = "bound"
 
-    def profiled(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        # Residuals and Jacobian in the shape parameters with scale_db at
-        # its best value for this shape, clipped to its bounds.
-        key = theta.tobytes()
-        if key not in last:
-            model, jac = _model_db(lam, theta, offset)
-            best_scale = float(weight @ (y - model)) / weight_sum
-            scale = min(max(best_scale, _SCALE_BOUNDS[0]), _SCALE_BOUNDS[1])
-            if scale == best_scale:
-                jac = jac - (weight @ jac) / weight_sum
-            last.clear()
-            last[key] = ((model + scale - y) / sigma, jac / sigma[:, None], scale)
-        return last[key]
-
-    def start(g0: float, ep0: float, ec0: float) -> np.ndarray:
-        x0 = np.array([g0, ep0, ec0] if offset is None else [g0, ec0], dtype=float)
-        return np.clip(x0, lower + 1e-9, upper - 1e-9)
-
-    direct = _direct_lambda_opt(lam, y)
-    # Gain of a lossless amplifier whose optimal weight is the measured
-    # minimum: lam_opt = tanh(2r), G = cosh(r)^2.
-    g_hat = math.cosh(0.5 * math.atanh(min(max(direct, 0.05), 0.95))) ** 2
-    primary = [("data", start(g_hat, 0.82, 0.85))]
-    if options.initial is not None:
-        g0, ep0, ec0, _ = (float(v) for v in options.initial)
-        primary.insert(0, ("initial", start(g0, ep0, ec0)))
-    grid = [
-        (f"grid:{k}", start(g0, max(ec0 - 0.03, 0.0), ec0))
-        for k, (g0, ec0) in enumerate(_GRID_STARTS)
-    ]
-
-    best = winner = None
-    nfev = n_starts = 0
-    lowest_cost = math.inf  # over every start, converged or not
-    for starts in (primary, grid):
-        for label, x0 in starts:
-            res = least_squares(
-                lambda t: profiled(t)[0],
-                x0,
-                jac=lambda t: profiled(t)[1],
-                bounds=(lower, upper),
-                method="trf",
-                ftol=_TOL,
-                xtol=_TOL,
-                gtol=_TOL,
-                max_nfev=_MAX_NFEV,
-            )
-            nfev += res.nfev + res.njev
-            n_starts += 1
-            lowest_cost = min(lowest_cost, float(res.cost))
-            if res.status > 0 and (best is None or res.cost < best.cost):
-                best, winner = res, label
-        # With scale_db clipped the shape must absorb the rest of the
-        # offset, which can pull a converged start into the eta_p = 0
-        # cusp; the grid is run then too.
-        if best is not None and profiled(best.x)[2] not in _SCALE_BOUNDS:
-            break
-    if best is None:
-        raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations", lowest_cost)
-
-    scale = profiled(best.x)[2]
-    shape_jac = _model_db(lam, best.x, offset)[1]
-    jac = np.column_stack([shape_jac, np.ones_like(lam)]) / sigma[:, None]
+    gain, eta_c, scale_db = (float(v) for v in theta)
+    eta_p = eta_c - offset
+    x_hat = np.array([gain, eta_c, scale_db])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jac = _parameter_jac(lam, sigma, x_hat, offset)
+    if not np.all(np.isfinite(jac)):  # at G = 1 or eta_p = 0
+        jac = runs[-1].jac
     jtj = jac.T @ jac
     condition = float(np.linalg.cond(jtj))
     warnings: list[str] = []
@@ -416,19 +441,13 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         cov = np.linalg.pinv(jtj)
     else:
         cov = np.linalg.inv(jtj)
-    # In constrained mode eta_p = eta_c - offset shares the eta_c sigma.
-    diag = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    sigmas = {name: float(s) for name, s in zip(names, diag)}
-    sigmas.setdefault("eta_p", sigmas["eta_c"])
+    # eta_p = eta_c - offset shares the eta_c sigma.
+    sigma_gain, sigma_eta_c, sigma_scale_db = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
-    x_hat = np.append(best.x, scale)
-    lower = np.append(lower, _SCALE_BOUNDS[0])
-    upper = np.append(upper, _SCALE_BOUNDS[1])
     for i, (lo, hi) in enumerate(zip(lower, upper)):
         if x_hat[i] - lo < 1e-8 * (hi - lo) or hi - x_hat[i] < 1e-8 * (hi - lo):
             warnings.append(f"parameter {names[i]} sits at a fit bound")
 
-    gain, eta_p, eta_c = _shape(x_hat, offset)
     fitted = InterferometerParams(
         gain=gain, eta_p=min(max(eta_p, 0.0), 1.0), eta_c=min(max(eta_c, 0.0), 1.0)
     )
@@ -436,25 +455,25 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         gain=gain,
         eta_p=fitted.eta_p,
         eta_c=fitted.eta_c,
-        scale_db=scale,
-        sigma_gain=sigmas["gain"],
-        sigma_eta_p=sigmas["eta_p"],
-        sigma_eta_c=sigmas["eta_c"],
-        sigma_scale_db=sigmas["scale_db"],
-        chi_square=float(np.sum(best.fun**2)),
+        scale_db=scale_db,
+        sigma_gain=float(sigma_gain),
+        sigma_eta_p=float(sigma_eta_c),
+        sigma_eta_c=float(sigma_eta_c),
+        sigma_scale_db=float(sigma_scale_db),
+        chi_square=float(np.sum(residuals(x_hat) ** 2)),
         n_points=len(dataset),
         lambda_opt_fit=metrology.lambda_opt(fitted),
-        lambda_opt_direct=direct,
+        lambda_opt_direct=_direct_lambda_opt(lam, y),
         condition_number=condition,
         loss_offset=offset,
         warnings=warnings,
         param_names=names,
         param_values=x_hat,
         param_cov=np.array(cov, dtype=float),
-        nfev=nfev,
-        n_starts=n_starts,
+        nfev=sum(res.nfev + (res.njev or 0) for res in runs),
+        n_starts=len(runs),
         winning_start=winner,
-        status=int(best.status),
+        status=int(runs[-1].status),
         source=dataset.source,
     )
 
@@ -472,10 +491,12 @@ def extract_lambda_opt(
     bootstrap that redraws every point as N(noise_db, sigma_db^2) and
     repeats the extraction.  When a fit is supplied, the model-based
     estimate (closed-form optimal weight at the fitted parameters) is
-    used as the headline value, with its uncertainty propagated from the
-    fit covariance through the closed-form gradient of the weight (0 where
-    the clamp at 1 holds it).  When the fit warns that a parameter sits at
-    a bound, that sigma is a linearization there, not an interval.
+    used as the headline value.  Its uncertainty is the gradient of
+    lam* = -a1 / a2 against the coefficient covariance (J_a^T J_a)^(-1)
+    of the scan at the fitted coefficients (0 where the clamp at 1 holds
+    lam*).  Wherever d a / d theta is invertible this equals propagating
+    ``param_cov``.  When the fit warns that a parameter sits at a bound,
+    that sigma is a linearization there, not an interval.
 
     Args:
         dataset: scan to analyze.
@@ -502,27 +523,15 @@ def extract_lambda_opt(
     boundary = lam[int(np.argmin(noise_db))] in (lam[0], lam[-1])
 
     fit_value = fit_sigma = None
+    value, sigma, method = direct_value, direct_sigma, "direct"
     if fit is not None:
-        # d lam* = lam* d ln lam* for lam* = 2 sqrt(eta_p eta_c G (G - 1)) / V_c,
-        # V_c = 1 + 2 eta_c (G - 1), at the parameters floored as in _model_db;
-        # 0 where the clamp at 1 holds lam*.  scale_db's entry is 0.
-        gain, eta_p, eta_c = _shape(fit.param_values, fit.loss_offset)
-        g, ep, ec = max(gain, 1.0 + _JAC_FLOOR), max(eta_p, _JAC_FLOOR), max(eta_c, _JAC_FLOOR)
-        v_c = 1.0 + 2.0 * ec * (g - 1.0)
-        lam_raw = 2.0 * math.sqrt(ep * ec * g * (g - 1.0)) / v_c
-        d_gain = (2.0 * g - 1.0) / (2.0 * g * (g - 1.0)) - 2.0 * ec / v_c
-        d_eta_p, d_eta_c = 0.5 / ep, 0.5 / ec - 2.0 * (g - 1.0) / v_c
-        d_ln = (d_gain, d_eta_p, d_eta_c)
-        if fit.loss_offset is not None:  # eta_p = eta_c - offset moves with eta_c
-            d_ln = (d_gain, d_eta_p + d_eta_c)
-        grad = np.append(d_ln, 0.0) * (lam_raw if lam_raw <= 1.0 else 0.0)
+        a = _coefficients(fit.gain, fit.eta_p, fit.eta_c, fit.scale_db)
+        jac = _coefficient_jac(lam, dataset.sigma_db, a)
+        # d(-a1 / a2), 0 where the clamp at 1 holds lam*.
+        grad = np.array([0.0, -1.0 / a[2], a[1] / (a[2] * a[2])]) * (-a[1] <= a[2])
         fit_value = fit.lambda_opt_fit
-        fit_sigma = float(math.sqrt(max(grad @ fit.param_cov @ grad, 0.0)))
-
-    if fit is not None:
+        fit_sigma = float(math.sqrt(max(grad @ np.linalg.pinv(jac.T @ jac) @ grad, 0.0)))
         value, sigma, method = fit_value, fit_sigma, "fit"
-    else:
-        value, sigma, method = direct_value, direct_sigma, "direct"
     return LambdaOptEstimate(
         value=value,
         sigma=sigma,

@@ -11,8 +11,7 @@ from scipy.optimize import OptimizeResult
 
 from tsui import cli, fock, simulate
 from tsui.cli import main, parse_span
-from tsui.data import format_csv
-from tsui.fitting import NoiseDataset, load_noise_csv
+from tsui.data import NoiseDataset, format_csv, load_noise_csv
 from tsui.gaussian import (
     InterferometerParams,
     apply_loss,
@@ -91,9 +90,15 @@ class TestParseSpan:
     )
     def test_range_properties(self, start, width, step):
         # Any valid range: evenly spaced from start, never past stop, and
-        # no grid point left out before it.
+        # no grid point left out before it.  A range of MAX_GRID_POINTS
+        # steps or more is refused, as width 391 at step 2^-8 is.
         stop = start + width
-        values = parse_span(f"{start!r}:{stop!r}:{step!r}")
+        text = f"{start!r}:{stop!r}:{step!r}"
+        if not (stop - start) / step < cli.MAX_GRID_POINTS:
+            with pytest.raises(ValueError, match="exceeds"):
+                parse_span(text)
+            return
+        values = parse_span(text)
         n = values.size
         assert n >= 1 and values[0] == start
         assert np.array_equal(values, start + step * np.arange(n))
@@ -527,12 +532,12 @@ class TestFit:
         assert abs(result["gain"] - 1.67) < 1e-3
         assert abs(result["eta_c"] - 0.79) < 1e-3
         assert abs(result["lambda_opt_fit"] - 0.7962950314799236) < 1e-4
-        # Solver diagnostics: one start, the data-driven one, converged.
-        assert (result["n_starts"], result["winning_start"]) == (1, "data")
+        # Solver diagnostics: one solve, the coefficient fit, converged.
+        assert (result["n_starts"], result["winning_start"]) == (1, "coefficients")
         assert result["status"] > 0 and result["nfev"] > 0
         stdout = capsys.readouterr().out
         assert "lambda_opt estimate" in stdout
-        assert "start data won" in stdout
+        assert "coefficients path" in stdout
         for kind in ("sql2", "sql1"):
             path = tmp_path / f"overlay_{kind}.csv"
             assert path.exists()
@@ -540,17 +545,19 @@ class TestFit:
             assert header == ["lambda", "snri_db"]
             assert rows.shape[0] == 101
 
-    def test_unconstrained_flag(self, tmp_path):
+    def test_unconstrained_flag(self, tmp_path, capsys):
+        # Four parameters for three coefficients cannot be identified, so
+        # the mode is gone: the flag is a usage error, and nothing is written.
         data = tmp_path / "scan.csv"
         write_scan_csv(data, 1.2, 0.73, 0.76)
         out = tmp_path / "fit.json"
         code = main(["fit", "--data", str(data), "--out", str(out), "--unconstrained"])
-        assert code == 0
-        result = json.loads(out.read_text())
-        assert result["loss_offset"] is None
-        assert result["condition_number"] > 1e10
+        assert code == 2
+        assert "--unconstrained" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
 
     def test_bad_initial_exits_2(self, tmp_path):
+        # The fit takes no start point: --initial is a usage error.
         data = tmp_path / "scan.csv"
         write_scan_csv(data, 1.67, 0.76, 0.79)
         code = main(

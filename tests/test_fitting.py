@@ -15,15 +15,15 @@ from tsui import fitting
 from tsui.fitting import (
     FitFailure,
     FitOptions,
-    NoiseDataset,
+    _coefficient_jac,
     _direct_lambda_opt,
-    _model_db,
+    _parameter_jac,
+    _shape_roots,
     extract_lambda_opt,
     fit_noise_curve,
-    load_noise_csv,
     overlay_theory,
 )
-from tsui.data import format_float
+from tsui.data import NoiseDataset, format_float, load_noise_csv
 from tsui.gaussian import InterferometerParams
 from tsui.metrology import (
     SqlKind,
@@ -235,15 +235,16 @@ class TestFitNoiseCurve:
         assert abs(fit.lambda_opt_fit - 0.7962950314799236) < 0.05
         assert fit.sigma_gain > 0.0
 
-    def test_unconstrained_mode_flags_degeneracy(self):
-        ds = synthetic(1.67, 0.76, 0.79)
-        fit = fit_noise_curve(ds, FitOptions(loss_offset=None))
-        assert fit.loss_offset is None
-        assert fit.param_names == ("gain", "eta_p", "eta_c", "scale_db")
-        assert fit.condition_number > 1e10
+    @pytest.mark.parametrize("noise_seed", [1, 2, 3])
+    def test_offset_zero_flags_degeneracy(self, noise_seed):
+        # At eta_c = eta_p, V_p = V_c: a0 = a2, and gain and eta_c enter
+        # the curve only through C / V_c.  No root maps inside the bounds
+        # (k = 0), and the bounded solve's Jacobian has rank 2.
+        ds = synthetic(1.67, 0.79, 0.79, noise_seed=noise_seed)
+        fit = fit_noise_curve(ds, FitOptions(loss_offset=0.0))
+        assert fit.winning_start == "bound" and fit.status > 0
+        assert fit.condition_number > 1e12
         assert any("ill-conditioned" in w for w in fit.warnings)
-        # The degenerate family still reproduces the measured curve.
-        assert fit.chi_square < 1e-6
 
     def test_vacuum_data_pins_gain_at_bound(self):
         lam = np.linspace(0.0, 1.0, 11)
@@ -256,12 +257,10 @@ class TestFitNoiseCurve:
         assert fit.gain < 1.0 + 1e-6
         assert fit.lambda_opt_fit < 1e-3
         assert any("bound" in w for w in fit.warnings)
-        # d sqrt(G (G - 1)) / dG is infinite at the bound G = 1 (and
-        # d sqrt(eta_p eta_c) / d eta at eta = 0); the Jacobian stays finite
-        # there and the fit still reproduces the flat curve.
-        for offset, theta in ((0.0, [1.0, 0.0]), (None, [1.0, 0.0, 0.0])):
-            assert np.all(np.isfinite(_model_db(lam, np.array(theta), offset)[1]))
-        assert fit.chi_square <= 1e-9
+        # d sqrt(G (G - 1)) / dG is infinite at the bound G = 1; the
+        # covariance stays finite there and the fit reproduces the flat
+        # curve to round-off.
+        assert fit.chi_square <= 1e-15
         assert np.all(np.isfinite(fit.param_cov))
 
     def test_scale_clipped_at_its_bound(self):
@@ -271,26 +270,17 @@ class TestFitNoiseCurve:
         assert "parameter scale_db sits at a fit bound" in fit.warnings
 
     def test_clipped_scale_runs_the_grid(self):
-        # 200 dB up, the data start converges with the scale clipped into
-        # the eta_p = 0 cusp (eta_c 0.03, chi2 1.150e8); the grid, run
-        # because the scale sits at its bound, finds a lower cost.
+        # 200 dB up, the coefficients map to the truth with a scale past
+        # its bound; the bounded solve from the clipped map keeps out of
+        # the eta_p = 0 cusp (eta_c 0.03, chi2 1.150e8).
         fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79, scale_db=200.0))
         assert fit.scale_db == 80.0
-        assert fit.n_starts == 11 and fit.winning_start.startswith("grid:")
+        assert fit.n_starts == 2 and fit.winning_start == "bound"
         assert fit.eta_c > 0.9 and fit.chi_square < 1.01e8
-
-    def test_custom_initial_point(self):
-        ds = synthetic(1.67, 0.76, 0.79)
-        fit = fit_noise_curve(
-            ds, FitOptions(initial=(1.7, 0.75, 0.78, 0.0))
-        )
-        assert abs(fit.gain - 1.67) < 1e-3
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
             FitOptions(loss_offset=0.5)
-        with pytest.raises(ValueError):
-            FitOptions(initial=(1.5, 0.8))
 
     def test_result_serialization(self):
         fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79))
@@ -315,7 +305,7 @@ class TestFitNoiseCurve:
         assert data["gain"] == fit.gain
         text = fit.summary()
         assert "gain" in text and "lambda_opt" in text
-        assert "start data won" in text
+        assert "coefficients path" in text
 
     def test_serialized_keys_are_the_fields_in_order(self):
         fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79, noise_seed=3))
@@ -327,30 +317,41 @@ class TestFitNoiseCurve:
         assert all(type(v) is float for v in data["param_values"])
 
     def test_one_start_when_it_converges(self):
+        # The coefficients map inside the bounds: one solve, no other.
         fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79, noise_seed=6))
-        assert (fit.n_starts, fit.winning_start) == (1, "data")
-        assert fit.status > 0 and 0 < fit.nfev <= 2 * 400
-        user = fit_noise_curve(
-            synthetic(1.67, 0.76, 0.79, noise_seed=6), FitOptions(initial=(1.7, 0.75, 0.78, 0.0))
-        )
-        assert user.n_starts == 2 and user.winning_start in ("initial", "data")
-        assert user.chi_square <= fit.chi_square * (1.0 + 1e-9) + 1e-9
+        assert (fit.n_starts, fit.winning_start) == (1, "coefficients")
+        assert fit.status > 0 and 0 < fit.nfev <= 20
 
     @pytest.mark.parametrize("offset", [0.03, None])
     @pytest.mark.parametrize("gain", [1.05, 1.67, 3.0])
     @pytest.mark.parametrize("eta_c", [0.79, 1.0])
     def test_analytic_jacobian_matches_central_difference(self, offset, gain, eta_c):
-        # eta_c = 1.0 is the upper fit bound in both modes.
+        # The fit's analytic Jacobians of the weighted dB residuals: in
+        # (gain, eta_c, scale_db) at a fixed offset, and with no offset in
+        # the coefficients (a0, a1, a2) of that model at offset 0.03.
+        # eta_c = 1.0 is the upper fit bound.
         lam = np.linspace(0.0, 1.0, 21)
-        theta = np.array([gain, eta_c] if offset is not None else [gain, eta_c - 0.03, eta_c])
-        _, jac = _model_db(lam, theta, offset)
+        sigma = np.full(21, 0.05)
+        theta = np.array([gain, eta_c, 1.5])
+        if offset is None:
+            vp, vc, cr = joint_variance_quadratic(gain, eta_c - 0.03, eta_c)
+            theta = np.array([vp, cr, vc])
+            jac = _coefficient_jac(lam, sigma, theta)
+
+            def model_db(x):
+                return 10.0 * np.log10(x[0] + 2.0 * x[1] * lam + x[2] * lam * lam) / sigma
+        else:
+            jac = _parameter_jac(lam, sigma, theta, offset)
+
+            def model_db(x):
+                var = joint_variance(x[0], x[1] - offset, x[1], lam)
+                return (10.0 * np.log10(var) + x[2]) / sigma
+
         for i in range(theta.size):
             h = 1e-6 * max(1.0, abs(theta[i]))
             step = np.zeros(theta.size)
             step[i] = h
-            numeric = (
-                _model_db(lam, theta + step, offset)[0] - _model_db(lam, theta - step, offset)[0]
-            ) / (2.0 * h)
+            numeric = (model_db(theta + step) - model_db(theta - step)) / (2.0 * h)
             assert np.max(np.abs(jac[:, i] - numeric)) <= 1e-6 * np.max(np.abs(jac[:, i]))
 
     def test_never_worse_than_the_start_grid(self):
@@ -387,6 +388,26 @@ class TestFitNoiseCurve:
             reference = grid_chi_square(ds)
             assert fit_noise_curve(ds).chi_square <= reference * (1.0 + 1e-9) + 1e-9
 
+    @pytest.mark.parametrize("offset", [-0.2, -0.03, 0.03, 0.2])
+    def test_coefficients_map_back_to_one_physical_root(self, offset):
+        # Noiseless coefficients over the whole fit box.  Every one has
+        # exactly one root with both transmissions in [0, 1] (the cubic's
+        # other positive root has a negative one), and it is the truth.
+        # The gain comes back to 2.5e-13 everywhere, and eta_c to 8e-12
+        # for G >= 1.01.  Below that the coefficients barely fix eta_c:
+        # a2 - a0 = 2 s offset (G - 1) carries the rounding of a0 and a2,
+        # so at G = 1.001 eta_c comes back to 4.3e-7 (9.5e-9 at eta_c = 0).
+        lo, hi = max(0.0, offset), min(1.0, 1.0 + offset)
+        for gain in np.geomspace(1.001, 50.0, 25):
+            rel, floor = (1e-9, 1e-12) if gain >= 1.01 else (1e-6, 1e-7)
+            for eta_c in np.linspace(lo, hi, 21):
+                v_p, v_c, cross = joint_variance_quadratic(gain, eta_c - offset, eta_c)
+                rows = _shape_roots(3.7 * np.array([v_p, cross, v_c]), offset)
+                physical = rows[(rows[:, 1] >= lo - 1e-7) & (rows[:, 1] <= hi + 1e-7)]
+                assert len(physical) == 1, (gain, eta_c, rows)
+                assert physical[0, 0] == pytest.approx(gain, rel=1e-9)
+                assert abs(physical[0, 1] - eta_c) <= rel * eta_c + floor
+
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(
         gain=st.floats(1.05, 4.0),
@@ -415,7 +436,7 @@ class TestFitNoiseCurve:
         with pytest.raises(FitFailure, match=r"\(best residual cost 4\.25\)") as info:
             fit_noise_curve(synthetic(1.67, 0.76, 0.79))
         assert info.value.best_cost == 4.25
-        assert len(calls) == 11  # the data start, then the ten-start grid
+        assert len(calls) == 2  # the coefficient fit, then the bounded solve
 
     def test_params_accessor(self):
         fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79))
@@ -502,19 +523,19 @@ class TestExtractLambdaOpt:
         assert abs(est.value - 0.7962950314799236) < 1e-5
         assert est.fit_sigma is not None and est.fit_sigma >= 0.0
 
-    @pytest.mark.parametrize("offset", [0.03, None])
+    @pytest.mark.parametrize("offset", [0.03])
     def test_fit_sigma_equals_per_parameter_loop(self, offset):
         # Reference: one central difference of the unclamped weight
         # 2 sqrt(eta_p eta_c G (G - 1)) / V_c per parameter, as scalar
-        # calls; the steps are not clipped into the physical range, so a
-        # fit at eta_c = 1 gets its whole gradient.
+        # calls, against param_cov; the steps are not clipped into the
+        # physical range, so a fit at eta_c = 1 gets its whole gradient.
         ds = synthetic(1.2, 0.73, 0.76, noise_seed=2)
         fit = fit_noise_curve(ds, FitOptions(loss_offset=offset))
         x_hat = fit.param_values
 
         def weight(x):
-            gain, eta_c = x[0], x[-2]
-            eta_p = x[1] if offset is None else eta_c - offset
+            gain, eta_c = x[0], x[1]
+            eta_p = eta_c - offset
             return 2.0 * math.sqrt(eta_p * eta_c * gain * (gain - 1.0)) / (
                 1.0 + 2.0 * eta_c * (gain - 1.0)
             )

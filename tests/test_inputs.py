@@ -304,14 +304,11 @@ def _scan_text(edits, mangle):
 _FIT = st.tuples(
     st.lists(st.tuples(st.integers(0, 10), st.integers(0, 2), _number(0.5, 1.0)), max_size=2),
     st.sampled_from([None, None, "no header", "no rows", "1,2", "a,b,c", "1,2,3,4"]),
-    _flags(offset=_number(0.03, 0.0, -0.1),
-           initial=st.lists(_number(1.67, 0.76, 0.79, 0.0), min_size=4, max_size=4).map(",".join),
-           lambdas=_WEIGHTS),
-    st.booleans(),
+    _flags(offset=_number(0.03, 0.0, -0.1), lambdas=_WEIGHTS),
     st.booleans(),
 ).map(
     lambda t: (["fit", "--data", "{dir}/scan.csv", *t[2], "--out", "{dir}/fit.json"]
-               + ["--unconstrained"] * t[3] + ["--overlay", "{dir}/ov"] * t[4],
+               + ["--overlay", "{dir}/ov"] * t[3],
                {"scan.csv": _scan_text(t[0], t[1])})
 )
 _VERIFY = st.tuples(
