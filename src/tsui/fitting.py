@@ -33,7 +33,6 @@ from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import metrology
 # load_noise_csv is unused here; perfbench/workloads.py still reads it as fitting's.
@@ -64,6 +63,14 @@ _INFEASIBLE = 1e100
 _DB_PER_LN = 10.0 / math.log(10.0)
 # Bootstrap draws are generated and reduced this many at a time.
 _BOOTSTRAP_BLOCK = 1024
+
+
+def least_squares(*args, **kwargs):
+    """:func:`scipy.optimize.least_squares`, imported on the first fit:
+    scipy takes most of the start-up time of a process that runs none."""
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 class FitFailure(RuntimeError):

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .data import MAX_CUTOFF, check_range
 
@@ -52,6 +51,20 @@ MAX_BRANCH_CUTOFF = 60
 
 # moment_cutoff's bound on each mode's tail sum_{n > cutoff} n^2 p(n).
 MOMENT_TAIL_LIMIT = 1e-7
+
+# log n! for n <= MAX_CUTOFF + 1, past every photon number a state holds.
+_LOG_FACTORIAL = np.array([math.lgamma(n + 1.0) for n in range(MAX_CUTOFF + 2)])
+
+
+def _xlog(x: np.ndarray, log, y: float) -> np.ndarray:
+    # x log(y) for integers x >= 0 and a scalar y, with log math.log or
+    # math.log1p: 0 where x = 0, so 0 log 0 = 0, and -inf where log(y) is.
+    try:
+        log_y = log(y)
+    except ValueError:  # math's log of 0
+        log_y = -math.inf
+    with np.errstate(invalid="ignore"):
+        return np.where(x == 0, 0.0, x * log_y)
 
 
 class TruncationError(RuntimeError):
@@ -95,6 +108,7 @@ class FockState:
             raise ValueError(
                 f"amplitudes must be a real square matrix, got {psi.dtype} {psi.shape}"
             )
+        check_range("cutoff", psi.shape[0] - 1)
         object.__setattr__(self, "amplitudes", psi)
         object.__setattr__(self, "eta_p", check_range("eta_p", self.eta_p))
         object.__setattr__(self, "eta_c", check_range("eta_c", self.eta_c))
@@ -179,13 +193,13 @@ def _amplitudes(gain: float, alpha: float, cutoff: int) -> np.ndarray:
     check_range("cutoff", cutoff)
     r = math.acosh(math.sqrt(gain))
     # Amplitudes sit on the block's lower triangle, psi[i, k] with i >= k
-    # and seed photon number n = i - k; xlogy(0, 0) = 0 keeps the exact
+    # and seed photon number n = i - k; 0 log 0 = 0 keeps the exact
     # coherent state at G = 1 and the exact ladder at alpha = 0.
     k, i = np.triu_indices(cutoff + 1)
     n = i - k
     log_amp = (
-        -0.5 * alpha * alpha + xlogy(n, alpha) + xlogy(k, math.tanh(r))
-        + 0.5 * gammaln(i + 1) - gammaln(n + 1) - 0.5 * gammaln(k + 1)
+        -0.5 * alpha * alpha + _xlog(n, math.log, alpha) + _xlog(k, math.log, math.tanh(r))
+        + 0.5 * _LOG_FACTORIAL[i] - _LOG_FACTORIAL[n] - 0.5 * _LOG_FACTORIAL[k]
         - (n + 1) * math.log(math.cosh(r))
     )
     psi = np.zeros((cutoff + 1, cutoff + 1))
@@ -229,12 +243,12 @@ def _loss_weights(eta: float, dim: int) -> np.ndarray:
     # Losing k photons maps |n> to w[k, n] |n - k>: the Kraus operator K_k
     # has the one nonzero diagonal K_k[n - k, n] = w[k, n] =
     # sqrt(binom(n, k) eta^(n-k) (1 - eta)^k), zero for n < k.  Log-space
-    # binomials keep large n stable, and xlogy(0, 0) = 0 gives the exact
+    # binomials keep large n stable, and 0 log 0 = 0 gives the exact
     # identity at eta = 1 and the exact vacuum map at eta = 0.
     k, n = np.triu_indices(dim)
     log_w = (
-        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-        + xlogy(n - k, eta) + xlog1py(k, -eta)
+        _LOG_FACTORIAL[n] - _LOG_FACTORIAL[k] - _LOG_FACTORIAL[n - k]
+        + _xlog(n - k, math.log, eta) + _xlog(k, math.log1p, -eta)
     )
     weights = np.zeros((dim, dim))
     weights[k, n] = np.exp(0.5 * log_w)

@@ -475,13 +475,14 @@ def _factor(gram: np.ndarray) -> np.ndarray:
 
 
 def _layout(config: SimConfig, band: _Band) -> list:
-    """A scan's draw groups ``(F, reads, segments, blocks, tone phases)``.
+    """A scan's draw groups ``(F, reads, segments, blocks, tone phases, part)``.
 
     With blocks of at least a segment, a segment lies in one block or is
-    cut once, at c, into [0, c) and [c, n).  Whole segments come first,
-    then each cut in ascending order, [0, c) before [c, n).  F factors the
-    Gram of a part's rows: closed form for a whole segment, and summed
-    from the pieces between cuts for the rest, one pass for any cuts."""
+    cut once, at c, into [0, c) and [c, n).  Whole segments come first
+    (part 0), then each cut in ascending order, [0, c) (part 1) just
+    before [c, n) (part 2).  F factors the Gram of a part's rows: closed
+    form for a whole segment, and summed from the pieces between cuts for
+    the rest, one pass for any cuts."""
     n, block = band.nperseg, _block_samples(config)
     if block < n:
         raise ValueError(
@@ -495,17 +496,18 @@ def _layout(config: SimConfig, band: _Band) -> list:
     step = 2.0 * math.pi * config.tone_freq / config.sample_rate
     gram, reads = _pieces(band, [0, *cuts, n], step, grams=bool(cuts))
     whole = np.flatnonzero(cut >= n)
-    groups = [(band.scale**2 * _band_gram(n, band.bins), reads.sum(axis=0), whole, first[whole])]
+    whole_gram = band.scale**2 * _band_gram(n, band.bins)
+    groups = [(whole_gram, reads.sum(axis=0), whole, first[whole], 0)]
     # [0, c_k) sums the pieces before cut k, [c_k, n) those after it.
     head, head_reads = np.cumsum(gram, axis=0), np.cumsum(reads, axis=0)
     tail, tail_reads = np.cumsum(gram[::-1], axis=0)[::-1], np.cumsum(reads[::-1], axis=0)[::-1]
     for k, c in enumerate(cuts):
         segments = np.flatnonzero(cut == c)
-        groups += [(head[k], head_reads[k], segments, first[segments])]
-        groups += [(tail[k + 1], tail_reads[k + 1], segments, first[segments] + 1)]
+        groups += [(head[k], head_reads[k], segments, first[segments], 1)]
+        groups += [(tail[k + 1], tail_reads[k + 1], segments, first[segments] + 1, 2)]
     return [
-        (_factor(g), r, segments, blocks, step * start[segments])
-        for g, r, segments, blocks in groups
+        (_factor(g), r, segments, blocks, step * start[segments], part)
+        for g, r, segments, blocks, part in groups
         if segments.size
     ]
 
@@ -519,7 +521,10 @@ def _segment_sums(config: SimConfig, trial: int, band: _Band, layout: list) -> n
     whose (W, U) covariance is S, a part gets W = sqrt(S_WW) xi_0 @ F and
     U = S_WU / sqrt(S_WW) xi_0 @ F + sqrt(det S / S_WW) xi_1 @ F plus its
     mean.  S_WW and det S are sums of nonnegative terms (C <= 0), so at
-    high gain, where P and C nearly cancel in U, U keeps its digits.
+    high gain, where P and C nearly cancel in U, U keeps its digits.  A
+    whole segment's sums are taken from its run at once; only the spectra
+    of the segments at one cut are held, from their first part to their
+    second.
     """
     rng = np.random.default_rng([config.rng_seed, trial])
     p, var = config.params, config.electronic_noise_var
@@ -532,20 +537,37 @@ def _segment_sums(config: SimConfig, trial: int, band: _Band, layout: list) -> n
     l_w, l_u = np.sqrt(s_ww), np.sqrt(det / s_ww)
     l_uw = 2.0 * (p.eta_p - p.eta_c) * (p.gain - 1.0) / l_w  # S_WU = V_p - V_c
     o_p, o_c = carrier_p * np.sin(e_p), carrier_c * np.sin(e_c)
+    o_w, o_u = o_p - o_c, o_p + o_c
     tone = carrier_p * config.tone_depth * np.cos(e_p)
-    spectra = np.zeros((2, band.n_seg, band.basis.shape[1]))
-    for factor, reads, segments, blocks, phases in layout:
+
+    def band_sums(w, u):
+        return np.stack([_cross_power(u, u), _cross_power(u, w), _cross_power(w, w)])
+
+    sums = np.empty((3, band.n_seg))
+    for factor, reads, segments, blocks, phases, part in layout:
         step = _CHUNK // max(2 * len(factor), 1)
+        if part == 1:
+            cut = np.empty((2, segments.size, band.basis.shape[1]))
         for lo in range(0, segments.size, step):
             g, b = segments[lo : lo + step], blocks[lo : lo + step, np.newaxis]
             y = rng.standard_normal((g.size, 2, len(factor))) @ factor
-            # The tone sin(omega (t0 + t)) of a segment starting at t0.
-            phase = phases[lo : lo + step, np.newaxis]
-            mean = tone[b] * (np.sin(phase) * reads[1] + np.cos(phase) * reads[2])
-            spectra[0, g] += l_w[b] * y[:, 0] + (o_p - o_c)[b] * reads[0] + mean
-            spectra[1, g] += l_uw[b] * y[:, 0] + l_u[b] * y[:, 1] + (o_p + o_c)[b] * reads[0] + mean
-    w, u = spectra
-    return np.stack([_cross_power(u, u), _cross_power(u, w), _cross_power(w, w)])
+            w = l_w[b] * y[:, 0] + o_w[b] * reads[0]
+            u = l_uw[b] * y[:, 0] + l_u[b] * y[:, 1] + o_u[b] * reads[0]
+            if config.tone_depth:  # else the tone's mean is 0 and adds nothing
+                # The tone sin(omega (t0 + t)) of a segment starting at t0.
+                phase = phases[lo : lo + step, np.newaxis]
+                mean = tone[b] * (np.sin(phase) * reads[1] + np.cos(phase) * reads[2])
+                w += mean
+                u += mean
+            if part == 0:
+                sums[:, g] = band_sums(w, u)
+            elif part == 1:
+                cut[:, lo : lo + step] = w, u
+            else:
+                cut[:, lo : lo + step] += w, u
+        if part == 2:
+            sums[:, segments] = band_sums(*cut)
+    return sums
 
 
 _PARAM_KEYS = tuple(f.name for f in fields(InterferometerParams))

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult
 
+import tsui
 from tsui import cli, fock, simulate
 from tsui.cli import main, parse_span
 from tsui.data import NoiseDataset, format_csv, load_noise_csv
@@ -808,3 +811,42 @@ class TestParser:
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
+
+
+class TestStartup:
+    # Runs each argv through cli.main in a fresh interpreter and prints,
+    # per command, its exit code and whether any scipy module is loaded.
+    SCRIPT = (
+        "import contextlib, io, json, sys\n"
+        "from tsui import cli\n"
+        "seen = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    seen.append([code, any(m.partition('.')[0] == 'scipy' for m in sys.modules)])\n"
+        "print(json.dumps(seen))\n"
+    )
+
+    def test_only_a_fit_loads_scipy(self, tmp_path):
+        # The solver is imported on the first fit: curves, verify,
+        # lambda-opt and simulate run without scipy, and the fit after
+        # them loads it.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("gain = 1.67\neta_p = 0.76\neta_c = 0.79\nduration = 0.004\nrng_seed = 3\n")
+        scan = str(tmp_path / "scan.csv")
+        runs = [
+            ["curves", "fig3", "--gain", "1:2:0.5", "--out", str(tmp_path / "fig3.csv")],
+            ["verify"],
+            ["lambda-opt", "--gain", "2.0", "--numeric"],
+            ["simulate", "--config", str(cfg), "--lambdas", "0:1:0.25", "--trials", "1",
+             "--out", scan],
+            ["fit", "--data", scan, "--out", str(tmp_path / "fit.json")],
+        ]
+        src = os.path.dirname(os.path.dirname(tsui.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(runs)],
+            capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [[0, False]] * 4 + [[0, True]]

@@ -89,6 +89,30 @@ class TestBuild:
             with pytest.raises(ValueError, match="no cutoff up to 400"):
                 fock.moment_cutoff(gain, alpha)
 
+    def test_log_factorial_table(self):
+        # log n! for every photon number up to MAX_CUTOFF + 1, each within
+        # 1e-15 of scipy's log-gamma (both are exactly 0 at n = 0 and 1).
+        n = np.arange(fock.MAX_CUTOFF + 2)
+        table = fock._LOG_FACTORIAL
+        assert table.shape == n.shape
+        assert np.all(np.abs(table - gammaln(n + 1)) <= 1e-15 * gammaln(n + 1))
+
+    def test_build_at_max_cutoff_reads_inside_the_table(self, monkeypatch):
+        # A state at MAX_CUTOFF, lossy on both arms, reads log n! only for
+        # n <= MAX_CUTOFF: the same moments from the table cut there.  A
+        # block past MAX_CUTOFF is refused before any table read.
+        def bundle():
+            state, _ = build_seeded_tmss_fock(1.67, 1.0, cutoff=fock.MAX_CUTOFF)
+            state = apply_loss_fock(apply_loss_fock(state, 0.76, "probe"), 0.79, "conjugate")
+            return state.amplitudes, oracle_moment_bundle(state, [0.0, 0.5, 1.0])["joint"]
+
+        full = bundle()
+        monkeypatch.setattr(fock, "_LOG_FACTORIAL", fock._LOG_FACTORIAL[: fock.MAX_CUTOFF + 1])
+        cut = bundle()
+        assert all(np.array_equal(a, b) for a, b in zip(full, cut))
+        with pytest.raises(ValueError, match="cutoff must lie in"):
+            FockState(np.eye(fock.MAX_CUTOFF + 2))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             build_seeded_tmss_fock(0.5, 0.0)
@@ -172,13 +196,14 @@ class TestLossChannel:
     def test_kraus_matches_per_outcome_loop(self):
         # The vectorised weights against the per-outcome loop they
         # replaced, same arithmetic in the same order, so bit for bit.
+        log_factorial = fock._LOG_FACTORIAL
         for eta in (1e-300, 0.37, 0.76, 1.0 - 1e-12):
             for dim in (12, 41):
                 expected = np.zeros((dim, dim))
                 for k in range(dim):
                     n = np.arange(k, dim)
                     log_w = (
-                        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                        log_factorial[n] - log_factorial[k] - log_factorial[n - k]
                         + (n - k) * math.log(eta) + k * math.log1p(-eta)
                     )
                     expected[k, n] = np.exp(0.5 * log_w)
