@@ -83,6 +83,8 @@ def _parse_eta(text: str) -> tuple[float, float]:
 def _check_outputs(*paths: str) -> None:
     # Fail before the work if an output cannot be written where it is asked.
     for path in paths:
+        if not path:
+            raise ValueError("cannot write an empty output path")
         if os.path.isdir(path):
             raise ValueError(f"cannot write {path}: it is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):

@@ -17,7 +17,9 @@ A scan draws band spectra, not samples: within a jitter block the arms
 are white Gaussian noise, so the in-band spectra of a zero-overlap Hann
 segment, or of its part in one block, are N(mean, S x G), with S the
 arms' 2 x 2 covariance and G the Gram matrix of the part's in-band DFT
-rows (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)).
+rows (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)).  Reads and
+Grams alike come from one set of windowed rows (:func:`_rows`), at any
+segment length.
 """
 
 from __future__ import annotations
@@ -275,9 +277,9 @@ class _Band:
     """Welch readout of one band: Hann-windowed, zero-overlap segments of
     ``nperseg`` samples, bin spacing rbw / 8, the ``bins`` within rbw / 2
     of the center.  Row t of ``basis`` holds [cos | -sin] of each bin at
-    segment position t times ``scale``, the readout's normalization, and
-    the window for segments of at most ``_CHUNK`` samples; longer ones get
-    ``_CHUNK`` rows without it, turned to each block by :func:`_twiddle`.
+    segment position t, for the first min(``nperseg``, ``_CHUNK``)
+    positions; :func:`_rows` windows them, scales them by ``scale``, the
+    readout's normalization, and turns them to any run of positions.
     """
 
     nperseg: int
@@ -311,39 +313,34 @@ def _band(n_samples: int, sample_rate: float, center_freq: float, rbw: float) ->
     bins = k[np.abs(k * df - center_freq) <= rbw / 2.0]
     if bins.size == 0:
         raise ValueError("no analysis bins fall inside the requested band")
-    rows = min(nperseg, _CHUNK)
-    t = np.arange(rows)
+    t = np.arange(min(nperseg, _CHUNK))
     # (t k) mod nperseg is exact, so every angle stays below 2 pi.
     angle = (2.0 * math.pi / nperseg) * (np.outer(t, bins) % nperseg)
     # One-sided PSD 2|X|^2 / (fs W) integrated over the band (times df),
     # over the white-noise reference 2 n_bins df / fs: |X|^2 / (W n_bins),
     # where the squared Hann window sums to W = 3 (nperseg - 1) / 8.
     scale = 1.0 / math.sqrt(3.0 * (nperseg - 1) / 8.0 * bins.size)
-    weight = scale * _hann(t, nperseg) if rows == nperseg else np.full(rows, scale)
-    basis = np.empty((rows, 2 * bins.size))
-    np.multiply(np.cos(angle), weight[:, np.newaxis], out=basis[:, : bins.size])
-    np.multiply(np.sin(angle), -weight[:, np.newaxis], out=basis[:, bins.size :])
+    basis = np.hstack([np.cos(angle), -np.sin(angle)])
     return _Band(nperseg, n_samples // nperseg, bins, basis, scale)
 
 
 def _twiddle(band: _Band, x: np.ndarray, offset: int) -> np.ndarray:
-    """Turn [cos | -sin] columns, or spectra read through them, from
-    segment position 0 to ``offset``: exp(-2 pi i k offset / n) per bin."""
+    """Turn [cos | -sin] columns from segment position 0 to ``offset``:
+    exp(-2 pi i k offset / n) per bin, as one product with a block
+    rotation, exact at offset 0."""
     phi = (2.0 * math.pi / band.nperseg) * ((band.bins * offset) % band.nperseg)
-    re, im = np.split(x, 2, axis=-1)
-    return np.concatenate(
-        [re * np.cos(phi) + im * np.sin(phi), im * np.cos(phi) - re * np.sin(phi)], axis=-1
-    )
+    cos, sin = np.diag(np.cos(phi)), np.diag(np.sin(phi))
+    return x @ np.block([[cos, -sin], [sin, cos]])
 
 
-def _read(band: _Band, x: np.ndarray, lo: int) -> np.ndarray:
-    """In-band DFT (..., 2 n_bins) of samples ``x`` (..., size <= ``_CHUNK``)
-    at segment positions lo .. lo + size - 1: one GEMM, then in a long
-    segment (windowed samples, unwindowed basis) one twiddle."""
-    n, size = band.nperseg, x.shape[-1]
-    if n <= _CHUNK:
-        return x @ band.basis[lo : lo + size]
-    return _twiddle(band, (x * _hann(np.arange(lo, lo + size), n)) @ band.basis[:size], lo)
+def _rows(band: _Band, lo: int, hi: int) -> np.ndarray:
+    """The readout's rows (hi - lo, 2 n_bins) at segment positions
+    [lo, hi), hi - lo <= ``_CHUNK``: the basis times ``scale`` and the
+    Hann window, turned to lo.  A run's samples read through them give its
+    share of the segment's band spectra, and their Gram its share of G."""
+    rows = _twiddle(band, band.basis[: hi - lo], lo)
+    rows *= band.scale * _hann(np.arange(lo, hi), band.nperseg)[:, np.newaxis]
+    return rows
 
 
 def _band_spectra(band: _Band, series: np.ndarray) -> np.ndarray:
@@ -352,16 +349,14 @@ def _band_spectra(band: _Band, series: np.ndarray) -> np.ndarray:
     imaginary parts], scaled so that its squared norm is the segment's
     normalized band power: unit-variance white noise averages to 1."""
     n = band.nperseg
-    if n <= _CHUNK:
-        segments = series[: band.n_seg * n].reshape(band.n_seg, n)
-        step = _CHUNK // n  # segments per GEMM, which the product's rounding depends on
-        return np.concatenate(
-            [_read(band, segments[g : g + step], 0) for g in range(0, band.n_seg, step)]
-        )
-    return np.array([
-        sum(_read(band, series[g * n + lo : g * n + hi], lo) for lo, hi in _runs(0, n, _CHUNK))
-        for g in range(band.n_seg)
-    ])
+    segments = series[: band.n_seg * n].reshape(band.n_seg, n)
+    step = max(_CHUNK // n, 1)  # segments per GEMM, which the product's rounding depends on
+    spectra = np.zeros((band.n_seg, band.basis.shape[1]))
+    for lo, hi in _runs(0, n, _CHUNK):
+        rows = _rows(band, lo, hi)
+        for g in range(0, band.n_seg, step):
+            spectra[g : g + step] += segments[g : g + step, lo:hi] @ rows
+    return spectra
 
 
 def _cross_power(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -405,61 +400,18 @@ def spectrum_power(
     )
 
 
-def _sinpi(num: np.ndarray, den: int) -> np.ndarray:
-    """sin(pi num / den) for integer ``num``, reduced exactly to |angle| <= pi / 2."""
-    r = num % (2 * den)
-    sign = np.where(r < den, 1.0, -1.0)
-    r = r % den
-    return sign * np.sin(np.pi * np.minimum(r, den - r) / den)
-
-
-# The squared Hann window as cosines: w(t)^2 = sum_j c_j exp(i j theta t)
-# with theta = 2 pi / (nperseg - 1), as ((j, c_j), ...).
-_HANN_SQUARED = ((-2, 1 / 16), (-1, -1 / 4), (0, 3 / 8), (1, -1 / 4), (2, 1 / 16))
-
-
-def _band_gram(nperseg: int, bins: np.ndarray) -> np.ndarray:
-    """Gram matrix of a whole Hann segment's in-band DFT rows, unscaled,
-    in O(n_bins^2) at any segment length.  Each entry is a sum
-    E(d) = sum_t w(t)^2 exp(2 pi i d t / n) at a bin difference or sum d:
-    five Dirichlet kernels, as w^2 is three cosines, each at an integer
-    ratio psi / 2 pi = (d (n - 1) + j n) / (n (n - 1)) whose sines reduce
-    exactly."""
-    n = nperseg
-    q = n * (n - 1)
-    d = np.concatenate([np.subtract.outer(bins, bins), np.add.outer(bins, bins)])
-    e = np.zeros(d.shape, dtype=complex)
-    for j, c in _HANN_SQUARED:
-        p = d * (n - 1) + j * n
-        # psi is a multiple of 2 pi only at j = 0 on the difference diagonal.
-        whole = p % q == 0
-        kernel = _sinpi(p, n - 1) / np.where(whole, 1.0, _sinpi(p, q))
-        phase = _sinpi(n - 2 * p, 2 * n) + 1j * _sinpi(p, n)
-        e += c * np.where(whole, n, phase * kernel)
-    diff, total = np.split(e, 2)
-    # cos a cos b, sin a sin b and cos a (-sin b) as halves of E(a -+ b).
-    cc = 0.5 * (diff.real + total.real)
-    ss = 0.5 * (diff.real - total.real)
-    cs = 0.5 * (diff.imag - total.imag)
-    return np.block([[cc, cs], [cs.T, ss]])
-
-
-def _pieces(band: _Band, edges: list[int], tone_step: float, grams: bool) -> tuple:
-    """Gram matrices (if ``grams``) and reads of the segment positions
-    between consecutive ``edges``, in one pass over their basis rows.  The
-    reads are the rows read against 1, cos(tone_step t) and sin(tone_step t):
-    a unit offset's and the tone's two quadratures' band spectra."""
-    n, m = band.nperseg, band.basis.shape[1]
+def _pieces(band: _Band, edges: list[int], tone_step: float) -> tuple:
+    """Gram matrices and reads of the segment positions between consecutive
+    ``edges``, in one pass over their rows (:func:`_rows`).  The reads are
+    the rows read against 1, cos(tone_step t) and sin(tone_step t): a unit
+    offset's and the tone's two quadratures' band spectra."""
+    m = band.basis.shape[1]
     gram, reads = np.zeros((len(edges) - 1, m, m)), np.zeros((len(edges) - 1, 3, m))
     for i, (s0, s1) in enumerate(zip(edges, edges[1:])):
         for lo, hi in _runs(s0, s1, _CHUNK):
-            angle = tone_step * np.arange(lo, hi)
-            reads[i] += _read(band, np.stack([np.ones(hi - lo), np.cos(angle), np.sin(angle)]), lo)
-            if grams and n <= _CHUNK:
-                gram[i] += band.basis[lo:hi].T @ band.basis[lo:hi]
-            elif grams:  # the cached basis's window-squared Gram, turned to lo on both sides
-                base = _hann(np.arange(lo, hi), n)[:, np.newaxis] * band.basis[: hi - lo]
-                gram[i] += _twiddle(band, _read(band, base.T, lo).T, lo)
+            rows, angle = _rows(band, lo, hi), tone_step * np.arange(lo, hi)
+            reads[i] += np.stack([np.ones(hi - lo), np.cos(angle), np.sin(angle)]) @ rows
+            gram[i] += rows.T @ rows
     return gram, reads
 
 
@@ -480,9 +432,9 @@ def _layout(config: SimConfig, band: _Band) -> list:
     With blocks of at least a segment, a segment lies in one block or is
     cut once, at c, into [0, c) and [c, n).  Whole segments come first
     (part 0), then each cut in ascending order, [0, c) (part 1) just
-    before [c, n) (part 2).  F factors the Gram of a part's rows: closed
-    form for a whole segment, and summed from the pieces between cuts for
-    the rest, one pass for any cuts."""
+    before [c, n) (part 2).  F factors the Gram of a part's rows, summed
+    from the pieces between cuts in one pass: a whole segment's Gram and
+    reads are the sums over all its pieces."""
     n, block = band.nperseg, _block_samples(config)
     if block < n:
         raise ValueError(
@@ -494,12 +446,12 @@ def _layout(config: SimConfig, band: _Band) -> list:
     cut = (first + 1) * block - start  # the next block edge
     cuts = np.unique(cut[cut < n]).tolist()
     step = 2.0 * math.pi * config.tone_freq / config.sample_rate
-    gram, reads = _pieces(band, [0, *cuts, n], step, grams=bool(cuts))
-    whole = np.flatnonzero(cut >= n)
-    whole_gram = band.scale**2 * _band_gram(n, band.bins)
-    groups = [(whole_gram, reads.sum(axis=0), whole, first[whole], 0)]
-    # [0, c_k) sums the pieces before cut k, [c_k, n) those after it.
+    gram, reads = _pieces(band, [0, *cuts, n], step)
+    # [0, c_k) sums the pieces before cut k, [c_k, n) those after it, and
+    # the whole segment all of them.
     head, head_reads = np.cumsum(gram, axis=0), np.cumsum(reads, axis=0)
+    whole = np.flatnonzero(cut >= n)
+    groups = [(head[-1], head_reads[-1], whole, first[whole], 0)]
     tail, tail_reads = np.cumsum(gram[::-1], axis=0)[::-1], np.cumsum(reads[::-1], axis=0)[::-1]
     for k, c in enumerate(cuts):
         segments = np.flatnonzero(cut == c)

@@ -634,6 +634,29 @@ class TestFit:
         assert code == 2
 
 
+class TestEmptyOutput:
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_empty_out_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch, command):
+        # "" is no directory, and the directory of its absolute path (the
+        # parent of the working one) exists: it used to pass the check, so
+        # the scan or fit ran and only the write failed.
+        calls = []
+        monkeypatch.setattr(simulate, "measure_noise_vs_lambda", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli.fitting, "fit_noise_curve", lambda *args: calls.append(args))
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("gain = 1.67\nduration = 0.004\n")
+        data = tmp_path / "scan.csv"
+        write_scan_csv(data, 1.67, 0.76, 0.79)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        source = ["--config", str(cfg)] if command == "simulate" else ["--data", str(data)]
+        assert main([command, *source, "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: cannot write an empty output path\n"
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["scan.csv", "sim.cfg", "work"]
+
+
 class TestVerify:
     def test_default_run_passes(self, capsys):
         assert main(["verify"]) == 0

@@ -613,22 +613,37 @@ class TestInBandNoise:
         # has one row per kept eigenvalue).
         band = simulate._band(2**20, FS, 1e6, 8 * FS / nperseg)
         assert band.nperseg == nperseg
-        ref = dense_band_gram(nperseg, band.bins)
-        gram = simulate._band_gram(nperseg, band.bins)
+        ref = dense_band_gram(nperseg, band.bins) * band.scale**2
+        ((gram,), _) = simulate._pieces(band, [0, nperseg], 0.0)
         assert np.abs(gram - ref).max() <= 1e-12 * np.abs(ref).max()
         short = 2 * band.bins.size - 5
         for s0, s1 in ((0, nperseg), (0, short), (short, nperseg), (0, 250), (250, nperseg)):
             # The factor reproduces the readout's scaled Gram.
             scaled = dense_band_gram(nperseg, band.bins, s0, s1) * band.scale**2
-            if (s0, s1) == (0, nperseg):
-                gram = simulate._band_gram(nperseg, band.bins) * band.scale**2
-            else:
-                ((gram,), _) = simulate._pieces(band, [s0, s1], 0.0, grams=True)
+            ((gram,), _) = simulate._pieces(band, [s0, s1], 0.0)
             factor = simulate._factor(gram)
             assert np.array_equal(factor, np.triu(factor))
             assert np.all(np.diag(factor) >= 0.0)
             assert np.abs(factor.T @ factor - scaled).max() <= 1e-12 * np.abs(scaled).max()
             assert len(factor) <= min(s1 - s0, len(scaled))
+
+    @pytest.mark.parametrize("jitter_block", [None, 0.0007])
+    def test_layout_whole_segments_factor_dense_gram(self, jitter_block):
+        # Without jitter every segment is whole; 5600-sample blocks cut
+        # most 640-sample segments, and the whole ones sum every piece
+        # between the cuts.  Either way the whole-segment group's F^T F is
+        # the dense Gram of the segment's rows.
+        extra = {} if jitter_block is None else {
+            "lock_jitter_rms": 0.05, "jitter_block": jitter_block
+        }
+        cfg = config(duration=MEDIUM, rng_seed=12, **extra)
+        band = simulate._band(cfg.n_samples, FS, 1e6, 1e5)
+        layout = simulate._layout(cfg, band)
+        factor, _, segments, _, _, part = layout[0]
+        assert part == 0 and segments.size > 0
+        assert (len(layout) > 1) == (jitter_block is not None)
+        ref = dense_band_gram(band.nperseg, band.bins) * band.scale**2
+        assert np.abs(factor.T @ factor - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name", sorted(TestParallelScan.CONFIGS))
     def test_scan_matches_time_domain_draw_in_distribution(self, name):
