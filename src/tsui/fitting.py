@@ -31,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,9 +54,9 @@ __all__ = [
 _GAIN_BOUNDS = (1.0, 50.0)
 _SCALE_BOUNDS = (-80.0, 80.0)
 _CONDITION_LIMIT = 1e12
-# Residual-evaluation budget per solve, and ftol/xtol/gtol of the solver.
+# Residual-evaluation budget per solve, and ftol = xtol = gtol of the solver.
 _MAX_NFEV = 400
-_SOLVER = {"ftol": 1e-10, "xtol": 1e-10, "gtol": 1e-10, "max_nfev": _MAX_NFEV}
+_TOL = 1e-10
 # Residual of a trial step whose quadratic is not positive at every weight:
 # larger than any finite fit's, so the step is rejected.
 _INFEASIBLE = 1e100
@@ -63,14 +64,114 @@ _INFEASIBLE = 1e100
 _DB_PER_LN = 10.0 / math.log(10.0)
 # Bootstrap draws are generated and reduced this many at a time.
 _BOOTSTRAP_BLOCK = 1024
+# Start grid of the bounded solve: G - 1 geometric from _GRID_FLOOR to its
+# bound (the first rows resolve the face G = 1, where C grows as sqrt(G - 1)),
+# eta_c linear over its box.
+_GRID_GAINS, _GRID_ETAS = 25, 21
+_GRID_FLOOR = 1e-6
 
 
-def least_squares(*args, **kwargs):
-    """:func:`scipy.optimize.least_squares`, imported on the first fit:
-    scipy takes most of the start-up time of a process that runs none."""
-    from scipy.optimize import least_squares as solve
+class _Solve(NamedTuple):
+    """One :func:`least_squares` run: the point, its cost 0.5 |r|^2, the
+    status (> 0 converged), the residual and Jacobian evaluations, and per
+    variable -1 / 1 where it lies within xtol of its lower / upper bound."""
 
-    return solve(*args, **kwargs)
+    x: np.ndarray
+    cost: float
+    status: int
+    nfev: int
+    njev: int
+    active_mask: np.ndarray
+
+
+def least_squares(fun, x0, jac, lower=None, upper=None) -> _Solve:
+    """Minimize 0.5 |fun(x)|^2 over lower <= x <= upper by Levenberg-Marquardt.
+
+    Each step solves (J^T J + mu D^2) h = -J^T r through the SVD of J D^-1,
+    with Marquardt's scaling D (the largest column norms of J so far) and
+    Nielsen's update of mu (Moré, Lecture Notes in Mathematics 630, 105
+    (1978); Madsen, Nielsen & Tingleff, *Methods for non-linear least
+    squares problems*, DTU (2004)); ``jac(x)`` gives J.  A variable on a
+    bound whose gradient or step points out of the box is held there and
+    the step re-solved over the others (an active set); the step is then
+    clipped to the box.  A trial point with non-finite residuals is
+    rejected like one that raises the cost.
+
+    The status is 1 when no free column of J has a cosine above gtol with
+    the residuals, 2 when a step's actual and predicted cost reductions are
+    both at most ftol of the cost (and their ratio at most 2), 3 when the
+    scaled step is at most xtol of the scaled point, 4 for 2 and 3 at once,
+    and 0 when ``_MAX_NFEV`` residual evaluations ran out or the residuals
+    at the start, or J, are not finite.  ftol = xtol = gtol = ``_TOL``.
+    ``perfbench/tracer.py`` wraps the solver by this name.
+    """
+    x = np.asarray(x0, dtype=float)
+    lower = np.full(x.size, -np.inf) if lower is None else lower
+    upper = np.full(x.size, np.inf) if upper is None else upper
+    x = np.clip(x, lower, upper)
+    r = fun(x)
+    nfev, njev, status = 1, 0, 0
+    cost = 0.5 * float(r @ r) if np.all(np.isfinite(r)) else math.inf
+    # mu starts at 1e-6 of the largest diagonal entry of the first scaled
+    # J^T J (whose columns have unit norm), as suits a start near the minimum.
+    scale, mu, nu = np.zeros(x.size), 1e-6, 2.0
+    while math.isfinite(cost) and status == 0 and nfev < _MAX_NFEV:
+        j = jac(x)
+        njev += 1
+        if not np.all(np.isfinite(j)):
+            break
+        norms = np.sqrt(np.sum(j * j, axis=0))
+        scale = np.maximum(scale, norms)
+        d = np.where(scale > 0.0, scale, 1.0)
+        grad = j.T @ r
+        held = ((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cosine = np.abs(grad) / (norms * math.sqrt(2.0 * cost))
+        if cost == 0.0 or np.all(held | ~(cosine > _TOL)):
+            status = 1
+            break
+        while True:
+            trial = np.clip(x + _lm_step(j / d, r, mu, ~held, x, lower, upper) / d, lower, upper)
+            h = trial - x
+            predicted = cost - 0.5 * float(np.sum((r + j @ h) ** 2))
+            r_trial = fun(trial)
+            nfev += 1
+            finite = np.all(np.isfinite(r_trial))
+            cost_trial = 0.5 * float(r_trial @ r_trial) if finite else math.inf
+            actual = cost - cost_trial
+            rho = actual / predicted if predicted > 0.0 else -1.0
+            small_f = predicted <= _TOL * cost and abs(actual) <= _TOL * cost and rho <= 2.0
+            small_x = np.linalg.norm(d * h) <= _TOL * np.linalg.norm(d * x)
+            accepted = rho > 1e-4
+            if accepted:
+                x, r, cost = trial, r_trial, cost_trial
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu = 2.0
+            else:
+                mu, nu = mu * nu, 2.0 * nu
+            if small_f or small_x:
+                status = 4 if small_f and small_x else 2 if small_f else 3
+            if status or accepted or nfev >= _MAX_NFEV:
+                break
+    atol = _TOL * np.maximum(1.0, np.abs(x))
+    active = np.where(x - lower <= atol, -1, np.where(upper - x <= atol, 1, 0))
+    return _Solve(x, cost, status, nfev, njev, active)
+
+
+def _lm_step(j: np.ndarray, r: np.ndarray, mu: float, free, x, lower, upper) -> np.ndarray:
+    """Scaled step z minimizing |r + J z|^2 + mu |z|^2 over the ``free``
+    variables: one on a bound whose step points out of the box is dropped
+    and the rest re-solved."""
+    z = np.zeros(x.size)
+    while free.any():
+        u, s, vt = np.linalg.svd(j[:, free], full_matrices=False)
+        z[:] = 0.0
+        z[free] = -vt.T @ (s / (s * s + mu) * (u.T @ r))
+        out = free & (((x <= lower) & (z < 0.0)) | ((x >= upper) & (z > 0.0)))
+        if not out.any():
+            return z
+        free &= ~out
+    return np.zeros(x.size)
 
 
 class FitFailure(RuntimeError):
@@ -118,7 +219,9 @@ class FitResult:
     (the coefficient fit mapped inside the bounds) or "bound" (the bounded
     solve that runs otherwise).  ``n_starts`` counts the solver runs,
     ``nfev`` their residual plus Jacobian evaluations, and ``status`` is
-    the returned run's solver status (> 0 converged).
+    the returned run's :func:`least_squares` status: 1 the gradient test
+    (gtol), 2 the relative-reduction test (ftol), 3 the step test (xtol),
+    4 both 2 and 3; 0, unconverged, raises :class:`FitFailure` instead.
     """
 
     gain: float
@@ -225,6 +328,27 @@ def _parameter_jac(lam: np.ndarray, sigma: np.ndarray, theta, offset: float) -> 
     return _coefficient_jac(lam, sigma, a) @ d_a
 
 
+def _root_jac(lam: np.ndarray, sigma: np.ndarray, root, offset: float) -> np.ndarray:
+    """Jacobian of the weighted dB residuals in root = (u, v) = (sqrt(G - 1),
+    sqrt(eta_c - max(0, offset))), at a fixed scale.
+
+    There V_p = 1 + 2 u^2 eta_p, V_c = 1 + 2 u^2 eta_c and C = -2 u sqrt(1 +
+    u^2) v sqrt(v^2 + |offset|): smooth on the bounds G = 1 and eta_p
+    eta_c = 0, where d C / d theta is infinite.
+    """
+    u, v = (float(t) for t in root)
+    k = abs(offset)
+    eta_c = max(0.0, offset) + v * v
+    eta_p = eta_c - offset
+    g_u, h_v = u * math.sqrt(1.0 + u * u), v * math.sqrt(v * v + k)
+    dg_u = (1.0 + 2.0 * u * u) / math.sqrt(1.0 + u * u)
+    dh_v = (2.0 * v * v + k) / math.sqrt(v * v + k) if v * v + k > 0.0 else 0.0
+    a = np.array([1.0 + 2.0 * u * u * eta_p, -2.0 * g_u * h_v, 1.0 + 2.0 * u * u * eta_c])
+    d_u = (4.0 * u * eta_p, -2.0 * dg_u * h_v, 4.0 * u * eta_c)
+    d_v = (4.0 * u * u * v, -2.0 * g_u * dh_v, 4.0 * u * u * v)
+    return _coefficient_jac(lam, sigma, a) @ np.column_stack([d_u, d_v])
+
+
 def _shape_roots(a: np.ndarray, offset: float) -> np.ndarray:
     """(gain, eta_c) rows for every positive real root x = 2 (G - 1) of the map.
 
@@ -236,14 +360,18 @@ def _shape_roots(a: np.ndarray, offset: float) -> np.ndarray:
     first, and the caller checks the transmissions and the sign of a1.
     """
     a0, a1, a2 = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r2 = a1 * a1 / (a0 * a2)
         k = offset / (1.0 - a0 / a2)
         m = k - offset
         cubic = np.array([(r2 - 1.0) * k * m, m + k - 2.0 * k * m, 2.0 * (m + k) - 1.0, -2.0])
     if not np.all(np.isfinite(cubic)):
         return np.empty((0, 2))
-    roots = np.roots(cubic)
+    # Leading coefficients within round-off of 0 put their roots at
+    # infinity, far past the gain bound; dropped, they cannot overflow the
+    # companion matrix.
+    lead = np.flatnonzero(np.abs(cubic) > np.finfo(float).eps * np.max(np.abs(cubic)))[0]
+    roots = np.roots(cubic[lead:])
     x = roots.real[(np.abs(roots.imag) <= 1e-9 * np.abs(roots)) & (roots.real > 0.0)]
     eta_c = k - 1.0 / x
     order = np.argsort(-eta_c)
@@ -260,7 +388,7 @@ def _face_gain(a: np.ndarray, eta_c: float, offset: float) -> float:
     """
     a0, a1, a2 = np.asarray(a, dtype=float)
     eta_p = eta_c - offset
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if eta_p * eta_c == 0.0:
             x = (a2 - a0) / (a0 * eta_c - a2 * eta_p)
         else:
@@ -312,32 +440,40 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
 
     1. The coefficients (a0, a1, a2) of the noise power a0 + 2 a1 lam +
        a2 lam^2: a weighted linear least-squares fit in power gives the
-       start, and Levenberg-Marquardt moves it on the dB residuals.
+       start, and Levenberg-Marquardt (:func:`least_squares`) moves it on
+       the dB residuals, with their analytic Jacobian.
     2. The coefficients map to (gain, eta_c, scale_db) in closed form:
        a0 / a2 = V_p / V_c and a1^2 / (a0 a2) = C^2 / (V_p V_c) leave one
        cubic in x = 2 (G - 1) (see ``_shape_roots``), and s = a2 / V_c.
     3. Only when no root maps strictly inside the bounds (or the
-       coefficient fit did not converge) does one bounded trust-region
-       solve run in (gain, eta_c, scale_db), with a finite-difference
-       Jacobian, from the clipped map: eta_c clipped, the gain that keeps
-       the ratios there (``_face_gain``) and the scale that keeps a2, or
-       the gain that does where the scale clips.
+       coefficient fit did not converge) does one bounded solve run.
+       scale_db is profiled out: at given (gain, eta_c) it is the
+       sigma-weighted mean of y - model, clipped to its bounds.  The
+       solver works on the (gain, eta_c) box in (sqrt(G - 1), sqrt(eta_c
+       - lower eta_c)), where C is smooth on the bounds (``_root_jac``).
+       It starts from whichever has the lower chi^2: the clipped map
+       (eta_c clipped, the gain that keeps the ratios there, ``_face_gain``,
+       or the gain that keeps a2 where the scale clips), or the best point
+       of a grid over the box, with G - 1 geometric from 1e-6 to 49.
 
     Inside the bounds the map is exact, so the coefficient fit's minimum
     is the model's.  ``chi_square`` is evaluated at the reported
     parameters.  On a scan the model cannot express (a1 > 0 or a2 < 0)
-    step 3's one solve may stop in a local minimum that a multi-start
-    search would leave: noisy vacuum at offset 0.03 (seed 18) fits with
-    chi_square 18.00 where ten starts found 15.53.
+    step 3 is still one local solve, and a search with more starts may
+    find a lower minimum.  The grid start keeps it from the flat face
+    G = 1: noisy vacuum at offset 0.03 (seed 18) fits with chi_square
+    15.53, the value of a ten-start search, where a trust-region solve
+    from the clipped map alone stopped at 18.00.
 
     Parameter uncertainties are the square roots of the diagonal of
     (J^T J)^(-1) at the solution, J holding every free parameter,
-    scale_db included: the coefficient Jacobian times d a / d theta after
-    step 2, the solver's Jacobian after step 3.  No rescaling by the
-    residual scatter is applied, so they inherit the calibration of
-    ``sigma_db``.  They are linearized marginal errors: each covers its
-    own parameter, and the set of them is not a joint region.  For a
-    joint confidence region at level p use the returned ``chi_square``:
+    scale_db included: the coefficient Jacobian times d a / d theta, or
+    forward differences where that is infinite (G = 1 or eta_p = 0).  No
+    rescaling by the residual scatter is applied, so they inherit the
+    calibration of ``sigma_db``.  They are linearized marginal errors:
+    each covers its own parameter, and the set of them is not a joint
+    region.  For a joint confidence region at level p use the returned
+    ``chi_square``:
     chi2(x) - chi_square <= chi2_k(p), with k = len(param_names).  When
     the "sits at a fit bound" warning fires, the quoted sigma of that
     parameter is not a valid interval.
@@ -392,7 +528,7 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     if np.any(basis @ b0 <= 0.0):
         b0 = np.array([1.0, 0.0, 0.0])
     jac = partial(_coefficient_jac, lam, sigma)
-    runs = [least_squares(coefficient_residuals, b0, jac=jac, method="lm", **_SOLVER)]
+    runs = [least_squares(coefficient_residuals, b0, jac=jac)]
     b = runs[0].x
 
     # Step 2.
@@ -420,17 +556,55 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
             # The scale is clipped, so the gain keeps a2 = s V_c instead.
             v_c = b[2] * 10.0 ** ((ref_db - x0[2]) / 10.0)
             x0[0] = np.clip(1.0 + (v_c - 1.0) / (2.0 * eta_c), lower[0], upper[0])
-        runs.append(least_squares(residuals, x0, bounds=(lower, upper), method="trf", **_SOLVER))
+        weights = sigma**-2.0 / np.sum(sigma**-2.0)
+        root_upper = np.sqrt(upper[:2] - lower[:2])
+
+        def profiled(root: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """At root = (sqrt(G - 1), sqrt(eta_c - lower eta_c)), broadcast
+            over rows: (gain, eta_c, scale_db) with the scale that fits best
+            there, the weighted mean of y - model clipped to its bounds; the
+            residuals; and whether that scale is clipped.  A root on its
+            upper bound maps onto the bound exactly."""
+            inside = np.minimum(lower[:2] + root * root, upper[:2])
+            gain, eta_c = np.where(root < root_upper, inside, upper[:2]).T
+            gain, eta_c = gain[..., None], eta_c[..., None]
+            model = 10.0 * np.log10(metrology.joint_variance(gain, eta_c - offset, eta_c, lam))
+            mean = (y - model) @ weights
+            scale_db = np.clip(mean, lower[2], upper[2])
+            theta = np.array([gain[..., 0], eta_c[..., 0], scale_db]).T
+            return theta, (model + scale_db[..., None] - y) / sigma, scale_db != mean
+
+        def profiled_jac(root: np.ndarray) -> np.ndarray:
+            jac = _root_jac(lam, sigma, root, offset)
+            if profiled(root)[2]:
+                return jac
+            return jac - ((weights * sigma) @ jac) / sigma[:, None]
+
+        # Start from the clipped map or the best point of a grid over the
+        # box, whichever has the lower chi^2.
+        grid = np.meshgrid(
+            np.sqrt(np.geomspace(_GRID_FLOOR, upper[0] - lower[0], _GRID_GAINS)),
+            np.sqrt(np.linspace(0.0, upper[1] - lower[1], _GRID_ETAS)),
+            indexing="ij",
+        )
+        starts = np.vstack([np.sqrt(x0[:2] - lower[:2]), np.column_stack([v.ravel() for v in grid])])
+        start = starts[np.argmin(np.sum(profiled(starts)[1] ** 2, axis=-1))]
+        runs.append(
+            least_squares(
+                lambda root: profiled(root)[1], start, jac=profiled_jac,
+                lower=np.zeros(2), upper=root_upper,
+            )
+        )
         if runs[-1].status <= 0:
             lowest = min(float(res.cost) for res in runs)
             raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations", lowest)
-        # The solver keeps its iterates strictly inside; the variables it
-        # reports at a bound are put on it unless that raises chi^2 (at
-        # G = 1 and eta_p = 0, C moves as the square root of the distance).
-        theta, active = runs[-1].x, runs[-1].active_mask
-        snapped = np.where(active < 0, lower, np.where(active > 0, upper, theta))
-        if np.sum(residuals(snapped) ** 2) <= np.sum(residuals(theta) ** 2):
-            theta = snapped
+        # A variable the solver leaves within xtol of a bound is put on it
+        # unless that raises chi^2.
+        root, active = runs[-1].x, runs[-1].active_mask
+        snapped = np.where(active < 0, 0.0, np.where(active > 0, root_upper, root))
+        (theta, r, _), (theta_snapped, r_snapped, _) = profiled(root), profiled(snapped)
+        if r_snapped @ r_snapped <= r @ r:
+            theta = theta_snapped
         winner = "bound"
 
     gain, eta_c, scale_db = (float(v) for v in theta)
@@ -439,7 +613,11 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     with np.errstate(divide="ignore", invalid="ignore"):
         jac = _parameter_jac(lam, sigma, x_hat, offset)
     if not np.all(np.isfinite(jac)):  # at G = 1 or eta_p = 0
-        jac = runs[-1].jac
+        # Forward differences, stepping down where up leaves the box.
+        h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x_hat))
+        h = np.where(x_hat + h > upper, -h, h)
+        r_hat = residuals(x_hat)
+        jac = np.column_stack([(residuals(x_hat + np.diag(h)[i]) - r_hat) / h[i] for i in range(3)])
     jtj = jac.T @ jac
     condition = float(np.linalg.cond(jtj))
     warnings: list[str] = []

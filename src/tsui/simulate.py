@@ -400,17 +400,23 @@ def spectrum_power(
     )
 
 
-def _pieces(band: _Band, edges: list[int], tone_step: float) -> tuple:
+def _pieces(band: _Band, edges: list[int], tone_step: float | None) -> tuple:
     """Gram matrices and reads of the segment positions between consecutive
     ``edges``, in one pass over their rows (:func:`_rows`).  The reads are
     the rows read against 1, cos(tone_step t) and sin(tone_step t): a unit
-    offset's and the tone's two quadratures' band spectra."""
+    offset's and the tone's two quadratures' band spectra.  Without a tone
+    (``tone_step`` None) the last two are 0, and no cos or sin is taken."""
     m = band.basis.shape[1]
     gram, reads = np.zeros((len(edges) - 1, m, m)), np.zeros((len(edges) - 1, 3, m))
     for i, (s0, s1) in enumerate(zip(edges, edges[1:])):
         for lo, hi in _runs(s0, s1, _CHUNK):
-            rows, angle = _rows(band, lo, hi), tone_step * np.arange(lo, hi)
-            reads[i] += np.stack([np.ones(hi - lo), np.cos(angle), np.sin(angle)]) @ rows
+            rows, waves = _rows(band, lo, hi), np.zeros((3, hi - lo))
+            waves[0] = 1.0
+            if tone_step is not None:
+                angle = tone_step * np.arange(lo, hi)
+                waves[1], waves[2] = np.cos(angle), np.sin(angle)
+            # Three rows either way: the unit read sums in the same order.
+            reads[i] += waves @ rows
             gram[i] += rows.T @ rows
     return gram, reads
 
@@ -446,7 +452,7 @@ def _layout(config: SimConfig, band: _Band) -> list:
     cut = (first + 1) * block - start  # the next block edge
     cuts = np.unique(cut[cut < n]).tolist()
     step = 2.0 * math.pi * config.tone_freq / config.sample_rate
-    gram, reads = _pieces(band, [0, *cuts, n], step)
+    gram, reads = _pieces(band, [0, *cuts, n], step if config.tone_depth else None)
     # [0, c_k) sums the pieces before cut k, [c_k, n) those after it, and
     # the whole segment all of them.
     head, head_reads = np.cumsum(gram, axis=0), np.cumsum(reads, axis=0)

@@ -1,15 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
 
 import tsui
 from tsui import cli, fock, simulate
@@ -613,8 +615,10 @@ class TestFit:
     def test_fit_failure_exits_1_with_the_lowest_cost(self, tmp_path, capsys, monkeypatch):
         costs = iter([6.5, 2.75] + [9.0] * 20)
 
-        def unconverged(fun, x0, **kwargs):
-            return OptimizeResult(x=x0, cost=next(costs), fun=fun(x0), status=0, nfev=1, njev=1)
+        def unconverged(fun, x0, jac, lower=None, upper=None):
+            return cli.fitting._Solve(
+                x=x0, cost=next(costs), status=0, nfev=1, njev=1, active_mask=np.zeros(len(x0))
+            )
 
         monkeypatch.setattr(cli.fitting, "least_squares", unconverged)
         data = tmp_path / "scan.csv"
@@ -626,6 +630,31 @@ class TestFit:
             "error: no fit start converged within 400 evaluations (best residual cost 2.75)\n"
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(5, 25),
+        offset=st.floats(-0.2, 0.2),
+    )
+    def test_junk_scan_exits_0_or_1_with_a_message(self, data, n, offset):
+        # Scans no model curve resembles fit, or fail with exit 1 and an
+        # error line; no other exception escapes main.
+        lam = np.linspace(0.0, 1.0, n)
+        noise_db = data.draw(st.lists(st.floats(-30.0, 30.0), min_size=n, max_size=n))
+        sigma_db = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+        with tempfile.TemporaryDirectory() as tmp:
+            scan, out = os.path.join(tmp, "scan.csv"), os.path.join(tmp, "fit.json")
+            NoiseDataset(lam=lam, noise_db=noise_db, sigma_db=sigma_db).to_csv(scan)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["fit", "--data", scan, "--out", out, f"--offset={offset!r}"])
+            if code == 0:
+                assert "noise-curve fit" in stdout.getvalue() and os.path.exists(out)
+            else:
+                assert code == 1, stderr.getvalue()
+                assert stderr.getvalue().startswith("error: no fit start converged")
+                assert not os.path.exists(out)
 
     def test_missing_data_file_exits_2(self, tmp_path):
         code = main(
@@ -850,10 +879,9 @@ class TestStartup:
         "print(json.dumps(seen))\n"
     )
 
-    def test_only_a_fit_loads_scipy(self, tmp_path):
-        # The solver is imported on the first fit: curves, verify,
-        # lambda-opt and simulate run without scipy, and the fit after
-        # them loads it.
+    def test_no_command_loads_scipy(self, tmp_path):
+        # The fit's solver is numpy's: curves, verify, lambda-opt,
+        # simulate and the fit after them all run without scipy.
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("gain = 1.67\neta_p = 0.76\neta_c = 0.79\nduration = 0.004\nrng_seed = 3\n")
         scan = str(tmp_path / "scan.csv")
@@ -872,4 +900,4 @@ class TestStartup:
             capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
         )
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == [[0, False]] * 4 + [[0, True]]
+        assert json.loads(done.stdout) == [[0, False]] * 5

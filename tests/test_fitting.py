@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult, least_squares
+from scipy.optimize import least_squares
 
 from tsui import fitting
 
@@ -388,6 +388,73 @@ class TestFitNoiseCurve:
             reference = grid_chi_square(ds)
             assert fit_noise_curve(ds).chi_square <= reference * (1.0 + 1e-9) + 1e-9
 
+    # chi^2 of noisy vacuum scans (seeds 0-39 at 11, then 21, points) as the
+    # bounded trust-region solve from the clipped map fitted them.
+    VACUUM_CHI2 = {
+        11: [
+            5.75857596731, 3.84976041909, 11.9386094811, 20.8221815171, 8.98540131168,
+            6.09318801421, 13.6583605882, 4.03664454052, 4.5918846363, 9.55811146494,
+            4.74585542507, 9.47396586215, 8.0329167421, 18.4151711743, 14.1560273676,
+            9.04517302089, 8.31284490843, 6.46405947908, 18.0037552286, 5.96043756789,
+            6.16546836907, 10.2483004117, 10.2145101678, 9.50201855167, 6.19458987362,
+            12.0476350206, 18.4656020974, 5.53922495892, 5.44801414856, 1.14315661138,
+            10.8139755509, 6.20142224075, 10.9029085164, 9.09810506197, 9.0945535757,
+            8.31110005463, 4.1950011542, 17.1133436268, 5.48252498456, 6.11679523258,
+        ],
+        21: [
+            12.6343418429, 6.06158302748, 16.2686679298, 29.8285278075, 25.7305465423,
+            17.6850476924, 24.9023305771, 12.7602617937, 19.4930760777, 23.1576264651,
+            10.2439665374, 12.7451661117, 16.3301587027, 28.1374060834, 39.8947973325,
+            20.3597736661, 17.535077141, 18.9782485976, 21.0395401555, 14.5940154064,
+            10.0949373818, 26.1190281758, 28.2354931013, 17.068623874, 16.0967520206,
+            20.38364676, 32.5158599804, 13.0513085481, 15.6690181288, 9.2859327885,
+            14.700787914, 14.6405095946, 18.9949474987, 15.3584654714, 13.8401770867,
+            20.5918784371, 11.701840903, 24.6552260413, 14.5247091494, 22.1080541023,
+        ],
+    }
+
+    @pytest.mark.parametrize("n", [11, 21])
+    def test_noisy_vacuum_never_worse_than_the_trust_region_solve(self, n):
+        # Vacuum (G = 1: 1 + lam^2) plus 0.05 dB noise, at offset 0.03:
+        # curves the model can only approach on its bounds.  No scan fits
+        # worse than the recorded chi^2, and the 11-point scan at seed 18,
+        # where that solve stopped at 18.00, reaches the ten-start
+        # search's 15.53.
+        lam = np.linspace(0.0, 1.0, n)
+        for seed, recorded in enumerate(self.VACUUM_CHI2[n]):
+            noise = np.random.default_rng(seed).normal(0.0, 0.05, n)
+            ds = NoiseDataset(
+                lam=lam, noise_db=10.0 * np.log10(1.0 + lam**2) + noise, sigma_db=np.full(n, 0.05)
+            )
+            fit = fit_noise_curve(ds)
+            assert fit.chi_square <= recorded * (1.0 + 1e-9) + 1e-9, seed
+            if (n, seed) == (11, 18):
+                assert abs(fit.chi_square - 15.53) <= 0.01
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(5, 25),
+        offset=st.floats(-0.2, 0.2),
+    )
+    def test_junk_scans_fit_or_fail_cleanly(self, data, n, offset):
+        # Scans no model curve resembles: a finite result or FitFailure,
+        # never another exception.
+        lam = np.linspace(0.0, 1.0, n)
+        noise_db = data.draw(st.lists(st.floats(-30.0, 30.0), min_size=n, max_size=n))
+        sigma_db = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+        ds = NoiseDataset(lam=lam, noise_db=noise_db, sigma_db=sigma_db)
+        try:
+            fit = fit_noise_curve(ds, FitOptions(loss_offset=offset))
+        except FitFailure as err:
+            assert str(err).startswith("no fit start converged")
+            return
+        numbers = [fit.chi_square, fit.lambda_opt_fit, fit.lambda_opt_direct]
+        numbers += [fit.sigma_gain, fit.sigma_eta_c, fit.sigma_scale_db]
+        assert np.all(np.isfinite(numbers))
+        assert np.all(np.isfinite(fit.param_values)) and np.all(np.isfinite(fit.param_cov))
+        assert fit.status > 0
+
     @pytest.mark.parametrize("offset", [-0.2, -0.03, 0.03, 0.2])
     def test_coefficients_map_back_to_one_physical_root(self, offset):
         # Noiseless coefficients over the whole fit box.  Every one has
@@ -426,10 +493,11 @@ class TestFitNoiseCurve:
         costs = iter([9.5, 4.25, 7.0] + [8.0] * 20)
         calls = []
 
-        def unconverged(fun, x0, **kwargs):
+        def unconverged(fun, x0, jac, lower=None, upper=None):
             calls.append(x0)
-            return OptimizeResult(
-                x=x0, cost=next(costs), fun=fun(x0), status=0, nfev=3, njev=2
+            fun(x0), jac(x0)
+            return fitting._Solve(
+                x=x0, cost=next(costs), status=0, nfev=3, njev=2, active_mask=np.zeros(len(x0))
             )
 
         monkeypatch.setattr(fitting, "least_squares", unconverged)

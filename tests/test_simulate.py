@@ -645,6 +645,34 @@ class TestInBandNoise:
         ref = dense_band_gram(band.nperseg, band.bins) * band.scale**2
         assert np.abs(factor.T @ factor - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize(
+        "extra, grid, trials",
+        [
+            ({}, np.linspace(0.0, 1.0, 21), 2),
+            ({"lock_jitter_rms": 0.02, "electronic_noise_var": 0.1}, np.linspace(0.6, 1.0, 5), 8),
+            ({"tone_depth": 0.05, "lock_jitter_rms": 0.05, "jitter_block": 1e-4},
+             np.linspace(0.0, 1.0, 11), 2),
+        ],
+        ids=["plain", "jitter", "tone"],
+    )
+    def test_tone_rows_only_with_a_tone(self, monkeypatch, extra, grid, trials):
+        # A scan builds the tone's read rows only when it has a tone.
+        # Without one, the unit read still comes from a three-row product,
+        # so the scan is bit-identical to one whose pieces read a tone too.
+        cfg = config(gain=1.67, eta_p=0.76, eta_c=0.79, alpha=50.0, rng_seed=5, **extra)
+        plain = measure_noise_vs_lambda(cfg, grid, trials=trials)
+        pieces, steps = simulate._pieces, []
+
+        def with_tone_rows(band, edges, tone_step):
+            steps.append(tone_step)
+            return pieces(band, edges, 0.3 if tone_step is None else tone_step)
+
+        monkeypatch.setattr(simulate, "_pieces", with_tone_rows)
+        forced = measure_noise_vs_lambda(cfg, grid, trials=trials)
+        assert steps and all((step is None) == (cfg.tone_depth == 0.0) for step in steps)
+        assert np.array_equal(plain.noise_db, forced.noise_db)
+        assert np.array_equal(plain.sigma_db, forced.sigma_db)
+
     @pytest.mark.parametrize("name", sorted(TestParallelScan.CONFIGS))
     def test_scan_matches_time_domain_draw_in_distribution(self, name):
         # 200 seeds of a 1-trial scan against the rfft readout of the same
