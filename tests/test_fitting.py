@@ -455,6 +455,15 @@ class TestFitNoiseCurve:
         assert np.all(np.isfinite(fit.param_values)) and np.all(np.isfinite(fit.param_cov))
         assert fit.status > 0
 
+    def test_subnormal_offset_fits(self):
+        # At an offset of 1.1e-308 a flat scan's map cubic leads with a
+        # coefficient far below round-off of the others; np.roots used to
+        # overflow its companion matrix on it and raise LinAlgError.
+        lam = np.linspace(0.0, 1.0, 5)
+        ds = NoiseDataset(lam=lam, noise_db=np.zeros(5), sigma_db=np.ones(5))
+        fit = fit_noise_curve(ds, FitOptions(loss_offset=1.1125369292536007e-308))
+        assert fit.status > 0 and math.isfinite(fit.chi_square)
+
     @pytest.mark.parametrize("offset", [-0.2, -0.03, 0.03, 0.2])
     def test_coefficients_map_back_to_one_physical_root(self, offset):
         # Noiseless coefficients over the whole fit box.  Every one has
