@@ -9,8 +9,11 @@ with the variance coefficients from :func:`tsui.metrology.joint_variance_quadrat
 Every curve it can express is a noise power a0 + 2 a1 lam + a2 lam^2 with
 three coefficients a = s (V_p, C, V_c), s = 10^(scale_db / 10), so the fit
 holds the transmission offset eta_c - eta_p fixed and frees (gain, eta_c,
-scale_db), three parameters for three coefficients.  The fit solves for
-the coefficients and maps them back to the parameters in closed form.
+scale_db), three parameters for three coefficients.  The fit is one
+bounded least-squares solve in the chart (sqrt(G - 1), sqrt(eta_c - lower
+eta_c), scale_db), where every point of the box is a physical model; the
+coefficients of a linear fit, mapped back to the parameters in closed
+form, give its start.
 
 Quoted parameter uncertainties come from the Gauss-Newton covariance
 (J^T J)^(-1) of the sigma-weighted residuals; they are meaningful only
@@ -30,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -57,16 +59,13 @@ _CONDITION_LIMIT = 1e12
 # Residual-evaluation budget per solve, and ftol = xtol = gtol of the solver.
 _MAX_NFEV = 400
 _TOL = 1e-10
-# Residual of a trial step whose quadratic is not positive at every weight:
-# larger than any finite fit's, so the step is rejected.
-_INFEASIBLE = 1e100
 # d(10 log10 V) = _DB_PER_LN dV / V.
 _DB_PER_LN = 10.0 / math.log(10.0)
 # Bootstrap draws are generated and reduced this many at a time.
 _BOOTSTRAP_BLOCK = 1024
-# Start grid of the bounded solve: G - 1 geometric from _GRID_FLOOR to its
-# bound (the first rows resolve the face G = 1, where C grows as sqrt(G - 1)),
-# eta_c linear over its box.
+# Grid of the box start: G - 1 geometric from _GRID_FLOOR to its bound (the
+# first rows resolve the face G = 1, where C grows as sqrt(G - 1)), eta_c
+# linear over its box.
 _GRID_GAINS, _GRID_ETAS = 25, 21
 _GRID_FLOOR = 1e-6
 
@@ -84,7 +83,7 @@ class _Solve(NamedTuple):
     active_mask: np.ndarray
 
 
-def least_squares(fun, x0, jac, lower=None, upper=None) -> _Solve:
+def least_squares(fun, x0, jac, lower, upper) -> _Solve:
     """Minimize 0.5 |fun(x)|^2 over lower <= x <= upper by Levenberg-Marquardt.
 
     Each step solves (J^T J + mu D^2) h = -J^T r through the SVD of J D^-1,
@@ -105,10 +104,7 @@ def least_squares(fun, x0, jac, lower=None, upper=None) -> _Solve:
     at the start, or J, are not finite.  ftol = xtol = gtol = ``_TOL``.
     ``perfbench/tracer.py`` wraps the solver by this name.
     """
-    x = np.asarray(x0, dtype=float)
-    lower = np.full(x.size, -np.inf) if lower is None else lower
-    upper = np.full(x.size, np.inf) if upper is None else upper
-    x = np.clip(x, lower, upper)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     r = fun(x)
     nfev, njev, status = 1, 0, 0
     cost = 0.5 * float(r @ r) if np.all(np.isfinite(r)) else math.inf
@@ -215,11 +211,13 @@ class FitResult:
     most chi2_k(p), with k = len(param_names).  A sigma is not a valid
     interval for a parameter that ``warnings`` reports at a fit bound.
 
-    ``winning_start`` names the path that gave the result: "coefficients"
-    (the coefficient fit mapped inside the bounds) or "bound" (the bounded
-    solve that runs otherwise).  ``n_starts`` counts the solver runs,
-    ``nfev`` their residual plus Jacobian evaluations, and ``status`` is
-    the returned run's :func:`least_squares` status: 1 the gradient test
+    ``winning_start`` names the start of the solve that gave the result:
+    "coefficients" (the linear coefficient fit, mapped strictly inside the
+    bounds) or "bound" (the box start: the clipped map or a grid point).
+    ``n_starts`` counts the solves: 1, or 2 when the solve from the map
+    ended on a bound or did not converge and one ran from the box start.
+    ``nfev`` counts their residual plus Jacobian evaluations, and ``status``
+    is the returned solve's :func:`least_squares` status: 1 the gradient test
     (gtol), 2 the relative-reduction test (ftol), 3 the step test (xtol),
     4 both 2 and 3; 0, unconverged, raises :class:`FitFailure` instead.
     """
@@ -311,30 +309,13 @@ def _coefficient_jac(lam: np.ndarray, sigma: np.ndarray, a: np.ndarray) -> np.nd
     return basis * (_DB_PER_LN / ((basis @ a) * sigma))[:, None]
 
 
-def _parameter_jac(lam: np.ndarray, sigma: np.ndarray, theta, offset: float) -> np.ndarray:
-    """Jacobian of the weighted dB residuals in (gain, eta_c, scale_db).
-
-    The coefficient Jacobian times d a / d theta of a = s (V_p, C, V_c),
-    eta_p = eta_c - offset; d C is infinite at G = 1 and eta_p = 0.
-    """
-    gain, eta_c, scale_db = (float(v) for v in theta)
-    eta_p = eta_c - offset
-    a = _coefficients(gain, eta_p, eta_c, scale_db)
-    s = 10.0 ** (scale_db / 10.0)
-    root_g, root_eta = np.sqrt(gain * (gain - 1.0)), np.sqrt(eta_p * eta_c)
-    d_gain = (2.0 * eta_p, -root_eta * (2.0 * gain - 1.0) / root_g, 2.0 * eta_c)
-    d_eta_c = (2.0 * (gain - 1.0), -root_g * (eta_p + eta_c) / root_eta, 2.0 * (gain - 1.0))
-    d_a = np.column_stack([s * np.array(d_gain), s * np.array(d_eta_c), a / _DB_PER_LN])
-    return _coefficient_jac(lam, sigma, a) @ d_a
-
-
-def _root_jac(lam: np.ndarray, sigma: np.ndarray, root, offset: float) -> np.ndarray:
-    """Jacobian of the weighted dB residuals in root = (u, v) = (sqrt(G - 1),
-    sqrt(eta_c - max(0, offset))), at a fixed scale.
+def _chart(root, offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-scale coefficients a = (V_p, C, V_c) at root = (u, v) =
+    (sqrt(G - 1), sqrt(eta_c - max(0, offset))), and d a / d (u, v).
 
     There V_p = 1 + 2 u^2 eta_p, V_c = 1 + 2 u^2 eta_c and C = -2 u sqrt(1 +
     u^2) v sqrt(v^2 + |offset|): smooth on the bounds G = 1 and eta_p
-    eta_c = 0, where d C / d theta is infinite.
+    eta_c = 0, where d C / d (gain, eta_c) is infinite.
     """
     u, v = (float(t) for t in root)
     k = abs(offset)
@@ -346,7 +327,15 @@ def _root_jac(lam: np.ndarray, sigma: np.ndarray, root, offset: float) -> np.nda
     a = np.array([1.0 + 2.0 * u * u * eta_p, -2.0 * g_u * h_v, 1.0 + 2.0 * u * u * eta_c])
     d_u = (4.0 * u * eta_p, -2.0 * dg_u * h_v, 4.0 * u * eta_c)
     d_v = (4.0 * u * u * v, -2.0 * g_u * dh_v, 4.0 * u * u * v)
-    return _coefficient_jac(lam, sigma, a) @ np.column_stack([d_u, d_v])
+    return a, np.array([d_u, d_v]).T
+
+
+def _chart_jac(lam: np.ndarray, sigma: np.ndarray, p, offset: float) -> np.ndarray:
+    """Jacobian of the weighted dB residuals in the chart p = (u, v,
+    scale_db) of :func:`_chart`: the coefficient Jacobian times d a / d
+    (u, v), and 1 / sigma for the scale."""
+    a, d_a = _chart(p[:2], offset)
+    return np.column_stack([_coefficient_jac(lam, sigma, a) @ d_a, 1.0 / sigma])
 
 
 def _shape_roots(a: np.ndarray, offset: float) -> np.ndarray:
@@ -435,45 +424,46 @@ def _direct_lambda_opt(lam: np.ndarray, noise_db: np.ndarray) -> np.ndarray | fl
 def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) -> FitResult:
     """Weighted least-squares fit of the noise model to a scan.
 
-    Residuals are (model_db - noise_db) / sigma_db, and the fit runs in
-    three steps:
+    Residuals are (model_db - noise_db) / sigma_db.  One bounded
+    Levenberg-Marquardt solve (:func:`least_squares`) minimizes them over
+    the box of the chart p = (u, v, scale_db), u = sqrt(G - 1) and v =
+    sqrt(eta_c - lower eta_c), with the analytic Jacobian ``_chart_jac``.
+    Every point of the box is a physical model, and C is smooth on its
+    faces G = 1 and eta_p eta_c = 0 (``_chart``).  The start:
 
-    1. The coefficients (a0, a1, a2) of the noise power a0 + 2 a1 lam +
-       a2 lam^2: a weighted linear least-squares fit in power gives the
-       start, and Levenberg-Marquardt (:func:`least_squares`) moves it on
-       the dB residuals, with their analytic Jacobian.
-    2. The coefficients map to (gain, eta_c, scale_db) in closed form:
-       a0 / a2 = V_p / V_c and a1^2 / (a0 a2) = C^2 / (V_p V_c) leave one
-       cubic in x = 2 (G - 1) (see ``_shape_roots``), and s = a2 / V_c.
-    3. Only when no root maps strictly inside the bounds (or the
-       coefficient fit did not converge) does one bounded solve run.
-       scale_db is profiled out: at given (gain, eta_c) it is the
-       sigma-weighted mean of y - model, clipped to its bounds.  The
-       solver works on the (gain, eta_c) box in (sqrt(G - 1), sqrt(eta_c
-       - lower eta_c)), where C is smooth on the bounds (``_root_jac``).
-       It starts from whichever has the lower chi^2: the clipped map
-       (eta_c clipped, the gain that keeps the ratios there, ``_face_gain``,
-       or the gain that keeps a2 where the scale clips), or the best point
-       of a grid over the box, with G - 1 geometric from 1e-6 to 49.
+    * A weighted linear least-squares fit in power gives the coefficients
+      (a0, a1, a2) of the noise power a0 + 2 a1 lam + a2 lam^2.  They map
+      to (gain, eta_c, scale_db) in closed form: a0 / a2 = V_p / V_c and
+      a1^2 / (a0 a2) = C^2 / (V_p V_c) leave one cubic in x = 2 (G - 1)
+      (``_shape_roots``), and s = a2 / V_c.  Where a root maps strictly
+      inside the bounds, the solve starts there ("coefficients").
+    * Otherwise it starts from the box start ("bound"): whichever has the
+      lower chi^2, the clipped map (eta_c clipped, the gain that keeps the
+      ratios there, ``_face_gain``, or the gain that keeps a2 where the
+      scale clips) or the best point of a 25 x 21 grid over (u, v), with
+      G - 1 geometric from 1e-6 to 49.  Each scale is the sigma-weighted
+      mean of y - model, clipped to its bounds.
 
-    Inside the bounds the map is exact, so the coefficient fit's minimum
-    is the model's.  ``chi_square`` is evaluated at the reported
-    parameters.  On a scan the model cannot express (a1 > 0 or a2 < 0)
-    step 3 is still one local solve, and a search with more starts may
-    find a lower minimum.  The grid start keeps it from the flat face
-    G = 1: noisy vacuum at offset 0.03 (seed 18) fits with chi_square
-    15.53, the value of a ten-start search, where a trust-region solve
-    from the clipped map alone stopped at 18.00.
+    A solve from the map that ends on a face of the box, or does not
+    converge, runs once more from the box start, and the lower cost of
+    the converged solves wins.  A variable the winner leaves within xtol
+    of a bound is put on it unless that raises chi^2.  ``chi_square`` is
+    evaluated at the reported parameters.  On a scan the model cannot
+    express (a1 > 0 or a2 < 0) the solve is still local, and a search with
+    more starts may find a lower minimum.  The grid start keeps it from
+    the flat face G = 1: noisy vacuum at offset 0.03 (seed 18) fits with
+    chi_square 15.53, the value of a ten-start search, where a trust-region
+    solve from the clipped map alone stopped at 18.00.
 
     Parameter uncertainties are the square roots of the diagonal of
     (J^T J)^(-1) at the solution, J holding every free parameter,
-    scale_db included: the coefficient Jacobian times d a / d theta, or
-    forward differences where that is infinite (G = 1 or eta_p = 0).  No
-    rescaling by the residual scatter is applied, so they inherit the
-    calibration of ``sigma_db``.  They are linearized marginal errors:
-    each covers its own parameter, and the set of them is not a joint
-    region.  For a joint confidence region at level p use the returned
-    ``chi_square``:
+    scale_db included: the chart Jacobian times d p / d theta =
+    diag(1 / (2 u), 1 / (2 v), 1), or forward differences where that is
+    infinite (G = 1 or eta_p eta_c = 0).  No rescaling by the residual
+    scatter is applied, so they inherit the calibration of ``sigma_db``.
+    They are linearized marginal errors: each covers its own parameter,
+    and the set of them is not a joint region.  For a joint confidence
+    region at level p use the returned ``chi_square``:
     chi2(x) - chi_square <= chi2_k(p), with k = len(param_names).  When
     the "sits at a fit bound" warning fires, the quoted sigma of that
     parameter is not a valid interval.
@@ -492,8 +482,7 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         A :class:`FitResult`.
 
     Raises:
-        FitFailure: if the solve that would give the result does not
-            converge within its budget.
+        FitFailure: if no solve converges within its budget.
         ValueError: for unusable datasets.
     """
     if options is None:
@@ -506,32 +495,28 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     names = ("gain", "eta_c", "scale_db")
     lower = np.array([_GAIN_BOUNDS[0], max(0.0, offset), _SCALE_BOUNDS[0]])
     upper = np.array([_GAIN_BOUNDS[1], min(1.0, 1.0 + offset), _SCALE_BOUNDS[1]])
+    # The box of the chart p = (u, v, scale_db).
+    p_lower = np.array([0.0, 0.0, lower[2]])
+    p_upper = np.append(np.sqrt(upper[:2] - lower[:2]), upper[2])
     lam, y, sigma = dataset.lam, dataset.noise_db, dataset.sigma_db
+    basis = np.column_stack([np.ones_like(lam), 2.0 * lam, lam * lam])
 
     def residuals(theta: np.ndarray) -> np.ndarray:
         gain, eta_c, scale_db = theta
         var = metrology.joint_variance(gain, eta_c - offset, eta_c, lam)
         return (10.0 * np.log10(var) + scale_db - y) / sigma
 
-    # Step 1, in units of the scan's mean power: b = a / 10^(ref_db / 10).
+    def chart_residuals(p: np.ndarray) -> np.ndarray:
+        return (10.0 * np.log10(basis @ _chart(p[:2], offset)[0]) + p[2] - y) / sigma
+
+    def chart_jac(p: np.ndarray) -> np.ndarray:
+        return _chart_jac(lam, sigma, p, offset)
+
+    # The coefficients, in units of the scan's mean power: b = a / 10^(ref_db / 10).
     ref_db = float(np.mean(y))
-    basis = np.column_stack([np.ones_like(lam), 2.0 * lam, lam * lam])
-
-    def coefficient_residuals(b: np.ndarray) -> np.ndarray:
-        power = basis @ b
-        if np.any(power <= 0.0):
-            return np.full(lam.size, _INFEASIBLE)
-        return (10.0 * np.log10(power) + ref_db - y) / sigma
-
     power = 10.0 ** ((y - ref_db) / 10.0)
-    b0 = np.linalg.lstsq(basis / (power * sigma)[:, None], 1.0 / sigma, rcond=None)[0]
-    if np.any(basis @ b0 <= 0.0):
-        b0 = np.array([1.0, 0.0, 0.0])
-    jac = partial(_coefficient_jac, lam, sigma)
-    runs = [least_squares(coefficient_residuals, b0, jac=jac)]
-    b = runs[0].x
+    b = np.linalg.lstsq(basis / (power * sigma)[:, None], 1.0 / sigma, rcond=None)[0]
 
-    # Step 2.
     def with_scale(gain: float, eta_c: float) -> np.ndarray:
         v_c = 1.0 + 2.0 * eta_c * (gain - 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -541,10 +526,8 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     shapes = _shape_roots(b, offset)
     mapped = [with_scale(gain, eta_c) for gain, eta_c in shapes]
     inside = [t for t in mapped if b[1] <= 0.0 and np.all((lower < t) & (t < upper))]
-    if runs[0].status > 0 and inside:
-        winner, theta = "coefficients", inside[0]
-    else:
-        # Step 3.
+
+    def box_start() -> np.ndarray:
         eta_c = float(np.clip(shapes[0, 1] if len(shapes) else upper[1], lower[1], upper[1]))
         if _face_gain(b, eta_c, offset) == 1.0:
             # No anticorrelation.  C = 0 on the face eta_p eta_c = 0 too,
@@ -556,63 +539,47 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
             # The scale is clipped, so the gain keeps a2 = s V_c instead.
             v_c = b[2] * 10.0 ** ((ref_db - x0[2]) / 10.0)
             x0[0] = np.clip(1.0 + (v_c - 1.0) / (2.0 * eta_c), lower[0], upper[0])
-        weights = sigma**-2.0 / np.sum(sigma**-2.0)
-        root_upper = np.sqrt(upper[:2] - lower[:2])
-
-        def profiled(root: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """At root = (sqrt(G - 1), sqrt(eta_c - lower eta_c)), broadcast
-            over rows: (gain, eta_c, scale_db) with the scale that fits best
-            there, the weighted mean of y - model clipped to its bounds; the
-            residuals; and whether that scale is clipped.  A root on its
-            upper bound maps onto the bound exactly."""
-            inside = np.minimum(lower[:2] + root * root, upper[:2])
-            gain, eta_c = np.where(root < root_upper, inside, upper[:2]).T
-            gain, eta_c = gain[..., None], eta_c[..., None]
-            model = 10.0 * np.log10(metrology.joint_variance(gain, eta_c - offset, eta_c, lam))
-            mean = (y - model) @ weights
-            scale_db = np.clip(mean, lower[2], upper[2])
-            theta = np.array([gain[..., 0], eta_c[..., 0], scale_db]).T
-            return theta, (model + scale_db[..., None] - y) / sigma, scale_db != mean
-
-        def profiled_jac(root: np.ndarray) -> np.ndarray:
-            jac = _root_jac(lam, sigma, root, offset)
-            if profiled(root)[2]:
-                return jac
-            return jac - ((weights * sigma) @ jac) / sigma[:, None]
-
-        # Start from the clipped map or the best point of a grid over the
-        # box, whichever has the lower chi^2.
         grid = np.meshgrid(
             np.sqrt(np.geomspace(_GRID_FLOOR, upper[0] - lower[0], _GRID_GAINS)),
             np.sqrt(np.linspace(0.0, upper[1] - lower[1], _GRID_ETAS)),
             indexing="ij",
         )
-        starts = np.vstack([np.sqrt(x0[:2] - lower[:2]), np.column_stack([v.ravel() for v in grid])])
-        start = starts[np.argmin(np.sum(profiled(starts)[1] ** 2, axis=-1))]
-        runs.append(
-            least_squares(
-                lambda root: profiled(root)[1], start, jac=profiled_jac,
-                lower=np.zeros(2), upper=root_upper,
-            )
-        )
-        if runs[-1].status <= 0:
-            lowest = min(float(res.cost) for res in runs)
-            raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations", lowest)
-        # A variable the solver leaves within xtol of a bound is put on it
-        # unless that raises chi^2.
-        root, active = runs[-1].x, runs[-1].active_mask
-        snapped = np.where(active < 0, 0.0, np.where(active > 0, root_upper, root))
-        (theta, r, _), (theta_snapped, r_snapped, _) = profiled(root), profiled(snapped)
-        if r_snapped @ r_snapped <= r @ r:
-            theta = theta_snapped
-        winner = "bound"
+        roots = np.vstack([np.sqrt(x0[:2] - lower[:2]), np.column_stack([v.ravel() for v in grid])])
+        gain, eta_c = (lower[:2, None] + roots.T**2)[..., None]
+        model = 10.0 * np.log10(metrology.joint_variance(gain, eta_c - offset, eta_c, lam))
+        weights = sigma**-2.0 / np.sum(sigma**-2.0)
+        scale_db = np.clip((y - model) @ weights, lower[2], upper[2])
+        best = np.argmin(np.sum(((model + scale_db[:, None] - y) / sigma) ** 2, axis=1))
+        return np.append(roots[best], scale_db[best])
 
-    gain, eta_c, scale_db = (float(v) for v in theta)
+    runs = {}
+    if inside:
+        start = np.append(np.sqrt(inside[0][:2] - lower[:2]), inside[0][2])
+        runs["coefficients"] = least_squares(chart_residuals, start, chart_jac, p_lower, p_upper)
+    first = runs.get("coefficients")
+    if first is None or first.status <= 0 or first.active_mask.any():
+        runs["bound"] = least_squares(chart_residuals, box_start(), chart_jac, p_lower, p_upper)
+    converged = {name: res for name, res in runs.items() if res.status > 0}
+    if not converged:
+        lowest = min(res.cost for res in runs.values())
+        raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations", lowest)
+    winner = min(converged, key=lambda name: converged[name].cost)
+    res = converged[winner]
+    # A variable the solver leaves within xtol of a bound is put on it
+    # unless that raises chi^2.
+    snapped = np.where(res.active_mask < 0, p_lower, np.where(res.active_mask > 0, p_upper, res.x))
+    r, r_snapped = chart_residuals(res.x), chart_residuals(snapped)
+    p = snapped if r_snapped @ r_snapped <= r @ r else res.x
+    # A root on its upper bound maps onto the bound exactly.
+    inner = np.minimum(lower[:2] + p[:2] ** 2, upper[:2])
+    x_hat = np.append(np.where(p[:2] < p_upper[:2], inner, upper[:2]), p[2])
+
+    gain, eta_c, scale_db = (float(v) for v in x_hat)
     eta_p = eta_c - offset
-    x_hat = np.array([gain, eta_c, scale_db])
     with np.errstate(divide="ignore", invalid="ignore"):
-        jac = _parameter_jac(lam, sigma, x_hat, offset)
-    if not np.all(np.isfinite(jac)):  # at G = 1 or eta_p = 0
+        # The chain rule through gain = 1 + u^2, eta_c = lower eta_c + v^2.
+        jac = chart_jac(p) / np.append(2.0 * p[:2], 1.0)
+    if not np.all(np.isfinite(jac)):  # at G = 1 or eta_p eta_c = 0
         # Forward differences, stepping down where up leaves the box.
         h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x_hat))
         h = np.where(x_hat + h > upper, -h, h)
@@ -658,10 +625,10 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         param_names=names,
         param_values=x_hat,
         param_cov=np.array(cov, dtype=float),
-        nfev=sum(res.nfev + (res.njev or 0) for res in runs),
+        nfev=sum(run.nfev + run.njev for run in runs.values()),
         n_starts=len(runs),
         winning_start=winner,
-        status=int(runs[-1].status),
+        status=int(res.status),
         source=dataset.source,
     )
 

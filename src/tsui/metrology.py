@@ -29,7 +29,6 @@ from .gaussian import (
     apply_loss,
     joint_quadrature_stats,
     measurement_weight,
-    photon_moments,
     seeded_tmss,
 )
 
@@ -291,13 +290,20 @@ def sql_sensitivity(kind: SqlKind, params: InterferometerParams) -> SensitivityR
     return SensitivityResult(delta_phi=math.sqrt(var) / _phase_slope(params))
 
 
+def _quantum_fisher(gain, alpha):
+    """F_Q = 4 Var(n_probe) = sinh^2(2r) + 4 G alpha^2 cosh(2r) of the
+    lossless seeded amplifier's probe, as 4 G (G - 1 + alpha^2 (2 G - 1));
+    broadcast."""
+    return 4.0 * gain * (gain - 1.0 + alpha * alpha * (2.0 * gain - 1.0))
+
+
 def qcrb(params: InterferometerParams) -> SensitivityResult:
     """Quantum Cramer-Rao phase bound for the lossless probe arm.
 
     The bound is 1/sqrt(F_Q) with F_Q = 4 Var(n_probe); for the seeded
-    amplifier output F_Q = sinh^2(2r) + 4 G alpha^2 cosh(2r).  Only the
-    lossless case is supported: with loss the probe mode alone no longer
-    determines the attainable bound.
+    amplifier output F_Q = sinh^2(2r) + 4 G alpha^2 cosh(2r)
+    (``_quantum_fisher``).  Only the lossless case is supported: with loss
+    the probe mode alone no longer determines the attainable bound.
 
     Args:
         params: settings with ``eta_p == eta_c == 1``.
@@ -314,7 +320,7 @@ def qcrb(params: InterferometerParams) -> SensitivityResult:
         raise UnsupportedConfigurationError(
             "the quantum bound is only computed for eta_p = eta_c = 1"
         )
-    fisher = 4.0 * photon_moments(seeded_tmss(params), "probe").var_n
+    fisher = _quantum_fisher(params.gain, params.alpha)
     if fisher <= 0.0:
         raise ValueError("state carries no phase information (G = 1, alpha = 0)")
     return SensitivityResult(delta_phi=1.0 / math.sqrt(fisher))
@@ -430,8 +436,9 @@ def curve_sensitivity_vs_gain(alpha: float, gain_grid) -> CurveTable:
     slope = fringe_slope(grid, 1.0, alpha)
     balanced = np.sqrt(joint_variance(grid, 1.0, 1.0, 1.0)) / slope
     optimal = np.sqrt(joint_variance(grid, 1.0, 1.0, optimal_weight(grid, 1.0, 1.0))) / slope
-    bound = [qcrb(InterferometerParams(gain=g, alpha=alpha)).delta_phi for g in grid]
-    rows = np.column_stack([grid, alpha * balanced, alpha * optimal, alpha * np.array(bound)])
+    check_range("gain * alpha^2", grid * alpha * alpha)
+    bound = 1.0 / np.sqrt(_quantum_fisher(grid, alpha))
+    rows = np.column_stack([grid, alpha * balanced, alpha * optimal, alpha * bound])
     columns = ("gain", "alpha_dphi_balanced", "alpha_dphi_optimal", "alpha_dphi_qcrb")
     return CurveTable("sensitivity_vs_gain", columns, rows, {"alpha": alpha})
 

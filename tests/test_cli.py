@@ -615,7 +615,7 @@ class TestFit:
     def test_fit_failure_exits_1_with_the_lowest_cost(self, tmp_path, capsys, monkeypatch):
         costs = iter([6.5, 2.75] + [9.0] * 20)
 
-        def unconverged(fun, x0, jac, lower=None, upper=None):
+        def unconverged(fun, x0, jac, lower, upper):
             return cli.fitting._Solve(
                 x=x0, cost=next(costs), status=0, nfev=1, njev=1, active_mask=np.zeros(len(x0))
             )

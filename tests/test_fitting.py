@@ -15,9 +15,9 @@ from tsui import fitting
 from tsui.fitting import (
     FitFailure,
     FitOptions,
+    _chart_jac,
     _coefficient_jac,
     _direct_lambda_opt,
-    _parameter_jac,
     _shape_roots,
     extract_lambda_opt,
     fit_noise_curve,
@@ -271,11 +271,12 @@ class TestFitNoiseCurve:
 
     def test_clipped_scale_runs_the_grid(self):
         # 200 dB up, the coefficients map to the truth with a scale past
-        # its bound; the bounded solve from the clipped map keeps out of
-        # the eta_p = 0 cusp (eta_c 0.03, chi2 1.150e8).
+        # its bound, so the one solve runs from the box start; the clipped
+        # map there keeps it out of the eta_p = 0 cusp (eta_c 0.03, chi2
+        # 1.150e8).
         fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79, scale_db=200.0))
         assert fit.scale_db == 80.0
-        assert fit.n_starts == 2 and fit.winning_start == "bound"
+        assert fit.n_starts == 1 and fit.winning_start == "bound"
         assert fit.eta_c > 0.9 and fit.chi_square < 1.01e8
 
     def test_options_validation(self):
@@ -322,37 +323,76 @@ class TestFitNoiseCurve:
         assert (fit.n_starts, fit.winning_start) == (1, "coefficients")
         assert fit.status > 0 and 0 < fit.nfev <= 20
 
+    def test_one_solve_at_the_eta_c_bound(self):
+        # The coefficients map past eta_c = 1: the one solve runs from the
+        # box start and ends on that face, and no other solve runs.
+        fit = fit_noise_curve(synthetic(1.2, 0.97, 1.0, noise_seed=5))
+        assert fit.eta_c == 1.0 and "parameter eta_c sits at a fit bound" in fit.warnings
+        assert (fit.n_starts, fit.winning_start) == (1, "bound")
+        assert fit.chi_square == pytest.approx(17.24462245155, rel=1e-9)
+
+    def test_solve_from_the_map_that_ends_on_a_face_runs_again(self):
+        # The coefficients map just inside eta_c = 1 and the solve from
+        # there ends on that face, so a second one runs from the box start.
+        fit = fit_noise_curve(synthetic(1.2, 0.97, 1.0, noise_seed=82))
+        assert fit.eta_c == 1.0 and fit.n_starts == 2
+        assert fit.chi_square == pytest.approx(22.3781018225, rel=1e-9)
+
+    def test_one_solve_when_the_power_optimum_sits_on_its_wall(self):
+        # The best quadratic in power touches 0 near the -27.9 dB dip,
+        # where no model curve can go.  A fit of the coefficients alone
+        # crept along that wall for its whole 400-evaluation budget; the
+        # model's one bounded solve takes 27 evaluations.
+        lam = np.linspace(0.0, 1.0, 7)
+        noise_db = [2.5, 21.1, 10.7, 20.0, -27.9, 28.2, 25.4]
+        sigma_db = [0.5, 0.92, 0.18, 0.37, 0.17, 0.67, 0.92]
+        fit = fit_noise_curve(NoiseDataset(lam=lam, noise_db=noise_db, sigma_db=sigma_db))
+        assert (fit.n_starts, fit.winning_start) == (1, "bound")
+        assert fit.status > 0 and fit.nfev <= 40
+        assert fit.chi_square == pytest.approx(29211.5230252, rel=1e-9)
+
     @pytest.mark.parametrize("offset", [0.03, None])
     @pytest.mark.parametrize("gain", [1.05, 1.67, 3.0])
     @pytest.mark.parametrize("eta_c", [0.79, 1.0])
     def test_analytic_jacobian_matches_central_difference(self, offset, gain, eta_c):
-        # The fit's analytic Jacobians of the weighted dB residuals: in
-        # (gain, eta_c, scale_db) at a fixed offset, and with no offset in
-        # the coefficients (a0, a1, a2) of that model at offset 0.03.
-        # eta_c = 1.0 is the upper fit bound.
+        # The fit's analytic Jacobians of the weighted dB residuals at a
+        # fixed offset (None: 0, eta_p = eta_c): in the chart p = (u, v,
+        # scale_db), u = sqrt(G - 1), v = sqrt(eta_c - lower eta_c), and
+        # through the chain rule in theta = (gain, eta_c, scale_db).  With
+        # no offset, also in the coefficients (a0, a1, a2) of the model at
+        # offset 0.03.  eta_c = 1.0 is the upper fit bound.
         lam = np.linspace(0.0, 1.0, 21)
         sigma = np.full(21, 0.05)
-        theta = np.array([gain, eta_c, 1.5])
+        fixed = 0.0 if offset is None else offset
+        lo = max(0.0, fixed)
+
+        def model_db(theta):
+            var = joint_variance(theta[0], theta[1] - fixed, theta[1], lam)
+            return (10.0 * np.log10(var) + theta[2]) / sigma
+
+        def chart_db(p):
+            return model_db([1.0 + p[0] ** 2, lo + p[1] ** 2, p[2]])
+
+        def coefficient_db(a):
+            return 10.0 * np.log10(a[0] + 2.0 * a[1] * lam + a[2] * lam * lam) / sigma
+
+        p = np.array([math.sqrt(gain - 1.0), math.sqrt(eta_c - lo), 1.5])
+        jac_p = _chart_jac(lam, sigma, p, fixed)
+        cases = [
+            (jac_p, chart_db, p),
+            (jac_p / np.append(2.0 * p[:2], 1.0), model_db, np.array([gain, eta_c, 1.5])),
+        ]
         if offset is None:
             vp, vc, cr = joint_variance_quadratic(gain, eta_c - 0.03, eta_c)
-            theta = np.array([vp, cr, vc])
-            jac = _coefficient_jac(lam, sigma, theta)
-
-            def model_db(x):
-                return 10.0 * np.log10(x[0] + 2.0 * x[1] * lam + x[2] * lam * lam) / sigma
-        else:
-            jac = _parameter_jac(lam, sigma, theta, offset)
-
-            def model_db(x):
-                var = joint_variance(x[0], x[1] - offset, x[1], lam)
-                return (10.0 * np.log10(var) + x[2]) / sigma
-
-        for i in range(theta.size):
-            h = 1e-6 * max(1.0, abs(theta[i]))
-            step = np.zeros(theta.size)
-            step[i] = h
-            numeric = (model_db(theta + step) - model_db(theta - step)) / (2.0 * h)
-            assert np.max(np.abs(jac[:, i] - numeric)) <= 1e-6 * np.max(np.abs(jac[:, i]))
+            a = np.array([vp, cr, vc])
+            cases.append((_coefficient_jac(lam, sigma, a), coefficient_db, a))
+        for jac, f, x in cases:
+            for i in range(x.size):
+                h = 1e-6 * max(1.0, abs(x[i]))
+                step = np.zeros(x.size)
+                step[i] = h
+                numeric = (f(x + step) - f(x - step)) / (2.0 * h)
+                assert np.max(np.abs(jac[:, i] - numeric)) <= 1e-6 * np.max(np.abs(jac[:, i]))
 
     def test_never_worse_than_the_start_grid(self):
         # Test-only reference: the ten-start grid over all three parameters
@@ -497,12 +537,12 @@ class TestFitNoiseCurve:
         assert abs(fit.lambda_opt_fit - lambda_opt(truth)) < 1e-6
 
     def test_failure_carries_the_lowest_cost(self, monkeypatch):
-        # Every start stops unconverged (status 0); the failure names the
+        # Every solve stops unconverged (status 0); the failure names the
         # lowest cost over all of them, whichever start it came from.
         costs = iter([9.5, 4.25, 7.0] + [8.0] * 20)
         calls = []
 
-        def unconverged(fun, x0, jac, lower=None, upper=None):
+        def unconverged(fun, x0, jac, lower, upper):
             calls.append(x0)
             fun(x0), jac(x0)
             return fitting._Solve(
@@ -513,7 +553,8 @@ class TestFitNoiseCurve:
         with pytest.raises(FitFailure, match=r"\(best residual cost 4\.25\)") as info:
             fit_noise_curve(synthetic(1.67, 0.76, 0.79))
         assert info.value.best_cost == 4.25
-        assert len(calls) == 2  # the coefficient fit, then the bounded solve
+        # The solve from the coefficient map, then the one from the box start.
+        assert len(calls) == 2
 
     def test_params_accessor(self):
         fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fock_reference import oracle_quadrature_stats
+from tsui import gaussian, metrology
 from tsui.data import MAX_GAIN
 from tsui.fock import apply_loss_fock, build_seeded_tmss_fock
 from tsui.gaussian import InterferometerParams, WeightedMeasurement
@@ -458,6 +459,17 @@ class TestCurveGenerators:
             assert balanced == alpha * phase_sensitivity(p, 1.0).delta_phi
             assert optimal == alpha * phase_sensitivity(p, lambda_opt(p)).delta_phi
             assert bound == alpha * qcrb(p).delta_phi
+
+    def test_sensitivity_vs_gain_builds_no_state(self, monkeypatch):
+        # The quantum bound comes from its closed form over the whole grid,
+        # not from one Gaussian state per gain.
+        def no_state(*args, **kwargs):
+            raise AssertionError("built a Gaussian state")
+
+        for module in (gaussian, metrology):
+            monkeypatch.setattr(module, "seeded_tmss", no_state)
+        table = curve_sensitivity_vs_gain(100.0, np.arange(1.0, 5.0001, 0.05))
+        assert np.all(np.isfinite(table.rows))
 
     def test_lambda_opt_vs_gain_validates_each_eta(self):
         for etas in ([1.2], [(0.5, -0.1)], [0.9, (0.5, math.nan)]):
