@@ -11,6 +11,7 @@ a directory, exits 2 at once and writes nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -270,6 +271,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # parse_args keeps no state between calls: one parser per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsui",
@@ -305,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--lambdas", help="weight grid start:stop:step (fig4a, fig6)")
     p_curves.add_argument("--out", help="output path (default <figure>.<format>)")
     p_curves.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_curves.set_defaults(func=cmd_curves)
 
     p_lam = sub.add_parser("lambda-opt", help="print the optimal readout weight")
     p_lam.add_argument("--gain", type=float, required=True)
@@ -314,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lam.add_argument(
         "--numeric", action="store_true", help="also print the direct-search check"
     )
-    p_lam.set_defaults(func=cmd_lambda_opt)
 
     p_sim = sub.add_parser(
         "simulate", help="simulate a noise-vs-weight scan from a config file"
@@ -325,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--center-freq", type=float, default=1e6)
     p_sim.add_argument("--rbw", type=float, default=1e5)
     p_sim.add_argument("--out", default="noise_vs_lambda.csv")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit a noise scan and extract the optimal weight")
     p_fit.add_argument("--data", required=True, help="noise CSV (lambda,noise_db,sigma_db)")
@@ -338,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument("--overlay", help="prefix for theory overlay tables")
     p_fit.add_argument("--lambdas", default="0:1:0.01", help="overlay weight grid")
-    p_fit.set_defaults(func=cmd_fit)
 
     p_ver = sub.add_parser(
         "verify", help="cross-check Gaussian moments against the Fock oracle"
@@ -355,18 +353,20 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_ver.add_argument("--lambdas", default="0,0.5,1")
-    p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
+_COMMANDS = {"curves": cmd_curves, "lambda-opt": cmd_lambda_opt, "simulate": cmd_simulate,
+             "fit": cmd_fit, "verify": cmd_verify}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -108,12 +108,22 @@ def format_csv(comments, columns: Sequence[str], rows) -> str:
     ``comments``, the header, then the float rows via :func:`format_float`."""
     lines = [f"# {key} = {value}" for key, value in comments]
     lines.append(",".join(columns))
-    lines += [",".join(format_float(v) for v in row) for row in rows]
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=float)
+    fmt = repr if _repr_is_positional(table) else format_float  # one check per table
+    lines += [",".join(map(fmt, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
+
+
+def _repr_is_positional(values) -> bool:
+    # repr writes 0 and 1e-4 <= |x| < 1e16 positionally, in numpy's shortest digits.
+    mag = abs(values)
+    return bool(np.all((mag == 0.0) | ((mag >= 1e-4) & (mag < 1e16))))
 
 
 def format_float(value: float) -> str:
     """Shortest decimal string that round-trips the float exactly."""
+    if isinstance(value, float) and _repr_is_positional(value):  # np.float64 is a float
+        return float.__repr__(value)
     return np.format_float_positional(value, unique=True, trim="0")
 
 
@@ -233,7 +243,7 @@ class NoiseDataset:
 
     def csv_text(self) -> str:
         comments = [("source", self.source)] + sorted(self.meta.items())
-        rows = zip(self.lam, self.noise_db, self.sigma_db)
+        rows = np.column_stack((self.lam, self.noise_db, self.sigma_db))
         return format_csv(comments, ("lambda", "noise_db", "sigma_db"), rows)
 
     def to_csv(self, path: str) -> None:

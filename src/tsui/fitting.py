@@ -567,9 +567,11 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     res = converged[winner]
     # A variable the solver leaves within xtol of a bound is put on it
     # unless that raises chi^2.
-    snapped = np.where(res.active_mask < 0, p_lower, np.where(res.active_mask > 0, p_upper, res.x))
-    r, r_snapped = chart_residuals(res.x), chart_residuals(snapped)
-    p = snapped if r_snapped @ r_snapped <= r @ r else res.x
+    p = res.x
+    if res.active_mask.any():
+        snapped = np.where(res.active_mask < 0, p_lower, np.where(res.active_mask > 0, p_upper, p))
+        r, r_snapped = chart_residuals(p), chart_residuals(snapped)
+        p = snapped if r_snapped @ r_snapped <= r @ r else p
     # A root on its upper bound maps onto the bound exactly.
     inner = np.minimum(lower[:2] + p[:2] ** 2, upper[:2])
     x_hat = np.append(np.where(p[:2] < p_upper[:2], inner, upper[:2]), p[2])

@@ -10,13 +10,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tsui
 from tsui import cli, fock, simulate
 from tsui.cli import main, parse_span
-from tsui.data import NoiseDataset, format_csv, load_noise_csv
+from tsui.data import NoiseDataset, format_csv, format_float, load_noise_csv
 from tsui.gaussian import (
     InterferometerParams,
     apply_loss,
@@ -863,6 +863,97 @@ class TestParser:
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    # Every call of main shares one parser; none may leave state in it
+    # that a later call sees.
+
+    @pytest.mark.parametrize("interruption", [["curves", "fig3", "--bogus"], ["--help"]])
+    def test_rejected_or_help_argv_leaves_later_runs_unchanged(
+        self, tmp_path, capsys, interruption
+    ):
+        def run(name):
+            assert main(["curves", "fig6", "--gain", "1.1,1.3", "--out", str(tmp_path / name)]) == 0
+            return (tmp_path / name).read_bytes()
+
+        first = run("first.csv")
+        assert main(interruption) == (0 if interruption == ["--help"] else 2)
+        assert run("again.csv") == first
+        capsys.readouterr()
+
+    def test_appended_eta_does_not_carry_over(self, tmp_path):
+        def columns(*flags):
+            out = tmp_path / "fig8.csv"
+            assert main(["curves", "fig8", *flags, "--out", str(out)]) == 0
+            return read_csv(out)[0]
+
+        assert len(columns("--eta", "0.9", "--eta", "0.8", "--eta", "0.7")) == 4
+        assert len(columns("--eta", "0.9")) == 2
+        default = columns()
+        cli._build_parser.cache_clear()
+        assert columns() == default and len(default) == 3
+
+    def test_overlay_does_not_carry_over(self, tmp_path):
+        data = tmp_path / "scan.csv"
+        write_scan_csv(data, 1.67, 0.76, 0.79)
+        fit = ["fit", "--data", str(data), "--out"]
+        assert main([*fit, str(tmp_path / "a.json"), "--overlay", str(tmp_path / "ov")]) == 0
+        listing = {"scan.csv", "a.json", "ov_sql1.csv", "ov_sql2.csv"}
+        assert {p.name for p in tmp_path.iterdir()} == listing
+        assert main([*fit, str(tmp_path / "b.json")]) == 0
+        assert {p.name for p in tmp_path.iterdir()} == listing | {"b.json"}
+
+
+# numpy's shortest positional form: what every table held before repr.
+def _numpy_float(value: float) -> str:
+    return np.format_float_positional(value, unique=True, trim="0")
+
+
+class TestFloatFormat:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(5e-324)  # the smallest subnormal
+    @example(2.2250738585072009e-308)  # the largest subnormal
+    @example(0.0)
+    @example(-0.0)
+    @example(1e-4)
+    @example(np.nextafter(1e-4, 0.0))
+    @example(-1e-4)
+    @example(1e16)
+    @example(np.nextafter(1e16, 0.0))
+    @example(-np.nextafter(1e16, 0.0))
+    @example(sys.float_info.max)
+    @example(-sys.float_info.max)
+    @settings(max_examples=2000)
+    def test_every_float_writes_as_numpy_did(self, value):
+        value = float(value)
+        for scalar in (value, np.float64(value), np.float32(value) if abs(value) < 3e38 else value):
+            assert format_float(scalar) == _numpy_float(scalar)
+        # A one-value table takes the whole-table route.
+        assert format_csv([], ("x",), [[value]]) == f"x\n{_numpy_float(value)}\n"
+
+    def test_magnitude_bands_write_as_numpy_did(self):
+        # 20,000 values spread over every decade from 1e-7 to 1e19, both
+        # signs, written as one table per band: the band in range goes
+        # through repr, the two outside it through numpy.
+        rng = np.random.default_rng(5)
+        values = rng.uniform(1.0, 10.0, 20_000) * 10.0 ** rng.integers(-7, 20, 20_000)
+        values *= rng.choice([-1.0, 1.0], values.size)
+        mag = np.abs(values)
+        for band in (mag < 1e-4, (mag >= 1e-4) & (mag < 1e16), mag >= 1e16):
+            column = values[band]
+            written = format_csv([], ("x",), column[:, None]).splitlines()[1:]
+            wrong = [(v, w) for v, w in zip(column, written) if w != _numpy_float(v)]
+            assert (len(written), wrong[:3]) == (column.size, [])
+
+    def test_table_with_out_of_range_values_writes_as_numpy_did(self):
+        rows = np.array([[0.1, 1e-5, 2.5], [1.0 / 3.0, 7.0, 1e17], [-0.0, 123456.789, 1e-4]])
+        text = format_csv([("label", "mixed")], ("a", "b", "c"), rows)
+        body = [",".join(_numpy_float(v) for v in row) for row in rows]
+        assert text == "\n".join(["# label = mixed", "a,b,c", *body]) + "\n"
+        assert "1e-05" not in text and "0.00001" in text
+        assert "100000000000000000.0" in text
 
 
 class TestStartup:
