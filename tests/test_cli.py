@@ -930,8 +930,10 @@ class TestFloatFormat:
         value = float(value)
         for scalar in (value, np.float64(value), np.float32(value) if abs(value) < 3e38 else value):
             assert format_float(scalar) == _numpy_float(scalar)
-        # A one-value table takes the whole-table route.
-        assert format_csv([], ("x",), [[value]]) == f"x\n{_numpy_float(value)}\n"
+        # A one-value float64 array takes the whole-table route, a list
+        # the value-by-value one.
+        for table in (np.array([[value]]), [[value]]):
+            assert format_csv([], ("x",), table) == f"x\n{_numpy_float(value)}\n"
 
     def test_magnitude_bands_write_as_numpy_did(self):
         # 20,000 values spread over every decade from 1e-7 to 1e19, both
@@ -954,6 +956,13 @@ class TestFloatFormat:
         assert text == "\n".join(["# label = mixed", "a,b,c", *body]) + "\n"
         assert "1e-05" not in text and "0.00001" in text
         assert "100000000000000000.0" in text
+
+    def test_other_tables_write_value_by_value(self):
+        # float32 keeps its own shortest digits, and rows need not be
+        # of one length, as when every table went through format_float.
+        text = format_csv([], ("a", "b"), np.array([[0.1, 2.5]], dtype=np.float32))
+        assert text == "a,b\n0.1,2.5\n"
+        assert format_csv([], ("a", "b"), [[0.1, 2.5], [3.0]]) == "a,b\n0.1,2.5\n3.0\n"
 
 
 class TestStartup:
