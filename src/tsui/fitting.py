@@ -73,7 +73,7 @@ _GRID_FLOOR = 1e-6
 class _Solve(NamedTuple):
     """One :func:`least_squares` run: the point, its cost 0.5 |r|^2, the
     status (> 0 converged), the residual and Jacobian evaluations, and per
-    variable -1 / 1 where it lies within xtol of its lower / upper bound."""
+    variable -1 / 1 where it lies on its lower / upper bound."""
 
     x: np.ndarray
     cost: float
@@ -90,16 +90,17 @@ def least_squares(fun, x0, jac, lower, upper) -> _Solve:
     with Marquardt's scaling D (the largest column norms of J so far) and
     Nielsen's update of mu (Moré, Lecture Notes in Mathematics 630, 105
     (1978); Madsen, Nielsen & Tingleff, *Methods for non-linear least
-    squares problems*, DTU (2004)); ``jac(x)`` gives J.  A variable on a
-    bound whose gradient or step points out of the box is held there and
-    the step re-solved over the others (an active set); the step is then
-    clipped to the box.  A trial point with non-finite residuals is
-    rejected like one that raises the cost.
+    squares problems*, DTU (2004)); ``jac(x)`` gives J.  The box is kept
+    by an active set (``_lm_step``): a variable on a bound whose gradient
+    points out of the box is held there, and one whose step would leave
+    the box lands on the face it crosses and is held there while the step
+    is re-solved over the others.  A trial point with non-finite residuals
+    is rejected like one that raises the cost.
 
     The status is 1 when no free column of J has a cosine above gtol with
     the residuals, 2 when a step's actual and predicted cost reductions are
     both at most ftol of the cost (and their ratio at most 2), 3 when the
-    scaled step is at most xtol of the scaled point, 4 for 2 and 3 at once,
+    scaled step |D h| is at most xtol (xtol + |D x|), 4 for 2 and 3 at once,
     and 0 when ``_MAX_NFEV`` residual evaluations ran out or the residuals
     at the start, or J, are not finite.  ftol = xtol = gtol = ``_TOL``.
     ``perfbench/tracer.py`` wraps the solver by this name.
@@ -127,7 +128,7 @@ def least_squares(fun, x0, jac, lower, upper) -> _Solve:
             status = 1
             break
         while True:
-            trial = np.clip(x + _lm_step(j / d, r, mu, ~held, x, lower, upper) / d, lower, upper)
+            trial = _lm_step(j / d, r, mu, ~held, x, d, lower, upper)
             h = trial - x
             predicted = cost - 0.5 * float(np.sum((r + j @ h) ** 2))
             r_trial = fun(trial)
@@ -137,7 +138,7 @@ def least_squares(fun, x0, jac, lower, upper) -> _Solve:
             actual = cost - cost_trial
             rho = actual / predicted if predicted > 0.0 else -1.0
             small_f = predicted <= _TOL * cost and abs(actual) <= _TOL * cost and rho <= 2.0
-            small_x = np.linalg.norm(d * h) <= _TOL * np.linalg.norm(d * x)
+            small_x = np.linalg.norm(d * h) <= _TOL * (_TOL + np.linalg.norm(d * x))
             accepted = rho > 1e-4
             if accepted:
                 x, r, cost = trial, r_trial, cost_trial
@@ -149,25 +150,26 @@ def least_squares(fun, x0, jac, lower, upper) -> _Solve:
                 status = 4 if small_f and small_x else 2 if small_f else 3
             if status or accepted or nfev >= _MAX_NFEV:
                 break
-    atol = _TOL * np.maximum(1.0, np.abs(x))
-    active = np.where(x - lower <= atol, -1, np.where(upper - x <= atol, 1, 0))
+    active = np.where(x <= lower, -1, np.where(x >= upper, 1, 0))
     return _Solve(x, cost, status, nfev, njev, active)
 
 
-def _lm_step(j: np.ndarray, r: np.ndarray, mu: float, free, x, lower, upper) -> np.ndarray:
-    """Scaled step z minimizing |r + J z|^2 + mu |z|^2 over the ``free``
-    variables: one on a bound whose step points out of the box is dropped
-    and the rest re-solved."""
-    z = np.zeros(x.size)
+def _lm_step(j: np.ndarray, r: np.ndarray, mu: float, free, x, d, lower, upper) -> np.ndarray:
+    """Trial point x + z / d inside the box, z the scaled step minimizing
+    |r + J z|^2 + mu |z|^2 over the ``free`` variables.  A free variable
+    whose step leaves the box is put on the face it crosses and held
+    there, and the rest re-solved against r + J_held z_held."""
+    trial = x.copy()
     while free.any():
         u, s, vt = np.linalg.svd(j[:, free], full_matrices=False)
-        z[:] = 0.0
-        z[free] = -vt.T @ (s / (s * s + mu) * (u.T @ r))
-        out = free & (((x <= lower) & (z < 0.0)) | ((x >= upper) & (z > 0.0)))
-        if not out.any():
-            return z
-        free &= ~out
-    return np.zeros(x.size)
+        r_held = r + j[:, ~free] @ ((trial - x) * d)[~free]
+        trial[free] = x[free] - vt.T @ (s / (s * s + mu) * (u.T @ r_held)) / d[free]
+        below, above = free & (trial < lower), free & (trial > upper)
+        if not (below | above).any():
+            break
+        trial = np.where(below, lower, np.where(above, upper, trial))
+        free &= ~(below | above)
+    return trial
 
 
 class FitFailure(RuntimeError):
@@ -250,7 +252,9 @@ class FitResult:
         return InterferometerParams(gain=self.gain, eta_p=self.eta_p, eta_c=self.eta_c)
 
     def to_dict(self) -> dict:
-        """The fields in order, tuples and arrays as (nested) lists."""
+        """The fields in order, tuples and arrays as (nested) lists, and a
+        non-finite number (an exactly singular fit's condition number) as
+        None, so that ``json_text`` is strict JSON."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -258,6 +262,8 @@ class FitResult:
                 value = value.tolist()
             elif isinstance(value, (tuple, list)):
                 value = list(value)
+            elif isinstance(value, float) and not math.isfinite(value):
+                value = None
             out[f.name] = value
         return out
 
@@ -438,22 +444,20 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
       (``_shape_roots``), and s = a2 / V_c.  Where a root maps strictly
       inside the bounds, the solve starts there ("coefficients").
     * Otherwise it starts from the box start ("bound"): whichever has the
-      lower chi^2, the clipped map (eta_c clipped, the gain that keeps the
-      ratios there, ``_face_gain``, or the gain that keeps a2 where the
-      scale clips) or the best point of a 25 x 21 grid over (u, v), with
-      G - 1 geometric from 1e-6 to 49.  Each scale is the sigma-weighted
-      mean of y - model, clipped to its bounds.
+      lower chi^2, the clipped map (eta_c clipped, and the gain that keeps
+      the ratios there, ``_face_gain``) or the best point of a 25 x 21 grid
+      over (u, v), with G - 1 geometric from 1e-6 to 49.  Each scale is the
+      sigma-weighted mean of y - model, clipped to its bounds.
 
     A solve from the map that ends on a face of the box, or does not
     converge, runs once more from the box start, and the lower cost of
-    the converged solves wins.  A variable the winner leaves within xtol
-    of a bound is put on it unless that raises chi^2.  ``chi_square`` is
-    evaluated at the reported parameters.  On a scan the model cannot
-    express (a1 > 0 or a2 < 0) the solve is still local, and a search with
-    more starts may find a lower minimum.  The grid start keeps it from
-    the flat face G = 1: noisy vacuum at offset 0.03 (seed 18) fits with
-    chi_square 15.53, the value of a ten-start search, where a trust-region
-    solve from the clipped map alone stopped at 18.00.
+    the converged solves wins.  ``chi_square`` is evaluated at the
+    reported parameters.  On a scan the model cannot express (a1 > 0 or
+    a2 < 0) the solve is still local, and a search with more starts may
+    find a lower minimum.  The grid start keeps it from the flat face
+    G = 1: noisy vacuum at offset 0.03 (seed 18) fits with chi_square
+    15.53, the value of a ten-start search, where a trust-region solve
+    from the clipped map alone stopped at 18.00.
 
     Parameter uncertainties are the square roots of the diagonal of
     (J^T J)^(-1) at the solution, J holding every free parameter,
@@ -534,17 +538,13 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
             # where the solver's step off G = 1 does not bring it back.
             eta_c = lower[1]
         gain = min(_face_gain(b, eta_c, offset), upper[0])
-        x0 = np.clip(np.nan_to_num(with_scale(gain, eta_c), nan=ref_db), lower, upper)
-        if x0[2] in (lower[2], upper[2]) and eta_c > 0.0:
-            # The scale is clipped, so the gain keeps a2 = s V_c instead.
-            v_c = b[2] * 10.0 ** ((ref_db - x0[2]) / 10.0)
-            x0[0] = np.clip(1.0 + (v_c - 1.0) / (2.0 * eta_c), lower[0], upper[0])
         grid = np.meshgrid(
             np.sqrt(np.geomspace(_GRID_FLOOR, upper[0] - lower[0], _GRID_GAINS)),
             np.sqrt(np.linspace(0.0, upper[1] - lower[1], _GRID_ETAS)),
             indexing="ij",
         )
-        roots = np.vstack([np.sqrt(x0[:2] - lower[:2]), np.column_stack([v.ravel() for v in grid])])
+        clipped = np.sqrt([gain, eta_c] - lower[:2])
+        roots = np.vstack([clipped, np.column_stack([v.ravel() for v in grid])])
         gain, eta_c = (lower[:2, None] + roots.T**2)[..., None]
         model = 10.0 * np.log10(metrology.joint_variance(gain, eta_c - offset, eta_c, lam))
         weights = sigma**-2.0 / np.sum(sigma**-2.0)
@@ -565,13 +565,7 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations", lowest)
     winner = min(converged, key=lambda name: converged[name].cost)
     res = converged[winner]
-    # A variable the solver leaves within xtol of a bound is put on it
-    # unless that raises chi^2.
     p = res.x
-    if res.active_mask.any():
-        snapped = np.where(res.active_mask < 0, p_lower, np.where(res.active_mask > 0, p_upper, p))
-        r, r_snapped = chart_residuals(p), chart_residuals(snapped)
-        p = snapped if r_snapped @ r_snapped <= r @ r else p
     # A root on its upper bound maps onto the bound exactly.
     inner = np.minimum(lower[:2] + p[:2] ** 2, upper[:2])
     x_hat = np.append(np.where(p[:2] < p_upper[:2], inner, upper[:2]), p[2])

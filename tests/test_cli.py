@@ -550,6 +550,22 @@ class TestFit:
             assert header == ["lambda", "snri_db"]
             assert rows.shape[0] == 101
 
+    def test_exactly_singular_fit_writes_strict_json(self, tmp_path, capsys):
+        # A noiseless vacuum scan at offset 0 has an exactly singular J^T J.
+        # Its condition number, inf, is written as null, since JSON has no
+        # Infinity, and printed as inf.
+        lam = np.linspace(0.0, 1.0, 21)
+        data, out = tmp_path / "scan.csv", tmp_path / "fit.json"
+        NoiseDataset(lam, 10.0 * np.log10(1.0 + lam**2), np.full(21, 0.05)).to_csv(str(data))
+        assert main(["fit", "--data", str(data), "--out", str(out), "--offset", "0"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        result = json.loads(out.read_text(), parse_constant=reject)
+        assert result["condition_number"] is None
+        assert "condition number   = inf" in capsys.readouterr().out
+
     def test_unconstrained_flag(self, tmp_path, capsys):
         # Four parameters for three coefficients cannot be identified, so
         # the mode is gone: the flag is a usage error, and nothing is written.
