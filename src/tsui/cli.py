@@ -187,20 +187,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    if args.lambdas is not None and not args.overlay:
+        raise ValueError("--lambdas sets the overlay grid and needs --overlay")
     kinds = (SqlKind.SQL2, SqlKind.SQL1) if args.overlay else ()
     overlays = [f"{args.overlay}_{kind.value}.csv" for kind in kinds]
     _check_outputs(args.out, *overlays)
     # The overlay grid is checked before the fit, so a bad one writes nothing.
-    grid = check_grid("lam", parse_span(args.lambdas)) if kinds else None
+    lambdas = "0:1:0.01" if args.lambdas is None else args.lambdas
+    grid = check_grid("lam", parse_span(lambdas)) if kinds else None
     dataset = load_noise_csv(args.data)
     fit = fitting.fit_noise_curve(dataset, fitting.FitOptions(loss_offset=args.offset))
-    est = fitting.extract_lambda_opt(dataset, fit)
     write_atomic(args.out, fit.json_text())
     print(fit.summary())
-    print(
-        f"  lambda_opt estimate = {est.value:.4f} +/- {est.sigma:.4f} ({est.method})"
-    )
-    if est.boundary_warning:
+    print(f"  lambda_opt estimate = {fit.lambda_opt_fit:.4f} "
+          f"+/- {fit.sigma_lambda_opt_fit:.4f} (fit)")
+    if dataset.minimum_at_edge():
         print("  warning: measured minimum sits at the edge of the scanned range")
     for kind, path in zip(kinds, overlays):
         fitting.overlay_theory(fit, kind, grid).to_csv(path)
@@ -336,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fixed eta_c - eta_p during the fit",
     )
     p_fit.add_argument("--overlay", help="prefix for theory overlay tables")
-    p_fit.add_argument("--lambdas", default="0:1:0.01", help="overlay weight grid")
+    p_fit.add_argument("--lambdas", help="overlay weight grid (default 0:1:0.01; needs --overlay)")
 
     p_ver = sub.add_parser(
         "verify", help="cross-check Gaussian moments against the Fock oracle"

@@ -242,6 +242,10 @@ class NoiseDataset:
     def n_distinct(self) -> int:
         return int(np.unique(self.lam).size)
 
+    def minimum_at_edge(self) -> bool:
+        """Whether the lowest reading sits at the first or last weight."""
+        return self.lam[int(np.argmin(self.noise_db))] in (self.lam[0], self.lam[-1])
+
     def csv_text(self) -> str:
         comments = [("source", self.source)] + sorted(self.meta.items())
         rows = np.column_stack((self.lam, self.noise_db, self.sigma_db))

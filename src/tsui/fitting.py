@@ -61,8 +61,9 @@ _MAX_NFEV = 400
 _TOL = 1e-10
 # d(10 log10 V) = _DB_PER_LN dV / V.
 _DB_PER_LN = 10.0 / math.log(10.0)
-# Bootstrap draws are generated and reduced this many at a time.
+# Bootstrap draws are generated and reduced _BOOTSTRAP_BLOCK at a time, at most _MAX_BOOTSTRAP.
 _BOOTSTRAP_BLOCK = 1024
+_MAX_BOOTSTRAP = 10**6
 # Grid of the box start: G - 1 geometric from _GRID_FLOOR to its bound (the
 # first rows resolve the face G = 1, where C grows as sqrt(G - 1)), eta_c
 # linear over its box.
@@ -213,6 +214,11 @@ class FitResult:
     most chi2_k(p), with k = len(param_names).  A sigma is not a valid
     interval for a parameter that ``warnings`` reports at a fit bound.
 
+    ``sigma_lambda_opt_fit`` is the error of ``lambda_opt_fit``: the gradient
+    of lam* = -a1 / a2 against the scan's coefficient covariance (J_a^T J_a)^+
+    at the fitted coefficients, 0 where the clamp at 1 holds lam* (equal to
+    propagating ``param_cov`` wherever d a / d theta is invertible).
+
     ``winning_start`` names the start of the solve that gave the result:
     "coefficients" (the linear coefficient fit, mapped strictly inside the
     bounds) or "bound" (the box start: the clipped map or a grid point).
@@ -235,6 +241,7 @@ class FitResult:
     chi_square: float
     n_points: int
     lambda_opt_fit: float
+    sigma_lambda_opt_fit: float
     lambda_opt_direct: float
     condition_number: float
     loss_offset: float
@@ -602,6 +609,11 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     fitted = InterferometerParams(
         gain=gain, eta_p=min(max(eta_p, 0.0), 1.0), eta_c=min(max(eta_c, 0.0), 1.0)
     )
+    a = _coefficients(gain, fitted.eta_p, fitted.eta_c, scale_db)
+    jac_a = _coefficient_jac(lam, sigma, a)
+    # d(-a1 / a2), 0 where the clamp at 1 holds lam*.
+    grad = np.array([0.0, -1.0 / a[2], a[1] / (a[2] * a[2])]) * (-a[1] <= a[2])
+    sigma_lam = float(math.sqrt(max(grad @ np.linalg.pinv(jac_a.T @ jac_a) @ grad, 0.0)))
     return FitResult(
         gain=gain,
         eta_p=fitted.eta_p,
@@ -614,6 +626,7 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         chi_square=float(np.sum(residuals(x_hat) ** 2)),
         n_points=len(dataset),
         lambda_opt_fit=metrology.lambda_opt(fitted),
+        sigma_lambda_opt_fit=sigma_lam,
         lambda_opt_direct=_direct_lambda_opt(lam, y),
         condition_number=condition,
         loss_offset=offset,
@@ -641,25 +654,27 @@ def extract_lambda_opt(
     lowest distinct points; its uncertainty comes from a parametric
     bootstrap that redraws every point as N(noise_db, sigma_db^2) and
     repeats the extraction.  When a fit is supplied, the model-based
-    estimate (closed-form optimal weight at the fitted parameters) is
-    used as the headline value.  Its uncertainty is the gradient of
-    lam* = -a1 / a2 against the coefficient covariance (J_a^T J_a)^(-1)
-    of the scan at the fitted coefficients (0 where the clamp at 1 holds
-    lam*).  Wherever d a / d theta is invertible this equals propagating
-    ``param_cov``.  When the fit warns that a parameter sits at a bound,
-    that sigma is a linearization there, not an interval.
+    estimate is the headline value: the fit's ``lambda_opt_fit`` and
+    ``sigma_lambda_opt_fit``, which :func:`fit_noise_curve` computed from
+    the same scan (see :class:`FitResult`).  When the fit warns that a
+    parameter sits at a bound, that sigma is a linearization there, not
+    an interval.  A caller that wants the fit's estimate alone reads it
+    from the fit and draws no bootstrap.
 
     Args:
         dataset: scan to analyze.
         fit: optional fit of the same dataset.
-        n_bootstrap: bootstrap repetitions for the direct uncertainty.
+        n_bootstrap: bootstrap repetitions for the direct uncertainty, an
+            int in [2, 10^6]; anything else raises ``ValueError``.
         rng_seed: bootstrap seed (fixed default keeps results stable).
 
     Returns:
         A :class:`LambdaOptEstimate` with ``method`` "fit" or "direct".
     """
-    if n_bootstrap < 2:
-        raise ValueError("n_bootstrap must be >= 2")
+    if not isinstance(n_bootstrap, int) or not 2 <= n_bootstrap <= _MAX_BOOTSTRAP:
+        raise ValueError(
+            f"n_bootstrap must be an int in [2, {_MAX_BOOTSTRAP}], got {n_bootstrap!r}"
+        )
     lam, noise_db = dataset.lam, dataset.noise_db
     direct_value = _direct_lambda_opt(lam, noise_db)
     rng = np.random.default_rng(rng_seed)
@@ -667,21 +682,15 @@ def extract_lambda_opt(
     blocks = []
     for done in range(0, n_bootstrap, _BOOTSTRAP_BLOCK):
         rows = min(_BOOTSTRAP_BLOCK, n_bootstrap - done)
-        noise = rng.normal(0.0, dataset.sigma_db, (rows, lam.size))
+        noise = dataset.sigma_db * rng.standard_normal((rows, lam.size))
         blocks.append(_direct_lambda_opt(lam, noise_db + noise))
     draws = np.concatenate(blocks)
     direct_sigma = float(draws.std(ddof=1))
-    boundary = lam[int(np.argmin(noise_db))] in (lam[0], lam[-1])
 
     fit_value = fit_sigma = None
     value, sigma, method = direct_value, direct_sigma, "direct"
     if fit is not None:
-        a = _coefficients(fit.gain, fit.eta_p, fit.eta_c, fit.scale_db)
-        jac = _coefficient_jac(lam, dataset.sigma_db, a)
-        # d(-a1 / a2), 0 where the clamp at 1 holds lam*.
-        grad = np.array([0.0, -1.0 / a[2], a[1] / (a[2] * a[2])]) * (-a[1] <= a[2])
-        fit_value = fit.lambda_opt_fit
-        fit_sigma = float(math.sqrt(max(grad @ np.linalg.pinv(jac.T @ jac) @ grad, 0.0)))
+        fit_value, fit_sigma = fit.lambda_opt_fit, fit.sigma_lambda_opt_fit
         value, sigma, method = fit_value, fit_sigma, "fit"
     return LambdaOptEstimate(
         value=value,
@@ -691,7 +700,7 @@ def extract_lambda_opt(
         direct_sigma=direct_sigma,
         fit_value=fit_value,
         fit_sigma=fit_sigma,
-        boundary_warning=boundary,
+        boundary_warning=dataset.minimum_at_edge(),
     )
 
 

@@ -541,7 +541,7 @@ class TestFit:
         assert (result["n_starts"], result["winning_start"]) == (1, "coefficients")
         assert result["status"] > 0 and result["nfev"] > 0
         stdout = capsys.readouterr().out
-        assert "lambda_opt estimate" in stdout
+        assert f"+/- {result['sigma_lambda_opt_fit']:.4f} (fit)" in stdout
         assert "coefficients path" in stdout
         for kind in ("sql2", "sql1"):
             path = tmp_path / f"overlay_{kind}.csv"
@@ -549,6 +549,51 @@ class TestFit:
             header, rows = read_csv(path)
             assert header == ["lambda", "snri_db"]
             assert rows.shape[0] == 101
+
+    def test_fit_draws_no_bootstrap(self, tmp_path, capsys, monkeypatch):
+        # The estimate line comes from the fit alone, and reads what
+        # extract_lambda_opt(ds, fit) reports.
+        data = tmp_path / "scan.csv"
+        write_scan_csv(data, 1.2, 0.73, 0.76)
+        ds = load_noise_csv(str(data))
+        est = cli.fitting.extract_lambda_opt(ds, cli.fitting.fit_noise_curve(ds))
+
+        def no_bootstrap(*args, **kwargs):
+            raise AssertionError("tsui fit drew a bootstrap")
+
+        monkeypatch.setattr(cli.fitting, "extract_lambda_opt", no_bootstrap)
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "f.json")]) == 0
+        line = f"  lambda_opt estimate = {est.value:.4f} +/- {est.sigma:.4f} ({est.method})"
+        assert line in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize(
+        "setting, edge",
+        [((1.0, 1.0, 1.0), True), ((5.0, 1.0, 1.0), True), ((1.67, 0.76, 0.79), False)],
+    )
+    def test_edge_warning_when_the_minimum_is_at_an_end(self, tmp_path, capsys, setting, edge):
+        # Vacuum (G = 1) reads lowest at weight 0, G = 5 without loss at 1
+        # (lambda_opt 0.994 on an 11-point grid).
+        data = tmp_path / "scan.csv"
+        write_scan_csv(data, *setting, n=11)
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "f.json")]) == 0
+        warning = "  warning: measured minimum sits at the edge of the scanned range"
+        assert (warning in capsys.readouterr().out.splitlines()) == edge
+
+    def test_lambdas_without_overlay_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The flag sets the overlay grid only: refused before the scan is
+        # read or fitted, and nothing is written.
+        calls = []
+        monkeypatch.setattr(cli, "load_noise_csv", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli.fitting, "fit_noise_curve", lambda *args: calls.append(args))
+        data = tmp_path / "scan.csv"
+        write_scan_csv(data, 1.67, 0.76, 0.79)
+        argv = ["fit", "--data", str(data), "--out", str(tmp_path / "f.json")]
+        assert main([*argv, "--lambdas", "0:1:0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --lambdas sets the overlay grid and needs --overlay\n"
+        )
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
 
     def test_exactly_singular_fit_writes_strict_json(self, tmp_path, capsys):
         # A noiseless vacuum scan at offset 0 has an exactly singular J^T J.
@@ -593,6 +638,7 @@ class TestFit:
             (["--overlay", "missing/ov"], "cannot write"),
             (["--out", "missing/f.json"], "cannot write"),
             (["--overlay", "ov", "--lambdas", "0:2:0.5"], "lam must lie in"),
+            (["--overlay", "ov", "--lambdas", ""], "empty grid specification"),
         ],
     )
     def test_bad_output_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch, flags, word):

@@ -32,6 +32,7 @@ from tsui.metrology import (
     lambda_opt,
     snri,
 )
+from tsui.simulate import SimConfig, measure_noise_vs_lambda
 
 
 def synthetic(
@@ -640,6 +641,13 @@ class TestExtractLambdaOpt:
         ]
         assert math.isclose(est.direct_sigma, float(np.std(draws, ddof=1)), rel_tol=1e-12)
 
+    def test_bootstrap_draw_is_pinned(self):
+        # The value rng.normal(0, sigma_db) gave, to 17 digits: sigma_db *
+        # standard_normal draws the same numbers bit for bit.
+        ds = synthetic(1.67, 0.76, 0.79, noise_seed=8)
+        est = extract_lambda_opt(ds, n_bootstrap=1500, rng_seed=11)
+        assert est.direct_sigma == 0.069136802146158499
+
     def test_bootstrap_deterministic(self):
         ds = synthetic(1.67, 0.76, 0.79, noise_seed=5)
         a = extract_lambda_opt(ds)
@@ -680,6 +688,7 @@ class TestExtractLambdaOpt:
         expected = math.sqrt(max(grad @ fit.param_cov @ grad, 0.0))
         got = extract_lambda_opt(ds, fit, n_bootstrap=10).fit_sigma
         assert got == pytest.approx(expected, rel=1e-6)
+        assert fit.sigma_lambda_opt_fit == got
 
     def test_fit_sigma_at_the_eta_c_bound(self):
         # Criterion 6's second setting, repetition 1: eta_c sits at its
@@ -691,6 +700,35 @@ class TestExtractLambdaOpt:
         est = extract_lambda_opt(ds, fit, n_bootstrap=10)
         assert abs(est.value - 0.55967) < 0.02
         assert est.fit_sigma < 0.01
+        assert fit.sigma_lambda_opt_fit == est.fit_sigma
+
+    @staticmethod
+    def reference_fit_sigma(ds, fit):
+        # The gradient of lam* = -a1 / a2 against (J_a^T J_a)^+, with the
+        # coefficients rebuilt from the fit's reported parameters.
+        a = 10.0 ** (fit.scale_db / 10.0) * np.array(
+            joint_variance_quadratic(fit.gain, fit.eta_p, fit.eta_c)
+        )[[0, 2, 1]]
+        jac = _coefficient_jac(ds.lam, ds.sigma_db, a)
+        grad = np.array([0.0, -1.0 / a[2], a[1] / (a[2] * a[2])]) * (-a[1] <= a[2])
+        return float(math.sqrt(max(grad @ np.linalg.pinv(jac.T @ jac) @ grad, 0.0)))
+
+    def test_fit_carries_the_weight_sigma(self):
+        # Criterion 6's scans, both settings, and a simulated scan.
+        lam = np.linspace(0.0, 1.0, 21)
+        scans = []
+        for gain, eta_p, eta_c in ((1.67, 0.76, 0.79), (1.2, 0.73, 0.76)):
+            vp, vc, cr = joint_variance_quadratic(gain, eta_p, eta_c)
+            clean = 10.0 * np.log10(vp + lam**2 * vc + 2.0 * lam * cr)
+            for rep in range(20):
+                noise = np.random.default_rng(1000 + rep).normal(0.0, 0.05, lam.size)
+                scans.append(NoiseDataset(lam, clean + noise, np.full(lam.size, 0.05)))
+        config = SimConfig(InterferometerParams(1.67, 0.76, 0.79, alpha=50.0), duration=0.004)
+        scans.append(measure_noise_vs_lambda(config, lam, trials=2))
+        for ds in scans:
+            fit = fit_noise_curve(ds)
+            assert fit.sigma_lambda_opt_fit == extract_lambda_opt(ds, fit, n_bootstrap=2).fit_sigma
+            assert fit.sigma_lambda_opt_fit == self.reference_fit_sigma(ds, fit)
 
     def test_boundary_warning_when_min_at_edge(self):
         lam = np.linspace(0.0, 1.0, 11)
@@ -718,10 +756,20 @@ class TestExtractLambdaOpt:
         with pytest.raises(ValueError, match="3 distinct"):
             extract_lambda_opt(ds)
 
-    def test_bootstrap_count_validation(self):
+    def test_bootstrap_count_validation(self, monkeypatch):
+        # Rejected before a generator is made, so before any draw.
+        def no_draws(*args):
+            raise AssertionError("drew before checking n_bootstrap")
+
+        monkeypatch.setattr(fitting.np.random, "default_rng", no_draws)
         ds = synthetic(1.67, 0.76, 0.79)
-        with pytest.raises(ValueError):
-            extract_lambda_opt(ds, n_bootstrap=1)
+        for count in (200.0, True, 1, 10**6 + 1):
+            with pytest.raises(ValueError, match=r"must be an int in \[2, 1000000\], got"):
+                extract_lambda_opt(ds, n_bootstrap=count)
+
+    def test_two_bootstrap_draws_suffice(self):
+        est = extract_lambda_opt(synthetic(1.67, 0.76, 0.79, noise_seed=4), n_bootstrap=2)
+        assert math.isfinite(est.direct_sigma) and est.direct_sigma >= 0.0
 
 
 class TestOverlayTheory:
