@@ -92,6 +92,11 @@ def _check_outputs(*paths: str) -> None:
             raise ValueError(f"cannot write {path}: its directory does not exist")
 
 
+def _grid(text: str | None, default: str) -> np.ndarray:
+    # A flag given empty is a grid to parse, not an absent flag.
+    return parse_span(default if text is None else text)
+
+
 def _single(values: np.ndarray, name: str) -> float:
     if values.size != 1:
         raise ValueError(f"{name} expects a single value, got {values.size}")
@@ -123,8 +128,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         raise ValueError(f"{figure} does not read {', '.join(unread)}")
     alpha = 100.0 if args.alpha is None else args.alpha
     if figure == "fig3":
-        grid = parse_span(args.gain or "1:5:0.05")
-        table = metrology.curve_sensitivity_vs_gain(alpha, grid)
+        table = metrology.curve_sensitivity_vs_gain(alpha, _grid(args.gain, "1:5:0.05"))
     elif figure in ("fig4b", "fig8"):
         if figure == "fig4b":
             default_etas = ["1.0", "0.9,0.9", "0.8,0.8"]
@@ -133,18 +137,18 @@ def cmd_curves(args: argparse.Namespace) -> int:
             default_etas = ["0.745,0.775", "1.0"]
             default_grid = "1:3:0.02"
         etas = [_parse_eta(e) for e in (args.eta or default_etas)]
-        table = metrology.curve_lambda_opt_vs_gain(etas, parse_span(args.gain or default_grid))
+        table = metrology.curve_lambda_opt_vs_gain(etas, _grid(args.gain, default_grid))
     else:  # fig4a and fig6: one transmission setting, a weight grid
         if args.eta and len(args.eta) > 1:
             raise ValueError(f"{figure} takes a single --eta setting")
         ep, ec = _parse_eta(args.eta[0]) if args.eta else (1.0, 1.0)
-        lam_grid = parse_span(args.lambdas or "0:1:0.01")
+        lam_grid = _grid(args.lambdas, "0:1:0.01")
         if figure == "fig4a":
-            gain = _single(parse_span(args.gain), "--gain") if args.gain else 2.0
+            gain = _single(_grid(args.gain, "2"), "--gain")
             params = InterferometerParams(gain=gain, eta_p=ep, eta_c=ec, alpha=alpha)
             table = metrology.curve_noise_vs_lambda(params, lam_grid)
         else:
-            gains = parse_span(args.gain) if args.gain else np.array([1.1])
+            gains = _grid(args.gain, "1.1")
             params_list = [
                 InterferometerParams(gain=float(g), eta_p=ep, eta_c=ec) for g in gains
             ]

@@ -19,7 +19,9 @@ segment, or of its part in one block, are N(mean, S x G), with S the
 arms' 2 x 2 covariance and G the Gram matrix of the part's in-band DFT
 rows (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)).  Reads and
 Grams alike come from one set of windowed rows (:func:`_rows`), at any
-segment length.
+segment length.  Nor are the spectra built: a segment's band sums are
+fixed quadratic forms in the inner products of its drawn noise rows and
+its reads (:func:`_segment_sums`).
 """
 
 from __future__ import annotations
@@ -48,9 +50,16 @@ __all__ = [
 # while leaving hundreds of segments in a default-length record.
 _BINS_PER_RBW = 8
 
-# Most samples drawn or read at once, and normals per draw of band
-# spectra; also the most basis rows cached (144 B each at 9 band bins).
+# Most samples drawn or read at once, and most segments whose Grams a
+# scan holds at once; also the most basis rows cached (144 B each at 9
+# band bins).
 _CHUNK = 2**13
+
+# Most numbers in one array of a run of a scan's draw: its normals, or
+# the wider rows they map to.  At 64 KiB a run stays below glibc's default
+# mmap threshold (128 KiB) and reuses heap pages; runs of 2^15 normals
+# faulted in about 100 fresh pages per trial of a jittered default scan.
+_RUN = 2**13
 
 # Input caps: the longest record is 8x the default length (2 x 64 MiB
 # from simulate_records; a scan draws no samples and holds one trial's
@@ -474,15 +483,25 @@ def _segment_sums(config: SimConfig, trial: int, band: _Band, layout: list) -> n
     """Per-segment (|U|^2, Re(U W*), |W|^2) band sums of one trial, in the
     sum U = P + C and difference W = P - C of its arms' band spectra.
 
-    After the block phases, each group draws (k, 2, rank) normals xi for
-    its k segments, in runs of at most ``_CHUNK`` numbers.  In a block
-    whose (W, U) covariance is S, a part gets W = sqrt(S_WW) xi_0 @ F and
-    U = S_WU / sqrt(S_WW) xi_0 @ F + sqrt(det S / S_WW) xi_1 @ F plus its
-    mean.  S_WW and det S are sums of nonnegative terms (C <= 0), so at
-    high gain, where P and C nearly cancel in U, U keeps its digits.  A
-    whole segment's sums are taken from its run at once; only the spectra
-    of the segments at one cut are held, from their first part to their
-    second.
+    In a block whose (W, U) covariance is S, a part's spectra are W =
+    sqrt(S_WW) y_0 and U = S_WU / sqrt(S_WW) y_0 + sqrt(det S / S_WW) y_1,
+    y = xi F for standard normals xi, plus their means: each arm's carrier
+    offset times the part's unit read and, with a tone, the tone times its
+    two tone reads.  S_WW and det S are sums of nonnegative terms (C <= 0),
+    so at high gain, where P and C nearly cancel in U, U keeps its digits.
+
+    So a segment's (U, W) is K z: z stacks its parts' noise rows y_0, y_1
+    and their reads, K holds its blocks' coefficients (a cut segment's two
+    parts add), and the sums are the quadratic forms K_U Z K_U, K_U Z K_W
+    and K_W Z K_W in the Gram Z of z.  Z comes from row dots of the noise
+    rows, their projections xi (F r^T), taken in the GEMM that gives y, and
+    the reads' constant Gram; no spectrum is built.
+
+    After the block phases, each group draws its normals part by part, as
+    (2k, rank) arrays for k segments whose rows hold at most ``_RUN``
+    numbers, in the order of one whole draw.  A cut's head rows are held
+    until its tail is drawn, and the Grams of at most ``_CHUNK`` segments
+    at a time.
     """
     rng = np.random.default_rng([config.rng_seed, trial])
     p, var = config.params, config.electronic_noise_var
@@ -495,36 +514,67 @@ def _segment_sums(config: SimConfig, trial: int, band: _Band, layout: list) -> n
     l_w, l_u = np.sqrt(s_ww), np.sqrt(det / s_ww)
     l_uw = 2.0 * (p.eta_p - p.eta_c) * (p.gain - 1.0) / l_w  # S_WU = V_p - V_c
     o_p, o_c = carrier_p * np.sin(e_p), carrier_c * np.sin(e_c)
-    o_w, o_u = o_p - o_c, o_p + o_c
-    tone = carrier_p * config.tone_depth * np.cos(e_p)
-
-    def band_sums(w, u):
-        return np.stack([_cross_power(u, u), _cross_power(u, w), _cross_power(w, w)])
+    # Per block b, the coefficients of U (row 0) and W (row 1) on z: the
+    # noise rows (y_0, y_1), then the reads (unit[, tone]) of a part in b;
+    # a cut's head in b and tail in b + 1 take both blocks'.
+    n_reads = 3 if config.tone_depth else 1
+    coef = np.zeros((2, 2 + n_reads, s.size))
+    coef[0, 0], coef[0, 1], coef[0, 2] = l_uw, l_u, o_p + o_c
+    coef[1, 0], coef[1, 2] = l_w, o_p - o_c
+    coef[:, 3:] = carrier_p * config.tone_depth * np.cos(e_p)
+    on_y, on_r = coef[:, :2], coef[:, 2:]
+    pairs = [on_y[..., :-1], on_y[..., 1:], on_r[..., :-1], on_r[..., 1:]]
+    tables = [coef, np.concatenate(pairs, 1)]
+    m = band.basis.shape[1]
 
     sums = np.empty((3, band.n_seg))
-    for factor, reads, segments, blocks, phases, part in layout:
-        step = _CHUNK // max(2 * len(factor), 1)
-        if part == 1:
-            cut = np.empty((2, segments.size, band.basis.shape[1]))
-        for lo in range(0, segments.size, step):
-            g, b = segments[lo : lo + step], blocks[lo : lo + step, np.newaxis]
-            y = rng.standard_normal((g.size, 2, len(factor))) @ factor
-            w = l_w[b] * y[:, 0] + o_w[b] * reads[0]
-            u = l_uw[b] * y[:, 0] + l_u[b] * y[:, 1] + o_u[b] * reads[0]
-            if config.tone_depth:  # else the tone's mean is 0 and adds nothing
-                # The tone sin(omega (t0 + t)) of a segment starting at t0.
-                phase = phases[lo : lo + step, np.newaxis]
-                mean = tone[b] * (np.sin(phase) * reads[1] + np.cos(phase) * reads[2])
-                w += mean
-                u += mean
-            if part == 0:
-                sums[:, g] = band_sums(w, u)
-            elif part == 1:
-                cut[:, lo : lo + step] = w, u
-            else:
-                cut[:, lo : lo + step] += w, u
-        if part == 2:
-            sums[:, segments] = band_sums(*cut)
+    groups = iter(layout)
+    for factor, reads, segments, blocks, phases, part in groups:
+        factors, reads = [factor], [reads[:n_reads]]
+        if part == 1:  # the head of a cut, whose tail group comes next
+            tail = next(groups)
+            factors.append(tail[0])
+            reads.append(tail[1][:n_reads])
+        reads = np.concatenate(reads)
+        # Each part's map from normals to its rows, y and y r^T: [F | F r^T].
+        maps = [np.concatenate([f, f @ reads.T], 1) for f in factors]
+        steps = [_RUN // (2 * f.shape[1]) for f in maps]
+        q, table = 2 * len(factors), tables[len(factors) - 1]
+        d, size = len(table[0]), segments.size
+        heads = []
+        for f, step in zip(maps[:-1], steps):  # a cut's head, held for its tail
+            heads.append(np.empty((2 * size, f.shape[1])))
+            for lo, hi in _runs(0, size, step):
+                heads[-1][2 * lo : 2 * hi] = rng.standard_normal((2 * (hi - lo), len(f))) @ f
+        for start, stop in _runs(0, size, _CHUNK):
+            gram = np.empty((d, d, stop - start))  # each segment's Z, segments last
+            for lo, hi in _runs(start, stop, steps[-1]):
+                run = [head[2 * lo : 2 * hi] for head in heads]
+                run.append(rng.standard_normal((2 * (hi - lo), len(maps[-1]))) @ maps[-1])
+                at = slice(lo - start, hi - start)
+                y = [rows.reshape(hi - lo, 2, -1) for rows in run]  # per segment: y_0, y_1
+                # Row dots are faster over a whole group's long runs, one
+                # batched product over a cut's few segments.
+                if len(y) == 1:
+                    y0, y1 = y[0][:, 0, :m], y[0][:, 1, :m]
+                    np.einsum("ij,ij->i", y0, y0, out=gram[0, 0, at])
+                    np.einsum("ij,ij->i", y0, y1, out=gram[0, 1, at])
+                    np.einsum("ij,ij->i", y1, y1, out=gram[1, 1, at])
+                    gram[1, 0, at] = gram[0, 1, at]
+                else:
+                    noise = np.concatenate([rows[:, :, :m] for rows in y], 1)
+                    products = np.matmul(noise, noise.transpose(0, 2, 1))
+                    gram[:q, :q, at] = products.transpose(1, 2, 0)
+                proj = np.concatenate([rows[:, :, m:] for rows in y], 1)
+                gram[:q, q:, at] = proj.transpose(1, 2, 0)
+                gram[q:, :q, at] = proj.transpose(2, 1, 0)
+            gram[q:, q:] = (reads @ reads.T)[:, :, np.newaxis]
+            k = np.take(table, blocks[start:stop], axis=2)
+            if config.tone_depth:  # the tone sin(omega (t0 + t)) of a segment at t0
+                k[:, q + 1 :: 3] *= np.sin(phases[start:stop])
+                k[:, q + 2 :: 3] *= np.cos(phases[start:stop])
+            v = np.einsum("iak,abk,jbk->ijk", k, gram, k)  # (U, W) x (U, W)
+            sums[:, segments[start:stop]] = v[0, 0], v[0, 1], v[1, 1]
     return sums
 
 

@@ -236,6 +236,20 @@ class TestCurves:
             assert err.startswith(f"error: {figure} does not read {flag}")
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "figure, flag",
+        [(figure, flag) for figure, (reads, _) in sorted(FLAGS.items())
+         for flag in ("--gain", "--lambdas") if flag in reads],
+    )
+    def test_empty_grid_flag_exits_2(self, figure, flag, tmp_path, capsys):
+        # An empty grid is a grid to parse, not an absent flag: it exits 2
+        # like a blank one instead of writing the default table.
+        out = tmp_path / "x.csv"
+        for value in ("", " "):
+            assert main(["curves", figure, flag, value, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == "error: empty grid specification\n"
+            assert not out.exists()
+
     def test_all_unread_flags_named(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         argv = ["curves", "fig4b", "--lambdas", "0:1:0.5", "--alpha", "3", "--out", str(out)]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scan_reference import materialised_segment_sums
 
 from tsui import simulate
 from tsui.data import RANGES
@@ -700,6 +701,58 @@ class TestInBandNoise:
         assert np.all((0.8 <= spread) & (spread <= 1.25))
         sigma_ratio = np.mean(sigmas, axis=0) / np.mean(ref_sigmas, axis=0)
         assert np.all(np.abs(sigma_ratio - 1.0) <= 0.03)
+
+
+class TestSegmentSumsReference:
+    """A scan's band sums are quadratic forms in the inner products of its
+    drawn rows and reads; tests/scan_reference.py builds each segment's W
+    and U instead.  Same layout, seeds, trials and normals: every segment's
+    three sums agree to 1e-12 of its |U|^2 + |W|^2."""
+
+    LOSSY = {"gain": 1.67, "eta_p": 0.76, "eta_c": 0.79, "alpha": 50.0}
+    CASES = {
+        "no_jitter": (LOSSY, {}, 1e5),
+        # 8000-sample blocks cut every other 640-sample segment at 320.
+        "jitter": (LOSSY, {"lock_jitter_rms": 0.02, "electronic_noise_var": 0.1}, 1e5),
+        # Off the bin grid, the tone starts each segment at its own phase.
+        "jitter_tone": (
+            LOSSY, {"lock_jitter_rms": 0.05, "tone_depth": 0.05, "tone_freq": 1.003e6}, 1e5
+        ),
+        # 12,800-sample segments, longer than _CHUNK, cut by 16,000-sample blocks.
+        "long_segments": (
+            LOSSY,
+            {"lock_jitter_rms": 0.02, "electronic_noise_var": 0.1, "jitter_block": 0.002},
+            5e3,
+        ),
+        # 641-sample blocks cut almost every segment at its own place, some
+        # so near its start that the head's Gram is 0 (a rank-0 factor).
+        "short_blocks": (LOSSY, {"lock_jitter_rms": 0.05, "jitter_block": 641 / FS}, 1e5),
+        "lossless_1e8": ({"gain": 1e8}, {}, 1e5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_materialised_spectra(self, name):
+        params, extra, rbw = self.CASES[name]
+        for seed in (3, 11):
+            cfg = config(duration=MEDIUM, rng_seed=seed, **params, **extra)
+            band = simulate._band(cfg.n_samples, FS, 1e6, rbw)
+            layout = simulate._layout(cfg, band)
+            if "jitter_block" in extra or "lock_jitter_rms" in extra:
+                assert any(part == 1 for *_, part in layout)
+            for trial in range(2):
+                sums = simulate._segment_sums(cfg, trial, band, layout)
+                ref = materialised_segment_sums(cfg, trial, band, layout)
+                assert sums.shape == ref.shape == (3, band.n_seg)
+                assert np.all(np.abs(sums - ref) <= 1e-12 * (ref[0] + ref[2]))
+
+    def test_cases_reach_long_segments_and_empty_heads(self):
+        _, extra, rbw = self.CASES["long_segments"]
+        cfg = config(duration=MEDIUM, **extra)
+        assert simulate._band(cfg.n_samples, FS, 1e6, rbw).nperseg > simulate._CHUNK
+        _, extra, rbw = self.CASES["short_blocks"]
+        cfg = config(duration=MEDIUM, **extra)
+        layout = simulate._layout(cfg, simulate._band(cfg.n_samples, FS, 1e6, rbw))
+        assert min(len(factor) for factor, *_ in layout) == 0
 
 
 class TestLoadSimConfig:
