@@ -117,7 +117,7 @@ _CURVE_FLAGS = {
 def cmd_curves(args: argparse.Namespace) -> int:
     figure = args.figure
     fmt = args.format
-    out = args.out or f"{figure}.{fmt}"
+    out = f"{figure}.{fmt}" if args.out is None else args.out
     _check_outputs(out)
     unread = [
         f"--{flag}"
@@ -191,9 +191,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    if args.lambdas is not None and not args.overlay:
+    if args.overlay == "":
+        raise ValueError("--overlay needs a nonempty prefix")
+    if args.lambdas is not None and args.overlay is None:
         raise ValueError("--lambdas sets the overlay grid and needs --overlay")
-    kinds = (SqlKind.SQL2, SqlKind.SQL1) if args.overlay else ()
+    kinds = (SqlKind.SQL2, SqlKind.SQL1) if args.overlay is not None else ()
     overlays = [f"{args.overlay}_{kind.value}.csv" for kind in kinds]
     _check_outputs(args.out, *overlays)
     # The overlay grid is checked before the fit, so a bad one writes nothing.

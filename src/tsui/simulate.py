@@ -1,27 +1,29 @@
-"""Time-domain emulation of the homodyne records and spectrum analysis.
+"""Time-domain emulation of the homodyne records and the scan's readout.
 
-Generates correlated phase-quadrature noise for the probe/conjugate
-detector pair from the model's closed-form coefficients (V_p, V_c, C)
-(:func:`tsui.metrology.joint_variance_quadratic`), optionally with a
-calibration phase tone on the probe, slow homodyne-lock jitter, and white
-electronic noise.  A Welch-style band-power estimator then reads the
-records back the way a spectrum analyzer would, normalized so that
-unit-variance white noise sits at 0 dB.
-
-Determinism: a record is a pure function of ``(config, trial)``.  Random
-draws always happen in the same order (block jitter phases, then the
-quadrature normals, then white electronic noise for probe and
-conjugate), so identical inputs give bit-identical records.
+The scan (:func:`measure_noise_vs_lambda`) reads the band power of the
+weighted probe/conjugate pair the way a spectrum analyzer would: a Welch
+estimator (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)) over
+zero-overlap Hann segments, normalized so that unit-variance white noise
+sits at 0 dB.  The arms' noise comes from the model's closed-form
+coefficients (V_p, V_c, C) (:func:`tsui.metrology.joint_variance_quadratic`),
+optionally with a calibration phase tone on the probe, slow homodyne-lock
+jitter, and white electronic noise.
 
 A scan draws band spectra, not samples: within a jitter block the arms
-are white Gaussian noise, so the in-band spectra of a zero-overlap Hann
-segment, or of its part in one block, are N(mean, S x G), with S the
-arms' 2 x 2 covariance and G the Gram matrix of the part's in-band DFT
-rows (Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)).  Reads and
-Grams alike come from one set of windowed rows (:func:`_rows`), at any
-segment length.  Nor are the spectra built: a segment's band sums are
-fixed quadratic forms in the inner products of its drawn noise rows and
-its reads (:func:`_segment_sums`).
+are white Gaussian noise, so the in-band spectra of a segment, or of its
+part in one block, are N(mean, S x G), with S the arms' 2 x 2 covariance
+and G the Gram matrix of the part's in-band DFT rows.  Reads and Grams
+alike come from one set of windowed rows (:func:`_rows`), at any segment
+length.  Nor are the spectra built: a segment's band sums are fixed
+quadratic forms in the inner products of its drawn noise rows and its
+reads (:func:`_segment_sums`).
+
+:func:`simulate_records` draws the same arms as samples; no scan reads
+them, and it stays as the time-domain reference the scan is checked
+against.  Determinism: a record or a scan trial is a pure function of
+``(config, trial)``.  Random draws always happen in the same order (block
+jitter phases, then the normals, then a record's white electronic noise
+for probe and conjugate), so identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -32,18 +34,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import NoiseDataset, check_grid, check_range
-from .gaussian import InterferometerParams, measurement_weight
+from .gaussian import InterferometerParams
 from .metrology import fringe_slope, joint_variance, joint_variance_quadratic
 
 __all__ = [
     "MeasurementRecord",
     "SimConfig",
-    "SpectrumResult",
-    "combine_weighted",
     "load_sim_config",
     "measure_noise_vs_lambda",
     "simulate_records",
-    "spectrum_power",
 ]
 
 # Welch bins per resolution bandwidth; 8 keeps a band average honest
@@ -63,7 +62,7 @@ _RUN = 2**13
 
 # Input caps: the longest record is 8x the default length (2 x 64 MiB
 # from simulate_records; a scan draws no samples and holds one trial's
-# band spectra), and a scan takes at most 1000 trials.
+# band sums), and a scan takes at most 1000 trials.
 _MIN_SAMPLES = 2**14
 _MAX_SAMPLES = 2**23
 _MAX_TRIALS = 1000
@@ -145,16 +144,6 @@ class MeasurementRecord:
     trial: int = 0
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Band power readout at one analysis frequency."""
-
-    center_freq: float
-    rbw: float
-    power_db: float
-    is_peak: bool
-
-
 def _runs(lo: int, hi: int, step: int) -> list[tuple[int, int]]:
     """``(start, stop)`` runs of at most ``step`` samples tiling ``[lo, hi)``."""
     return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
@@ -191,6 +180,10 @@ def _phases(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
 
 def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     """Generate one pair of synchronized detector records.
+
+    No scan or command reads records.  They stay as the time-domain
+    reference: tests check the scan against their rfft readout in
+    distribution, and the perfbench tracer times and sizes them.
 
     The two phase quadratures are a correlated Gaussian pair, drawn
     through the closed-form Cholesky factor of their covariance (its
@@ -260,19 +253,6 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     probe.flags.writeable = False
     conj.flags.writeable = False
     return MeasurementRecord(probe=probe, conjugate=conj, config=config, trial=trial)
-
-
-def combine_weighted(record: MeasurementRecord, lam: float) -> np.ndarray:
-    """Weighted sum of the two detector records, probe + lam * conjugate.
-
-    Args:
-        record: simulated (or loaded) detector pair.
-        lam: attenuator weight in [0, 1].
-
-    Returns:
-        The combined time series.
-    """
-    return record.probe + measurement_weight(lam) * record.conjugate
 
 
 def _hann(offsets: np.ndarray, nperseg: int) -> np.ndarray:
@@ -350,63 +330,6 @@ def _rows(band: _Band, lo: int, hi: int) -> np.ndarray:
     rows = _twiddle(band, band.basis[: hi - lo], lo)
     rows *= band.scale * _hann(np.arange(lo, hi), band.nperseg)[:, np.newaxis]
     return rows
-
-
-def _band_spectra(band: _Band, series: np.ndarray) -> np.ndarray:
-    """Per-segment band spectra of a series, the tail after the last whole
-    segment unread.  Row g holds segment g's band bins as [real parts,
-    imaginary parts], scaled so that its squared norm is the segment's
-    normalized band power: unit-variance white noise averages to 1."""
-    n = band.nperseg
-    segments = series[: band.n_seg * n].reshape(band.n_seg, n)
-    step = max(_CHUNK // n, 1)  # segments per GEMM, which the product's rounding depends on
-    spectra = np.zeros((band.n_seg, band.basis.shape[1]))
-    for lo, hi in _runs(0, n, _CHUNK):
-        rows = _rows(band, lo, hi)
-        for g in range(0, band.n_seg, step):
-            spectra[g : g + step] += segments[g : g + step, lo:hi] @ rows
-    return spectra
-
-
-def _cross_power(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-segment sum of Re(a b*) over the band bins: a row dot."""
-    return np.einsum("ij,ij->i", a, b)
-
-
-def spectrum_power(
-    series: np.ndarray,
-    center_freq: float,
-    rbw: float,
-    sample_rate: float,
-    tone_freq: float | None = None,
-) -> SpectrumResult:
-    """Spectrum-analyzer style band power of a time series.
-
-    Args:
-        series: real-valued samples.
-        center_freq: analysis frequency in Hz.
-        rbw: resolution bandwidth in Hz.
-        sample_rate: sampling rate of ``series`` in Hz.
-        tone_freq: frequency of any injected tone, used only to flag
-            whether the band contains it.
-
-    Returns:
-        :class:`SpectrumResult`; ``power_db`` is 0 dB for unit-variance
-        white noise.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise ValueError("series must be 1-D")
-    band = _band(series.size, sample_rate, center_freq, rbw)
-    spectra = _band_spectra(band, series)
-    mean_power = float(_cross_power(spectra, spectra).mean())
-    is_peak = tone_freq is not None and abs(tone_freq - center_freq) <= rbw / 2.0
-    return SpectrumResult(
-        center_freq=center_freq,
-        rbw=rbw,
-        power_db=10.0 * math.log10(mean_power),
-        is_peak=is_peak,
-    )
 
 
 def _pieces(band: _Band, edges: list[int], tone_step: float | None) -> tuple:
@@ -596,7 +519,7 @@ def measure_noise_vs_lambda(
     2 a b Re(U W*) + b^2 |W|^2, a = (1 + lam) / 2, b = (1 - lam) / 2, in
     the arms' band spectra U = P + C and W = P - C, drawn directly
     (:func:`_segment_sums`): one draw serves every weight, and the scan
-    matches the readout of :func:`simulate_records` in distribution.  The
+    matches a Welch readout of :func:`simulate_records` in distribution.  The
     trials' counts, mean sums and centred co-moments are pooled in order
     (Chan, Golub & LeVeque, Am. Stat. 37, 242 (1983)); sigma_db is the
     standard error of the pooled mean, in dB.

@@ -1,19 +1,46 @@
-"""Materialised reference for a scan's per-segment band sums.
+"""Test-side references for a scan's readout.
+
+:func:`serial_band_spectra` is the Welch readout of a time series, every
+segment in one rfft call: records (:func:`tsui.simulate.simulate_records`)
+read through it, and the scan's windowed rows are checked against it.
 
 :func:`tsui.simulate._segment_sums` takes each segment's (|U|^2,
-Re(U W*), |W|^2) from inner products of its noise rows and reads.  This
-module builds the band spectra W and U themselves, as (segments, 2 n_bins)
-arrays, from the same layout and the same normals in the same order, and
-takes the three sums as row dots: the long way to the same numbers.
+Re(U W*), |W|^2) from inner products of its noise rows and reads.
+:func:`materialised_segment_sums` builds the band spectra W and U
+themselves, as (segments, 2 n_bins) arrays, from the same layout and the
+same normals in the same order, and takes the three sums as row dots: the
+long way to the same numbers.
 """
+
+import math
 
 import numpy as np
 
 from tsui.metrology import joint_variance
-from tsui.simulate import _cross_power, _model, _phases
+from tsui.simulate import _model, _phases
 
 # Segments per draw; the normals do not depend on it.
 RUN_SEGMENTS = 64
+
+
+def serial_band_spectra(series, sample_rate, center_freq, rbw):
+    """Per-segment band spectra (complex, segments x bins) of Hann-windowed,
+    zero-overlap segments of 8 sample_rate / rbw samples, the tail after
+    the last whole segment unread, scaled so that unit-variance white noise
+    has a mean squared norm of 1 (0 dB)."""
+    nperseg = int(round(8 * sample_rate / rbw))
+    n_seg = series.size // nperseg
+    band = np.abs(np.fft.rfftfreq(nperseg, 1.0 / sample_rate) - center_freq) <= rbw / 2.0
+    window = np.hanning(nperseg)
+    segs = series[: n_seg * nperseg].reshape(n_seg, nperseg) * window
+    scale = 1.0 / math.sqrt(float(window @ window) * int(band.sum()))
+    return np.fft.rfft(segs, axis=1)[:, band] * scale
+
+
+def _cross_power(a, b):
+    """Per-segment sum of Re(a b*) over the band bins of [real parts,
+    imaginary parts] rows: a row dot."""
+    return np.einsum("ij,ij->i", a, b)
 
 
 def materialised_segment_sums(config, trial, band, layout):

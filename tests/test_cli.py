@@ -653,12 +653,17 @@ class TestFit:
             (["--out", "missing/f.json"], "cannot write"),
             (["--overlay", "ov", "--lambdas", "0:2:0.5"], "lam must lie in"),
             (["--overlay", "ov", "--lambdas", ""], "empty grid specification"),
+            # An empty prefix used to write the fit and no overlay, or, with
+            # --lambdas, to ask for the --overlay it was given.
+            (["--overlay", ""], "--overlay needs a nonempty prefix"),
+            (["--overlay", "", "--lambdas", "0:1:0.5"], "--overlay needs a nonempty prefix"),
         ],
     )
     def test_bad_output_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch, flags, word):
-        # Every output is checked before the fit: nothing is written.
-        fits = []
-        monkeypatch.setattr(cli.fitting, "fit_noise_curve", lambda *args: fits.append(args))
+        # Every output is checked before the scan is read: nothing is written.
+        calls = []
+        monkeypatch.setattr(cli, "load_noise_csv", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli.fitting, "fit_noise_curve", lambda *args: calls.append(args))
         data = tmp_path / "scan.csv"
         write_scan_csv(data, 1.67, 0.76, 0.79)
         flags = [str(tmp_path / f) if f.startswith(("missing", "ov")) else f for f in flags]
@@ -668,7 +673,7 @@ class TestFit:
         assert err.startswith("error:") and word in err
         if word == "cannot write":
             assert str(tmp_path / "missing") in err
-        assert fits == []
+        assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
 
     @pytest.mark.parametrize(
@@ -760,6 +765,16 @@ class TestEmptyOutput:
         assert capsys.readouterr().err == "error: cannot write an empty output path\n"
         assert calls == []
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["scan.csv", "sim.cfg", "work"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("figure", sorted(cli._CURVE_FLAGS))
+    def test_empty_curves_out_exits_2(self, tmp_path, capsys, monkeypatch, figure, fmt):
+        # An empty --out is a path to check, not an absent flag: it used to
+        # write <figure>.<format> in the working directory.
+        monkeypatch.chdir(tmp_path)
+        assert main(["curves", figure, "--format", fmt, "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: cannot write an empty output path\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:

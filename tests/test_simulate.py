@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scan_reference import materialised_segment_sums
+from scan_reference import materialised_segment_sums, serial_band_spectra
 
 from tsui import simulate
 from tsui.data import RANGES
@@ -18,11 +18,9 @@ from tsui.simulate import (
     _MAX_SAMPLES,
     _MIN_SAMPLES,
     SimConfig,
-    combine_weighted,
     load_sim_config,
     measure_noise_vs_lambda,
     simulate_records,
-    spectrum_power,
 )
 
 FS = 8e6
@@ -80,17 +78,6 @@ def serial_records(cfg, trial):
         probe += rng.normal(0.0, sigma, n)
         conj += rng.normal(0.0, sigma, n)
     return probe, conj
-
-
-def serial_band_spectra(series, sample_rate, center_freq, rbw):
-    """Whole-arm reference readout: every segment in one rfft call."""
-    nperseg = int(round(8 * sample_rate / rbw))
-    n_seg = series.size // nperseg
-    band = np.abs(np.fft.rfftfreq(nperseg, 1.0 / sample_rate) - center_freq) <= rbw / 2.0
-    window = np.hanning(nperseg)
-    segs = series[: n_seg * nperseg].reshape(n_seg, nperseg) * window
-    scale = 1.0 / math.sqrt(float(window @ window) * int(band.sum()))
-    return np.fft.rfft(segs, axis=1)[:, band] * scale
 
 
 def serial_scan(records, sample_rate, grid, center_freq=1e6, rbw=1e5):
@@ -218,109 +205,29 @@ class TestSimulateRecords:
         assert time.perf_counter() - t0 < 3.0
 
 
-class TestCombineWeighted:
-    def test_linear_combination(self):
-        rec = simulate_records(config(rng_seed=4))
-        lam = 0.6
-        assert np.allclose(combine_weighted(rec, lam), rec.probe + lam * rec.conjugate)
-
-    def test_weight_validation(self):
-        rec = simulate_records(config())
-        with pytest.raises(ValueError):
-            combine_weighted(rec, -0.1)
-        with pytest.raises(ValueError):
-            combine_weighted(rec, 1.0 + 1e-9)
-
-
-class TestSpectrumPower:
-    def test_white_noise_is_zero_db(self):
-        rng = np.random.default_rng(11)
-        series = rng.standard_normal(2**17)
-        res = spectrum_power(series, 2e6, 1e5, FS)
-        assert abs(res.power_db) < 0.2
-        assert not res.is_peak
-
-    def test_scaled_noise_tracks_variance(self):
-        rng = np.random.default_rng(12)
-        series = 2.0 * rng.standard_normal(2**17)
-        res = spectrum_power(series, 2e6, 1e5, FS)
-        assert abs(res.power_db - 10.0 * math.log10(4.0)) < 0.2
-
-    def test_tone_band_power(self):
-        # A pure tone at the analysis frequency integrates to A^2 / 2
-        # in linear units before normalization; check against the
-        # white-noise reference of the estimator.
-        n = 2**17
-        t = np.arange(n) / FS
-        amp = 3.0
-        series = amp * np.sin(2.0 * math.pi * 1e6 * t)
-        res = spectrum_power(series, 1e6, 1e5, FS, tone_freq=1e6)
-        assert res.is_peak
-        nperseg = int(round(8 * FS / 1e5))
-        df = FS / nperseg
-        n_bins = np.count_nonzero(
-            np.abs(np.fft.rfftfreq(nperseg, 1.0 / FS) - 1e6) <= 5e4
-        )
-        reference = 2.0 * n_bins * df / FS
-        expected_db = 10.0 * math.log10((amp**2 / 2.0) / reference)
-        assert abs(res.power_db - expected_db) < 0.01
-
-    def test_peak_flag_needs_tone_in_band(self):
-        rng = np.random.default_rng(13)
-        series = rng.standard_normal(2**15)
-        assert spectrum_power(series, 1.5e6, 1e5, FS, tone_freq=1e6).is_peak is False
-        assert spectrum_power(series, 1.04e6, 1e5, FS, tone_freq=1e6).is_peak is True
-
-    def test_band_validation(self):
-        series = np.zeros(2**15)
-        with pytest.raises(ValueError, match="inside"):
-            spectrum_power(series, 3.99e6, 1e5, FS)
-        with pytest.raises(ValueError, match="inside"):
-            spectrum_power(series, 2e4, 1e5, FS)
-        with pytest.raises(ValueError, match="too short"):
-            spectrum_power(np.zeros(100), 1e6, 1e5, FS)
-        with pytest.raises(ValueError, match="1-D"):
-            spectrum_power(np.zeros((2, 2**15)), 1e6, 1e5, FS)
-        with pytest.raises(ValueError, match="finite"):
-            spectrum_power(series, 1e6, math.nan, FS)
-
-    @staticmethod
-    def check_against_rfft(n, nperseg):
-        # The band spectra and band power against whole-segment rffts.
+class TestReadoutRows:
+    @pytest.mark.parametrize(
+        "n, nperseg", [(2**20, 2**20), (100_003, 100_003), (80_017, 40_000), (2**15, 9_000)]
+    )
+    def test_rows_match_rfft(self, n, nperseg):
+        # Segments read through the scan's windowed rows, _CHUNK positions
+        # at a time, against whole-segment rffts: one segment spanning the
+        # record, a long segment with a short last run, several long
+        # segments, and segments followed by an unread tail.
         series = np.random.default_rng(n).standard_normal(n)
         rbw = 8 * FS / nperseg
         band = simulate._band(n, FS, 1e6, rbw)
         assert band.nperseg == nperseg
         assert band.basis.shape[0] == min(nperseg, simulate._CHUNK)
-        spectra = simulate._band_spectra(band, series)
+        segments = series[: band.n_seg * nperseg].reshape(band.n_seg, nperseg)
+        spectra = sum(
+            segments[:, lo:hi] @ simulate._rows(band, lo, hi)
+            for lo, hi in simulate._runs(0, nperseg, simulate._CHUNK)
+        )
         re, im = np.split(spectra, 2, axis=1)
         ref = serial_band_spectra(series, FS, 1e6, rbw)
         assert ref.shape == re.shape
         assert np.abs(re + 1j * im - ref).max() <= 1e-12 * np.abs(ref).max()
-        power = 10.0 ** (spectrum_power(series, 1e6, rbw, FS).power_db / 10.0)
-        assert math.isclose(power, (np.abs(ref) ** 2).sum(axis=1).mean(), rel_tol=1e-12)
-        return series, rbw
-
-    def test_single_segment_readout_matches_rfft(self):
-        # One segment spans the whole record.  The basis caches _CHUNK
-        # rows and turns each block to its offset with one twiddle per
-        # bin, so the readout peaks far below the 144 B per segment sample
-        # of a whole-segment basis (144 MiB here).
-        n = 2**20
-        series, rbw = self.check_against_rfft(n, n)
-        tracemalloc.start()
-        try:
-            spectrum_power(series, 1e6, rbw, FS)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 144 * n / 32
-
-    @pytest.mark.parametrize("n, nperseg", [(100_003, 100_003), (80_017, 40_000), (2**15, 9_000)])
-    def test_ragged_segments_match_rfft(self, n, nperseg):
-        # Long segments with a short last block, several long segments,
-        # and segments followed by an unread tail.
-        self.check_against_rfft(n, nperseg)
 
 
 class TestMeasuredScan:
@@ -479,6 +386,24 @@ class TestMeasuredScan:
         finally:
             tracemalloc.stop()
         assert peak < 2 * longest.n_samples * 8 / 8
+
+    def test_single_segment_scan_peaks_far_below_a_whole_segment_basis(self):
+        # One segment spans the whole record.  The basis caches _CHUNK rows
+        # and turns each run to its offset with one twiddle per bin, so a
+        # 2-trial scan peaks far below the 144 B per segment sample of a
+        # whole-segment basis (144 MiB here).
+        n = 2**20
+        cfg = config(duration=n / FS, rng_seed=24)
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        measure_noise_vs_lambda(config(), grid, trials=1)  # numpy's first-call set-up
+        tracemalloc.start()
+        try:
+            data = measure_noise_vs_lambda(cfg, grid, trials=2, rbw=61.03515625)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (data.meta["nperseg"], data.meta["segments"]) == (n, 2)
+        assert peak < 144 * n / 32
 
     def test_jitter_blocks_shorter_than_a_segment_fail_before_any_draw(self, monkeypatch):
         # A segment over blocks shorter than itself would have up to one
