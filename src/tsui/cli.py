@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 runtime failure (fit did not converge, oracle
 tolerance breach, truncation), 2 usage or validation errors.  All file
 writes go through :func:`tsui.data.write_atomic` (temp file plus
 rename) so outputs are never left half written.  Every output path is
-checked before any draw or fit: a missing directory, or a path that is
-a directory, exits 2 at once and writes nothing.
+checked before any draw or fit: a missing directory, a path that is a
+directory, a blank path or ``-`` exits 2 at once and writes nothing.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ def parse_span(text: str) -> np.ndarray:
     points are rejected before anything is allocated.
     """
     text = text.strip()
-    if not text:
-        raise ValueError("empty grid specification")
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -65,8 +63,11 @@ def parse_span(text: str) -> np.ndarray:
         if values[-1] > stop + 1e-12:
             values = values[:-1]
         return values
+    parts = [p for p in text.split(",") if p.strip()]
+    if not parts:
+        raise ValueError("empty grid specification")
     try:
-        return np.array([float(p) for p in text.split(",") if p.strip() != ""])
+        return np.array([float(p) for p in parts])
     except ValueError:
         raise ValueError(f"could not parse values {text!r}") from None
 
@@ -84,8 +85,12 @@ def _parse_eta(text: str) -> tuple[float, float]:
 def _check_outputs(*paths: str) -> None:
     # Fail before the work if an output cannot be written where it is asked.
     for path in paths:
-        if not path:
+        if not path.strip():
             raise ValueError("cannot write an empty output path")
+        if path == "-":
+            raise ValueError(
+                "cannot write -: tsui writes files, not standard output (./- names a file)"
+            )
         if os.path.isdir(path):
             raise ValueError(f"cannot write {path}: it is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
@@ -191,7 +196,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    if args.overlay == "":
+    if args.overlay is not None and not args.overlay.strip():
         raise ValueError("--overlay needs a nonempty prefix")
     if args.lambdas is not None and args.overlay is None:
         raise ValueError("--lambdas sets the overlay grid and needs --overlay")

@@ -58,8 +58,12 @@ class TestParseSpan:
         assert np.allclose(parse_span("0.3"), [0.3])
 
     def test_bad_spans_rejected(self):
-        for text in ("5:1:0.1", "1:2:0", "1:2:-0.5", "a:b:c", "1:2:0.1:9", ""):
+        for text in ("5:1:0.1", "1:2:0", "1:2:-0.5", "a:b:c", "1:2:0.1:9"):
             with pytest.raises(ValueError):
+                parse_span(text)
+        # A list of no values is as empty as no text; a trailing comma is not.
+        for text in ("", " ", ",", " , ", ",,"):
+            with pytest.raises(ValueError, match="^empty grid specification$"):
                 parse_span(text)
 
     def test_unbounded_spans_rejected_before_allocating(self, monkeypatch):
@@ -186,6 +190,11 @@ class TestCurves:
         assert math.isclose(g1[1], math.sqrt(2.0) / 2.0, rel_tol=1e-12)
         assert math.isclose(g1[2], 0.5, rel_tol=1e-12)
         assert math.isclose(g1[3], 0.5, rel_tol=1e-9)
+        # At G = 1e7 and 1e8 the balanced readout stays above the quantum
+        # bound (its variance used to cancel to 0).
+        assert main(["curves", "fig3", "--gain", "1e7,1e8", "--out", str(out)]) == 0
+        balanced, _, bound = read_csv(out)[1][:, 1:].T
+        assert np.all(balanced >= bound) and np.all(bound > 0.0)
 
     def test_fig4a_json_output(self, tmp_path):
         out = tmp_path / "noise.json"
@@ -370,37 +379,36 @@ class TestSimulate:
 
     def test_scan_settings_reach_the_csv_and_fit(self, tmp_path):
         # The header records every setting the scan's numbers depend on,
-        # and a jittered, noisy scan still fits.
-        cfg = tmp_path / "sim.cfg"
-        cfg.write_text(
-            "gain = 1.67\neta_p = 0.76\neta_c = 0.79\nalpha = 50\n"
-            "duration = 0.004\nrng_seed = 3\nlock_jitter_rms = 0.02\n"
-            "jitter_block = 0.0005\nelectronic_noise_var = 0.1\ntone_depth = 0.01\n"
-        )
-        out = tmp_path / "scan.csv"
-        argv = ["simulate", "--config", str(cfg), "--lambdas", "0:1:0.25", "--trials", "2"]
-        assert main(argv + ["--out", str(out)]) == 0
-        meta = load_noise_csv(str(out)).meta
-        expected = {
-            "sample_rate": 8e6,
-            "n_samples": 32000,
-            "nperseg": 640,
-            "segments": 100,
-            "lock_jitter_rms": 0.02,
-            "jitter_block": 0.0005,
-            "electronic_noise_var": 0.1,
-            "tone_depth": 0.01,
-        }
-        assert {key: float(meta[key]) for key in expected} == expected
+        # and a jittered, noisy scan still fits.  At --rbw 5e3 a segment
+        # (12,800 samples) is longer than the cached basis (8,192 rows),
+        # and with jitter it needs blocks of at least one segment (2 ms).
+        noisy = "lock_jitter_rms = 0.02\nelectronic_noise_var = 0.1\ntone_depth = 0.01\n"
+        cases = [
+            ("1e5", noisy + "jitter_block = 0.0005\n", 640, 100),
+            ("5e3", "", 12800, 4),
+            ("5e3", noisy + "jitter_block = 0.002\n", 12800, 4),
+        ]
         # Every parameter and acquisition field, the defaults included.
         keys = {f.name for f in dataclasses.fields(InterferometerParams)}
         keys |= {f.name for f in dataclasses.fields(simulate.SimConfig)} - {"params"}
-        assert keys - meta.keys() == set()
-        assert float(meta["tone_freq"]) == 1e6
-        assert float(meta["duration"]) == 0.004
-        fit = tmp_path / "fit.json"
-        assert main(["fit", "--data", str(out), "--out", str(fit)]) == 0
-        assert math.isfinite(json.loads(fit.read_text())["gain"])
+        cfg, out, fit = tmp_path / "sim.cfg", tmp_path / "scan.csv", tmp_path / "fit.json"
+        for rbw, extra, nperseg, segments in cases:
+            cfg.write_text(
+                "gain = 1.67\neta_p = 0.76\neta_c = 0.79\nalpha = 50\n"
+                "duration = 0.004\nrng_seed = 3\n" + extra
+            )
+            argv = ["simulate", "--config", str(cfg), "--lambdas", "0:1:0.25", "--trials", "2"]
+            assert main(argv + ["--rbw", rbw, "--out", str(out)]) == 0
+            meta = load_noise_csv(str(out)).meta
+            expected = {"sample_rate": 8e6, "n_samples": 32000, "nperseg": nperseg,
+                        "segments": segments, "rbw": float(rbw)}
+            expected |= {k: float(v) for k, v in (ln.split(" = ") for ln in extra.splitlines())}
+            assert {key: float(meta[key]) for key in expected} == expected
+            assert keys - meta.keys() == set()
+            assert float(meta["tone_freq"]) == 1e6
+            assert float(meta["duration"]) == 0.004
+            assert main(["fit", "--data", str(out), "--out", str(fit)]) == 0
+            assert math.isfinite(json.loads(fit.read_text())["gain"])
 
     def test_high_gain_lossless_scan_reads_the_squeezed_floor(self, tmp_path):
         # At G = 1e8 with no loss the balanced readout sits at 2 exp(-2r),
@@ -579,6 +587,8 @@ class TestFit:
         assert main(["fit", "--data", str(data), "--out", str(tmp_path / "f.json")]) == 0
         line = f"  lambda_opt estimate = {est.value:.4f} +/- {est.sigma:.4f} ({est.method})"
         assert line in capsys.readouterr().out.splitlines()
+        result = json.loads((tmp_path / "f.json").read_text())
+        assert result["sigma_lambda_opt_fit"] == est.fit_sigma
 
     @pytest.mark.parametrize(
         "setting, edge",
@@ -657,6 +667,11 @@ class TestFit:
             # --lambdas, to ask for the --overlay it was given.
             (["--overlay", ""], "--overlay needs a nonempty prefix"),
             (["--overlay", "", "--lambdas", "0:1:0.5"], "--overlay needs a nonempty prefix"),
+            # A blank path or prefix used to be written under that name, and
+            # "-" as a file named -.
+            (["--out", " "], "cannot write an empty output path"),
+            (["--out", "-"], "tsui writes files, not standard output"),
+            (["--overlay", " "], "--overlay needs a nonempty prefix"),
         ],
     )
     def test_bad_output_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch, flags, word):
@@ -677,19 +692,26 @@ class TestFit:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
 
     @pytest.mark.parametrize(
-        "column, value", [("sigma_db", 1e300), ("sigma_db", 1e-300), ("noise_db", 1e308)]
+        "column, value",
+        [("sigma_db", 1e300), ("sigma_db", 1e-300), ("noise_db", 1e308), ("loss_offset", 0.5)],
     )
     def test_out_of_range_column_exits_2(self, tmp_path, capsys, column, value):
         # Used to end in a ZeroDivisionError traceback (sigma_db 1e300: the
         # sum of 1 / sigma^2 underflows) or in scipy's "Residuals are not
-        # finite", which does not name the input.
+        # finite", which does not name the input.  loss_offset is no column
+        # but the --offset flag, read with the scan.
         lam = np.linspace(0.0, 1.0, 11)
         cols = {"noise_db": 10.0 * np.log10(1.0 + lam**2), "sigma_db": np.full(11, 0.05)}
-        cols[column] = np.full(11, value)
+        if column == "loss_offset":
+            flags = ["--offset", repr(value)]
+        else:
+            flags = []
+            cols[column] = np.full(11, value)
         data = tmp_path / "scan.csv"
         rows = zip(lam, cols["noise_db"], cols["sigma_db"])
         data.write_text(format_csv([], ("lambda", "noise_db", "sigma_db"), rows))
-        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "f.json")]) == 2
+        argv = ["fit", "--data", str(data), "--out", str(tmp_path / "f.json"), *flags]
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {column} must lie in")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
 
@@ -744,9 +766,24 @@ class TestFit:
         assert code == 2
 
 
+# Output names that are no file to write, each with its id suffix and
+# message.  A blank name used to be written as a file of that name, and so
+# did "-", which elsewhere means standard output.
+_NO_FILE = {
+    "": ("", "error: cannot write an empty output path\n"),
+    " ": ("-blank", "error: cannot write an empty output path\n"),
+    "-": ("-dash", "error: cannot write -: tsui writes files, not standard output"
+                   " (./- names a file)\n"),
+}
+
+
 class TestEmptyOutput:
-    @pytest.mark.parametrize("command", ["simulate", "fit"])
-    def test_empty_out_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch, command):
+    @pytest.mark.parametrize(
+        "command, out",
+        [pytest.param(c, out, id=c + tag) for out, (tag, _) in _NO_FILE.items()
+         for c in ("fit", "simulate")],
+    )
+    def test_empty_out_exits_2_before_the_work(self, tmp_path, capsys, monkeypatch, command, out):
         # "" is no directory, and the directory of its absolute path (the
         # parent of the working one) exists: it used to pass the check, so
         # the scan or fit ran and only the write failed.
@@ -761,19 +798,23 @@ class TestEmptyOutput:
         work.mkdir()
         monkeypatch.chdir(work)
         source = ["--config", str(cfg)] if command == "simulate" else ["--data", str(data)]
-        assert main([command, *source, "--out", ""]) == 2
-        assert capsys.readouterr().err == "error: cannot write an empty output path\n"
+        assert main([command, *source, "--out", out]) == 2
+        assert capsys.readouterr().err == _NO_FILE[out][1]
         assert calls == []
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["scan.csv", "sim.cfg", "work"]
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("figure", sorted(cli._CURVE_FLAGS))
-    def test_empty_curves_out_exits_2(self, tmp_path, capsys, monkeypatch, figure, fmt):
+    @pytest.mark.parametrize(
+        "figure, fmt, out",
+        [pytest.param(figure, fmt, out, id=f"{figure}-{fmt}{tag}")
+         for out, (tag, _) in _NO_FILE.items()
+         for figure in sorted(cli._CURVE_FLAGS) for fmt in ("csv", "json")],
+    )
+    def test_empty_curves_out_exits_2(self, tmp_path, capsys, monkeypatch, figure, fmt, out):
         # An empty --out is a path to check, not an absent flag: it used to
         # write <figure>.<format> in the working directory.
         monkeypatch.chdir(tmp_path)
-        assert main(["curves", figure, "--format", fmt, "--out", ""]) == 2
-        assert capsys.readouterr().err == "error: cannot write an empty output path\n"
+        assert main(["curves", figure, "--format", fmt, "--out", out]) == 2
+        assert capsys.readouterr().err == _NO_FILE[out][1]
         assert list(tmp_path.iterdir()) == []
 
 
@@ -942,7 +983,17 @@ class TestVerify:
 
     def test_tight_cutoff_exits_1(self, capsys):
         assert main(["verify", "--cutoff", "12", "--gain", "2.0"]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("lambdas", [",", " , "])
+    def test_empty_weight_list_exits_2_before_the_build(self, capsys, monkeypatch, lambdas):
+        # A list of no weights used to build the state and end in numpy's
+        # "zero-size array to reduction operation maximum".
+        builds = []
+        monkeypatch.setattr(fock, "build_seeded_tmss_fock", lambda *args: builds.append(args))
+        assert main(["verify", "--lambdas", lambdas]) == 2
+        assert capsys.readouterr().err == "error: empty grid specification\n"
+        assert builds == []
 
     def test_bad_eta_exits_2(self):
         assert main(["verify", "--eta", "1.2"]) == 2
@@ -961,17 +1012,27 @@ class TestParser:
     # Every call of main shares one parser; none may leave state in it
     # that a later call sees.
 
-    @pytest.mark.parametrize("interruption", [["curves", "fig3", "--bogus"], ["--help"]])
+    @pytest.mark.parametrize(
+        "interruption",
+        [["curves", "fig3", "--bogus"], ["--help"], ["curves", "fig3", "--lambdas", "0:1:0.5"]],
+    )
     def test_rejected_or_help_argv_leaves_later_runs_unchanged(
         self, tmp_path, capsys, interruption
     ):
-        def run(name):
-            assert main(["curves", "fig6", "--gain", "1.1,1.3", "--out", str(tmp_path / name)]) == 0
-            return (tmp_path / name).read_bytes()
+        # Every figure's default table, and a two-gain one.
+        argvs = [[fig] for fig in sorted(cli._CURVE_FLAGS)] + [["fig6", "--gain", "1.1,1.3"]]
+        out = tmp_path / "table.csv"
 
-        first = run("first.csv")
+        def run():
+            tables = []
+            for argv in argvs:
+                assert main(["curves", *argv, "--out", str(out)]) == 0
+                tables.append(out.read_bytes())
+            return tables
+
+        first = run()
         assert main(interruption) == (0 if interruption == ["--help"] else 2)
-        assert run("again.csv") == first
+        assert run() == first
         capsys.readouterr()
 
     def test_appended_eta_does_not_carry_over(self, tmp_path):
