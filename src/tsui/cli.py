@@ -73,13 +73,14 @@ def parse_span(text: str) -> np.ndarray:
 
 
 def _parse_eta(text: str) -> tuple[float, float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) == 1:
-        value = float(parts[0])
-        return value, value
-    if len(parts) == 2:
-        return float(parts[0]), float(parts[1])
-    raise ValueError(f"transmission must be 'eta' or 'eta_p,eta_c', got {text!r}")
+    parts = text.split(",")
+    if len(parts) > 2:
+        raise ValueError(f"transmission must be 'eta' or 'eta_p,eta_c', got {text!r}")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"could not parse --eta {text!r}") from None
+    return values[0], values[-1]
 
 
 def _check_outputs(*paths: str) -> None:

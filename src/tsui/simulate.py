@@ -18,6 +18,14 @@ length.  Nor are the spectra built: a segment's band sums are fixed
 quadratic forms in the inner products of its drawn noise rows and its
 reads (:func:`_segment_sums`).
 
+What a scan draws from depends on no seed, trial, model parameter or
+noise level: the band's basis, the parts that jitter-block edges cut
+segments into, each part's factor and map, and the reads' Gram.  That is
+the scan's plan (:func:`_plan`), a pure function of the record length,
+sample rate, band, block length and tone step.  The latest plan is held, read-only,
+until a scan at another setting replaces it, so scans over seeds or
+trials at one setting build it once and a trial does only its draw.
+
 :func:`simulate_records` draws the same arms as samples; no scan reads
 them, and it stays as the time-domain reference the scan is checked
 against.  Determinism: a record or a scan trial is a pure function of
@@ -28,6 +36,7 @@ for probe and conjugate), so identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -50,22 +59,32 @@ __all__ = [
 _BINS_PER_RBW = 8
 
 # Most samples drawn or read at once, and most segments whose Grams a
-# scan holds at once; also the most basis rows cached (144 B each at 9
-# band bins).
+# trial holds at once; also the most basis rows a plan holds (144 B each
+# at 9 band bins), for as long as it is the latest plan.
 _CHUNK = 2**13
 
 # Most numbers in one array of a run of a scan's draw: its normals, or
-# the wider rows they map to.  At 64 KiB a run stays below glibc's default
-# mmap threshold (128 KiB) and reuses heap pages; runs of 2^15 normals
-# faulted in about 100 fresh pages per trial of a jittered default scan.
+# the wider rows they map to, which a trial writes into one buffer per
+# draw group.  A plan holds each group's run step.  At 64 KiB a run stays
+# below glibc's default mmap threshold (128 KiB) and reuses heap pages;
+# runs of 2^15 normals faulted in about 100 fresh pages per trial of a
+# jittered default scan.
 _RUN = 2**13
 
 # Input caps: the longest record is 8x the default length (2 x 64 MiB
 # from simulate_records; a scan draws no samples and holds one trial's
-# band sums), and a scan takes at most 1000 trials.
+# band sums, and its plan stays held after it: 0.4 MiB at 2^23 samples,
+# 6.2 MiB with 641-sample jitter blocks that cut at 639 places, 37 MiB at
+# most, with a tone and 2,897-sample blocks that cut each of 2,896
+# segments at its own place), and a scan takes at most 1000 trials.
 _MIN_SAMPLES = 2**14
 _MAX_SAMPLES = 2**23
 _MAX_TRIALS = 1000
+
+
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but True is no seed or count.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -121,7 +140,7 @@ class SimConfig:
             raise ValueError("tone_freq must lie in (0, sample_rate / 2)")
         for name in ("tone_depth", "lock_jitter_rms", "electronic_noise_var"):
             check_range(name, getattr(self, name))
-        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
+        if not _is_int(self.rng_seed) or self.rng_seed < 0:
             raise ValueError(f"rng_seed must be a nonnegative int, got {self.rng_seed!r}")
         if not (math.isfinite(self.jitter_block) and self.jitter_block > 0.0):
             raise ValueError("jitter_block must be > 0")
@@ -205,7 +224,7 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     Returns:
         A :class:`MeasurementRecord` with ``n_samples`` points per arm.
     """
-    if not isinstance(trial, int) or trial < 0:
+    if not _is_int(trial) or trial < 0:
         raise ValueError(f"trial must be a nonnegative int, got {trial!r}")
     rng = np.random.default_rng([config.rng_seed, trial])
     v_p, _, cross, rest, carrier, carrier_c = _model(config.params)
@@ -364,27 +383,22 @@ def _factor(gram: np.ndarray) -> np.ndarray:
     return np.where(np.diag(r)[:, np.newaxis] < 0.0, -r, r)
 
 
-def _layout(config: SimConfig, band: _Band) -> list:
-    """A scan's draw groups ``(F, reads, segments, blocks, tone phases, part)``.
+def _layout(band: _Band, block: int, tone_step: float | None) -> list:
+    """A scan's layout groups ``(F, reads, segments, blocks, tone phases, part)``.
 
     With blocks of at least a segment, a segment lies in one block or is
     cut once, at c, into [0, c) and [c, n).  Whole segments come first
     (part 0), then each cut in ascending order, [0, c) (part 1) just
     before [c, n) (part 2).  F factors the Gram of a part's rows, summed
     from the pieces between cuts in one pass: a whole segment's Gram and
-    reads are the sums over all its pieces."""
-    n, block = band.nperseg, _block_samples(config)
-    if block < n:
-        raise ValueError(
-            f"jitter blocks of {block} samples are shorter than a {n}-sample Welch "
-            "segment; a scan needs a longer jitter_block or a wider rbw"
-        )
+    reads are the sums over all its pieces.  A segment's tone phase is
+    ``tone_step`` times its start, 0 without a tone (None)."""
+    n = band.nperseg
     start = n * np.arange(band.n_seg)
     first = start // block
     cut = (first + 1) * block - start  # the next block edge
     cuts = np.unique(cut[cut < n]).tolist()
-    step = 2.0 * math.pi * config.tone_freq / config.sample_rate
-    gram, reads = _pieces(band, [0, *cuts, n], step if config.tone_depth else None)
+    gram, reads = _pieces(band, [0, *cuts, n], tone_step)
     # [0, c_k) sums the pieces before cut k, [c_k, n) those after it, and
     # the whole segment all of them.
     head, head_reads = np.cumsum(gram, axis=0), np.cumsum(reads, axis=0)
@@ -395,6 +409,7 @@ def _layout(config: SimConfig, band: _Band) -> list:
         segments = np.flatnonzero(cut == c)
         groups += [(head[k], head_reads[k], segments, first[segments], 1)]
         groups += [(tail[k + 1], tail_reads[k + 1], segments, first[segments] + 1, 2)]
+    step = 0.0 if tone_step is None else tone_step
     return [
         (_factor(g), r, segments, blocks, step * start[segments], part)
         for g, r, segments, blocks, part in groups
@@ -402,9 +417,84 @@ def _layout(config: SimConfig, band: _Band) -> list:
     ]
 
 
-def _segment_sums(config: SimConfig, trial: int, band: _Band, layout: list) -> np.ndarray:
+@dataclass(frozen=True)
+class _Plan:
+    """What a scan draws from that no seed, trial or model changes: its
+    band, its layout groups (:func:`_layout`) and its draw groups, a cut's
+    head and tail together, each ``(maps, steps, read Gram, segments,
+    blocks, tone phases)``.  A part's map [F | F r^T] takes its normals to
+    its noise rows and their projections on its reads r, in runs of its
+    step segments; the read Gram is r r^T over the group's parts.  Without
+    layout and draws when the blocks are shorter than a segment, which a
+    scan refuses once it has counted its segments."""
+
+    band: _Band
+    layout: tuple | None
+    draws: tuple | None
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=1)
+def _plan(
+    n_samples: int,
+    sample_rate: float,
+    center_freq: float,
+    rbw: float,
+    block: int,
+    tone_step: float | None,
+) -> _Plan:
+    """The plan of every scan of ``n_samples`` at this band, block and tone
+    step (None without a tone), all arrays read-only.  Only the latest plan
+    is held, so scans at one setting, over seeds, trials or parameters,
+    build it once."""
+    band = _band(n_samples, sample_rate, center_freq, rbw)
+    _read_only(band.bins, band.basis)
+    if block < band.nperseg:
+        return _Plan(band, None, None)
+    layout = _layout(band, block, tone_step)
+    n_reads = 1 if tone_step is None else 3
+    draws, groups = [], iter(layout)
+    for factor, reads, segments, blocks, phases, part in groups:
+        factors, reads = [factor], [reads[:n_reads]]
+        if part == 1:  # the head of a cut, whose tail group comes next
+            tail = next(groups)
+            factors.append(tail[0])
+            reads.append(tail[1][:n_reads])
+        reads = np.concatenate(reads)
+        # Each part's map from normals to its rows, y and y r^T: [F | F r^T].
+        maps = tuple(np.concatenate([f, f @ reads.T], 1) for f in factors)
+        steps = tuple(_RUN // (2 * f.shape[1]) for f in maps)
+        read_gram = reads @ reads.T
+        _read_only(*maps, read_gram)
+        draws.append((maps, steps, read_gram, segments, blocks, phases))
+    for group in layout:
+        _read_only(*group[:5])
+    return _Plan(band, tuple(layout), tuple(draws))
+
+
+def _scan_plan(config: SimConfig, center_freq: float, rbw: float) -> _Plan:
+    """The plan of ``config``'s scans of the band: its key is what the
+    plan depends on in ``config``, the record length, the sample rate,
+    the block length and the tone step."""
+    step = 2.0 * math.pi * config.tone_freq / config.sample_rate
+    return _plan(
+        config.n_samples,
+        config.sample_rate,
+        center_freq,
+        rbw,
+        _block_samples(config),
+        step if config.tone_depth else None,
+    )
+
+
+def _segment_sums(config: SimConfig, trial: int, plan: _Plan, model: tuple) -> np.ndarray:
     """Per-segment (|U|^2, Re(U W*), |W|^2) band sums of one trial, in the
-    sum U = P + C and difference W = P - C of its arms' band spectra.
+    sum U = P + C and difference W = P - C of its arms' band spectra;
+    ``model`` is ``_model(config.params)``.
 
     In a block whose (W, U) covariance is S, a part's spectra are W =
     sqrt(S_WW) y_0 and U = S_WU / sqrt(S_WW) y_0 + sqrt(det S / S_WW) y_1,
@@ -420,15 +510,15 @@ def _segment_sums(config: SimConfig, trial: int, band: _Band, layout: list) -> n
     rows, their projections xi (F r^T), taken in the GEMM that gives y, and
     the reads' constant Gram; no spectrum is built.
 
-    After the block phases, each group draws its normals part by part, as
-    (2k, rank) arrays for k segments whose rows hold at most ``_RUN``
-    numbers, in the order of one whole draw.  A cut's head rows are held
-    until its tail is drawn, and the Grams of at most ``_CHUNK`` segments
-    at a time.
+    After the block phases, each draw group draws its normals part by
+    part, as (2k, rank) arrays for k segments whose rows hold at most
+    ``_RUN`` numbers, in the order of one whole draw.  A cut's head rows
+    are held until its tail is drawn, the tail's or a whole segment's one
+    run at a time, and the Grams of at most ``_CHUNK`` segments at a time.
     """
     rng = np.random.default_rng([config.rng_seed, trial])
     p, var = config.params, config.electronic_noise_var
-    v_p, v_c, cross, rest, carrier_p, carrier_c = _model(p)
+    v_p, v_c, cross, rest, carrier_p, carrier_c = model
     e_p, e_c = _phases(config, rng).T
     s = e_p + e_c
     s_ww = joint_variance(p.gain, p.eta_p, p.eta_c, 1.0) - 4 * cross * np.cos(s / 2) ** 2 + 2 * var
@@ -448,32 +538,27 @@ def _segment_sums(config: SimConfig, trial: int, band: _Band, layout: list) -> n
     on_y, on_r = coef[:, :2], coef[:, 2:]
     pairs = [on_y[..., :-1], on_y[..., 1:], on_r[..., :-1], on_r[..., 1:]]
     tables = [coef, np.concatenate(pairs, 1)]
+    band = plan.band
     m = band.basis.shape[1]
 
     sums = np.empty((3, band.n_seg))
-    groups = iter(layout)
-    for factor, reads, segments, blocks, phases, part in groups:
-        factors, reads = [factor], [reads[:n_reads]]
-        if part == 1:  # the head of a cut, whose tail group comes next
-            tail = next(groups)
-            factors.append(tail[0])
-            reads.append(tail[1][:n_reads])
-        reads = np.concatenate(reads)
-        # Each part's map from normals to its rows, y and y r^T: [F | F r^T].
-        maps = [np.concatenate([f, f @ reads.T], 1) for f in factors]
-        steps = [_RUN // (2 * f.shape[1]) for f in maps]
-        q, table = 2 * len(factors), tables[len(factors) - 1]
+    for maps, steps, read_gram, segments, blocks, phases in plan.draws:
+        q, table = 2 * len(maps), tables[len(maps) - 1]
         d, size = len(table[0]), segments.size
         heads = []
         for f, step in zip(maps[:-1], steps):  # a cut's head, held for its tail
             heads.append(np.empty((2 * size, f.shape[1])))
             for lo, hi in _runs(0, size, step):
-                heads[-1][2 * lo : 2 * hi] = rng.standard_normal((2 * (hi - lo), len(f))) @ f
+                normals = rng.standard_normal((2 * (hi - lo), len(f)))
+                np.matmul(normals, f, out=heads[-1][2 * lo : 2 * hi])
+        last = maps[-1]
+        buffer = np.empty((2 * min(size, steps[-1]), last.shape[1]))  # one run's products
         for start, stop in _runs(0, size, _CHUNK):
             gram = np.empty((d, d, stop - start))  # each segment's Z, segments last
             for lo, hi in _runs(start, stop, steps[-1]):
                 run = [head[2 * lo : 2 * hi] for head in heads]
-                run.append(rng.standard_normal((2 * (hi - lo), len(maps[-1]))) @ maps[-1])
+                normals = rng.standard_normal((2 * (hi - lo), len(last)))
+                run.append(np.matmul(normals, last, out=buffer[: 2 * (hi - lo)]))
                 at = slice(lo - start, hi - start)
                 y = [rows.reshape(hi - lo, 2, -1) for rows in run]  # per segment: y_0, y_1
                 # Row dots are faster over a whole group's long runs, one
@@ -491,7 +576,7 @@ def _segment_sums(config: SimConfig, trial: int, band: _Band, layout: list) -> n
                 proj = np.concatenate([rows[:, :, m:] for rows in y], 1)
                 gram[:q, q:, at] = proj.transpose(1, 2, 0)
                 gram[q:, :q, at] = proj.transpose(2, 1, 0)
-            gram[q:, q:] = (reads @ reads.T)[:, :, np.newaxis]
+            gram[q:, q:] = read_gram[:, :, np.newaxis]
             k = np.take(table, blocks[start:stop], axis=2)
             if config.tone_depth:  # the tone sin(omega (t0 + t)) of a segment at t0
                 k[:, q + 1 :: 3] *= np.sin(phases[start:stop])
@@ -546,21 +631,28 @@ def measure_noise_vs_lambda(
         ``trials``.
     """
     grid = check_grid("lam", lambda_grid)
-    if not isinstance(trials, int) or not 1 <= trials <= _MAX_TRIALS:
+    if not _is_int(trials) or not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be an int in [1, {_MAX_TRIALS}], got {trials!r}")
-    # The band and the blocks are checked, and the parts' constants built
-    # once, before any draw.
-    band = _band(config.n_samples, config.sample_rate, center_freq, rbw)
+    # The band and the blocks are checked before any draw; the plan is
+    # built once per setting (:func:`_plan`), the model once per scan.
+    plan = _scan_plan(config, center_freq, rbw)
+    band = plan.band
     if trials * band.n_seg < 2:
         raise ValueError(
             f"the scan would pool {trials * band.n_seg} segment of {band.nperseg} "
             "samples; its uncertainty needs at least 2 (more trials, a longer "
             "record or a wider rbw)"
         )
-    layout = _layout(config, band)
+    if plan.draws is None:
+        raise ValueError(
+            f"jitter blocks of {_block_samples(config)} samples are shorter than a "
+            f"{band.nperseg}-sample Welch segment; a scan needs a longer jitter_block "
+            "or a wider rbw"
+        )
+    model = _model(config.params)
     count, mean, comoment = 0, np.zeros(3), np.zeros((3, 3))
     for trial in range(trials):
-        sums = _segment_sums(config, trial, band, layout)
+        sums = _segment_sums(config, trial, plan, model)
         size, trial_mean = sums.shape[1], sums.mean(axis=1)
         centred, delta = sums - trial_mean[:, np.newaxis], trial_mean - mean
         count += size

@@ -1009,6 +1009,25 @@ class TestParser:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["verify", "--eta", ","], ","),
+            (["verify", "--eta", "abc"], "abc"),
+            (["curves", "fig4a", "--eta", ",", "--out", "x.csv"], ","),
+            (["curves", "fig8", "--eta", "0.7,x", "--out", "x.csv"], "0.7,x"),
+        ],
+        ids=["verify-comma", "verify-word", "fig4a-comma", "fig8-second"],
+    )
+    def test_unparsable_eta_exits_2_naming_flag_and_text(
+        self, tmp_path, capsys, monkeypatch, argv, text
+    ):
+        # float()'s "could not convert string to float: ''" named neither.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: could not parse --eta {text!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
     # Every call of main shares one parser; none may leave state in it
     # that a later call sees.
 

@@ -28,6 +28,15 @@ SHORT = 0.004
 MEDIUM = 0.016
 
 
+@pytest.fixture
+def cold_plan():
+    """An empty plan cache before the test and after it, so that no later
+    test holds a plan built through a monkeypatched _band or _pieces."""
+    simulate._plan.cache_clear()
+    yield
+    simulate._plan.cache_clear()
+
+
 def config(gain=2.0, eta_p=1.0, eta_c=1.0, alpha=0.0, **kwargs):
     params = InterferometerParams(gain=gain, eta_p=eta_p, eta_c=eta_c, alpha=alpha)
     kwargs.setdefault("duration", SHORT)
@@ -120,6 +129,8 @@ class TestSimConfig:
         assert config(duration=2**23 / FS).n_samples == 2**23
         with pytest.raises(ValueError, match="rng_seed"):
             config(rng_seed=1.5)
+        with pytest.raises(ValueError, match="rng_seed must be a nonnegative int, got True"):
+            config(rng_seed=True)
         with pytest.raises(ValueError, match="jitter_block"):
             config(jitter_block=0.0)
         with pytest.raises(ValueError, match="params"):
@@ -173,6 +184,8 @@ class TestSimulateRecords:
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_records(config(), trial=-1)
+        with pytest.raises(ValueError, match="trial must be a nonnegative int, got True"):
+            simulate_records(config(), trial=True)
 
     def test_no_jitter_keeps_the_random_stream(self):
         # Without jitter the records are the quadrature normals through
@@ -289,6 +302,8 @@ class TestMeasuredScan:
             measure_noise_vs_lambda(cfg, [0.0, 1.0], trials=1)
         with pytest.raises(ValueError, match="trials"):
             measure_noise_vs_lambda(cfg, full, trials=1001)
+        with pytest.raises(ValueError, match=r"trials must be an int in \[1, 1000\], got True"):
+            measure_noise_vs_lambda(cfg, full, trials=True)
 
     def test_quadratic_readout_matches_direct_combination(self):
         # Three trials: every point is the mean of the per-segment band
@@ -297,9 +312,9 @@ class TestMeasuredScan:
         cfg = config(gain=1.67, eta_p=0.76, eta_c=0.79, duration=MEDIUM, rng_seed=10)
         grid = np.linspace(0.0, 1.0, 11)
         data = measure_noise_vs_lambda(cfg, grid, trials=3, center_freq=1.5e6, rbw=2e5)
-        band = simulate._band(cfg.n_samples, FS, 1.5e6, 2e5)
-        layout = simulate._layout(cfg, band)
-        sums = np.hstack([simulate._segment_sums(cfg, trial, band, layout) for trial in range(3)])
+        plan, model = simulate._scan_plan(cfg, 1.5e6, 2e5), simulate._model(cfg.params)
+        band = plan.band
+        sums = np.hstack([simulate._segment_sums(cfg, trial, plan, model) for trial in range(3)])
         assert data.meta["segments"] == sums.shape[1] == 3 * band.n_seg
         for lam, db, sigma in zip(grid, data.noise_db, data.sigma_db):
             a, b = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
@@ -309,7 +324,9 @@ class TestMeasuredScan:
             stderr = math.sqrt(coef @ np.cov(sums) @ coef / powers.size) / powers.mean()
             assert math.isclose(sigma, 10.0 / math.log(10.0) * stderr, rel_tol=1e-12)
 
-    def test_scan_calls_no_rfft_and_builds_basis_once(self, monkeypatch):
+    def test_scan_calls_no_rfft_and_builds_basis_once(self, monkeypatch, cold_plan):
+        # Once per setting per process: a repeat with another seed, grid
+        # and trial count builds nothing, a new rbw builds again.
         def no_rfft(*args, **kwargs):
             raise AssertionError("the scan called np.fft.rfft")
 
@@ -317,11 +334,13 @@ class TestMeasuredScan:
         builds = []
         monkeypatch.setattr(np.fft, "rfft", no_rfft)
         monkeypatch.setattr(simulate, "_band", lambda *args: builds.append(args) or band(*args))
-        cfg = config(rng_seed=11)
-        for n_lam in (5, 41):
+        for seed, n_lam, trials, rbw, n_builds in (
+            (11, 5, 3, 1e5, 1), (12, 41, 2, 1e5, 0), (12, 41, 2, 2e5, 1)
+        ):
             builds.clear()
-            measure_noise_vs_lambda(cfg, np.linspace(0.0, 1.0, n_lam), trials=3)
-            assert len(builds) == 1
+            grid = np.linspace(0.0, 1.0, n_lam)
+            measure_noise_vs_lambda(config(rng_seed=seed), grid, trials=trials, rbw=rbw)
+            assert len(builds) == n_builds
 
     def test_band_checked_before_any_draw(self, monkeypatch):
         # A bad band fails before a 2^23-sample scan draws.
@@ -563,8 +582,8 @@ class TestInBandNoise:
             "lock_jitter_rms": 0.05, "jitter_block": jitter_block
         }
         cfg = config(duration=MEDIUM, rng_seed=12, **extra)
-        band = simulate._band(cfg.n_samples, FS, 1e6, 1e5)
-        layout = simulate._layout(cfg, band)
+        plan = simulate._scan_plan(cfg, 1e6, 1e5)
+        band, layout = plan.band, plan.layout
         factor, _, segments, _, _, part = layout[0]
         assert part == 0 and segments.size > 0
         assert (len(layout) > 1) == (jitter_block is not None)
@@ -581,7 +600,7 @@ class TestInBandNoise:
         ],
         ids=["plain", "jitter", "tone"],
     )
-    def test_tone_rows_only_with_a_tone(self, monkeypatch, extra, grid, trials):
+    def test_tone_rows_only_with_a_tone(self, monkeypatch, cold_plan, extra, grid, trials):
         # A scan builds the tone's read rows only when it has a tone.
         # Without one, the unit read still comes from a three-row product,
         # so the scan is bit-identical to one whose pieces read a tone too.
@@ -594,6 +613,7 @@ class TestInBandNoise:
             return pieces(band, edges, 0.3 if tone_step is None else tone_step)
 
         monkeypatch.setattr(simulate, "_pieces", with_tone_rows)
+        simulate._plan.cache_clear()
         forced = measure_noise_vs_lambda(cfg, grid, trials=trials)
         assert steps and all((step is None) == (cfg.tone_depth == 0.0) for step in steps)
         assert np.array_equal(plain.noise_db, forced.noise_db)
@@ -660,12 +680,12 @@ class TestSegmentSumsReference:
         params, extra, rbw = self.CASES[name]
         for seed in (3, 11):
             cfg = config(duration=MEDIUM, rng_seed=seed, **params, **extra)
-            band = simulate._band(cfg.n_samples, FS, 1e6, rbw)
-            layout = simulate._layout(cfg, band)
+            plan, model = simulate._scan_plan(cfg, 1e6, rbw), simulate._model(cfg.params)
+            band, layout = plan.band, plan.layout
             if "jitter_block" in extra or "lock_jitter_rms" in extra:
                 assert any(part == 1 for *_, part in layout)
             for trial in range(2):
-                sums = simulate._segment_sums(cfg, trial, band, layout)
+                sums = simulate._segment_sums(cfg, trial, plan, model)
                 ref = materialised_segment_sums(cfg, trial, band, layout)
                 assert sums.shape == ref.shape == (3, band.n_seg)
                 assert np.all(np.abs(sums - ref) <= 1e-12 * (ref[0] + ref[2]))
@@ -676,8 +696,109 @@ class TestSegmentSumsReference:
         assert simulate._band(cfg.n_samples, FS, 1e6, rbw).nperseg > simulate._CHUNK
         _, extra, rbw = self.CASES["short_blocks"]
         cfg = config(duration=MEDIUM, **extra)
-        layout = simulate._layout(cfg, simulate._band(cfg.n_samples, FS, 1e6, rbw))
+        layout = simulate._scan_plan(cfg, 1e6, rbw).layout
         assert min(len(factor) for factor, *_ in layout) == 0
+
+
+class TestScanPlan:
+    """A scan's plan (band, layout and draw maps) is built once per
+    setting and held until a scan at another setting: it must depend on
+    every input that shapes it, and a held plan must be read-only and
+    leave every input check where it was."""
+
+    LOSSY = {"gain": 1.67, "eta_p": 0.76, "eta_c": 0.79, "alpha": 50.0}
+    # Jitter, a tone off the analysis bin and 32,768 samples: every field
+    # below reshapes the plan.
+    BASE = {
+        "duration": 2**15 / FS, "lock_jitter_rms": 0.05, "jitter_block": 1e-3,
+        "tone_depth": 0.05, "tone_freq": 1.003e6,
+    }
+    CHANGES = {
+        "duration": st.integers(_MIN_SAMPLES, 2**16).map(lambda n: {"duration": n / FS}),
+        "sample_rate": st.floats(6e6, 1e7).map(lambda fs: {"sample_rate": fs}),
+        "center_freq": st.floats(5e5, 2e6).map(lambda f: {"center_freq": f}),
+        "rbw": st.floats(6e4, 2e5).map(lambda rbw: {"rbw": rbw}),
+        "jitter": st.just({"lock_jitter_rms": 0.0}),
+        "jitter_block": st.floats(1e-4, 2e-3).map(lambda s: {"jitter_block": s}),
+        "tone": st.just({"tone_depth": 0.0}),
+        "tone_freq": st.floats(5e5, 2e6).map(lambda f: {"tone_freq": f}),
+    }
+
+    def scan(self, fields, seed=5):
+        band = {k: fields[k] for k in ("center_freq", "rbw") if k in fields}
+        extra = {k: v for k, v in fields.items() if k not in band}
+        cfg = config(rng_seed=seed, **self.LOSSY, **extra)
+        return measure_noise_vs_lambda(cfg, [0.0, 0.25, 0.5, 0.75, 1.0], trials=1, **band)
+
+    @settings(max_examples=64, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_key_is_complete(self, data):
+        # Two settings that differ in one field: a scan straight after a
+        # scan at the other setting equals, bit for bit, the same scan on
+        # an empty cache.
+        name = data.draw(st.sampled_from(sorted(self.CHANGES)))
+        other = {**self.BASE, **data.draw(self.CHANGES[name])}
+        first, second = data.draw(st.permutations([self.BASE, other]))
+        simulate._plan.cache_clear()
+        self.scan(first)
+        after = self.scan(second)
+        simulate._plan.cache_clear()
+        cold = self.scan(second)
+        assert np.array_equal(after.noise_db, cold.noise_db), name
+        assert np.array_equal(after.sigma_db, cold.sigma_db), name
+
+    def test_held_plan_is_read_only(self):
+        cfg = config(rng_seed=3, **self.LOSSY, **self.BASE)
+        plan = simulate._scan_plan(cfg, 1e6, 1e5)
+        arrays = [plan.band.bins, plan.band.basis]
+        for group in plan.layout:
+            arrays += group[:5]
+        for maps, _, read_gram, *rest in plan.draws:
+            arrays += [*maps, read_gram, *rest]
+        assert any(part == 1 for *_, part in plan.layout)
+        assert len(arrays) > 20
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+        # A scan does not write into the plan it draws from.
+        assert simulate._scan_plan(cfg, 1e6, 1e5) is plan
+        self.scan(self.BASE, seed=3)
+        assert simulate._scan_plan(cfg, 1e6, 1e5) is plan
+
+    def test_one_plan_held(self):
+        self.scan(self.BASE)
+        self.scan({**self.BASE, "rbw": 2e5})
+        info = simulate._plan.cache_info()
+        assert (info.currsize, info.maxsize) == (1, 1)
+
+    def test_warm_cache_checks_before_any_draw(self, monkeypatch):
+        # One 16,384-sample segment over 8,000-sample jitter blocks, at a
+        # band off the record's spectrum: whichever checks fail, the
+        # scan raises the first in the order band, segment count, blocks,
+        # on a cache warm at another setting and on one warm at its own.
+        draws = []
+        segment_sums = simulate._segment_sums
+        monkeypatch.setattr(
+            simulate, "_segment_sums", lambda *args: draws.append(args) or segment_sums(*args)
+        )
+        cfg = config(duration=_MIN_SAMPLES / FS, lock_jitter_rms=0.05)
+        blocks = (
+            "jitter blocks of 8000 samples are shorter than a 16384-sample Welch "
+            "segment; a scan needs a longer jitter_block or a wider rbw"
+        )
+        cases = [
+            ({"center_freq": 5e6, "trials": 1}, "analysis band must lie strictly inside"),
+            ({"trials": 1}, "the scan would pool 1 segment of 16384 samples"),
+            ({"trials": 2}, blocks),
+        ]
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        for kwargs, message in cases:
+            measure_noise_vs_lambda(config(), grid, trials=1)
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    measure_noise_vs_lambda(cfg, grid, rbw=3906.25, **kwargs)
+        assert len(draws) == len(cases)  # the warming scans' own
 
 
 class TestLoadSimConfig:
