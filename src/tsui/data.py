@@ -240,7 +240,8 @@ class NoiseDataset:
         return int(self.lam.size)
 
     def n_distinct(self) -> int:
-        return int(np.unique(self.lam).size)
+        # The steps of the sorted weights; np.unique would import numpy.ma.
+        return 1 + int(np.count_nonzero(self.lam[1:] != self.lam[:-1]))
 
     def minimum_at_edge(self) -> bool:
         """Whether the lowest reading sits at the first or last weight."""

@@ -13,7 +13,11 @@ scale_db), three parameters for three coefficients.  The fit is one
 bounded least-squares solve in the chart (sqrt(G - 1), sqrt(eta_c - lower
 eta_c), scale_db), where every point of the box is a physical model; the
 coefficients of a linear fit, mapped back to the parameters in closed
-form, give its start.
+form, give its start.  Where they map outside the box, the start is the
+best of the clipped map and a 25 x 21 grid over the chart, whose
+coefficients a fit scores against its scan a bounded chunk at a time
+(:func:`_box_start`): its memory grows with the scan's length, not 526
+times it.
 
 Quoted parameter uncertainties come from the Gauss-Newton covariance
 (J^T J)^(-1) of the sigma-weighted residuals; they are meaningful only
@@ -69,6 +73,11 @@ _MAX_BOOTSTRAP = 10**6
 # linear over its box.
 _GRID_GAINS, _GRID_ETAS = 25, 21
 _GRID_FLOOR = 1e-6
+# The grid's u = sqrt(G - 1), the same at every offset.
+_GRID_U = np.sqrt(np.geomspace(_GRID_FLOOR, _GAIN_BOUNDS[1] - _GAIN_BOUNDS[0], _GRID_GAINS))
+# The box start scores its candidates in chunks of at most about _CHUNK
+# numbers (whole rows): at 21 weights all 526 rows are one chunk.
+_CHUNK = 2**16
 
 
 class _Solve(NamedTuple):
@@ -88,7 +97,8 @@ def least_squares(fun, x0, jac, lower, upper) -> _Solve:
     """Minimize 0.5 |fun(x)|^2 over lower <= x <= upper by Levenberg-Marquardt.
 
     Each step solves (J^T J + mu D^2) h = -J^T r through the SVD of J D^-1,
-    with Marquardt's scaling D (the largest column norms of J so far) and
+    taken once per Jacobian and reused while mu grows, with Marquardt's
+    scaling D (the largest column norms of J so far) and
     Nielsen's update of mu (Moré, Lecture Notes in Mathematics 630, 105
     (1978); Madsen, Nielsen & Tingleff, *Methods for non-linear least
     squares problems*, DTU (2004)); ``jac(x)`` gives J.  The box is kept
@@ -128,8 +138,13 @@ def least_squares(fun, x0, jac, lower, upper) -> _Solve:
         if cost == 0.0 or np.all(held | ~(cosine > _TOL)):
             status = 1
             break
+        # J D^-1, the SVD of its free columns and |D x| stay while mu changes.
+        j_d = j / d
+        svd = np.linalg.svd(j_d[:, ~held], full_matrices=False)
+        dx = d * x
+        size_x = math.sqrt(dx @ dx)
         while True:
-            trial = _lm_step(j / d, r, mu, ~held, x, d, lower, upper)
+            trial = _lm_step(j_d, svd, r, mu, ~held, x, d, lower, upper)
             h = trial - x
             predicted = cost - 0.5 * float(np.sum((r + j @ h) ** 2))
             r_trial = fun(trial)
@@ -139,7 +154,8 @@ def least_squares(fun, x0, jac, lower, upper) -> _Solve:
             actual = cost - cost_trial
             rho = actual / predicted if predicted > 0.0 else -1.0
             small_f = predicted <= _TOL * cost and abs(actual) <= _TOL * cost and rho <= 2.0
-            small_x = np.linalg.norm(d * h) <= _TOL * (_TOL + np.linalg.norm(d * x))
+            dh = d * h
+            small_x = math.sqrt(dh @ dh) <= _TOL * (_TOL + size_x)
             accepted = rho > 1e-4
             if accepted:
                 x, r, cost = trial, r_trial, cost_trial
@@ -155,15 +171,18 @@ def least_squares(fun, x0, jac, lower, upper) -> _Solve:
     return _Solve(x, cost, status, nfev, njev, active)
 
 
-def _lm_step(j: np.ndarray, r: np.ndarray, mu: float, free, x, d, lower, upper) -> np.ndarray:
+def _lm_step(j: np.ndarray, svd, r: np.ndarray, mu: float, free, x, d, lower, upper) -> np.ndarray:
     """Trial point x + z / d inside the box, z the scaled step minimizing
-    |r + J z|^2 + mu |z|^2 over the ``free`` variables.  A free variable
-    whose step leaves the box is put on the face it crosses and held
-    there, and the rest re-solved against r + J_held z_held."""
+    |r + J z|^2 + mu |z|^2 over the ``free`` variables, whose columns of J
+    have the SVD ``svd``.  A free variable whose step leaves the box is
+    put on the face it crosses and held there, and the rest re-solved
+    against r + J_held z_held."""
     trial = x.copy()
     while free.any():
-        u, s, vt = np.linalg.svd(j[:, free], full_matrices=False)
-        r_held = r + j[:, ~free] @ ((trial - x) * d)[~free]
+        # The caller's SVD serves the first pass, before any face is crossed.
+        u, s, vt = svd if svd is not None else np.linalg.svd(j[:, free], full_matrices=False)
+        svd = None
+        r_held = r if free.all() else r + j[:, ~free] @ ((trial - x) * d)[~free]
         trial[free] = x[free] - vt.T @ (s / (s * s + mu) * (u.T @ r_held)) / d[free]
         below, above = free & (trial < lower), free & (trial > upper)
         if not (below | above).any():
@@ -315,11 +334,26 @@ class LambdaOptEstimate:
     boundary_warning: bool
 
 
-def _coefficient_jac(lam: np.ndarray, sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Jacobian of the weighted dB residuals in (a0, a1, a2):
-    (10 / ln 10) (1, 2 lam, lam^2) / (sigma (a0 + 2 a1 lam + a2 lam^2))."""
-    basis = np.column_stack([np.ones_like(lam), 2.0 * lam, lam * lam])
+def _basis(lam: np.ndarray) -> np.ndarray:
+    """Rows (1, 2 lam, lam^2): the noise power at coefficients a is basis @ a."""
+    return np.column_stack([np.ones_like(lam), 2.0 * lam, lam * lam])
+
+
+def _coefficient_jac(basis: np.ndarray, sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Jacobian of the weighted dB residuals in (a0, a1, a2), on the rows
+    ``basis`` of :func:`_basis`: (10 / ln 10) (1, 2 lam, lam^2) / (sigma
+    (a0 + 2 a1 lam + a2 lam^2))."""
     return basis * (_DB_PER_LN / ((basis @ a) * sigma))[:, None]
+
+
+def _unit_coefficients(u, v, offset: float) -> np.ndarray:
+    """Unit-scale coefficients a = (V_p, C, V_c) at chart roots u, v,
+    floats or arrays that broadcast together (then a is (3, ...)); see
+    :func:`_chart`."""
+    eta_c = max(0.0, offset) + v * v
+    g_u, h_v = u * np.sqrt(1.0 + u * u), v * np.sqrt(v * v + abs(offset))
+    v_p, v_c = 1.0 + 2.0 * u * u * (eta_c - offset), 1.0 + 2.0 * u * u * eta_c
+    return np.array([v_p, -2.0 * g_u * h_v, v_c])
 
 
 def _chart(root, offset: float) -> tuple[np.ndarray, np.ndarray]:
@@ -337,18 +371,17 @@ def _chart(root, offset: float) -> tuple[np.ndarray, np.ndarray]:
     g_u, h_v = u * math.sqrt(1.0 + u * u), v * math.sqrt(v * v + k)
     dg_u = (1.0 + 2.0 * u * u) / math.sqrt(1.0 + u * u)
     dh_v = (2.0 * v * v + k) / math.sqrt(v * v + k) if v * v + k > 0.0 else 0.0
-    a = np.array([1.0 + 2.0 * u * u * eta_p, -2.0 * g_u * h_v, 1.0 + 2.0 * u * u * eta_c])
     d_u = (4.0 * u * eta_p, -2.0 * dg_u * h_v, 4.0 * u * eta_c)
     d_v = (4.0 * u * u * v, -2.0 * g_u * dh_v, 4.0 * u * u * v)
-    return a, np.array([d_u, d_v]).T
+    return _unit_coefficients(u, v, offset), np.array([d_u, d_v]).T
 
 
-def _chart_jac(lam: np.ndarray, sigma: np.ndarray, p, offset: float) -> np.ndarray:
+def _chart_jac(basis: np.ndarray, sigma: np.ndarray, p, offset: float) -> np.ndarray:
     """Jacobian of the weighted dB residuals in the chart p = (u, v,
     scale_db) of :func:`_chart`: the coefficient Jacobian times d a / d
     (u, v), and 1 / sigma for the scale."""
     a, d_a = _chart(p[:2], offset)
-    return np.column_stack([_coefficient_jac(lam, sigma, a) @ d_a, 1.0 / sigma])
+    return np.column_stack([_coefficient_jac(basis, sigma, a) @ d_a, 1.0 / sigma])
 
 
 def _shape_roots(a: np.ndarray, offset: float) -> np.ndarray:
@@ -405,6 +438,53 @@ def _coefficients(gain: float, eta_p: float, eta_c: float, scale_db: float) -> n
     """(a0, a1, a2) = s (V_p, C, V_c) with s = 10^(scale_db / 10)."""
     v_p, v_c, cross = metrology.joint_variance_quadratic(gain, eta_p, eta_c)
     return 10.0 ** (scale_db / 10.0) * np.array([v_p, cross, v_c])
+
+
+def _box_start(b, shapes, basis, lam, y, sigma, lower, upper, offset: float) -> np.ndarray:
+    """The chart start (u, v, scale_db) of a fit whose map ``shapes`` of
+    the linear coefficients ``b`` lands outside the box [lower, upper]:
+    whichever has the lower chi^2, the clipped map (eta_c clipped, and the
+    gain that keeps the ratios there, ``_face_gain``) or a point of the
+    25 x 21 grid over (u, v), each with the sigma-weighted mean of y -
+    model as its scale, clipped to its bounds.
+
+    The candidates are scored as 10 log10(a . basis) plus their scales, at
+    most about ``_CHUNK`` numbers at a time, and the first strictly lowest
+    finite chi^2 wins; the winner's model and scale are then taken from
+    :func:`tsui.metrology.joint_variance`, like the residuals'.
+    """
+    eta_c = float(np.clip(shapes[0, 1] if len(shapes) else upper[1], lower[1], upper[1]))
+    gain = _face_gain(b, eta_c, offset)
+    if gain == 1.0:
+        # No anticorrelation.  C = 0 on the face eta_p eta_c = 0 too,
+        # where the solver's step off G = 1 does not bring it back.
+        eta_c = lower[1]
+        gain = _face_gain(b, eta_c, offset)
+    gain = min(gain, upper[0])
+    clipped = np.sqrt([gain, eta_c] - lower[:2])
+    v = np.sqrt(np.linspace(0.0, upper[1] - lower[1], _GRID_ETAS))
+    # Row 0 is the clipped map, row 1 + 21 i + j the grid point (u_i, v_j).
+    grid = _unit_coefficients(_GRID_U[:, None], v, offset).reshape(3, -1).T
+    coefficients = np.concatenate([_unit_coefficients(*clipped, offset)[None], grid])
+    weights = sigma**-2.0 / np.sum(sigma**-2.0)
+    rows = max(1, _CHUNK // lam.size)
+    best, lowest = 0, math.inf
+    for lo in range(0, len(coefficients), rows):
+        model = 10.0 * np.log10(coefficients[lo : lo + rows] @ basis.T)
+        scale_db = np.clip((y - model) @ weights, lower[2], upper[2])
+        model += scale_db[:, None]
+        model -= y
+        model /= sigma  # the residuals
+        chi2 = np.einsum("ij,ij->i", model, model)
+        chi2[~np.isfinite(chi2)] = math.inf
+        i = int(np.argmin(chi2))
+        if chi2[i] < lowest:
+            best, lowest = lo + i, chi2[i]
+    i, j = divmod(best - 1, _GRID_ETAS)
+    root = clipped if best == 0 else np.array([_GRID_U[i], v[j]])
+    gain, eta_c = lower[:2] + root**2
+    model = 10.0 * np.log10(metrology.joint_variance(gain, eta_c - offset, eta_c, lam))
+    return np.append(root, np.clip((y - model) @ weights, lower[2], upper[2]))
 
 
 def _direct_lambda_opt(lam: np.ndarray, noise_db: np.ndarray) -> np.ndarray | float:
@@ -510,7 +590,7 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     p_lower = np.array([0.0, 0.0, lower[2]])
     p_upper = np.append(np.sqrt(upper[:2] - lower[:2]), upper[2])
     lam, y, sigma = dataset.lam, dataset.noise_db, dataset.sigma_db
-    basis = np.column_stack([np.ones_like(lam), 2.0 * lam, lam * lam])
+    basis = _basis(lam)
 
     def residuals(theta: np.ndarray) -> np.ndarray:
         gain, eta_c, scale_db = theta
@@ -521,7 +601,7 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         return (10.0 * np.log10(basis @ _chart(p[:2], offset)[0]) + p[2] - y) / sigma
 
     def chart_jac(p: np.ndarray) -> np.ndarray:
-        return _chart_jac(lam, sigma, p, offset)
+        return _chart_jac(basis, sigma, p, offset)
 
     # The coefficients, in units of the scan's mean power: b = a / 10^(ref_db / 10).
     ref_db = float(np.mean(y))
@@ -538,34 +618,14 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     mapped = [with_scale(gain, eta_c) for gain, eta_c in shapes]
     inside = [t for t in mapped if b[1] <= 0.0 and np.all((lower < t) & (t < upper))]
 
-    def box_start() -> np.ndarray:
-        eta_c = float(np.clip(shapes[0, 1] if len(shapes) else upper[1], lower[1], upper[1]))
-        if _face_gain(b, eta_c, offset) == 1.0:
-            # No anticorrelation.  C = 0 on the face eta_p eta_c = 0 too,
-            # where the solver's step off G = 1 does not bring it back.
-            eta_c = lower[1]
-        gain = min(_face_gain(b, eta_c, offset), upper[0])
-        grid = np.meshgrid(
-            np.sqrt(np.geomspace(_GRID_FLOOR, upper[0] - lower[0], _GRID_GAINS)),
-            np.sqrt(np.linspace(0.0, upper[1] - lower[1], _GRID_ETAS)),
-            indexing="ij",
-        )
-        clipped = np.sqrt([gain, eta_c] - lower[:2])
-        roots = np.vstack([clipped, np.column_stack([v.ravel() for v in grid])])
-        gain, eta_c = (lower[:2, None] + roots.T**2)[..., None]
-        model = 10.0 * np.log10(metrology.joint_variance(gain, eta_c - offset, eta_c, lam))
-        weights = sigma**-2.0 / np.sum(sigma**-2.0)
-        scale_db = np.clip((y - model) @ weights, lower[2], upper[2])
-        best = np.argmin(np.sum(((model + scale_db[:, None] - y) / sigma) ** 2, axis=1))
-        return np.append(roots[best], scale_db[best])
-
     runs = {}
     if inside:
         start = np.append(np.sqrt(inside[0][:2] - lower[:2]), inside[0][2])
         runs["coefficients"] = least_squares(chart_residuals, start, chart_jac, p_lower, p_upper)
     first = runs.get("coefficients")
     if first is None or first.status <= 0 or first.active_mask.any():
-        runs["bound"] = least_squares(chart_residuals, box_start(), chart_jac, p_lower, p_upper)
+        start = _box_start(b, shapes, basis, lam, y, sigma, lower, upper, offset)
+        runs["bound"] = least_squares(chart_residuals, start, chart_jac, p_lower, p_upper)
     converged = {name: res for name, res in runs.items() if res.status > 0}
     if not converged:
         lowest = min(res.cost for res in runs.values())
@@ -610,7 +670,7 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         gain=gain, eta_p=min(max(eta_p, 0.0), 1.0), eta_c=min(max(eta_c, 0.0), 1.0)
     )
     a = _coefficients(gain, fitted.eta_p, fitted.eta_c, scale_db)
-    jac_a = _coefficient_jac(lam, sigma, a)
+    jac_a = _coefficient_jac(basis, sigma, a)
     # d(-a1 / a2), 0 where the clamp at 1 holds lam*.
     grad = np.array([0.0, -1.0 / a[2], a[1] / (a[2] * a[2])]) * (-a[1] <= a[2])
     sigma_lam = float(math.sqrt(max(grad @ np.linalg.pinv(jac_a.T @ jac_a) @ grad, 0.0)))

@@ -397,7 +397,7 @@ def _layout(band: _Band, block: int, tone_step: float | None) -> list:
     start = n * np.arange(band.n_seg)
     first = start // block
     cut = (first + 1) * block - start  # the next block edge
-    cuts = np.unique(cut[cut < n]).tolist()
+    cuts = sorted(set(cut[cut < n].tolist()))  # np.unique would import numpy.ma
     gram, reads = _pieces(band, [0, *cuts, n], tone_step)
     # [0, c_k) sums the pieces before cut k, [c_k, n) those after it, and
     # the whole segment all of them.
@@ -420,16 +420,15 @@ def _layout(band: _Band, block: int, tone_step: float | None) -> list:
 @dataclass(frozen=True)
 class _Plan:
     """What a scan draws from that no seed, trial or model changes: its
-    band, its layout groups (:func:`_layout`) and its draw groups, a cut's
+    band and its draw groups, the groups of :func:`_layout` with a cut's
     head and tail together, each ``(maps, steps, read Gram, segments,
     blocks, tone phases)``.  A part's map [F | F r^T] takes its normals to
     its noise rows and their projections on its reads r, in runs of its
     step segments; the read Gram is r r^T over the group's parts.  Without
-    layout and draws when the blocks are shorter than a segment, which a
-    scan refuses once it has counted its segments."""
+    draws when the blocks are shorter than a segment, which a scan refuses
+    once it has counted its segments."""
 
     band: _Band
-    layout: tuple | None
     draws: tuple | None
 
 
@@ -454,10 +453,9 @@ def _plan(
     band = _band(n_samples, sample_rate, center_freq, rbw)
     _read_only(band.bins, band.basis)
     if block < band.nperseg:
-        return _Plan(band, None, None)
-    layout = _layout(band, block, tone_step)
+        return _Plan(band, None)
     n_reads = 1 if tone_step is None else 3
-    draws, groups = [], iter(layout)
+    draws, groups = [], iter(_layout(band, block, tone_step))
     for factor, reads, segments, blocks, phases, part in groups:
         factors, reads = [factor], [reads[:n_reads]]
         if part == 1:  # the head of a cut, whose tail group comes next
@@ -469,11 +467,9 @@ def _plan(
         maps = tuple(np.concatenate([f, f @ reads.T], 1) for f in factors)
         steps = tuple(_RUN // (2 * f.shape[1]) for f in maps)
         read_gram = reads @ reads.T
-        _read_only(*maps, read_gram)
+        _read_only(*maps, read_gram, segments, blocks, phases)
         draws.append((maps, steps, read_gram, segments, blocks, phases))
-    for group in layout:
-        _read_only(*group[:5])
-    return _Plan(band, tuple(layout), tuple(draws))
+    return _Plan(band, tuple(draws))
 
 
 def _scan_plan(config: SimConfig, center_freq: float, rbw: float) -> _Plan:

@@ -1172,3 +1172,38 @@ class TestStartup:
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == [[0, False]] * 5
+
+    def test_no_fit_or_scan_loads_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma (8-9 ms) on first use; nothing a fit,
+        # a jittered scan or the simulate-then-fit commands run needs it.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("gain = 1.67\neta_p = 0.76\neta_c = 0.79\nduration = 0.004\nrng_seed = 3\n")
+        scan, fit = str(tmp_path / "scan.csv"), str(tmp_path / "fit.json")
+        script = (
+            "import contextlib, io, sys\n"
+            "import numpy as np\n"
+            "from tsui import cli, fitting, simulate\n"
+            "from tsui.data import NoiseDataset\n"
+            "from tsui.gaussian import InterferometerParams\n"
+            "seen = ['numpy.ma' in sys.modules]\n"
+            "lam = np.linspace(0.0, 1.0, 11)\n"
+            "fitting.fit_noise_curve(NoiseDataset(lam, 10 * np.log10(1 + lam**2), np.ones(11)))\n"
+            "seen.append('numpy.ma' in sys.modules)\n"
+            "params = InterferometerParams(gain=1.67, eta_p=0.76, eta_c=0.79)\n"
+            "config = simulate.SimConfig(params, duration=0.004, lock_jitter_rms=0.02)\n"
+            "simulate.measure_noise_vs_lambda(config, lam, trials=2)\n"
+            "seen.append('numpy.ma' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main(['simulate', '--config', {str(cfg)!r}, '--out', {scan!r}]),\n"
+            f"             cli.main(['fit', '--data', {scan!r}, '--out', {fit!r}])]\n"
+            "seen.append('numpy.ma' in sys.modules)\n"
+            "print(codes, seen)\n"
+        )
+        src = os.path.dirname(os.path.dirname(tsui.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[0, 0] [False, False, False, False]"

@@ -3,9 +3,11 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from fit_reference import grid_box_start
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
@@ -15,6 +17,7 @@ from tsui import fitting
 from tsui.fitting import (
     FitFailure,
     FitOptions,
+    _basis,
     _chart_jac,
     _coefficient_jac,
     _direct_lambda_opt,
@@ -391,7 +394,7 @@ class TestFitNoiseCurve:
             return 10.0 * np.log10(a[0] + 2.0 * a[1] * lam + a[2] * lam * lam) / sigma
 
         p = np.array([math.sqrt(gain - 1.0), math.sqrt(eta_c - lo), 1.5])
-        jac_p = _chart_jac(lam, sigma, p, fixed)
+        jac_p = _chart_jac(_basis(lam), sigma, p, fixed)
         cases = [
             (jac_p, chart_db, p),
             (jac_p / np.append(2.0 * p[:2], 1.0), model_db, np.array([gain, eta_c, 1.5])),
@@ -399,7 +402,7 @@ class TestFitNoiseCurve:
         if offset is None:
             vp, vc, cr = joint_variance_quadratic(gain, eta_c - 0.03, eta_c)
             a = np.array([vp, cr, vc])
-            cases.append((_coefficient_jac(lam, sigma, a), coefficient_db, a))
+            cases.append((_coefficient_jac(_basis(lam), sigma, a), coefficient_db, a))
         for jac, f, x in cases:
             for i in range(x.size):
                 h = 1e-6 * max(1.0, abs(x[i]))
@@ -577,6 +580,108 @@ class TestFitNoiseCurve:
         assert p.gain == fit.gain
 
 
+class TestBoxStart:
+    """The box start scores its grid's coefficient table in bounded
+    chunks: it must pick the start the whole joint_variance grid picked
+    (tests/fit_reference.py), and stay small on a long scan."""
+
+    @staticmethod
+    def vacuum(n, seed):
+        # Noisy vacuum, a curve the model reaches only on its bounds: its
+        # fits take the box start at every offset.
+        lam = np.linspace(0.0, 1.0, n)
+        noise = np.random.default_rng(seed).normal(0.0, 0.05, n)
+        return NoiseDataset(
+            lam=lam, noise_db=10.0 * np.log10(1.0 + lam**2) + noise, sigma_db=np.full(n, 0.05)
+        )
+
+    @staticmethod
+    def corpora():
+        """fit_scans' 400 scans at seed 3 (ops 0-199, both criterion-6
+        settings), 80 noisy-vacuum scans, 300 uniform junk scans, and three
+        long scans, whose candidates are scored in 13 to 26 chunks: noisy
+        vacuum, won in the first chunk, and a gain past the box, won in the
+        last."""
+        lam = np.linspace(0.0, 1.0, 21)
+        clean = [
+            synthetic(1.67, 0.76, 0.79).noise_db,
+            synthetic(1.2, 0.73, 0.76).noise_db,
+        ]
+        for i in range(200):
+            rng = np.random.default_rng([3, i])
+            for db in clean:
+                noise = rng.normal(0.0, 0.05, lam.size)
+                yield NoiseDataset(lam=lam, noise_db=db + noise, sigma_db=np.full(21, 0.05)), 0.03
+        for n in (11, 21):
+            for seed in range(40):
+                yield TestBoxStart.vacuum(n, seed), 0.03
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(5, 26))
+            noise_db, sigma_db = rng.uniform(-30.0, 30.0, n), rng.uniform(1e-3, 1.0, n)
+            ds = NoiseDataset(lam=np.linspace(0.0, 1.0, n), noise_db=noise_db, sigma_db=sigma_db)
+            yield ds, float(rng.uniform(-0.2, 0.2))
+        yield TestBoxStart.vacuum(1_500, 0), 0.03
+        for n, seed in ((2_001, 1), (3_000, 2)):
+            yield synthetic(60.0, 0.76, 0.79, n=n, noise_seed=seed), 0.03
+
+    def test_same_start_and_fit_as_the_joint_variance_grid(self, monkeypatch):
+        # The coefficient table, scored in chunks, picks the same candidate as
+        # the (526, n) joint_variance grid, on every scan below whose fit
+        # reaches the box start.  The start's scale is the winner's
+        # joint_variance scale either way, summed in another order, so it
+        # and the fit move by round-off only.
+        starts = []
+        box_start = fitting._box_start
+
+        def both(*args):
+            starts.append((box_start(*args), grid_box_start(*args)))
+            return starts[-1][0]
+
+        def fit(ds, offset):
+            try:
+                return fit_noise_curve(ds, FitOptions(loss_offset=offset))
+            except FitFailure as err:
+                return err
+
+        fits = 0
+        for ds, offset in self.corpora():
+            starts.clear()
+            monkeypatch.setattr(fitting, "_box_start", both)
+            new = fit(ds, offset)
+            if not starts:
+                continue  # the fit never reached the box start
+            fits += 1
+            (start, reference), = starts
+            assert np.array_equal(start[:2], reference[:2])
+            assert abs(start[2] - reference[2]) <= 1e-12 * max(1.0, abs(reference[2]))
+            monkeypatch.setattr(fitting, "_box_start", grid_box_start)
+            old = fit(ds, offset)
+            assert type(new) is type(old)
+            if isinstance(old, FitFailure):
+                assert new.best_cost == pytest.approx(old.best_cost, rel=1e-9)
+                continue
+            # Where both solves end at one point, round-off may pick the other.
+            assert new.n_starts == old.n_starts
+            assert new.chi_square == pytest.approx(old.chi_square, rel=1e-9, abs=1e-20)
+        assert fits >= 400
+
+    def test_bound_path_fit_of_a_long_scan_stays_small(self):
+        # 20,000 rows: scoring the 526 candidates at once, as (526, n)
+        # arrays, peaks at 161-242 MiB.
+        n = 20_000
+        noise = np.random.default_rng(18).normal(0.0, 0.05, n)
+        ds = NoiseDataset(lam=np.linspace(0.0, 1.0, n), noise_db=noise, sigma_db=np.full(n, 0.05))
+        tracemalloc.start()
+        try:
+            fit = fit_noise_curve(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.winning_start == "bound" and fit.status > 0
+        assert peak <= 16 * 2**20, peak
+
+
 class TestExtractLambdaOpt:
     def test_direct_vertex_exact_on_parabola(self):
         lam = np.linspace(0.0, 1.0, 21)
@@ -709,7 +814,7 @@ class TestExtractLambdaOpt:
         a = 10.0 ** (fit.scale_db / 10.0) * np.array(
             joint_variance_quadratic(fit.gain, fit.eta_p, fit.eta_c)
         )[[0, 2, 1]]
-        jac = _coefficient_jac(ds.lam, ds.sigma_db, a)
+        jac = _coefficient_jac(_basis(ds.lam), ds.sigma_db, a)
         grad = np.array([0.0, -1.0 / a[2], a[1] / (a[2] * a[2])]) * (-a[1] <= a[2])
         return float(math.sqrt(max(grad @ np.linalg.pinv(jac.T @ jac) @ grad, 0.0)))
 
