@@ -240,7 +240,9 @@ class FitResult:
 
     ``winning_start`` names the start of the solve that gave the result:
     "coefficients" (the linear coefficient fit, mapped strictly inside the
-    bounds) or "bound" (the box start: the clipped map or a grid point).
+    bounds) or "bound" (the box start: the clipped map or a grid point); the
+    map's solve wins where both costs agree to 1e-12 relative, so round-off
+    does not decide the name.
     ``n_starts`` counts the solves: 1, or 2 when the solve from the map
     ended on a bound or did not converge and one ran from the box start.
     ``nfev`` counts their residual plus Jacobian evaluations, and ``status``
@@ -631,6 +633,12 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         lowest = min(res.cost for res in runs.values())
         raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations", lowest)
     winner = min(converged, key=lambda name: converged[name].cost)
+    # Two solves that end at one point differ in cost by round-off: the
+    # map's solve is kept unless the box start's ends lower than that.
+    if "coefficients" in converged and math.isclose(
+        converged["coefficients"].cost, converged[winner].cost, rel_tol=1e-12
+    ):
+        winner = "coefficients"
     res = converged[winner]
     p = res.x
     # A root on its upper bound maps onto the bound exactly.

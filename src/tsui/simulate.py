@@ -16,7 +16,10 @@ and G the Gram matrix of the part's in-band DFT rows.  Reads and Grams
 alike come from one set of windowed rows (:func:`_rows`), at any segment
 length.  Nor are the spectra built: a segment's band sums are fixed
 quadratic forms in the inner products of its drawn noise rows and its
-reads (:func:`_segment_sums`).
+reads (:func:`_segment_sums`).  A trial takes them in one pass per draw
+group: one product per chunk of segments gives every noise row and read
+projection as a contiguous vector over the chunk's segments, and the
+forms are written out on those vectors' column dots.
 
 What a scan draws from depends on no seed, trial, model parameter or
 noise level: the band's basis, the parts that jitter-block edges cut
@@ -24,7 +27,8 @@ segments into, each part's factor and map, and the reads' Gram.  That is
 the scan's plan (:func:`_plan`), a pure function of the record length,
 sample rate, band, block length and tone step.  The latest plan is held, read-only,
 until a scan at another setting replaces it, so scans over seeds or
-trials at one setting build it once and a trial does only its draw.
+trials at one setting build it once and a trial does only its draw, into
+one buffer held per thread (at most 1 MiB without cuts).
 
 :func:`simulate_records` draws the same arms as samples; no scan reads
 them, and it stays as the time-domain reference the scan is checked
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -58,25 +63,33 @@ __all__ = [
 # while leaving hundreds of segments in a default-length record.
 _BINS_PER_RBW = 8
 
-# Most samples drawn or read at once, and most segments whose Grams a
-# trial holds at once; also the most basis rows a plan holds (144 B each
-# at 9 band bins), for as long as it is the latest plan.
+# Most samples drawn or read at once: a record's runs, and the rows a
+# plan reads through at once.  Also the most basis rows a plan holds
+# (144 B each at 9 band bins), for as long as it is the latest plan.
 _CHUNK = 2**13
 
-# Most numbers in one array of a run of a scan's draw: its normals, or
-# the wider rows they map to, which a trial writes into one buffer per
-# draw group.  A plan holds each group's run step.  At 64 KiB a run stays
-# below glibc's default mmap threshold (128 KiB) and reuses heap pages;
-# runs of 2^15 normals faulted in about 100 fresh pages per trial of a
-# jittered default scan.
-_RUN = 2**13
+# Most numbers in one array of a scan trial's buffer: a chunk of a draw
+# group's normals, or the products they map to, so a plan's chunks hold
+# _RUN / (2 M) segments for M noise-row and read columns (1,927 at the
+# default band, whose 1,638 segments then take one chunk).  The buffer
+# holds one chunk's normals and products, at most 2 _RUN numbers (1 MiB)
+# without cuts, and a cut's folded normals besides: 2 numbers per segment
+# of the cut group for each row of its parts' factors (64 at the default
+# band).  It is held per thread at the largest size a scan has asked for
+# (:func:`_buffer`).  One made per scan was mapped afresh each time, and
+# freeing it raised glibc's mmap threshold: perfbench's reference job
+# (FFTs and sorts of 2^16 numbers) then took 7,040 page faults against
+# 4,736 after each op.
+_RUN = 2**16
 
 # Input caps: the longest record is 8x the default length (2 x 64 MiB
 # from simulate_records; a scan draws no samples and holds one trial's
-# band sums, and its plan stays held after it: 0.4 MiB at 2^23 samples,
-# 6.2 MiB with 641-sample jitter blocks that cut at 639 places, 37 MiB at
-# most, with a tone and 2,897-sample blocks that cut each of 2,896
-# segments at its own place), and a scan takes at most 1000 trials.
+# band sums, 0.3 MiB at 2^23 samples.  Its buffer and its plan stay held
+# after it: the buffer 1 MiB there, 3.1 MiB when 960-sample jitter blocks
+# cut every other segment at one place; the plan 0.4 MiB, 6.2 MiB with
+# 641-sample jitter blocks that cut at 639 places, 37 MiB at most, with a
+# tone and 2,897-sample blocks that cut each of 2,896 segments at its own
+# place), and a scan takes at most 1000 trials.
 _MIN_SAMPLES = 2**14
 _MAX_SAMPLES = 2**23
 _MAX_TRIALS = 1000
@@ -168,15 +181,17 @@ def _runs(lo: int, hi: int, step: int) -> list[tuple[int, int]]:
     return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
-def _model(p: InterferometerParams) -> tuple[float, float, float, float, float, float]:
-    """(V_p, V_c, C), r = (V_p V_c - C^2) / V_p, and each arm's carrier
-    2 sqrt(eta G) alpha, which lock jitter leaks in."""
+def _model(p: InterferometerParams) -> tuple[float, ...]:
+    """(V_p, V_c, C), r = (V_p V_c - C^2) / V_p, each arm's carrier
+    2 sqrt(eta G) alpha, which lock jitter leaks in, and Var(P + C)."""
     v_p, v_c, cross = joint_variance_quadratic(p.gain, p.eta_p, p.eta_c)
-    # r as the arms-swapped variance at its vertex: a sum of nonnegative
-    # terms, where the difference would lose every digit.
+    # r as the arms-swapped variance at its vertex, and Var(P + C): sums of
+    # nonnegative terms, where the differences would lose every digit.
     rest = float(joint_variance(p.gain, p.eta_c, p.eta_p, -cross / v_p))
+    v_sum = float(joint_variance(p.gain, p.eta_p, p.eta_c, 1.0))
     carrier_c = 2.0 * math.sqrt(p.eta_c * (p.gain - 1.0)) * p.alpha
-    return v_p, v_c, cross, rest, float(fringe_slope(p.gain, p.eta_p, p.alpha)), carrier_c
+    carrier_p = float(fringe_slope(p.gain, p.eta_p, p.alpha))
+    return v_p, v_c, cross, rest, carrier_p, carrier_c, v_sum
 
 
 def _block_samples(config: SimConfig) -> int:
@@ -227,7 +242,7 @@ def simulate_records(config: SimConfig, trial: int = 0) -> MeasurementRecord:
     if not _is_int(trial) or trial < 0:
         raise ValueError(f"trial must be a nonnegative int, got {trial!r}")
     rng = np.random.default_rng([config.rng_seed, trial])
-    v_p, _, cross, rest, carrier, carrier_c = _model(config.params)
+    v_p, _, cross, rest, carrier, carrier_c, _ = _model(config.params)
     block, phases = _block_samples(config), _phases(config, rng)
     omega, depth = 2.0 * math.pi * config.tone_freq, carrier * config.tone_depth
     out = np.empty((2, config.n_samples))
@@ -420,21 +435,28 @@ def _layout(band: _Band, block: int, tone_step: float | None) -> list:
 @dataclass(frozen=True)
 class _Plan:
     """What a scan draws from that no seed, trial or model changes: its
-    band and its draw groups, the groups of :func:`_layout` with a cut's
-    head and tail together, each ``(maps, steps, read Gram, segments,
-    blocks, tone phases)``.  A part's map [F | F r^T] takes its normals to
-    its noise rows and their projections on its reads r, in runs of its
-    step segments; the read Gram is r r^T over the group's parts.  Without
-    draws when the blocks are shorter than a segment, which a scan refuses
-    once it has counted its segments."""
+    band, its draw groups and the size of a trial's buffer.
+
+    A draw group is a group of :func:`_layout` with a cut's head and tail
+    together, ``(map, ranks, step, read Gram, segments, blocks, tone)``.
+    Its map stacks each part's [F | F r^T], which takes the part's normals
+    to its noise rows and their projections on the group's reads r;
+    ``ranks`` are the parts' ranks, the rows each contributes.  A trial
+    draws the group ``step`` segments at a time.  The read Gram is r r^T,
+    ``blocks`` holds each part's jitter block per segment, and ``tone``
+    the sin and cos of each segment's tone phase, None without a tone.
+    Without draws when the blocks are shorter than a segment, which a scan
+    refuses once it has counted its segments."""
 
     band: _Band
     draws: tuple | None
+    buffer: int
 
 
-def _read_only(*arrays: np.ndarray) -> None:
+def _read_only(*arrays: np.ndarray | None) -> None:
     for array in arrays:
-        array.flags.writeable = False
+        if array is not None:
+            array.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=1)
@@ -453,23 +475,29 @@ def _plan(
     band = _band(n_samples, sample_rate, center_freq, rbw)
     _read_only(band.bins, band.basis)
     if block < band.nperseg:
-        return _Plan(band, None)
+        return _Plan(band, None, 0)
     n_reads = 1 if tone_step is None else 3
-    draws, groups = [], iter(_layout(band, block, tone_step))
+    draws, groups, buffer = [], iter(_layout(band, block, tone_step)), 0
     for factor, reads, segments, blocks, phases, part in groups:
-        factors, reads = [factor], [reads[:n_reads]]
+        factors, reads, blocks = [factor], [reads[:n_reads]], [blocks]
         if part == 1:  # the head of a cut, whose tail group comes next
             tail = next(groups)
             factors.append(tail[0])
             reads.append(tail[1][:n_reads])
+            blocks.append(tail[3])
         reads = np.concatenate(reads)
-        # Each part's map from normals to its rows, y and y r^T: [F | F r^T].
-        maps = tuple(np.concatenate([f, f @ reads.T], 1) for f in factors)
-        steps = tuple(_RUN // (2 * f.shape[1]) for f in maps)
-        read_gram = reads @ reads.T
-        _read_only(*maps, read_gram, segments, blocks, phases)
-        draws.append((maps, steps, read_gram, segments, blocks, phases))
-    return _Plan(band, tuple(draws))
+        map_ = np.concatenate([np.concatenate([f, f @ reads.T], 1) for f in factors])
+        ranks = tuple(len(f) for f in factors)
+        step = max(1, _RUN // (2 * map_.shape[1]))
+        tone = None if tone_step is None else np.stack([np.sin(phases), np.cos(phases)])
+        blocks, read_gram = np.stack(blocks), reads @ reads.T
+        _read_only(map_, read_gram, segments, blocks, tone)
+        draws.append((map_, ranks, step, read_gram, segments, blocks, tone))
+        # A chunk's normals and products, and a cut's folded normals.
+        chunk = min(segments.size, step)
+        held = 2 * segments.size * len(map_) if len(ranks) > 1 else 0
+        buffer = max(buffer, held + 2 * chunk * (max(ranks) + map_.shape[1]))
+    return _Plan(band, tuple(draws), buffer)
 
 
 def _scan_plan(config: SimConfig, center_freq: float, rbw: float) -> _Plan:
@@ -487,98 +515,133 @@ def _scan_plan(config: SimConfig, center_freq: float, rbw: float) -> _Plan:
     )
 
 
+_held = threading.local()
+
+
+def _buffer(size: int) -> np.ndarray:
+    """``size`` numbers of this thread's scan buffer.  It grows to the
+    largest size asked for and is then held, so scans after it allocate
+    no buffer; a trial overwrites whatever it reads of it."""
+    buffer = getattr(_held, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _held.buffer = np.empty(size)
+    return buffer[:size]
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Column dots of two (rows, k) arrays: one inner product per segment."""
+    return np.einsum("ik,ik->k", x, y)
+
+
+def _band_sums(products, m, noise, reads, read_gram, out) -> None:
+    """(|U|^2, Re(U W*), |W|^2) of k segments into ``out`` (3, k).
+
+    ``products`` (2, M, k) holds each segment's noise rows y_0 and y_1 (its
+    first ``m`` rows) and their projections on the reads r (the rest),
+    segments last, so that every row is a contiguous vector over segments.
+    U = a y_0 + b y_1 + c_U r and W = c y_0 + c_W r, with ``noise`` holding
+    (a, b, c) and ``reads`` (2, n_reads, k) c_U and c_W.  The forms K Z K^T
+    in the Gram Z of z = (y_0, y_1, r) are written out on those vectors:
+    the noise rows' column dots, their projections and the reads' Gram
+    r r^T, weighted by K; W has no y_1 term."""
+    a, b, c = noise
+    y0, y1 = products[:, :m]
+    # y_s . (c_t r) for s in (0, 1) and t in (U, W), and (c_s r) . (c_t r).
+    t = np.einsum("sjk,tjk->stk", products[:, m:], reads)
+    r = np.einsum("sjk,tjk->stk", reads, read_gram @ reads)
+    d00, d01 = _dots(y0, y0), _dots(y0, y1)
+    u0 = a * d00 + b * d01 + t[0, 0]  # U . y_0
+    u1 = a * d01 + b * _dots(y1, y1) + t[1, 0]  # U . y_1
+    out[0] = a * (u0 + t[0, 0]) + b * (u1 + t[1, 0]) + r[0, 0]
+    out[1] = c * u0 + a * t[0, 1] + b * t[1, 1] + r[0, 1]
+    out[2] = c * (c * d00 + 2.0 * t[0, 1]) + r[1, 1]
+
+
 def _segment_sums(config: SimConfig, trial: int, plan: _Plan, model: tuple) -> np.ndarray:
-    """Per-segment (|U|^2, Re(U W*), |W|^2) band sums of one trial, in the
-    sum U = P + C and difference W = P - C of its arms' band spectra;
-    ``model`` is ``_model(config.params)``.
+    """(|U|^2, Re(U W*), |W|^2) band sums of one trial, one column per
+    segment in the plan's draw order (its draw groups' ``segments`` in
+    turn), in the sum U = P + C and difference W = P - C of its arms' band
+    spectra; ``model`` is ``_model(config.params)``.
 
     In a block whose (W, U) covariance is S, a part's spectra are W =
-    sqrt(S_WW) y_0 and U = S_WU / sqrt(S_WW) y_0 + sqrt(det S / S_WW) y_1,
-    y = xi F for standard normals xi, plus their means: each arm's carrier
-    offset times the part's unit read and, with a tone, the tone times its
-    two tone reads.  S_WW and det S are sums of nonnegative terms (C <= 0),
-    so at high gain, where P and C nearly cancel in U, U keeps its digits.
+    c y_0 and U = a y_0 + b y_1, c = sqrt(S_WW), a = S_WU / c and b =
+    sqrt(det S / S_WW), y = xi F for standard normals xi, plus their means:
+    each arm's carrier offset times the part's unit read and, with a tone,
+    the tone times its two tone reads.  S_WW and det S are sums of
+    nonnegative terms (C <= 0), so at high gain, where P and C nearly
+    cancel in U, U keeps its digits.  No spectrum and no per-segment Gram
+    is built: one product per chunk of segments, map^T xi^T, gives every
+    noise row and read projection as a contiguous vector over segments,
+    and :func:`_band_sums` takes the sums from their column dots.
 
-    So a segment's (U, W) is K z: z stacks its parts' noise rows y_0, y_1
-    and their reads, K holds its blocks' coefficients (a cut segment's two
-    parts add), and the sums are the quadratic forms K_U Z K_U, K_U Z K_W
-    and K_W Z K_W in the Gram Z of z.  Z comes from row dots of the noise
-    rows, their projections xi (F r^T), taken in the GEMM that gives y, and
-    the reads' constant Gram; no spectrum is built.
+    A cut segment's head and tail lie in two blocks, with two sets of
+    coefficients, so each part's normals are first folded into the
+    segment's W and U normals (c xi_0, a xi_0 + b xi_1), side by side in
+    the columns of the stacked map.  The product then gives W's and U's
+    noise rows, and the same sums serve with (a, b, c) = (0, 1, 1).
+    Folding keeps three dots per segment where the parts' four noise rows
+    would need ten, and the folded head is what a cut holds of its group
+    until the tail is drawn.
 
     After the block phases, each draw group draws its normals part by
-    part, as (2k, rank) arrays for k segments whose rows hold at most
-    ``_RUN`` numbers, in the order of one whole draw.  A cut's head rows
-    are held until its tail is drawn, the tail's or a whole segment's one
-    run at a time, and the Grams of at most ``_CHUNK`` segments at a time.
+    part, ``step`` segments at a time into the buffer, in the order of one
+    whole draw: a run of ``standard_normal(out=...)`` calls gives the
+    numbers of one call.
     """
     rng = np.random.default_rng([config.rng_seed, trial])
     p, var = config.params, config.electronic_noise_var
-    v_p, v_c, cross, rest, carrier_p, carrier_c = model
+    v_p, v_c, cross, rest, carrier_p, carrier_c, v_sum = model
     e_p, e_c = _phases(config, rng).T
     s = e_p + e_c
-    s_ww = joint_variance(p.gain, p.eta_p, p.eta_c, 1.0) - 4 * cross * np.cos(s / 2) ** 2 + 2 * var
+    # Per block: a, b, c, each arm's offsets on the unit read of U and of
+    # W, and the tone's amplitude.
+    coef = np.empty((6, s.size))
+    s_ww = v_sum - 4 * cross * np.cos(s / 2) ** 2 + 2 * var
     # det S = 4 ((V_p + var)(V_c + var) - C^2 cos^2 s), and V_p V_c - C^2 = V_p r.
     det = 4.0 * (v_p * rest + (cross * np.sin(s)) ** 2 + var * (v_p + v_c + var))
-    l_w, l_u = np.sqrt(s_ww), np.sqrt(det / s_ww)
-    l_uw = 2.0 * (p.eta_p - p.eta_c) * (p.gain - 1.0) / l_w  # S_WU = V_p - V_c
+    coef[2] = np.sqrt(s_ww)
+    coef[1] = np.sqrt(det / s_ww)
+    coef[0] = 2.0 * (p.eta_p - p.eta_c) * (p.gain - 1.0) / coef[2]  # S_WU = V_p - V_c
     o_p, o_c = carrier_p * np.sin(e_p), carrier_c * np.sin(e_c)
-    # Per block b, the coefficients of U (row 0) and W (row 1) on z: the
-    # noise rows (y_0, y_1), then the reads (unit[, tone]) of a part in b;
-    # a cut's head in b and tail in b + 1 take both blocks'.
-    n_reads = 3 if config.tone_depth else 1
-    coef = np.zeros((2, 2 + n_reads, s.size))
-    coef[0, 0], coef[0, 1], coef[0, 2] = l_uw, l_u, o_p + o_c
-    coef[1, 0], coef[1, 2] = l_w, o_p - o_c
-    coef[:, 3:] = carrier_p * config.tone_depth * np.cos(e_p)
-    on_y, on_r = coef[:, :2], coef[:, 2:]
-    pairs = [on_y[..., :-1], on_y[..., 1:], on_r[..., :-1], on_r[..., 1:]]
-    tables = [coef, np.concatenate(pairs, 1)]
-    band = plan.band
-    m = band.basis.shape[1]
+    coef[3], coef[4] = o_p + o_c, o_p - o_c
+    coef[5] = carrier_p * config.tone_depth * np.cos(e_p)
+    fold = None  # per block [[c, 0], [a, b]], made for the first cut
+    buffer, m = _buffer(plan.buffer), plan.band.basis.shape[1]
 
-    sums = np.empty((3, band.n_seg))
-    for maps, steps, read_gram, segments, blocks, phases in plan.draws:
-        q, table = 2 * len(maps), tables[len(maps) - 1]
-        d, size = len(table[0]), segments.size
-        heads = []
-        for f, step in zip(maps[:-1], steps):  # a cut's head, held for its tail
-            heads.append(np.empty((2 * size, f.shape[1])))
+    sums, at = np.empty((3, plan.band.n_seg)), 0
+    for map_, ranks, step, read_gram, segments, blocks, tone in plan.draws:
+        size, width, last = segments.size, len(map_), len(ranks) - 1
+        chunk, free, col = min(size, step), buffer, 0
+        if last:  # a cut: its segments' (W, U) normals, held over the group
+            if fold is None:
+                fold = np.zeros((s.size, 2, 2))
+                fold[:, 0, 0], fold[:, 1, 0], fold[:, 1, 1] = coef[2], coef[0], coef[1]
+            held, free = buffer[: 2 * size * width].reshape(size, 2, width), free[2 * size * width :]
+        for part, rank in enumerate(ranks):
             for lo, hi in _runs(0, size, step):
-                normals = rng.standard_normal((2 * (hi - lo), len(f)))
-                np.matmul(normals, f, out=heads[-1][2 * lo : 2 * hi])
-        last = maps[-1]
-        buffer = np.empty((2 * min(size, steps[-1]), last.shape[1]))  # one run's products
-        for start, stop in _runs(0, size, _CHUNK):
-            gram = np.empty((d, d, stop - start))  # each segment's Z, segments last
-            for lo, hi in _runs(start, stop, steps[-1]):
-                run = [head[2 * lo : 2 * hi] for head in heads]
-                normals = rng.standard_normal((2 * (hi - lo), len(last)))
-                run.append(np.matmul(normals, last, out=buffer[: 2 * (hi - lo)]))
-                at = slice(lo - start, hi - start)
-                y = [rows.reshape(hi - lo, 2, -1) for rows in run]  # per segment: y_0, y_1
-                # Row dots are faster over a whole group's long runs, one
-                # batched product over a cut's few segments.
-                if len(y) == 1:
-                    y0, y1 = y[0][:, 0, :m], y[0][:, 1, :m]
-                    np.einsum("ij,ij->i", y0, y0, out=gram[0, 0, at])
-                    np.einsum("ij,ij->i", y0, y1, out=gram[0, 1, at])
-                    np.einsum("ij,ij->i", y1, y1, out=gram[1, 1, at])
-                    gram[1, 0, at] = gram[0, 1, at]
-                else:
-                    noise = np.concatenate([rows[:, :, :m] for rows in y], 1)
-                    products = np.matmul(noise, noise.transpose(0, 2, 1))
-                    gram[:q, :q, at] = products.transpose(1, 2, 0)
-                proj = np.concatenate([rows[:, :, m:] for rows in y], 1)
-                gram[:q, q:, at] = proj.transpose(1, 2, 0)
-                gram[q:, :q, at] = proj.transpose(2, 1, 0)
-            gram[q:, q:] = read_gram[:, :, np.newaxis]
-            k = np.take(table, blocks[start:stop], axis=2)
-            if config.tone_depth:  # the tone sin(omega (t0 + t)) of a segment at t0
-                k[:, q + 1 :: 3] *= np.sin(phases[start:stop])
-                k[:, q + 2 :: 3] *= np.cos(phases[start:stop])
-            v = np.einsum("iak,abk,jbk->ijk", k, gram, k)  # (U, W) x (U, W)
-            sums[:, segments[start:stop]] = v[0, 0], v[0, 1], v[1, 1]
+                normals = free[: 2 * (hi - lo) * rank].reshape(hi - lo, 2, rank)
+                rng.standard_normal(out=normals)
+                x = normals
+                if last:
+                    folded = held[lo:hi, :, col : col + rank]
+                    np.matmul(np.take(fold, blocks[part, lo:hi], axis=0), normals, out=folded)
+                    if part < last:
+                        continue
+                    x = held[lo:hi]
+                products = free[2 * chunk * rank :][: 2 * (hi - lo) * map_.shape[1]]
+                products = products.reshape(2, -1, hi - lo)
+                np.matmul(map_.T, x.transpose(1, 2, 0), out=products)
+                on = np.take(coef, blocks[:, lo:hi], axis=1)  # (6, parts, k)
+                reads = on[3:5]  # each part's unit read in U and in W
+                if tone is not None:  # the tone sin(omega (t0 + t)) of a segment at t0
+                    wave = on[5, :, np.newaxis] * tone[:, lo:hi]  # (parts, 2, k)
+                    reads = np.concatenate(
+                        [reads[:, :, np.newaxis], np.broadcast_to(wave, (2, *wave.shape))], 2
+                    ).reshape(2, -1, hi - lo)
+                noise = (0.0, 1.0, 1.0) if last else on[:3, 0]
+                _band_sums(products, m, noise, reads, read_gram, sums[:, at + lo : at + hi])
+            col += rank
+        at += size
     return sums
 
 

@@ -55,7 +55,7 @@ def materialised_segment_sums(config, trial, band, layout):
     """
     rng = np.random.default_rng([config.rng_seed, trial])
     p, var = config.params, config.electronic_noise_var
-    v_p, v_c, cross, rest, carrier_p, carrier_c = _model(p)
+    v_p, v_c, cross, rest, carrier_p, carrier_c, _ = _model(p)
     e_p, e_c = _phases(config, rng).T
     s = e_p + e_c
     s_ww = joint_variance(p.gain, p.eta_p, p.eta_c, 1.0) - 4 * cross * np.cos(s / 2) ** 2 + 2 * var

@@ -44,6 +44,12 @@ def plan_layout(cfg, plan):
     return simulate._layout(plan.band, simulate._block_samples(cfg), step)
 
 
+def draw_order(plan):
+    """The segments of ``plan``'s draw groups in turn: the order of
+    simulate._segment_sums' columns."""
+    return np.concatenate([segments for _, _, _, _, segments, *_ in plan.draws])
+
+
 def config(gain=2.0, eta_p=1.0, eta_c=1.0, alpha=0.0, **kwargs):
     params = InterferometerParams(gain=gain, eta_p=eta_p, eta_c=eta_c, alpha=alpha)
     kwargs.setdefault("duration", SHORT)
@@ -693,7 +699,7 @@ class TestSegmentSumsReference:
                 assert any(part == 1 for *_, part in layout)
             for trial in range(2):
                 sums = simulate._segment_sums(cfg, trial, plan, model)
-                ref = materialised_segment_sums(cfg, trial, band, layout)
+                ref = materialised_segment_sums(cfg, trial, band, layout)[:, draw_order(plan)]
                 assert sums.shape == ref.shape == (3, band.n_seg)
                 assert np.all(np.abs(sums - ref) <= 1e-12 * (ref[0] + ref[2]))
 
@@ -705,6 +711,95 @@ class TestSegmentSumsReference:
         cfg = config(duration=MEDIUM, **extra)
         layout = plan_layout(cfg, simulate._scan_plan(cfg, 1e6, rbw))
         assert min(len(factor) for factor, *_ in layout) == 0
+
+
+class TestBandSumKernel:
+    """A trial draws each group's normals a chunk of segments at a time
+    into one buffer, takes every noise row and read projection as a
+    vector over segments, and reads the band sums from their column dots
+    (simulate._segment_sums).  Neither the chunk size nor what the buffer
+    held before moves the sums."""
+
+    LOSSY = TestSegmentSumsReference.LOSSY
+
+    def test_chunked_draw_equals_one_draw(self):
+        # A run of standard_normal(out=...) calls gives the numbers of one
+        # call, in order: 66 segments of rank 16, drawn 7 segments at a
+        # time into views of one buffer.
+        size, rank, step = 66, 16, 7
+        whole = np.random.default_rng([3, 0]).standard_normal((size, 2, rank))
+        rng, buffer, chunks = np.random.default_rng([3, 0]), np.empty(2 * step * rank), []
+        for lo, hi in simulate._runs(0, size, step):
+            normals = buffer[: 2 * (hi - lo) * rank].reshape(hi - lo, 2, rank)
+            rng.standard_normal(out=normals)
+            chunks.append(normals.copy())
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+    @pytest.mark.parametrize("name", ["jitter", "jitter_tone"])
+    def test_small_chunks_leave_the_sums_unchanged(self, monkeypatch, cold_plan, name):
+        # With 128-number runs every group spans chunks of at most 3
+        # segments, a cut's head held over all of them; the sums agree
+        # with one chunk per group to 1e-12 of |U|^2 + |W|^2.
+        params, extra, rbw = TestSegmentSumsReference.CASES[name]
+        cfg = config(duration=MEDIUM, rng_seed=3, **params, **extra)
+        model = simulate._model(cfg.params)
+        plan = simulate._scan_plan(cfg, 1e6, rbw)
+        assert all(segments.size <= step for _, _, step, _, segments, *_ in plan.draws)
+        refs = [simulate._segment_sums(cfg, trial, plan, model) for trial in range(2)]
+        monkeypatch.setattr(simulate, "_RUN", 128)
+        simulate._plan.cache_clear()
+        small = simulate._scan_plan(cfg, 1e6, rbw)
+        assert any(
+            len(ranks) == 2 and segments.size > step
+            for _, ranks, step, _, segments, *_ in small.draws
+        )
+        for trial, ref in enumerate(refs):
+            sums = simulate._segment_sums(cfg, trial, small, model)
+            assert np.all(np.abs(sums - ref) <= 1e-12 * (ref[0] + ref[2]))
+
+    def test_a_larger_scan_between_leaves_no_trace(self):
+        # Scan A, then B with four times the segments and a tone (a larger
+        # buffer), then A again: A's two scans are identical.  A trial
+        # overwrites whatever the held buffer held.
+        a = config(rng_seed=5, lock_jitter_rms=0.02, electronic_noise_var=0.1, **self.LOSSY)
+        b = dataclasses.replace(a, duration=MEDIUM, tone_depth=0.05, tone_freq=1.003e6)
+        assert simulate._scan_plan(b, 1e6, 1e5).buffer > simulate._scan_plan(a, 1e6, 1e5).buffer
+        grid = np.linspace(0.6, 1.0, 5)
+        first = measure_noise_vs_lambda(a, grid, trials=2)
+        measure_noise_vs_lambda(b, grid, trials=2)
+        again = measure_noise_vs_lambda(a, grid, trials=2)
+        assert np.array_equal(first.noise_db, again.noise_db)
+        assert np.array_equal(first.sigma_db, again.sigma_db)
+        for cfg in (a, b):
+            plan, model = simulate._scan_plan(cfg, 1e6, 1e5), simulate._model(cfg.params)
+            sums = simulate._segment_sums(cfg, 0, plan, model)
+            simulate._buffer(plan.buffer)[:] = np.nan
+            assert np.array_equal(simulate._segment_sums(cfg, 0, plan, model), sums)
+
+    def test_buffer_of_the_longest_record_stays_small(self, monkeypatch):
+        # 13,107 segments at 2^23 samples: the buffer holds one chunk's
+        # normals and products, at most _RUN numbers each (1 MiB together),
+        # and a 2-trial scan with jitter, its plan held, peaks under 3 MiB,
+        # with the buffer, its segments' sums (0.3 MiB) and their
+        # co-moments.
+        cfg = config(
+            duration=_MAX_SAMPLES / FS, rng_seed=23, lock_jitter_rms=0.02,
+            electronic_noise_var=0.1,
+        )
+        grid = np.linspace(0.6, 1.0, 5)
+        measure_noise_vs_lambda(cfg, grid, trials=1)  # the plan, held
+        plan = simulate._scan_plan(cfg, 1e6, 1e5)
+        assert plan.band.n_seg == 13_107 and any(len(ranks) == 2 for _, ranks, *_ in plan.draws)
+        assert plan.buffer <= 2 * simulate._RUN
+        monkeypatch.setattr(simulate._held, "buffer", None)  # made under tracemalloc
+        tracemalloc.start()
+        try:
+            measure_noise_vs_lambda(cfg, grid, trials=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert simulate._held.buffer.size == plan.buffer
+        assert peak <= 3 * 2**20, peak
 
 
 class TestScanPlan:
@@ -758,9 +853,9 @@ class TestScanPlan:
         cfg = config(rng_seed=3, **self.LOSSY, **self.BASE)
         plan = simulate._scan_plan(cfg, 1e6, 1e5)
         arrays = [plan.band.bins, plan.band.basis]
-        for maps, _, read_gram, *rest in plan.draws:
-            arrays += [*maps, read_gram, *rest]
-        assert any(len(maps) == 2 for maps, *_ in plan.draws)  # a cut's head and tail
+        for map_, _, _, read_gram, segments, blocks, tone in plan.draws:
+            arrays += [map_, read_gram, segments, blocks, tone]
+        assert any(len(ranks) == 2 for _, ranks, *_ in plan.draws)  # a cut's head and tail
         assert len(arrays) > 10
         for array in arrays:
             assert not array.flags.writeable
