@@ -9,15 +9,19 @@ with the variance coefficients from :func:`tsui.metrology.joint_variance_quadrat
 Every curve it can express is a noise power a0 + 2 a1 lam + a2 lam^2 with
 three coefficients a = s (V_p, C, V_c), s = 10^(scale_db / 10), so the fit
 holds the transmission offset eta_c - eta_p fixed and frees (gain, eta_c,
-scale_db), three parameters for three coefficients.  The fit is one
-bounded least-squares solve in the chart (sqrt(G - 1), sqrt(eta_c - lower
-eta_c), scale_db), where every point of the box is a physical model; the
-coefficients of a linear fit, mapped back to the parameters in closed
-form, give its start.  Where they map outside the box, the start is the
-best of the clipped map and a 25 x 21 grid over the chart, whose
-coefficients a fit scores against its scan a bounded chunk at a time
-(:func:`_box_start`): its memory grows with the scan's length, not 526
-times it.
+scale_db), three parameters for three coefficients.
+
+A fit makes two kinds of solve.  The free solve fits the coefficients
+(a0, a1, a2) in dB with no bounds; its vertex -a1 / a2 is the optimal
+weight, which needs no physical model and no loss offset.  The chart
+solve is bounded, in (sqrt(G - 1), sqrt(eta_c - lower eta_c),
+scale_db), where every point of the box is a physical model; the free
+coefficients, mapped back to the parameters in closed form, give its
+start.  Where they map outside the
+box, the start is the best of the clipped map and a 25 x 21 grid over the
+chart, whose coefficients a fit scores against its scan a bounded chunk at
+a time (:func:`_box_start`): its memory grows with the scan's length, not
+526 times it.
 
 Quoted parameter uncertainties come from the Gauss-Newton covariance
 (J^T J)^(-1) of the sigma-weighted residuals; they are meaningful only
@@ -65,9 +69,6 @@ _MAX_NFEV = 400
 _TOL = 1e-10
 # d(10 log10 V) = _DB_PER_LN dV / V.
 _DB_PER_LN = 10.0 / math.log(10.0)
-# Bootstrap draws are generated and reduced _BOOTSTRAP_BLOCK at a time, at most _MAX_BOOTSTRAP.
-_BOOTSTRAP_BLOCK = 1024
-_MAX_BOOTSTRAP = 10**6
 # Grid of the box start: G - 1 geometric from _GRID_FLOOR to its bound (the
 # first rows resolve the face G = 1, where C grows as sqrt(G - 1)), eta_c
 # linear over its box.
@@ -233,22 +234,27 @@ class FitResult:
     most chi2_k(p), with k = len(param_names).  A sigma is not a valid
     interval for a parameter that ``warnings`` reports at a fit bound.
 
-    ``sigma_lambda_opt_fit`` is the error of ``lambda_opt_fit``: the gradient
-    of lam* = -a1 / a2 against the scan's coefficient covariance (J_a^T J_a)^+
-    at the fitted coefficients, 0 where the clamp at 1 holds lam* (equal to
-    propagating ``param_cov`` wherever d a / d theta is invertible).
+    ``lambda_opt_fit`` is the lowest point on [0, 1] of the free solve's
+    curve a0 + 2 a1 lam + a2 lam^2: its vertex -a1 / a2 clamped to [0, 1]
+    where a2 > 0, else the lower end.  ``sigma_lambda_opt_fit`` is the
+    gradient of -a1 / a2 against the free fit's covariance
+    (J_a^T J_a)^(-1), and 0 where a clamp or an end holds the value.  Where
+    the free curve has no interior minimum (a2 <= 0 or a1 > 0), or the
+    free solve did not converge (its last curve then gives the value), the
+    sigma is 0 and a warning says so.
 
-    ``winning_start`` names the start of the solve that gave the result:
-    "coefficients" (the linear coefficient fit, mapped strictly inside the
-    bounds) or "bound" (the box start: the clipped map or a grid point); the
-    map's solve wins where both costs agree to 1e-12 relative, so round-off
-    does not decide the name.
-    ``n_starts`` counts the solves: 1, or 2 when the solve from the map
-    ended on a bound or did not converge and one ran from the box start.
-    ``nfev`` counts their residual plus Jacobian evaluations, and ``status``
-    is the returned solve's :func:`least_squares` status: 1 the gradient test
-    (gtol), 2 the relative-reduction test (ftol), 3 the step test (xtol),
-    4 both 2 and 3; 0, unconverged, raises :class:`FitFailure` instead.
+    ``winning_start`` names the start of the chart solve that gave the
+    result: "coefficients" (the free coefficients, mapped strictly inside
+    the bounds) or "bound" (the box start: the clipped map or a grid
+    point); the map's solve wins where both costs agree to 1e-12 relative,
+    so round-off does not decide the name.
+    ``n_starts`` counts the chart solves: 1, or 2 when the solve from the
+    map ended on a bound or did not converge and one ran from the box
+    start.  ``nfev`` counts the residual plus Jacobian evaluations of every
+    solve, the free one included, and ``status`` is the returned chart
+    solve's :func:`least_squares` status: 1 the gradient test (gtol), 2 the
+    relative-reduction test (ftol), 3 the step test (xtol), 4 both 2 and 3;
+    0, unconverged, raises :class:`FitFailure` instead.
     """
 
     gain: float
@@ -263,7 +269,6 @@ class FitResult:
     n_points: int
     lambda_opt_fit: float
     sigma_lambda_opt_fit: float
-    lambda_opt_direct: float
     condition_number: float
     loss_offset: float
     warnings: list[str]
@@ -307,8 +312,7 @@ class FitResult:
             f"  eta_c     = {self.eta_c:.4f} +/- {self.sigma_eta_c:.4f}",
             f"  scale_db  = {self.scale_db:.4f} +/- {self.sigma_scale_db:.4f}",
             f"  chi^2     = {self.chi_square:.2f} for {self.n_points} points",
-            f"  lambda_opt (model) = {self.lambda_opt_fit:.4f}",
-            f"  lambda_opt (data)  = {self.lambda_opt_direct:.4f}",
+            f"  lambda_opt         = {self.lambda_opt_fit:.4f}",
             f"  condition number   = {self.condition_number:.3g}",
             f"  solver: {self.winning_start} path (status {self.status}), "
             f"{self.n_starts} solve(s), {self.nfev} evaluations",
@@ -320,19 +324,11 @@ class FitResult:
 
 @dataclass(frozen=True)
 class LambdaOptEstimate:
-    """Optimal weight extracted from one dataset.
-
-    ``value``/``sigma`` follow the requested method; the individual
-    model-fit and direct (parabolic) results are kept alongside.
-    """
+    """A fit's optimal weight and its sigma, and whether the scan's lowest
+    reading sits at an end of its range."""
 
     value: float
     sigma: float
-    method: str
-    direct_value: float
-    direct_sigma: float
-    fit_value: float | None
-    fit_sigma: float | None
     boundary_warning: bool
 
 
@@ -436,15 +432,9 @@ def _face_gain(a: np.ndarray, eta_c: float, offset: float) -> float:
     return 1.0 + 0.5 * max(float(np.nan_to_num(x, nan=0.0)), 0.0)
 
 
-def _coefficients(gain: float, eta_p: float, eta_c: float, scale_db: float) -> np.ndarray:
-    """(a0, a1, a2) = s (V_p, C, V_c) with s = 10^(scale_db / 10)."""
-    v_p, v_c, cross = metrology.joint_variance_quadratic(gain, eta_p, eta_c)
-    return 10.0 ** (scale_db / 10.0) * np.array([v_p, cross, v_c])
-
-
 def _box_start(b, shapes, basis, lam, y, sigma, lower, upper, offset: float) -> np.ndarray:
     """The chart start (u, v, scale_db) of a fit whose map ``shapes`` of
-    the linear coefficients ``b`` lands outside the box [lower, upper]:
+    the free coefficients ``b`` lands outside the box [lower, upper]:
     whichever has the lower chi^2, the clipped map (eta_c clipped, and the
     gain that keeps the ratios there, ``_face_gain``) or a point of the
     25 x 21 grid over (u, v), each with the sigma-weighted mean of y -
@@ -489,49 +479,25 @@ def _box_start(b, shapes, basis, lam, y, sigma, lower, upper, offset: float) -> 
     return np.append(root, np.clip((y - model) @ weights, lower[2], upper[2]))
 
 
-def _direct_lambda_opt(lam: np.ndarray, noise_db: np.ndarray) -> np.ndarray | float:
-    """Vertex of the parabola through the three lowest distinct weights.
-
-    ``lam`` is sorted; ``noise_db`` is one scan (1-D, returns a float) or
-    one scan per row (2-D, returns an array).  Weights closer than 1e-12
-    count as one, at their lowest reading.  Without upward curvature the
-    lowest of the three samples is returned; the vertex is clamped to
-    [0, 1].
-    """
-    rows = np.atleast_2d(noise_db)
-    first = np.flatnonzero(np.diff(lam, prepend=-np.inf) >= 1e-12)
-    if first.size < 3:
-        raise ValueError("need at least 3 distinct weights for a parabolic minimum")
-    lowest = np.minimum.reduceat(rows, first, axis=1)
-    pick = np.sort(np.argsort(lowest, axis=1, kind="stable")[:, :3], axis=1)
-    x = lam[first][pick]
-    y = np.take_along_axis(lowest, pick, axis=1)
-    slope = (y[:, 1] - y[:, 0]) / (x[:, 1] - x[:, 0])
-    curv = ((y[:, 2] - y[:, 1]) / (x[:, 2] - x[:, 1]) - slope) / (x[:, 2] - x[:, 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = np.clip(0.5 * (x[:, 0] + x[:, 1]) - slope / (2.0 * curv), 0.0, 1.0)
-    # No upward curvature: fall back to the lowest sample.
-    fallback = np.take_along_axis(x, np.argmin(y, axis=1)[:, None], axis=1)[:, 0]
-    out = np.where((curv > 0.0) & np.isfinite(curv), vertex, fallback)
-    return out if np.ndim(noise_db) == 2 else float(out[0])
-
-
 def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) -> FitResult:
     """Weighted least-squares fit of the noise model to a scan.
 
-    Residuals are (model_db - noise_db) / sigma_db.  One bounded
-    Levenberg-Marquardt solve (:func:`least_squares`) minimizes them over
-    the box of the chart p = (u, v, scale_db), u = sqrt(G - 1) and v =
-    sqrt(eta_c - lower eta_c), with the analytic Jacobian ``_chart_jac``.
-    Every point of the box is a physical model, and C is smooth on its
-    faces G = 1 and eta_p eta_c = 0 (``_chart``).  The start:
+    Residuals are (model_db - noise_db) / sigma_db.  The free solve, an
+    unbounded Levenberg-Marquardt solve (:func:`least_squares`) with the
+    Jacobian ``_coefficient_jac``, fits the coefficients (a0, a1, a2) of the
+    noise power a0 + 2 a1 lam + a2 lam^2 from a weighted linear
+    least-squares fit in power.  It gives ``lambda_opt_fit`` and its sigma
+    (see :class:`FitResult`).  One bounded solve then minimizes the
+    residuals over the box of the chart p = (u, v, scale_db), u = sqrt(G -
+    1) and v = sqrt(eta_c - lower eta_c), with the analytic Jacobian
+    ``_chart_jac``.  Every point of the box is a physical model, and C is
+    smooth on its faces G = 1 and eta_p eta_c = 0 (``_chart``).  Its start:
 
-    * A weighted linear least-squares fit in power gives the coefficients
-      (a0, a1, a2) of the noise power a0 + 2 a1 lam + a2 lam^2.  They map
-      to (gain, eta_c, scale_db) in closed form: a0 / a2 = V_p / V_c and
-      a1^2 / (a0 a2) = C^2 / (V_p V_c) leave one cubic in x = 2 (G - 1)
-      (``_shape_roots``), and s = a2 / V_c.  Where a root maps strictly
-      inside the bounds, the solve starts there ("coefficients").
+    * The free coefficients map to (gain, eta_c, scale_db) in closed form:
+      a0 / a2 = V_p / V_c and a1^2 / (a0 a2) = C^2 / (V_p V_c) leave one
+      cubic in x = 2 (G - 1) (``_shape_roots``), and s = a2 / V_c.  Where a
+      root maps strictly inside the bounds, the solve starts there
+      ("coefficients").
     * Otherwise it starts from the box start ("bound"): whichever has the
       lower chi^2, the clipped map (eta_c clipped, and the gain that keeps
       the ratios there, ``_face_gain``) or the best point of a 25 x 21 grid
@@ -575,7 +541,7 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         A :class:`FitResult`.
 
     Raises:
-        FitFailure: if no solve converges within its budget.
+        FitFailure: if no chart solve converges within its budget.
         ValueError: for unusable datasets.
     """
     if options is None:
@@ -608,7 +574,21 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     # The coefficients, in units of the scan's mean power: b = a / 10^(ref_db / 10).
     ref_db = float(np.mean(y))
     power = 10.0 ** ((y - ref_db) / 10.0)
-    b = np.linalg.lstsq(basis / (power * sigma)[:, None], 1.0 / sigma, rcond=None)[0]
+    linear = np.linalg.lstsq(basis / (power * sigma)[:, None], 1.0 / sigma, rcond=None)[0]
+
+    def free_residuals(a: np.ndarray) -> np.ndarray:
+        # A curve that reaches power 0 or below reads NaN or -inf: no warning.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (10.0 * np.log10(basis @ a) + ref_db - y) / sigma
+
+    def free_jac(a: np.ndarray) -> np.ndarray:
+        return _coefficient_jac(basis, sigma, a)
+
+    # The free solve: unbounded, from the linear fit, which may not converge
+    # (where basis @ linear <= 0 its first cost is infinite, and b = linear).
+    unbounded = np.full(3, math.inf)
+    free = least_squares(free_residuals, linear, free_jac, -unbounded, unbounded)
+    b = free.x
 
     def with_scale(gain: float, eta_c: float) -> np.ndarray:
         v_c = 1.0 + 2.0 * eta_c * (gain - 1.0)
@@ -674,18 +654,28 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         if x_hat[i] - lo < 1e-8 * (hi - lo) or hi - x_hat[i] < 1e-8 * (hi - lo):
             warnings.append(f"parameter {names[i]} sits at a fit bound")
 
-    fitted = InterferometerParams(
-        gain=gain, eta_p=min(max(eta_p, 0.0), 1.0), eta_c=min(max(eta_c, 0.0), 1.0)
-    )
-    a = _coefficients(gain, fitted.eta_p, fitted.eta_c, scale_db)
-    jac_a = _coefficient_jac(basis, sigma, a)
-    # d(-a1 / a2), 0 where the clamp at 1 holds lam*.
-    grad = np.array([0.0, -1.0 / a[2], a[1] / (a[2] * a[2])]) * (-a[1] <= a[2])
-    sigma_lam = float(math.sqrt(max(grad @ np.linalg.pinv(jac_a.T @ jac_a) @ grad, 0.0)))
+    # The free curve's lowest point on [0, 1]: its vertex clamped to [0, 1]
+    # where a2 > 0, else the lower end.
+    _, a1, a2 = (float(t) for t in b)
+    if a2 > 0.0:
+        lambda_opt = min(max(0.0, -a1 / a2), 1.0)
+    else:
+        lambda_opt = 1.0 if 2.0 * a1 + a2 < 0.0 else 0.0
+    sigma_lam = 0.0
+    if free.status <= 0 or not (a2 > 0.0 and a1 <= 0.0):
+        reason = "fit did not converge" if free.status <= 0 else "curve has no interior minimum"
+        warnings.append(
+            f"the free coefficient {reason}; "
+            "lambda_opt is its lowest point on [0, 1], with sigma 0"
+        )
+    elif -a1 <= a2:  # not held by the clamp at 1
+        jac_a = free_jac(b)
+        grad = np.array([0.0, -1.0 / a2, a1 / (a2 * a2)])
+        sigma_lam = math.sqrt(max(grad @ np.linalg.pinv(jac_a.T @ jac_a) @ grad, 0.0))
     return FitResult(
         gain=gain,
-        eta_p=fitted.eta_p,
-        eta_c=fitted.eta_c,
+        eta_p=min(max(eta_p, 0.0), 1.0),
+        eta_c=min(max(eta_c, 0.0), 1.0),
         scale_db=scale_db,
         sigma_gain=float(sigma_gain),
         sigma_eta_p=float(sigma_eta_c),
@@ -693,16 +683,15 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         sigma_scale_db=float(sigma_scale_db),
         chi_square=float(np.sum(residuals(x_hat) ** 2)),
         n_points=len(dataset),
-        lambda_opt_fit=metrology.lambda_opt(fitted),
+        lambda_opt_fit=lambda_opt,
         sigma_lambda_opt_fit=sigma_lam,
-        lambda_opt_direct=_direct_lambda_opt(lam, y),
         condition_number=condition,
         loss_offset=offset,
         warnings=warnings,
         param_names=names,
         param_values=x_hat,
         param_cov=np.array(cov, dtype=float),
-        nfev=sum(run.nfev + run.njev for run in runs.values()),
+        nfev=sum(run.nfev + run.njev for run in (free, *runs.values())),
         n_starts=len(runs),
         winning_start=winner,
         status=int(res.status),
@@ -711,63 +700,18 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
 
 
 def extract_lambda_opt(
-    dataset: NoiseDataset,
-    fit: FitResult | None = None,
-    n_bootstrap: int = 1000,
-    rng_seed: int = 20210916,
+    dataset: NoiseDataset, fit: FitResult, n_bootstrap: int | None = None
 ) -> LambdaOptEstimate:
-    """Optimal-weight estimate with uncertainty from one scan.
+    """The fit's ``lambda_opt_fit`` and ``sigma_lambda_opt_fit``, and
+    whether the scan's lowest reading sits at an end of its range.
 
-    The direct estimate is the vertex of a parabola through the three
-    lowest distinct points; its uncertainty comes from a parametric
-    bootstrap that redraws every point as N(noise_db, sigma_db^2) and
-    repeats the extraction.  When a fit is supplied, the model-based
-    estimate is the headline value: the fit's ``lambda_opt_fit`` and
-    ``sigma_lambda_opt_fit``, which :func:`fit_noise_curve` computed from
-    the same scan (see :class:`FitResult`).  When the fit warns that a
-    parameter sits at a bound, that sigma is a linearization there, not
-    an interval.  A caller that wants the fit's estimate alone reads it
-    from the fit and draws no bootstrap.
-
-    Args:
-        dataset: scan to analyze.
-        fit: optional fit of the same dataset.
-        n_bootstrap: bootstrap repetitions for the direct uncertainty, an
-            int in [2, 10^6]; anything else raises ``ValueError``.
-        rng_seed: bootstrap seed (fixed default keeps results stable).
-
-    Returns:
-        A :class:`LambdaOptEstimate` with ``method`` "fit" or "direct".
+    ``n_bootstrap`` is accepted and ignored: perfbench's fit_scans and
+    sim_jitter ops still pass it, and its tracer wraps this function by
+    name.  ROADMAP direction 5 deletes the function with those calls.
     """
-    if not isinstance(n_bootstrap, int) or not 2 <= n_bootstrap <= _MAX_BOOTSTRAP:
-        raise ValueError(
-            f"n_bootstrap must be an int in [2, {_MAX_BOOTSTRAP}], got {n_bootstrap!r}"
-        )
-    lam, noise_db = dataset.lam, dataset.noise_db
-    direct_value = _direct_lambda_opt(lam, noise_db)
-    rng = np.random.default_rng(rng_seed)
-    # Drawing (rows, n) at once takes the same stream as one draw per row.
-    blocks = []
-    for done in range(0, n_bootstrap, _BOOTSTRAP_BLOCK):
-        rows = min(_BOOTSTRAP_BLOCK, n_bootstrap - done)
-        noise = dataset.sigma_db * rng.standard_normal((rows, lam.size))
-        blocks.append(_direct_lambda_opt(lam, noise_db + noise))
-    draws = np.concatenate(blocks)
-    direct_sigma = float(draws.std(ddof=1))
-
-    fit_value = fit_sigma = None
-    value, sigma, method = direct_value, direct_sigma, "direct"
-    if fit is not None:
-        fit_value, fit_sigma = fit.lambda_opt_fit, fit.sigma_lambda_opt_fit
-        value, sigma, method = fit_value, fit_sigma, "fit"
     return LambdaOptEstimate(
-        value=value,
-        sigma=sigma,
-        method=method,
-        direct_value=direct_value,
-        direct_sigma=direct_sigma,
-        fit_value=fit_value,
-        fit_sigma=fit_sigma,
+        value=fit.lambda_opt_fit,
+        sigma=fit.sigma_lambda_opt_fit,
         boundary_warning=dataset.minimum_at_edge(),
     )
 

@@ -70,26 +70,17 @@ _CHUNK = 2**13
 
 # Most numbers in one array of a scan trial's buffer: a chunk of a draw
 # group's normals, or the products they map to, so a plan's chunks hold
-# _RUN / (2 M) segments for M noise-row and read columns (1,927 at the
-# default band, whose 1,638 segments then take one chunk).  The buffer
-# holds one chunk's normals and products, at most 2 _RUN numbers (1 MiB)
-# without cuts, and a cut's folded normals besides: 2 numbers per segment
-# of the cut group for each row of its parts' factors (64 at the default
-# band).  It is held per thread at the largest size a scan has asked for
-# (:func:`_buffer`).  One made per scan was mapped afresh each time, and
-# freeing it raised glibc's mmap threshold: perfbench's reference job
-# (FFTs and sorts of 2^16 numbers) then took 7,040 page faults against
-# 4,736 after each op.
+# _RUN / (2 M) segments for M noise-row and read columns.  The buffer holds
+# one chunk's normals and products, at most 2 _RUN numbers (1 MiB) without
+# cuts, and a cut's folded normals besides: 2 numbers per segment of the
+# cut group for each row of its parts' factors.  It is held per thread at
+# the largest size a scan has asked for (:func:`_buffer`): freeing it after
+# each scan raised glibc's mmap threshold and slowed later allocations.
 _RUN = 2**16
 
 # Input caps: the longest record is 8x the default length (2 x 64 MiB
-# from simulate_records; a scan draws no samples and holds one trial's
-# band sums, 0.3 MiB at 2^23 samples.  Its buffer and its plan stay held
-# after it: the buffer 1 MiB there, 3.1 MiB when 960-sample jitter blocks
-# cut every other segment at one place; the plan 0.4 MiB, 6.2 MiB with
-# 641-sample jitter blocks that cut at 639 places, 37 MiB at most, with a
-# tone and 2,897-sample blocks that cut each of 2,896 segments at its own
-# place), and a scan takes at most 1000 trials.
+# from simulate_records; a scan draws no samples, and holds a plan of at
+# most 37 MiB and the buffer above), and a scan takes at most 1000 trials.
 _MIN_SAMPLES = 2**14
 _MAX_SAMPLES = 2**23
 _MAX_TRIALS = 1000

@@ -14,7 +14,7 @@ import numpy as np
 from scan_reference import serial_band_spectra
 from scipy import stats
 
-from tsui.fitting import NoiseDataset, extract_lambda_opt, fit_noise_curve
+from tsui.fitting import NoiseDataset, fit_noise_curve
 from tsui.fock import apply_loss_fock, build_seeded_tmss_fock, oracle_moment_bundle
 from tsui.gaussian import (
     InterferometerParams,
@@ -275,8 +275,7 @@ def test_6_fit_round_trip_coverage():
             bound = float(stats.chi2.ppf(0.95, len(fit.param_names)))
             in_region += delta <= bound
 
-            est = extract_lambda_opt(ds, fit, n_bootstrap=200)
-            err = abs(est.value - target)
+            err = abs(fit.lambda_opt_fit - target)
             worst_lam_err = max(worst_lam_err, err)
             lam_ok += err <= 0.02
         results.append({
@@ -414,11 +413,11 @@ def test_9_weight_trend_and_pipeline():
         cfg = SimConfig(params=params, duration=2**21 / 8e6, rng_seed=100 + i)
         data = measure_noise_vs_lambda(cfg, grid, trials=4)
         fit = fit_noise_curve(data)
-        est = extract_lambda_opt(data, fit, n_bootstrap=200)
+        value, sigma = fit.lambda_opt_fit, fit.sigma_lambda_opt_fit
         theory = lambda_opt(params)
-        margin = abs(est.value - theory) / est.sigma
+        margin = abs(value - theory) / sigma
         worst_margin = max(worst_margin, margin)
-        rows.append(f"G={g}: {est.value:.4f}+/-{est.sigma:.4f} vs {theory:.4f}")
+        rows.append(f"G={g}: {value:.4f}+/-{sigma:.4f} vs {theory:.4f}")
     ok = increasing and worst_margin <= 2.0
     report(9, "optimal-weight trend and full pipeline", ok,
            f"monotone rising: {increasing}, worst |err|/sigma = {worst_margin:.2f} "

@@ -573,22 +573,21 @@ class TestFit:
             assert rows.shape[0] == 101
 
     def test_fit_draws_no_bootstrap(self, tmp_path, capsys, monkeypatch):
-        # The estimate line comes from the fit alone, and reads what
-        # extract_lambda_opt(ds, fit) reports.
+        # The estimate line comes from the fit alone: its weight and sigma.
         data = tmp_path / "scan.csv"
         write_scan_csv(data, 1.2, 0.73, 0.76)
-        ds = load_noise_csv(str(data))
-        est = cli.fitting.extract_lambda_opt(ds, cli.fitting.fit_noise_curve(ds))
+        fit = cli.fitting.fit_noise_curve(load_noise_csv(str(data)))
 
         def no_bootstrap(*args, **kwargs):
             raise AssertionError("tsui fit drew a bootstrap")
 
         monkeypatch.setattr(cli.fitting, "extract_lambda_opt", no_bootstrap)
         assert main(["fit", "--data", str(data), "--out", str(tmp_path / "f.json")]) == 0
-        line = f"  lambda_opt estimate = {est.value:.4f} +/- {est.sigma:.4f} ({est.method})"
+        value, sigma = fit.lambda_opt_fit, fit.sigma_lambda_opt_fit
+        line = f"  lambda_opt estimate = {value:.4f} +/- {sigma:.4f} (fit)"
         assert line in capsys.readouterr().out.splitlines()
         result = json.loads((tmp_path / "f.json").read_text())
-        assert result["sigma_lambda_opt_fit"] == est.fit_sigma
+        assert result["sigma_lambda_opt_fit"] == sigma
 
     @pytest.mark.parametrize(
         "setting, edge",
