@@ -11,17 +11,16 @@ three coefficients a = s (V_p, C, V_c), s = 10^(scale_db / 10), so the fit
 holds the transmission offset eta_c - eta_p fixed and frees (gain, eta_c,
 scale_db), three parameters for three coefficients.
 
-A fit makes two kinds of solve.  The free solve fits the coefficients
-(a0, a1, a2) in dB with no bounds; its vertex -a1 / a2 is the optimal
-weight, which needs no physical model and no loss offset.  The chart
-solve is bounded, in (sqrt(G - 1), sqrt(eta_c - lower eta_c),
-scale_db), where every point of the box is a physical model; the free
-coefficients, mapped back to the parameters in closed form, give its
-start.  Where they map outside the
-box, the start is the best of the clipped map and a 25 x 21 grid over the
-chart, whose coefficients a fit scores against its scan a bounded chunk at
-a time (:func:`_box_start`): its memory grows with the scan's length, not
-526 times it.
+Every fit makes the free solve: the coefficients (a0, a1, a2) in dB,
+with no bounds.  Its vertex -a1 / a2 is the optimal weight, which needs
+no physical model and no loss offset.  Mapped back to the parameters in
+closed form, a converged free optimum that lands strictly inside the
+bounds is the fit.  Otherwise one bounded chart solve runs, in
+(sqrt(G - 1), sqrt(eta_c - lower eta_c), scale_db), where every point of
+the box is a physical model.  It starts from the best of the clipped map
+and a 25 x 21 grid over the chart, whose coefficients a fit scores
+against its scan a bounded chunk at a time (:func:`_box_start`): its
+memory grows with the scan's length, not 526 times it.
 
 Quoted parameter uncertainties come from the Gauss-Newton covariance
 (J^T J)^(-1) of the sigma-weighted residuals; they are meaningful only
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -83,15 +83,13 @@ _CHUNK = 2**16
 
 class _Solve(NamedTuple):
     """One :func:`least_squares` run: the point, its cost 0.5 |r|^2, the
-    status (> 0 converged), the residual and Jacobian evaluations, and per
-    variable -1 / 1 where it lies on its lower / upper bound."""
+    status (> 0 converged), and the residual and Jacobian evaluations."""
 
     x: np.ndarray
     cost: float
     status: int
     nfev: int
     njev: int
-    active_mask: np.ndarray
 
 
 def least_squares(fun, x0, jac, lower, upper) -> _Solve:
@@ -168,8 +166,7 @@ def least_squares(fun, x0, jac, lower, upper) -> _Solve:
                 status = 4 if small_f and small_x else 2 if small_f else 3
             if status or accepted or nfev >= _MAX_NFEV:
                 break
-    active = np.where(x <= lower, -1, np.where(x >= upper, 1, 0))
-    return _Solve(x, cost, status, nfev, njev, active)
+    return _Solve(x, cost, status, nfev, njev)
 
 
 def _lm_step(j: np.ndarray, svd, r: np.ndarray, mu: float, free, x, d, lower, upper) -> np.ndarray:
@@ -238,23 +235,23 @@ class FitResult:
     curve a0 + 2 a1 lam + a2 lam^2: its vertex -a1 / a2 clamped to [0, 1]
     where a2 > 0, else the lower end.  ``sigma_lambda_opt_fit`` is the
     gradient of -a1 / a2 against the free fit's covariance
-    (J_a^T J_a)^(-1), and 0 where a clamp or an end holds the value.  Where
-    the free curve has no interior minimum (a2 <= 0 or a1 > 0), or the
-    free solve did not converge (its last curve then gives the value), the
-    sigma is 0 and a warning says so.
+    (J_a^T J_a)^(-1), taken through the SVD of J_a, and 0 where a clamp
+    or an end holds the value.  Where the free curve has no interior
+    minimum (a2 <= 0 or a1 > 0), or the free solve did not converge (its
+    last curve then gives the value), the sigma is 0 and a warning says
+    so.
 
-    ``winning_start`` names the start of the chart solve that gave the
-    result: "coefficients" (the free coefficients, mapped strictly inside
-    the bounds) or "bound" (the box start: the clipped map or a grid
-    point); the map's solve wins where both costs agree to 1e-12 relative,
-    so round-off does not decide the name.
-    ``n_starts`` counts the chart solves: 1, or 2 when the solve from the
-    map ended on a bound or did not converge and one ran from the box
-    start.  ``nfev`` counts the residual plus Jacobian evaluations of every
-    solve, the free one included, and ``status`` is the returned chart
-    solve's :func:`least_squares` status: 1 the gradient test (gtol), 2 the
-    relative-reduction test (ftol), 3 the step test (xtol), 4 both 2 and 3;
-    0, unconverged, raises :class:`FitFailure` instead.
+    ``winning_start`` names the path that gave the result:
+    "coefficients" (the converged free coefficients, mapped strictly
+    inside the bounds, are the fit) or "bound" (one chart solve from the
+    box start: the clipped map or a grid point).  ``n_starts`` counts the
+    chart solves: 0 on the coefficient path, 1 on the box path.  ``nfev``
+    counts the residual plus Jacobian evaluations of every solve, the
+    free one included.  ``status`` is the :func:`least_squares` status of
+    the free solve on the coefficient path, else of the chart solve: 1
+    the gradient test (gtol), 2 the relative-reduction test (ftol), 3 the
+    step test (xtol), 4 both 2 and 3; an unconverged chart solve (0)
+    raises :class:`FitFailure` instead.
     """
 
     gain: float
@@ -315,7 +312,7 @@ class FitResult:
             f"  lambda_opt         = {self.lambda_opt_fit:.4f}",
             f"  condition number   = {self.condition_number:.3g}",
             f"  solver: {self.winning_start} path (status {self.status}), "
-            f"{self.n_starts} solve(s), {self.nfev} evaluations",
+            f"free solve and {self.n_starts} chart solve(s), {self.nfev} evaluations",
         ]
         for w in self.warnings:
             lines.append(f"  warning: {w}")
@@ -392,23 +389,24 @@ def _shape_roots(a: np.ndarray, offset: float) -> np.ndarray:
     root need not be physical: the rows are sorted by eta_c, largest
     first, and the caller checks the transmissions and the sign of a1.
     """
-    a0, a1, a2 = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r2 = a1 * a1 / (a0 * a2)
-        k = offset / (1.0 - a0 / a2)
-        m = k - offset
-        cubic = np.array([(r2 - 1.0) * k * m, m + k - 2.0 * k * m, 2.0 * (m + k) - 1.0, -2.0])
-    if not np.all(np.isfinite(cubic)):
+    a0, a1, a2, offset = float(a[0]), float(a[1]), float(a[2]), float(offset)
+    r2 = _quotient(a1 * a1, a0 * a2)
+    k = _quotient(offset, 1.0 - _quotient(a0, a2))
+    m = k - offset
+    cubic = [(r2 - 1.0) * k * m, m + k - 2.0 * k * m, 2.0 * (m + k) - 1.0, -2.0]
+    if not all(map(math.isfinite, cubic)):
         return np.empty((0, 2))
     # Leading coefficients within round-off of 0 put their roots at
     # infinity, far past the gain bound; dropped, they cannot overflow the
-    # companion matrix.
-    lead = np.flatnonzero(np.abs(cubic) > np.finfo(float).eps * np.max(np.abs(cubic)))[0]
-    roots = np.roots(cubic[lead:])
-    x = roots.real[(np.abs(roots.imag) <= 1e-9 * np.abs(roots)) & (roots.real > 0.0)]
-    eta_c = k - 1.0 / x
-    order = np.argsort(-eta_c)
-    return np.column_stack([1.0 + 0.5 * x[order], eta_c[order]])
+    # companion matrix, whose eigenvalues are the roots (as in np.roots).
+    top = sys.float_info.epsilon * max(map(abs, cubic))
+    cubic = cubic[[abs(c) > top for c in cubic].index(True) :]
+    companion = np.eye(len(cubic) - 1, k=-1)
+    companion[:1] = [-c / cubic[0] for c in cubic[1:]]
+    roots = np.linalg.eigvals(companion).tolist() if len(cubic) > 1 else []
+    x = [z.real for z in roots if abs(z.imag) <= 1e-9 * abs(z) and z.real > 0.0]
+    rows = sorted(((k - 1.0 / t, 1.0 + 0.5 * t) for t in x), reverse=True)
+    return np.array([(gain, eta_c) for eta_c, gain in rows]).reshape(-1, 2)
 
 
 def _face_gain(a: np.ndarray, eta_c: float, offset: float) -> float:
@@ -419,17 +417,24 @@ def _face_gain(a: np.ndarray, eta_c: float, offset: float) -> float:
     x = 2 (G - 1), whose roots have product <= 0.  Where eta_p eta_c = 0,
     C = 0 at every gain, and V_p / V_c = a0 / a2 sets x instead.
     """
-    a0, a1, a2 = np.asarray(a, dtype=float)
-    eta_p = eta_c - offset
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if eta_p * eta_c == 0.0:
-            x = (a2 - a0) / (a0 * eta_c - a2 * eta_p)
-        else:
-            r2 = a1 * a1 / (a0 * a2)
-            quad = eta_p * eta_c * (1.0 - r2)
-            lin = 2.0 * eta_p * eta_c - r2 * (eta_p + eta_c)
-            x = 2.0 * r2 / (lin + np.sqrt(lin * lin + 4.0 * quad * r2))
-    return 1.0 + 0.5 * max(float(np.nan_to_num(x, nan=0.0)), 0.0)
+    a0, a1, a2, eta_c = float(a[0]), float(a[1]), float(a[2]), float(eta_c)
+    eta_p = eta_c - float(offset)
+    if eta_p * eta_c == 0.0:
+        x = _quotient(a2 - a0, a0 * eta_c - a2 * eta_p)
+    else:
+        r2 = _quotient(a1 * a1, a0 * a2)
+        quad = eta_p * eta_c * (1.0 - r2)
+        lin = 2.0 * eta_p * eta_c - r2 * (eta_p + eta_c)
+        disc = lin * lin + 4.0 * quad * r2
+        x = _quotient(2.0 * r2, lin + math.sqrt(disc)) if disc >= 0.0 else math.nan
+    # A NaN x counts as 0, and +inf as the largest float.
+    return 1.0 + 0.5 * (min(x, sys.float_info.max) if x > 0.0 else 0.0)
+
+
+def _quotient(num: float, den: float) -> float:
+    """num / den of floats as IEEE 754 has it: where den is 0, an infinity
+    signed by both, or NaN for 0 / 0, where Python would raise."""
+    return num / den if den else num * math.copysign(math.inf, den)
 
 
 def _box_start(b, shapes, basis, lam, y, sigma, lower, upper, offset: float) -> np.ndarray:
@@ -487,32 +492,30 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     Jacobian ``_coefficient_jac``, fits the coefficients (a0, a1, a2) of the
     noise power a0 + 2 a1 lam + a2 lam^2 from a weighted linear
     least-squares fit in power.  It gives ``lambda_opt_fit`` and its sigma
-    (see :class:`FitResult`).  One bounded solve then minimizes the
-    residuals over the box of the chart p = (u, v, scale_db), u = sqrt(G -
-    1) and v = sqrt(eta_c - lower eta_c), with the analytic Jacobian
-    ``_chart_jac``.  Every point of the box is a physical model, and C is
-    smooth on its faces G = 1 and eta_p eta_c = 0 (``_chart``).  Its start:
+    (see :class:`FitResult`).  Its coefficients map to (gain, eta_c,
+    scale_db) in closed form: a0 / a2 = V_p / V_c and a1^2 / (a0 a2) =
+    C^2 / (V_p V_c) leave one cubic in x = 2 (G - 1) (``_shape_roots``),
+    and s = a2 / V_c.
 
-    * The free coefficients map to (gain, eta_c, scale_db) in closed form:
-      a0 / a2 = V_p / V_c and a1^2 / (a0 a2) = C^2 / (V_p V_c) leave one
-      cubic in x = 2 (G - 1) (``_shape_roots``), and s = a2 / V_c.  Where a
-      root maps strictly inside the bounds, the solve starts there
-      ("coefficients").
-    * Otherwise it starts from the box start ("bound"): whichever has the
-      lower chi^2, the clipped map (eta_c clipped, and the gain that keeps
-      the ratios there, ``_face_gain``) or the best point of a 25 x 21 grid
-      over (u, v), with G - 1 geometric from 1e-6 to 49.  Each scale is the
-      sigma-weighted mean of y - model, clipped to its bounds.
+    * Where the free solve converged and a root maps strictly inside the
+      bounds, that point is the fit ("coefficients"): no other solve runs.
+    * Otherwise one bounded solve minimizes the residuals over the box of
+      the chart p = (u, v, scale_db), u = sqrt(G - 1) and v = sqrt(eta_c -
+      lower eta_c), with the analytic Jacobian ``_chart_jac``.  Every point
+      of the box is a physical model, and C is smooth on its faces G = 1
+      and eta_p eta_c = 0 (``_chart``).  It starts from the box start
+      ("bound"): whichever has the lower chi^2, the clipped map (eta_c
+      clipped, and the gain that keeps the ratios there, ``_face_gain``)
+      or the best point of a 25 x 21 grid over (u, v), with G - 1
+      geometric from 1e-6 to 49.  Each scale is the sigma-weighted mean of
+      y - model, clipped to its bounds.
 
-    A solve from the map that ends on a face of the box, or does not
-    converge, runs once more from the box start, and the lower cost of
-    the converged solves wins.  ``chi_square`` is evaluated at the
-    reported parameters.  On a scan the model cannot express (a1 > 0 or
-    a2 < 0) the solve is still local, and a search with more starts may
-    find a lower minimum.  The grid start keeps it from the flat face
-    G = 1: noisy vacuum at offset 0.03 (seed 18) fits with chi_square
-    15.53, the value of a ten-start search, where a trust-region solve
-    from the clipped map alone stopped at 18.00.
+    ``chi_square`` is evaluated at the reported parameters.  On a scan the
+    model cannot express (a1 > 0 or a2 < 0) the solve is still local, and
+    a search with more starts may find a lower minimum.  The grid start
+    keeps it from the flat face G = 1: noisy vacuum at offset 0.03 (seed
+    18) fits with chi_square 15.53, the value of a ten-start search, where
+    a trust-region solve from the clipped map alone stopped at 18.00.
 
     Parameter uncertainties are the square roots of the diagonal of
     (J^T J)^(-1) at the solution, J holding every free parameter,
@@ -541,7 +544,7 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         A :class:`FitResult`.
 
     Raises:
-        FitFailure: if no chart solve converges within its budget.
+        FitFailure: if the chart solve does not converge within its budget.
         ValueError: for unusable datasets.
     """
     if options is None:
@@ -590,37 +593,27 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
     free = least_squares(free_residuals, linear, free_jac, -unbounded, unbounded)
     b = free.x
 
-    def with_scale(gain: float, eta_c: float) -> np.ndarray:
-        v_c = 1.0 + 2.0 * eta_c * (gain - 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale_db = ref_db + 10.0 * np.log10(b[2] / v_c)
-        return np.array([gain, eta_c, scale_db])
-
     shapes = _shape_roots(b, offset)
-    mapped = [with_scale(gain, eta_c) for gain, eta_c in shapes]
-    inside = [t for t in mapped if b[1] <= 0.0 and np.all((lower < t) & (t < upper))]
+    inside = []
+    for gain, eta_c in shapes.tolist() if b[1] <= 0.0 else ():
+        # The scale s = a2 / V_c, V_c = 1 + 2 eta_c (G - 1), in dB.
+        scale = _quotient(float(b[2]), 1.0 + 2.0 * eta_c * (gain - 1.0))
+        t = (gain, eta_c, ref_db + 10.0 * math.log10(scale) if scale > 0.0 else math.nan)
+        if all(lo < v < hi for lo, v, hi in zip(lower, t, upper)):
+            inside.append(t)
 
-    runs = {}
-    if inside:
-        start = np.append(np.sqrt(inside[0][:2] - lower[:2]), inside[0][2])
-        runs["coefficients"] = least_squares(chart_residuals, start, chart_jac, p_lower, p_upper)
-    first = runs.get("coefficients")
-    if first is None or first.status <= 0 or first.active_mask.any():
+    solves: tuple[_Solve, ...] = ()
+    if inside and free.status > 0:
+        # The chart is one-to-one with the coefficients inside the box, so
+        # the converged free optimum, mapped there, is the chart's optimum.
+        p = np.append(np.sqrt(inside[0][:2] - lower[:2]), inside[0][2])
+        winner, status = "coefficients", free.status
+    else:
         start = _box_start(b, shapes, basis, lam, y, sigma, lower, upper, offset)
-        runs["bound"] = least_squares(chart_residuals, start, chart_jac, p_lower, p_upper)
-    converged = {name: res for name, res in runs.items() if res.status > 0}
-    if not converged:
-        lowest = min(res.cost for res in runs.values())
-        raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations", lowest)
-    winner = min(converged, key=lambda name: converged[name].cost)
-    # Two solves that end at one point differ in cost by round-off: the
-    # map's solve is kept unless the box start's ends lower than that.
-    if "coefficients" in converged and math.isclose(
-        converged["coefficients"].cost, converged[winner].cost, rel_tol=1e-12
-    ):
-        winner = "coefficients"
-    res = converged[winner]
-    p = res.x
+        res = least_squares(chart_residuals, start, chart_jac, p_lower, p_upper)
+        if res.status <= 0:
+            raise FitFailure(f"no fit start converged within {_MAX_NFEV} evaluations", res.cost)
+        p, solves, winner, status = res.x, (res,), "bound", res.status
     # A root on its upper bound maps onto the bound exactly.
     inner = np.minimum(lower[:2] + p[:2] ** 2, upper[:2])
     x_hat = np.append(np.where(p[:2] < p_upper[:2], inner, upper[:2]), p[2])
@@ -669,9 +662,9 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
             "lambda_opt is its lowest point on [0, 1], with sigma 0"
         )
     elif -a1 <= a2:  # not held by the clamp at 1
-        jac_a = free_jac(b)
-        grad = np.array([0.0, -1.0 / a2, a1 / (a2 * a2)])
-        sigma_lam = math.sqrt(max(grad @ np.linalg.pinv(jac_a.T @ jac_a) @ grad, 0.0))
+        # grad^T (J_a^T J_a)^(-1) grad = |S^(-1) V^T grad|^2, J_a = U S V^T.
+        _, s, vt = np.linalg.svd(free_jac(b), full_matrices=False)
+        sigma_lam = math.hypot(*(vt @ np.array([0.0, -1.0 / a2, a1 / (a2 * a2)]) / s))
     return FitResult(
         gain=gain,
         eta_p=min(max(eta_p, 0.0), 1.0),
@@ -691,10 +684,10 @@ def fit_noise_curve(dataset: NoiseDataset, options: FitOptions | None = None) ->
         param_names=names,
         param_values=x_hat,
         param_cov=np.array(cov, dtype=float),
-        nfev=sum(run.nfev + run.njev for run in (free, *runs.values())),
-        n_starts=len(runs),
+        nfev=sum(run.nfev + run.njev for run in (free, *solves)),
+        n_starts=len(solves),
         winning_start=winner,
-        status=int(res.status),
+        status=int(status),
         source=dataset.source,
     )
 

@@ -559,8 +559,8 @@ class TestFit:
         assert abs(result["gain"] - 1.67) < 1e-3
         assert abs(result["eta_c"] - 0.79) < 1e-3
         assert abs(result["lambda_opt_fit"] - 0.7962950314799236) < 1e-4
-        # Solver diagnostics: one solve, the coefficient fit, converged.
-        assert (result["n_starts"], result["winning_start"]) == (1, "coefficients")
+        # Solver diagnostics: the free solve alone, converged.
+        assert (result["n_starts"], result["winning_start"]) == (0, "coefficients")
         assert result["status"] > 0 and result["nfev"] > 0
         stdout = capsys.readouterr().out
         assert f"+/- {result['sigma_lambda_opt_fit']:.4f} (fit)" in stdout
@@ -718,9 +718,7 @@ class TestFit:
         costs = iter([6.5, 2.75] + [9.0] * 20)
 
         def unconverged(fun, x0, jac, lower, upper):
-            return cli.fitting._Solve(
-                x=x0, cost=next(costs), status=0, nfev=1, njev=1, active_mask=np.zeros(len(x0))
-            )
+            return cli.fitting._Solve(x=x0, cost=next(costs), status=0, nfev=1, njev=1)
 
         monkeypatch.setattr(cli.fitting, "least_squares", unconverged)
         data = tmp_path / "scan.csv"

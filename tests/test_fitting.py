@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -325,9 +326,9 @@ class TestFitNoiseCurve:
         assert all(type(v) is float for v in data["param_values"])
 
     def test_one_start_when_it_converges(self):
-        # The coefficients map inside the bounds: one solve, no other.
+        # The coefficients map inside the bounds: the free solve, no other.
         fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79, noise_seed=6))
-        assert (fit.n_starts, fit.winning_start) == (1, "coefficients")
+        assert (fit.n_starts, fit.winning_start) == (0, "coefficients")
         assert fit.status > 0 and 0 < fit.nfev <= 20
 
     def test_one_solve_at_the_eta_c_bound(self):
@@ -554,25 +555,22 @@ class TestFitNoiseCurve:
         assert abs(fit.lambda_opt_fit - lambda_opt(truth)) < 1e-6
 
     def test_failure_carries_the_lowest_cost(self, monkeypatch):
-        # Every solve stops unconverged (status 0); the failure names the
-        # lowest cost over all of them, whichever start it came from.
+        # Every solve stops unconverged (status 0): the free solve sends the
+        # fit to the box start, and the failure names that solve's cost.
         costs = iter([9.5, 4.25, 7.0] + [8.0] * 20)
         calls = []
 
         def unconverged(fun, x0, jac, lower, upper):
             calls.append(x0)
             fun(x0), jac(x0)
-            return fitting._Solve(
-                x=x0, cost=next(costs), status=0, nfev=3, njev=2, active_mask=np.zeros(len(x0))
-            )
+            return fitting._Solve(x=x0, cost=next(costs), status=0, nfev=3, njev=2)
 
         monkeypatch.setattr(fitting, "least_squares", unconverged)
         with pytest.raises(FitFailure, match=r"\(best residual cost 4\.25\)") as info:
             fit_noise_curve(synthetic(1.67, 0.76, 0.79))
         assert info.value.best_cost == 4.25
-        # The free solve, the solve from the coefficient map, then the one
-        # from the box start.
-        assert len(calls) == 3
+        # The free solve, then the one from the box start.
+        assert len(calls) == 2
 
     def test_params_accessor(self):
         fit = fit_noise_curve(synthetic(1.67, 0.76, 0.79))
@@ -662,7 +660,6 @@ class TestBoxStart:
             if isinstance(old, FitFailure):
                 assert new.best_cost == pytest.approx(old.best_cost, rel=1e-9)
                 continue
-            # Where both solves end at one point, the map's solve wins.
             assert (new.n_starts, new.winning_start) == (old.n_starts, old.winning_start)
             assert new.chi_square == pytest.approx(old.chi_square, rel=1e-9, abs=1e-20)
         assert fits >= 400
@@ -734,11 +731,10 @@ class TestFreeFit:
         assert fit.sigma_lambda_opt_fit > 0.0
 
     def test_the_physical_vertex_where_the_map_lands_inside(self):
-        # Where the free coefficients map strictly inside the box and the
-        # one solve from there stays inside, both solves end at one curve:
-        # the weight is the physical fit's closed form, and its sigma the
-        # propagation of param_cov (central differences of the weight
-        # 2 sqrt(eta_p eta_c G (G - 1)) / V_c in gain and eta_c).
+        # Where the free coefficients map strictly inside the box, they are
+        # the fit: the weight is the physical fit's closed form, and its
+        # sigma the propagation of param_cov (central differences of the
+        # weight 2 sqrt(eta_p eta_c G (G - 1)) / V_c in gain and eta_c).
         def weight(x):
             gain, eta_c = x[0], x[1]
             eta_p = eta_c - 0.03
@@ -844,6 +840,78 @@ class TestFreeFit:
         ds = NoiseDataset(np.linspace(0.0, 1.0, 5), [0, 0, 0, 0, 21.0], [1, 1, 1, 0.5, 1])
         fit = fit_noise_curve(ds)
         assert 0.0 <= fit.lambda_opt_fit <= 1.0 and math.isfinite(fit.sigma_lambda_opt_fit)
+
+
+class TestCoefficientPath:
+    """A converged free optimum that maps strictly inside the box is the
+    fit: the chart is one-to-one with the coefficients there, so no chart
+    solve runs, and none could end lower."""
+
+    def test_the_fit_is_a_chart_optimum(self, monkeypatch):
+        # Criterion 6's 200 datasets and fit_scans' 400 seed-3 scans: on
+        # each coefficient-path fit, the free solve is the only solve, and
+        # one bounded chart solve from the reported point lowers the cost
+        # by round-off only and moves gain and eta_c by at most 1e-6.
+        scans = itertools.chain(
+            TestFreeFit.criterion_6_scans(100),
+            (ds for ds, _ in itertools.islice(TestBoxStart.corpora(), 400)),
+        )
+        # The chart box at offset 0.03: u <= sqrt(50 - 1), v <= sqrt(1 - 0.03).
+        lower, upper = np.array([0.0, 0.0, -80.0]), np.array([7.0, math.sqrt(0.97), 80.0])
+        fits = 0
+        for ds in scans:
+            fit, solves = TestFreeFit.fit_and_solves(ds, monkeypatch)
+            if fit.winning_start != "coefficients":
+                continue
+            fits += 1
+            assert len(solves) == 1 and fit.n_starts == 0 and fit.status == solves[0].status > 0
+            basis, sigma = _basis(ds.lam), ds.sigma_db
+
+            def residuals(p):
+                a = fitting._chart(p[:2], 0.03)[0]
+                return (10.0 * np.log10(basis @ a) + p[2] - ds.noise_db) / sigma
+
+            u, v = math.sqrt(fit.gain - 1.0), math.sqrt(fit.eta_c - 0.03)
+            start = np.array([u, v, fit.scale_db])
+            cost = 0.5 * float(np.sum(residuals(start) ** 2))
+            res = fitting.least_squares(
+                residuals, start, lambda p: _chart_jac(basis, sigma, p, 0.03), lower, upper
+            )
+            assert res.status > 0 and cost - res.cost <= 1e-12 * cost
+            assert abs(1.0 + res.x[0] ** 2 - fit.gain) <= 1e-6 * fit.gain
+            assert abs(0.03 + res.x[1] ** 2 - fit.eta_c) <= 1e-6 * fit.eta_c
+        assert fits >= 380
+
+    def test_unconverged_free_solve_takes_the_box_path(self, monkeypatch):
+        # A scan whose free optimum maps inside, its free solve reported
+        # unconverged at that point: the fit runs the box solve as it is.
+        ds = synthetic(1.67, 0.76, 0.79, noise_seed=6)
+        assert fit_noise_curve(ds).winning_start == "coefficients"
+        solve, calls = fitting.least_squares, []
+
+        def first_unconverged(*args):
+            calls.append(solve(*args))
+            return calls[-1]._replace(status=0) if len(calls) == 1 else calls[-1]
+
+        monkeypatch.setattr(fitting, "least_squares", first_unconverged)
+        fit = fit_noise_curve(ds)
+        assert (fit.winning_start, fit.n_starts) == ("bound", 1)
+        assert len(calls) == 2 and fit.status == calls[1].status > 0
+        assert (
+            "the free coefficient fit did not converge; "
+            "lambda_opt is its lowest point on [0, 1], with sigma 0"
+        ) in fit.warnings
+
+    def test_summary_names_the_free_and_chart_solves(self):
+        for ds, path, chart_solves in (
+            (synthetic(1.67, 0.76, 0.79, noise_seed=6), "coefficients", 0),
+            (synthetic(1.2, 0.97, 1.0, noise_seed=5), "bound", 1),
+        ):
+            fit = fit_noise_curve(ds)
+            assert (
+                f"  solver: {path} path (status {fit.status}), free solve and "
+                f"{chart_solves} chart solve(s), {fit.nfev} evaluations"
+            ) in fit.summary().splitlines()
 
 
 class TestExtractLambdaOpt:
